@@ -127,6 +127,8 @@ SnapshotFile parse_snapshot_bytes(const std::vector<std::uint8_t>& bytes) {
   (void)r.u32();  // flags
   file.manifest_json = r.str();
   const std::uint64_t payload_len = r.u64();
+  if (payload_len > r.remaining())
+    throw SnapshotError("snapshot truncated (read past end of data)");
   file.payload.resize(static_cast<std::size_t>(payload_len));
   for (auto& byte : file.payload) byte = r.u8();
   const std::uint32_t declared_crc = r.u32();

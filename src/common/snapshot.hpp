@@ -136,6 +136,8 @@ class SnapshotReader {
   void skip_section();
 
   [[nodiscard]] bool exhausted() const { return pos_ >= limit(); }
+  /// Unread bytes left in the current scope (section or whole stream).
+  [[nodiscard]] std::size_t remaining() const { return limit() - pos_; }
 
  private:
   [[nodiscard]] std::size_t limit() const {
@@ -153,6 +155,19 @@ class SnapshotReader {
 };
 
 /// --- Sequence helpers ----------------------------------------------------
+///
+/// Every element loader reads at least one byte, so a stored count larger
+/// than the bytes left in scope is corrupt: it is rejected before anything
+/// proportional to the untrusted count is allocated.
+
+inline std::uint64_t read_sequence_count(SnapshotReader& r) {
+  const std::uint64_t n = r.u64();
+  if (n > r.remaining())
+    throw SnapshotError("snapshot sequence count " + std::to_string(n) +
+                        " exceeds the " + std::to_string(r.remaining()) +
+                        " bytes left");
+  return n;
+}
 
 template <typename T, typename Fn>
 void save_sequence(SnapshotWriter& w, const RingBuffer<T>& rb, Fn save_elem) {
@@ -163,7 +178,7 @@ void save_sequence(SnapshotWriter& w, const RingBuffer<T>& rb, Fn save_elem) {
 template <typename T, typename Fn>
 void restore_sequence(SnapshotReader& r, RingBuffer<T>& rb, Fn load_elem) {
   rb.clear();
-  const std::uint64_t n = r.u64();
+  const std::uint64_t n = read_sequence_count(r);
   for (std::uint64_t i = 0; i < n; ++i) rb.push_back(load_elem(r));
 }
 
@@ -176,7 +191,7 @@ void save_sequence(SnapshotWriter& w, const std::vector<T>& v, Fn save_elem) {
 template <typename T, typename Fn>
 void restore_sequence(SnapshotReader& r, std::vector<T>& v, Fn load_elem) {
   v.clear();
-  const std::uint64_t n = r.u64();
+  const std::uint64_t n = read_sequence_count(r);
   v.reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) v.push_back(load_elem(r));
 }

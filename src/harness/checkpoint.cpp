@@ -8,9 +8,8 @@
 
 #include "common/assert.hpp"
 #include "core/err.hpp"
-#include "core/packet.hpp"
+#include "harness/scenario_core.hpp"
 #include "harness/workload_parse.hpp"
-#include "metrics/delay.hpp"
 #include "obs/manifest.hpp"
 #include "wormhole/arbiter.hpp"
 
@@ -403,63 +402,6 @@ NetworkScenarioResult NetworkRun::finish() {
 
 /// --- ScenarioRun ----------------------------------------------------------
 
-namespace {
-
-/// Scenario-internal observer: records head-flit instants and the largest
-/// served packet (mirrors run_scenario's probe).
-class CkptRunProbe final : public core::SchedulerObserver {
- public:
-  explicit CkptRunProbe(ScenarioResult& result) : result_(result) {}
-
-  void on_flit(Cycle now, const core::FlitEvent& flit) override {
-    if (flit.is_head) result_.service_starts.push_back(now);
-  }
-  void on_packet_departure(Cycle, const core::Packet& packet) override {
-    result_.max_served_packet =
-        std::max(result_.max_served_packet, packet.length);
-  }
-
- private:
-  ScenarioResult& result_;
-};
-
-/// Mirrors scheduler decisions into the trace sink (ERR dequeues carry
-/// the serving flow's allowance and surplus count).
-class CkptTraceObserver final : public core::SchedulerObserver {
- public:
-  CkptTraceObserver(obs::TraceSink& sink, const core::ErrScheduler* err)
-      : sink_(sink), err_(err) {}
-
-  void on_packet_arrival(Cycle now, const core::Packet& p) override {
-    sink_.record(obs::TraceEvent::packet_enqueue(now, p.flow.value(),
-                                                 p.id.value(), p.length));
-  }
-  void on_packet_departure(Cycle now, const core::Packet& p) override {
-    double allowance = 0.0;
-    double surplus = 0.0;
-    if (err_ != nullptr) {
-      allowance = err_->policy().allowance();
-      surplus = err_->policy().surplus_count(p.flow);
-    }
-    sink_.record(obs::TraceEvent::packet_dequeue(
-        now, p.flow.value(), p.id.value(), p.length, allowance, surplus));
-  }
-
- private:
-  obs::TraceSink& sink_;
-  const core::ErrScheduler* err_;
-};
-
-}  // namespace
-
-struct ScenarioRun::Observers {
-  explicit Observers(ScenarioResult& result) : probe(result) {}
-
-  CkptRunProbe probe;
-  std::optional<CkptTraceObserver> trace_observer;
-  metrics::ObserverChain chain;
-};
-
 ScenarioRun::ScenarioRun(const ScenarioSpec& spec) : spec_(spec) {
   original_seed_ = spec_.config.seed;
   build();
@@ -498,20 +440,7 @@ ScenarioRun::ScenarioRun(const ScenarioSpec& wiring, const SnapshotFile& file)
   r.leave_section();
   build();
   r.enter_section(kCkptScenStateTag);
-  t_ = r.u64();
-  next_arrival_ = r.u64();
-  if (next_arrival_ > trace_.entries.size())
-    throw SnapshotError("scenario checkpoint arrival cursor out of range");
-  next_packet_id_ = r.u64();
-  done_ = r.b();
-  trace_round_ = r.u64();
-  scheduler_->restore_state(r);
-  result_->service_log.restore(r);
-  result_->activity.restore(r);
-  result_->delays.restore(r);
-  restore_sequence(r, result_->service_starts,
-                   [](SnapshotReader& in) { return in.u64(); });
-  result_->max_served_packet = r.i64();
+  core_->restore_state(r);
   r.leave_section();
 }
 
@@ -529,98 +458,18 @@ void ScenarioRun::build() {
   trace_ = traffic::generate_trace(parsed->spec, spec_.config.horizon,
                                    spec_.config.seed);
   trace_ = validate::apply_trace_faults(spec_.faults, trace_);
-  WS_CHECK(trace_.num_flows > 0);
-
-  core::SchedulerParams params = spec_.config.sched;
-  params.num_flows = trace_.num_flows;
-  scheduler_ = core::make_scheduler(spec_.scheduler, params);
-  WS_CHECK_MSG(scheduler_ != nullptr, "unknown scheduler name");
-  if (!spec_.config.weights.empty()) {
-    WS_CHECK(spec_.config.weights.size() == trace_.num_flows);
-    for (std::size_t i = 0; i < spec_.config.weights.size(); ++i)
-      scheduler_->set_weight(FlowId(static_cast<FlowId::rep_type>(i)),
-                             spec_.config.weights[i]);
-  }
-
-  result_.emplace(trace_.num_flows, spec_.config.flit_bytes);
-  result_->scheduler_name = std::string(scheduler_->name());
-
-  auto* err = dynamic_cast<core::ErrScheduler*>(scheduler_.get());
-  if (spec_.config.audit && err != nullptr) {
-    validate::AuditLog* log = spec_.config.audit_log;
-    if (log == nullptr) log = &local_log_.emplace();
-    validate::ErrAuditorConfig audit_config;
-    audit_config.reset_on_idle = spec_.config.sched.err_reset_on_idle;
-    auditor_.emplace(trace_.num_flows, audit_config, *log);
-    auditor_->attach(err->policy());
-  }
-
-  obs::TraceSink* sink = spec_.config.trace;
-  if (sink != nullptr && err != nullptr) {
-    validate::ErrAuditor* audit_ptr = auditor_ ? &*auditor_ : nullptr;
-    err->policy().set_opportunity_listener(
-        [this, sink, audit_ptr](const core::ErrOpportunity& op) {
-          if (audit_ptr != nullptr) audit_ptr->on_opportunity(op);
-          const Cycle now = sink->now();
-          if (op.round != trace_round_) {
-            trace_round_ = op.round;
-            sink->record(obs::TraceEvent::round_boundary(
-                now, op.round, op.previous_max_sc));
-          }
-          sink->record(obs::TraceEvent::opportunity(
-              now, op.flow.value(), op.round, op.allowance,
-              op.surplus_count));
-        });
-  }
-
-  observers_ = std::make_unique<Observers>(*result_);
-  observers_->chain.add(result_->service_log);
-  observers_->chain.add(result_->delays);
-  observers_->chain.add(observers_->probe);
-  if (sink != nullptr)
-    observers_->chain.add(observers_->trace_observer.emplace(*sink, err));
-  scheduler_->set_observer(&observers_->chain);
+  core_ = std::make_unique<ScenarioCore>(spec_.scheduler, spec_.config, trace_);
 }
 
-void ScenarioRun::run_cycle() {
-  obs::TraceSink* sink = spec_.config.trace;
-  if (sink != nullptr) sink->set_now(t_);
-  // Deliver this cycle's arrivals, then offer one transmission slot —
-  // the paper's service model (one flit dequeued per cycle).
-  while (next_arrival_ < trace_.entries.size() &&
-         trace_.entries[next_arrival_].cycle == t_) {
-    const traffic::TraceEntry& e = trace_.entries[next_arrival_];
-    scheduler_->enqueue(t_, core::Packet{.id = PacketId(next_packet_id_++),
-                                         .flow = e.flow,
-                                         .length = e.length,
-                                         .arrival = t_});
-    ++next_arrival_;
-  }
-  (void)scheduler_->pull_flit(t_);
-  // Activity snapshot after arrivals and service: a flow is active while
-  // its queue is nonempty.
-  for (std::size_t i = 0; i < trace_.num_flows; ++i) {
-    const FlowId flow(static_cast<FlowId::rep_type>(i));
-    result_->activity.record(t_, flow, scheduler_->queue_length(flow) > 0);
-  }
-  ++t_;
-  if (t_ >= spec_.config.horizon) {
-    const bool arrivals_done = next_arrival_ >= trace_.entries.size();
-    if (!spec_.config.drain) {
-      done_ = true;
-    } else if (arrivals_done && scheduler_->idle()) {
-      done_ = true;
-    }
-  }
-}
+Cycle ScenarioRun::now() const { return core_->now(); }
+
+bool ScenarioRun::done() const { return core_->done(); }
 
 void ScenarioRun::advance_to(Cycle target) {
-  while (!done_ && t_ < target) run_cycle();
+  while (!core_->done() && core_->now() < target) core_->step();
 }
 
-void ScenarioRun::run_to_completion() {
-  while (!done_) run_cycle();
-}
+void ScenarioRun::run_to_completion() { core_->run_to_completion(); }
 
 std::vector<std::uint8_t> ScenarioRun::checkpoint_payload() const {
   SnapshotWriter w;
@@ -629,7 +478,7 @@ std::vector<std::uint8_t> ScenarioRun::checkpoint_payload() const {
   w.u64(original_seed_);
   w.str(obs::current_git_sha());
   w.u32(restore_count_);
-  w.u64(t_);
+  w.u64(now());
   w.end_section();
   w.begin_section(kCkptScenConfigTag);
   w.str(spec_.scheduler);
@@ -646,18 +495,7 @@ std::vector<std::uint8_t> ScenarioRun::checkpoint_payload() const {
   save_fault_spec(w, spec_.faults);
   w.end_section();
   w.begin_section(kCkptScenStateTag);
-  w.u64(t_);
-  w.u64(next_arrival_);
-  w.u64(next_packet_id_);
-  w.b(done_);
-  w.u64(trace_round_);
-  scheduler_->save_state(w);
-  result_->service_log.save(w);
-  result_->activity.save(w);
-  result_->delays.save(w);
-  save_sequence(w, result_->service_starts,
-                [](SnapshotWriter& o, Cycle c) { o.u64(c); });
-  w.i64(result_->max_served_packet);
+  core_->save_state(w);
   w.end_section();
   return w.bytes();
 }
@@ -670,7 +508,7 @@ SnapshotFile ScenarioRun::make_snapshot_file() const {
   manifest.add_config("scheduler", spec_.scheduler);
   manifest.add_config("workload", spec_.workload_text);
   manifest.add_config("restore_count", std::to_string(restore_count_));
-  manifest.add_counter("saved_cycle", static_cast<double>(t_));
+  manifest.add_counter("saved_cycle", static_cast<double>(now()));
   SnapshotFile file;
   file.manifest_json = manifest_to_json(manifest);
   file.payload = checkpoint_payload();
@@ -682,21 +520,6 @@ void ScenarioRun::save_checkpoint(const std::string& path) const {
   write_snapshot_file(path, file.manifest_json, file.payload);
 }
 
-ScenarioResult ScenarioRun::finish() {
-  WS_CHECK_MSG(!finished_, "ScenarioRun::finish() called twice");
-  finished_ = true;
-  result_->end_cycle = t_;
-  result_->activity.finish(t_);
-  result_->residual_backlog = scheduler_->backlog_flits();
-  if (auditor_.has_value()) {
-    result_->audit_opportunities = auditor_->opportunities();
-    validate::AuditLog* log = spec_.config.audit_log != nullptr
-                                  ? spec_.config.audit_log
-                                  : &*local_log_;
-    result_->audit_violations = log->count();
-  }
-  scheduler_->set_observer(nullptr);
-  return std::move(*result_);
-}
+ScenarioResult ScenarioRun::finish() { return core_->finish(); }
 
 }  // namespace wormsched::harness

@@ -16,8 +16,8 @@
 //
 // The resumable runners (NetworkRun, ScenarioRun) are the load-bearing
 // design point: the straight path and the checkpointed path execute the
-// SAME segmented code — run_network_scenario / run_scenario are thin
-// wrappers that construct a runner and drive it to completion — so
+// SAME segmented code — run_network_scenario drives a NetworkRun to
+// completion, run_scenario the scenario core ScenarioRun is built on — so
 // "checkpoint at cycle k, restore, continue" is flit-for-flit identical
 // to an uninterrupted run by construction, which is exactly what the
 // restore-equivalence differential suite asserts.
@@ -179,8 +179,11 @@ struct ScenarioSpec {
   validate::FaultSpec faults;
 };
 
-/// Resumable standalone-scheduler run; run_scenario() stays the
-/// single-segment wrapper for trace-supplied callers.
+class ScenarioCore;
+
+/// Resumable standalone-scheduler run: the shared scenario core
+/// (harness/scenario_core.hpp) plus workload expansion and checkpointing.
+/// run_scenario() drives the same core for trace-supplied callers.
 class ScenarioRun {
  public:
   /// Fresh run: expands `spec.workload_text`, generates the trace with
@@ -196,8 +199,8 @@ class ScenarioRun {
   ScenarioRun(const ScenarioRun&) = delete;
   ScenarioRun& operator=(const ScenarioRun&) = delete;
 
-  [[nodiscard]] Cycle now() const { return t_; }
-  [[nodiscard]] bool done() const { return done_; }
+  [[nodiscard]] Cycle now() const;
+  [[nodiscard]] bool done() const;
   void advance_to(Cycle target);
   void run_to_completion();
 
@@ -217,25 +220,10 @@ class ScenarioRun {
 
  private:
   void build();
-  void run_cycle();
 
   ScenarioSpec spec_;
   traffic::Trace trace_;
-  std::unique_ptr<core::Scheduler> scheduler_;
-  std::optional<ScenarioResult> result_;
-  std::optional<validate::AuditLog> local_log_;
-  std::optional<validate::ErrAuditor> auditor_;
-  std::size_t trace_round_ = 0;
-
-  // Observer plumbing (stable addresses; scheduler_ holds the chain).
-  struct Observers;
-  std::unique_ptr<Observers> observers_;
-
-  std::size_t next_arrival_ = 0;
-  PacketId::rep_type next_packet_id_ = 0;
-  Cycle t_ = 0;
-  bool done_ = false;
-  bool finished_ = false;
+  std::unique_ptr<ScenarioCore> core_;  // references spec_.config, trace_
 
   std::uint64_t original_seed_ = 0;
   std::uint32_t restore_count_ = 0;

@@ -1,63 +1,34 @@
 #include "harness/scenario.hpp"
 
 #include <algorithm>
-#include <optional>
+#include <string>
 
 #include "common/assert.hpp"
+#include "common/snapshot.hpp"
 #include "core/err.hpp"
 #include "core/packet.hpp"
-#include "validate/err_auditor.hpp"
+#include "harness/scenario_core.hpp"
 
 namespace wormsched::harness {
 
 namespace {
 
-/// Scenario-internal observer: records head-flit instants and the largest
-/// served packet.
-class RunProbe final : public core::SchedulerObserver {
- public:
-  explicit RunProbe(ScenarioResult& result) : result_(result) {}
-
-  void on_flit(Cycle now, const core::FlitEvent& flit) override {
-    if (flit.is_head) result_.service_starts.push_back(now);
+std::unique_ptr<core::Scheduler> make_weighted_scheduler(
+    std::string_view name, const ScenarioConfig& config,
+    const traffic::Trace& trace) {
+  WS_CHECK(trace.num_flows > 0);
+  core::SchedulerParams params = config.sched;
+  params.num_flows = trace.num_flows;
+  auto scheduler = core::make_scheduler(name, params);
+  WS_CHECK_MSG(scheduler != nullptr, "unknown scheduler name");
+  if (!config.weights.empty()) {
+    WS_CHECK(config.weights.size() == trace.num_flows);
+    for (std::size_t i = 0; i < config.weights.size(); ++i)
+      scheduler->set_weight(FlowId(static_cast<FlowId::rep_type>(i)),
+                            config.weights[i]);
   }
-  void on_packet_departure(Cycle, const core::Packet& packet) override {
-    result_.max_served_packet =
-        std::max(result_.max_served_packet, packet.length);
-  }
-
- private:
-  ScenarioResult& result_;
-};
-
-/// Mirrors scheduler decisions into the trace sink.  For ERR schedulers a
-/// dequeue carries the serving flow's allowance and surplus count at the
-/// decision instant (both 0 for other disciplines).
-class TraceObserver final : public core::SchedulerObserver {
- public:
-  TraceObserver(obs::TraceSink& sink, const core::ErrScheduler* err)
-      : sink_(sink), err_(err) {}
-
-  void on_packet_arrival(Cycle now, const core::Packet& p) override {
-    sink_.record(
-        obs::TraceEvent::packet_enqueue(now, p.flow.value(), p.id.value(),
-                                        p.length));
-  }
-  void on_packet_departure(Cycle now, const core::Packet& p) override {
-    double allowance = 0.0;
-    double surplus = 0.0;
-    if (err_ != nullptr) {
-      allowance = err_->policy().allowance();
-      surplus = err_->policy().surplus_count(p.flow);
-    }
-    sink_.record(obs::TraceEvent::packet_dequeue(
-        now, p.flow.value(), p.id.value(), p.length, allowance, surplus));
-  }
-
- private:
-  obs::TraceSink& sink_;
-  const core::ErrScheduler* err_;
-};
+  return scheduler;
+}
 
 }  // namespace
 
@@ -66,51 +37,40 @@ ScenarioResult::ScenarioResult(std::size_t num_flows, Bytes flit_bytes)
       activity(num_flows),
       delays(num_flows) {}
 
-ScenarioResult run_scenario(std::string_view scheduler_name,
-                            const ScenarioConfig& config,
-                            const traffic::Trace& trace) {
-  WS_CHECK(trace.num_flows > 0);
-  core::SchedulerParams params = config.sched;
-  params.num_flows = trace.num_flows;
-  auto scheduler = core::make_scheduler(scheduler_name, params);
-  WS_CHECK_MSG(scheduler != nullptr, "unknown scheduler name");
-  if (!config.weights.empty()) {
-    WS_CHECK(config.weights.size() == trace.num_flows);
-    for (std::size_t i = 0; i < config.weights.size(); ++i)
-      scheduler->set_weight(FlowId(static_cast<FlowId::rep_type>(i)),
-                            config.weights[i]);
-  }
-
-  ScenarioResult result(trace.num_flows, config.flit_bytes);
-  result.scheduler_name = std::string(scheduler->name());
+ScenarioCore::ScenarioCore(std::string_view scheduler_name,
+                           const ScenarioConfig& config,
+                           const traffic::Trace& trace)
+    : config_(config),
+      trace_(trace),
+      scheduler_(make_weighted_scheduler(scheduler_name, config, trace)),
+      result_(trace.num_flows, config.flit_bytes) {
+  result_.scheduler_name = std::string(scheduler_->name());
 
   // Runtime invariant auditing: ERR schedulers publish their opportunity
   // stream, which the auditor re-checks against the paper's bounds live.
-  auto* err = dynamic_cast<core::ErrScheduler*>(scheduler.get());
-  std::optional<validate::AuditLog> local_log;
-  std::optional<validate::ErrAuditor> auditor;
+  auto* err = dynamic_cast<core::ErrScheduler*>(scheduler_.get());
+  err_ = err;
   if (config.audit && err != nullptr) {
     validate::AuditLog* log = config.audit_log;
-    if (log == nullptr) log = &local_log.emplace();
+    if (log == nullptr) log = &local_log_.emplace();
     validate::ErrAuditorConfig audit_config;
     audit_config.reset_on_idle = config.sched.err_reset_on_idle;
-    auditor.emplace(trace.num_flows, audit_config, *log);
-    auditor->attach(err->policy());
+    auditor_.emplace(trace.num_flows, audit_config, *log);
+    auditor_->attach(err->policy());
   }
 
   // Tracing shares ErrPolicy's single listener slot with the auditor:
   // when both are active one combined lambda feeds the auditor first
   // (attach() above already claimed the slot), then the sink.
   obs::TraceSink* sink = config.trace;
-  std::size_t trace_round = 0;
   if (sink != nullptr && err != nullptr) {
-    validate::ErrAuditor* audit_ptr = auditor ? &*auditor : nullptr;
+    validate::ErrAuditor* audit_ptr = auditor_ ? &*auditor_ : nullptr;
     err->policy().set_opportunity_listener(
-        [sink, audit_ptr, &trace_round](const core::ErrOpportunity& op) {
+        [this, sink, audit_ptr](const core::ErrOpportunity& op) {
           if (audit_ptr != nullptr) audit_ptr->on_opportunity(op);
           const Cycle now = sink->now();
-          if (op.round != trace_round) {
-            trace_round = op.round;
+          if (op.round != trace_round_) {
+            trace_round_ = op.round;
             sink->record(obs::TraceEvent::round_boundary(
                 now, op.round, op.previous_max_sc));
           }
@@ -120,57 +80,129 @@ ScenarioResult run_scenario(std::string_view scheduler_name,
         });
   }
 
-  RunProbe probe(result);
-  std::optional<TraceObserver> trace_observer;
-  metrics::ObserverChain chain;
-  chain.add(result.service_log);
-  chain.add(result.delays);
-  chain.add(probe);
-  if (sink != nullptr) chain.add(trace_observer.emplace(*sink, err));
-  scheduler->set_observer(&chain);
+  chain_.add(result_.service_log);
+  chain_.add(result_.delays);
+  chain_.add(*this);
+  scheduler_->set_observer(&chain_);
+}
 
-  std::size_t next_arrival = 0;
-  PacketId::rep_type next_packet_id = 0;
-  Cycle t = 0;
-  for (;;) {
-    if (sink != nullptr) sink->set_now(t);
-    // Deliver this cycle's arrivals, then offer one transmission slot —
-    // the paper's service model (one flit dequeued per cycle).
-    while (next_arrival < trace.entries.size() &&
-           trace.entries[next_arrival].cycle == t) {
-      const traffic::TraceEntry& e = trace.entries[next_arrival];
-      scheduler->enqueue(t, core::Packet{.id = PacketId(next_packet_id++),
+ScenarioCore::~ScenarioCore() = default;
+
+void ScenarioCore::on_packet_arrival(Cycle now, const core::Packet& p) {
+  if (config_.trace == nullptr) return;
+  config_.trace->record(obs::TraceEvent::packet_enqueue(
+      now, p.flow.value(), p.id.value(), p.length));
+}
+
+void ScenarioCore::on_flit(Cycle now, const core::FlitEvent& flit) {
+  if (flit.is_head) result_.service_starts.push_back(now);
+}
+
+void ScenarioCore::on_packet_departure(Cycle now, const core::Packet& p) {
+  result_.max_served_packet = std::max(result_.max_served_packet, p.length);
+  if (config_.trace == nullptr) return;
+  double allowance = 0.0;
+  double surplus = 0.0;
+  if (err_ != nullptr) {
+    allowance = err_->policy().allowance();
+    surplus = err_->policy().surplus_count(p.flow);
+  }
+  config_.trace->record(obs::TraceEvent::packet_dequeue(
+      now, p.flow.value(), p.id.value(), p.length, allowance, surplus));
+}
+
+void ScenarioCore::step() {
+  if (config_.trace != nullptr) config_.trace->set_now(t_);
+  // Deliver this cycle's arrivals, then offer one transmission slot —
+  // the paper's service model (one flit dequeued per cycle).
+  while (next_arrival_ < trace_.entries.size() &&
+         trace_.entries[next_arrival_].cycle == t_) {
+    const traffic::TraceEntry& e = trace_.entries[next_arrival_];
+    scheduler_->enqueue(t_, core::Packet{.id = PacketId(next_packet_id_++),
                                          .flow = e.flow,
                                          .length = e.length,
-                                         .arrival = t});
-      ++next_arrival;
-    }
-    (void)scheduler->pull_flit(t);
-    // Activity snapshot after arrivals and service: a flow is active while
-    // its queue is nonempty (a packet mid-dequeue keeps its queue
-    // nonempty in this framework).
-    for (std::size_t i = 0; i < trace.num_flows; ++i) {
-      const FlowId flow(static_cast<FlowId::rep_type>(i));
-      result.activity.record(t, flow, scheduler->queue_length(flow) > 0);
-    }
-    ++t;
-    if (t >= config.horizon) {
-      const bool arrivals_done = next_arrival >= trace.entries.size();
-      if (!config.drain) break;
-      if (arrivals_done && scheduler->idle()) break;
-    }
+                                         .arrival = t_});
+    touched_.push_back(e.flow);
+    ++next_arrival_;
   }
-  result.end_cycle = t;
-  result.activity.finish(t);
-  result.residual_backlog = scheduler->backlog_flits();
-  if (auditor.has_value()) {
-    result.audit_opportunities = auditor->opportunities();
+  if (const auto flit = scheduler_->pull_flit(t_))
+    touched_.push_back(flit->flow);
+  // Activity after arrivals and service: a flow is active while its queue
+  // is nonempty (a packet mid-dequeue keeps its queue nonempty).
+  for (const FlowId flow : touched_)
+    result_.activity.record(t_, flow, scheduler_->queue_length(flow) > 0);
+  touched_.clear();
+  ++t_;
+  if (t_ >= config_.horizon) {
+    const bool arrivals_done = next_arrival_ >= trace_.entries.size();
+    done_ = !config_.drain || (arrivals_done && scheduler_->idle());
+  }
+}
+
+void ScenarioCore::save_state(SnapshotWriter& w) const {
+  w.u64(t_);
+  w.u64(next_arrival_);
+  w.u64(next_packet_id_);
+  w.b(done_);
+  w.u64(trace_round_);
+  scheduler_->save_state(w);
+  result_.service_log.save(w);
+  result_.activity.save(w);
+  result_.delays.save(w);
+  save_sequence(w, result_.service_starts,
+                [](SnapshotWriter& o, Cycle c) { o.u64(c); });
+  w.i64(result_.max_served_packet);
+}
+
+void ScenarioCore::restore_state(SnapshotReader& r) {
+  t_ = r.u64();
+  next_arrival_ = r.u64();
+  if (next_arrival_ > trace_.entries.size())
+    throw SnapshotError("scenario checkpoint arrival cursor out of range");
+  next_packet_id_ = r.u64();
+  done_ = r.b();
+  trace_round_ = r.u64();
+  scheduler_->restore_state(r);
+  result_.service_log.restore(r);
+  result_.activity.restore(r);
+  result_.delays.restore(r);
+  restore_sequence(r, result_.service_starts,
+                   [](SnapshotReader& in) { return in.u64(); });
+  result_.max_served_packet = r.i64();
+  // step() re-records only touched flows, so the restored activity bits
+  // must already match the queues: checked once here, O(flows).
+  if (result_.activity.finished())
+    throw SnapshotError("scenario checkpoint activity tracker is finished");
+  for (std::size_t i = 0; i < trace_.num_flows; ++i) {
+    const FlowId flow(static_cast<FlowId::rep_type>(i));
+    if (result_.activity.active(flow) != (scheduler_->queue_length(flow) > 0))
+      throw SnapshotError("scenario checkpoint activity of flow " +
+                          std::to_string(i) + " disagrees with its queue");
+  }
+}
+
+ScenarioResult ScenarioCore::finish() {
+  WS_CHECK_MSG(!finished_, "scenario finish() called twice");
+  finished_ = true;
+  result_.end_cycle = t_;
+  result_.activity.finish(t_);
+  result_.residual_backlog = scheduler_->backlog_flits();
+  if (auditor_.has_value()) {
+    result_.audit_opportunities = auditor_->opportunities();
     validate::AuditLog* log =
-        config.audit_log != nullptr ? config.audit_log : &*local_log;
-    result.audit_violations = log->count();
+        config_.audit_log != nullptr ? config_.audit_log : &*local_log_;
+    result_.audit_violations = log->count();
   }
-  scheduler->set_observer(nullptr);
-  return result;
+  scheduler_->set_observer(nullptr);
+  return std::move(result_);
+}
+
+ScenarioResult run_scenario(std::string_view scheduler_name,
+                            const ScenarioConfig& config,
+                            const traffic::Trace& trace) {
+  ScenarioCore core(scheduler_name, config, trace);
+  core.run_to_completion();
+  return core.finish();
 }
 
 ScenarioResult run_scenario(std::string_view scheduler_name,

@@ -73,6 +73,19 @@ void ActivityTracker::restore(SnapshotReader& r) {
   for (std::size_t i = 0; i < currently_active_.size(); ++i)
     currently_active_[i] = r.b();
   finished_ = r.b();
+  for (std::size_t i = 0; i < windows_.size(); ++i) {
+    const auto& windows = windows_[i];
+    Cycle prev_end = 0;
+    for (const Window& win : windows) {
+      if (win.start < prev_end || win.start >= win.end)
+        throw SnapshotError("activity tracker snapshot has a malformed window");
+      prev_end = win.end;
+    }
+    const bool open = !windows.empty() && windows.back().end == kCycleMax;
+    if (open != currently_active_[i] || (finished_ && open))
+      throw SnapshotError(
+          "activity tracker snapshot open window disagrees with flow state");
+  }
 }
 
 }  // namespace wormsched::metrics

@@ -24,8 +24,10 @@ class ActivityTracker {
  public:
   explicit ActivityTracker(std::size_t num_flows);
 
-  /// Feeds one cycle's activity snapshot; must be called with
-  /// non-decreasing `now`.
+  /// Reports `flow`'s activity at cycle `now` (non-decreasing across
+  /// calls).  Recording an unchanged state is a no-op, so a caller needs
+  /// to record only the flows whose queue may have changed since their
+  /// last record; flows it skips keep their current state.
   void record(Cycle now, FlowId flow, bool active);
 
   /// Call once after the run so trailing windows are closed at `end`.
@@ -35,8 +37,16 @@ class ActivityTracker {
   [[nodiscard]] bool active_throughout(FlowId flow, Cycle t1, Cycle t2) const;
 
   [[nodiscard]] std::size_t num_flows() const { return windows_.size(); }
+  /// State as of the last record() (false for every flow once finished).
+  [[nodiscard]] bool active(FlowId flow) const {
+    return currently_active_[flow.index()];
+  }
+  [[nodiscard]] bool finished() const { return finished_; }
 
-  /// Checkpoint/restore (flow count must match; checked).
+  /// Checkpoint/restore (flow count must match; checked).  restore()
+  /// throws SnapshotError unless each flow's windows are ordered,
+  /// non-overlapping and non-empty, only the last is open, and it is
+  /// open exactly when the flow is active.
   void save(SnapshotWriter& w) const;
   void restore(SnapshotReader& r);
 

@@ -168,6 +168,54 @@ TEST(SnapshotSequences, VectorAndDoublesRoundTrip) {
   EXPECT_EQ(xs2, xs);
 }
 
+TEST(SnapshotSequences, CountBeyondRemainingBytesThrowsBeforeAllocating) {
+  // A count field set huge (CRC recomputed) must fail as corruption, not
+  // as std::length_error / std::bad_alloc from sizing the container.
+  SnapshotWriter w;
+  w.u64(~std::uint64_t{0});
+  w.u32(1);
+  SnapshotReader r(w.bytes());
+  std::vector<std::uint32_t> v;
+  EXPECT_THROW(restore_sequence(r, v,
+                                [](SnapshotReader& in) { return in.u32(); }),
+               SnapshotError);
+  SnapshotReader ring_reader(w.bytes());
+  RingBuffer<std::uint32_t> ring;
+  EXPECT_THROW(restore_sequence(ring_reader, ring,
+                                [](SnapshotReader& in) { return in.u32(); }),
+               SnapshotError);
+
+  // The bound is the enclosing section, not the whole stream.
+  SnapshotWriter s;
+  s.begin_section(0x81818181u);
+  s.u64(2);  // claims two elements; one byte left in the section
+  s.u8(1);
+  s.end_section();
+  s.u64(0);  // bytes after the section do not count
+  SnapshotReader sr(s.bytes());
+  sr.enter_section(0x81818181u);
+  std::vector<std::uint8_t> bytes;
+  EXPECT_THROW(restore_sequence(sr, bytes,
+                                [](SnapshotReader& in) { return in.u8(); }),
+               SnapshotError);
+}
+
+TEST(SnapshotPrimitives, RemainingTracksTheCurrentScope) {
+  SnapshotWriter w;
+  w.begin_section(0x91919191u);
+  w.u32(5);
+  w.end_section();
+  w.u8(0);
+  SnapshotReader r(w.bytes());
+  EXPECT_EQ(r.remaining(), w.bytes().size());
+  r.enter_section(0x91919191u);
+  EXPECT_EQ(r.remaining(), 4u);
+  (void)r.u32();
+  EXPECT_EQ(r.remaining(), 0u);
+  r.leave_section();
+  EXPECT_EQ(r.remaining(), 1u);
+}
+
 /// --- File container corruption matrix ------------------------------------
 
 class SnapshotFileTest : public ::testing::Test {
@@ -271,6 +319,15 @@ TEST_F(SnapshotFileTest, PayloadCorruptionFailsCrc) {
           << e.what();
     }
   }
+}
+
+TEST_F(SnapshotFileTest, HugePayloadLengthThrowsBeforeAllocating) {
+  // The u64 payload length precedes the 20-byte payload (section tag,
+  // section length, one u64) and the 4-byte CRC.
+  auto bytes = valid_image();
+  const std::size_t len_at = bytes.size() - 4 - 20 - 8;
+  for (std::size_t i = 0; i < 8; ++i) bytes[len_at + i] = 0xFF;
+  EXPECT_THROW((void)parse_snapshot_bytes(bytes), SnapshotError);
 }
 
 TEST_F(SnapshotFileTest, CrcFieldCorruptionDetected) {

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
+#include "common/snapshot.hpp"
+
 namespace wormsched::metrics {
 namespace {
 
@@ -63,6 +69,69 @@ TEST(Activity, RedundantRecordsCoalesce) {
   EXPECT_TRUE(tracker.active_throughout(FlowId(0), 0, 3));
   EXPECT_FALSE(tracker.active_throughout(FlowId(0), 0, 4));
   EXPECT_TRUE(tracker.active_throughout(FlowId(0), 4, 10));
+}
+
+TEST(Activity, SnapshotRoundTripsOpenAndClosedWindows) {
+  ActivityTracker tracker(2);
+  tracker.record(2, FlowId(0), true);
+  tracker.record(5, FlowId(0), false);
+  tracker.record(7, FlowId(0), true);
+  SnapshotWriter w;
+  tracker.save(w);
+  ActivityTracker restored(2);
+  SnapshotReader r(w.bytes());
+  restored.restore(r);
+  EXPECT_TRUE(restored.active(FlowId(0)));
+  EXPECT_FALSE(restored.active(FlowId(1)));
+  restored.finish(9);
+  EXPECT_TRUE(restored.active_throughout(FlowId(0), 2, 5));
+  EXPECT_TRUE(restored.active_throughout(FlowId(0), 7, 9));
+}
+
+/// One flow's crafted snapshot: `windows` as (start, end) pairs.
+std::vector<std::uint8_t> crafted(
+    const std::vector<std::pair<Cycle, Cycle>>& windows, bool active,
+    bool finished = false) {
+  SnapshotWriter w;
+  w.u64(1);
+  w.u64(windows.size());
+  for (const auto& [start, end] : windows) {
+    w.u64(start);
+    w.u64(end);
+  }
+  w.b(active);
+  w.b(finished);
+  return w.bytes();
+}
+
+bool restores(const std::vector<std::uint8_t>& bytes) {
+  ActivityTracker tracker(1);
+  SnapshotReader r(bytes);
+  try {
+    tracker.restore(r);
+  } catch (const SnapshotError&) {
+    return false;
+  }
+  return true;
+}
+
+TEST(Activity, RestoreValidatesWindows) {
+  EXPECT_TRUE(restores(crafted({}, false)));
+  EXPECT_TRUE(restores(crafted({{0, 4}, {4, 9}}, false)));
+  EXPECT_TRUE(restores(crafted({{0, 4}, {6, kCycleMax}}, true)));
+  EXPECT_TRUE(restores(crafted({{0, 4}}, false, /*finished=*/true)));
+  // Active with no window open (the full sweep used to abort on it).
+  EXPECT_FALSE(restores(crafted({}, true)));
+  EXPECT_FALSE(restores(crafted({{0, 4}}, true)));
+  // Open window on an inactive flow, or on a finished tracker.
+  EXPECT_FALSE(restores(crafted({{3, kCycleMax}}, false)));
+  EXPECT_FALSE(restores(crafted({{3, kCycleMax}}, true, /*finished=*/true)));
+  // Empty, reversed, overlapping, unsorted, or open-before-last windows.
+  EXPECT_FALSE(restores(crafted({{4, 4}}, false)));
+  EXPECT_FALSE(restores(crafted({{5, 4}}, false)));
+  EXPECT_FALSE(restores(crafted({{0, 5}, {4, 9}}, false)));
+  EXPECT_FALSE(restores(crafted({{6, 9}, {0, 4}}, false)));
+  EXPECT_FALSE(restores(crafted({{0, kCycleMax}, {4, kCycleMax}}, true)));
 }
 
 TEST(ActivityDeath, QueryBeforeFinishAborts) {
