@@ -53,15 +53,21 @@ class RingBuffer {
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
-  void push_back(T value) {
-    if (size_ == capacity_) grow();
-    ::new (slot(size_)) T(std::move(value));
-    ++size_;
-  }
+  void push_back(const T& value) { emplace_back(value); }
+  void push_back(T&& value) { emplace_back(std::move(value)); }
 
+  /// Constructs the new back element from `args` in place.  The arguments
+  /// may alias an element of this buffer: when the append has to grow,
+  /// the element is built before the old storage is released.
   template <typename... Args>
   T& emplace_back(Args&&... args) {
-    if (size_ == capacity_) grow();
+    if (size_ == capacity_) {
+      T value(std::forward<Args>(args)...);
+      grow();
+      T* p = ::new (slot(size_)) T(std::move(value));
+      ++size_;
+      return *p;
+    }
     T* p = ::new (slot(size_)) T(std::forward<Args>(args)...);
     ++size_;
     return *p;
@@ -98,6 +104,15 @@ class RingBuffer {
     head_ = next(head_);
     --size_;
     return value;
+  }
+
+  /// Destroys the front element without moving it out; pairs with
+  /// front() to consume an element where it sits.
+  void drop_front() {
+    WS_CHECK(!empty());
+    slot(0)->~T();
+    head_ = next(head_);
+    --size_;
   }
 
   void clear() {

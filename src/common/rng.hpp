@@ -8,6 +8,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 
 #include "common/assert.hpp"
@@ -20,8 +21,19 @@ class Rng {
   /// (the seeding procedure recommended by the xoshiro authors).
   explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ull);
 
-  /// Uniform over the full 64-bit range.
-  std::uint64_t next_u64();
+  /// Uniform over the full 64-bit range.  Inline, like uniform_real()
+  /// and bernoulli(): the traffic sources draw once per node per cycle.
+  std::uint64_t next_u64() {
+    const std::uint64_t result = std::rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = std::rotl(state_[3], 45);
+    return result;
+  }
 
   /// Uniform over [0, bound).  Unbiased (Lemire's rejection method).
   /// `bound` must be nonzero.
@@ -31,13 +43,20 @@ class Rng {
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
 
   /// Uniform real over [0, 1) with 53 bits of precision.
-  double uniform_real();
+  double uniform_real() {
+    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform real over [lo, hi).
   double uniform_real(double lo, double hi);
 
-  /// True with probability `p` (clamped to [0,1]).
-  bool bernoulli(double p);
+  /// True with probability `p` (clamped to [0,1]).  p <= 0 and p >= 1
+  /// consume no draw.
+  bool bernoulli(double p) {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return uniform_real() < p;
+  }
 
   /// Exponentially distributed real with rate `lambda` (mean 1/lambda).
   double exponential(double lambda);

@@ -67,23 +67,30 @@ double ScheduledFaults::u01(Kind kind, std::uint64_t epoch,
   return to_u01(hash3(spec_.seed, kind, epoch, node));
 }
 
+// Both stall hooks test the cheap window offset before the hash: outside
+// the stall window the answer is "no stall" whatever the hash says, so
+// only the first L cycles of each epoch pay for it.
 bool ScheduledFaults::link_stalled(Cycle now) const {
   if (!spec_.enabled || spec_.link_stall_rate <= 0.0) return false;
-  const std::uint64_t epoch = now / spec_.window;
-  if (u01(kLink, epoch, 0) >= spec_.link_stall_rate) return false;
-  return now % spec_.window < spec_.link_stall_cycles;
+  if (now % spec_.window >= spec_.link_stall_cycles) return false;
+  return u01(kLink, now / spec_.window, 0) < spec_.link_stall_rate;
 }
 
 Cycle ScheduledFaults::credit_hold_cycles(Cycle now, NodeId node) const {
   if (!spec_.enabled || spec_.credit_stall_rate <= 0.0) return 0;
-  const std::uint64_t epoch = now / spec_.window;
-  if (u01(kCredit, epoch, node.value()) >= spec_.credit_stall_rate) return 0;
   // Credits arriving in the stall window [epoch_start, epoch_start + L)
   // are all released at epoch_start + L: one release point per (epoch,
   // node) keeps the quarantine FIFO ordered.
   const Cycle offset = now % spec_.window;
   if (offset >= spec_.credit_stall_cycles) return 0;
+  if (u01(kCredit, now / spec_.window, node.value()) >=
+      spec_.credit_stall_rate)
+    return 0;
   return spec_.credit_stall_cycles - offset;
+}
+
+std::uint64_t ScheduledFaults::injection_epoch(Cycle now) const {
+  return now / spec_.window;
 }
 
 double ScheduledFaults::injection_multiplier(Cycle now, NodeId node) const {

@@ -76,6 +76,8 @@ class ScheduledFaults final : public wormhole::FaultModel {
   [[nodiscard]] bool link_stalled(Cycle now) const override;
   [[nodiscard]] Cycle credit_hold_cycles(Cycle now,
                                          NodeId node) const override;
+  /// now / window: every injection decision is per window.
+  [[nodiscard]] std::uint64_t injection_epoch(Cycle now) const override;
   [[nodiscard]] double injection_multiplier(Cycle now,
                                             NodeId node) const override;
   [[nodiscard]] std::optional<NodeId> burst_destination(

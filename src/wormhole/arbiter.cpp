@@ -33,11 +33,14 @@ void PortArbiter::release() {
   on_release(owner);
 }
 
-void PortArbiter::save_state(SnapshotWriter& w) const {
+void PortArbiter::save_state(SnapshotWriter& w,
+                             std::uint64_t uncharged_cycles) const {
   w.u64(pending_.size());
   for (const std::uint32_t p : pending_) w.u32(p);
   w.u32(owner_.value());
-  w.f64(held_);
+  w.f64(charging_ == Charging::kCycles
+            ? held_ + static_cast<double>(uncharged_cycles)
+            : held_);
   save_discipline(w);
 }
 

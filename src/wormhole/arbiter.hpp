@@ -29,9 +29,8 @@ namespace wormsched::wormhole {
 class PortArbiter {
  public:
   /// What the owner is charged for while it holds the output.  Stored in
-  /// the base so charge_cycle()/charge_flit() are non-virtual and inline:
-  /// the router batch-charges every bound output every cycle, and a
-  /// virtual fan-out on that path costs more than the work it does.
+  /// the base so the charge calls are non-virtual and inline, and so the
+  /// router can skip them altogether for disciplines that ignore them.
   enum class Charging : std::uint8_t {
     kNone,    // discipline ignores cost (RR, FCFS)
     kCycles,  // charge output-occupancy time (the paper's wormhole mode)
@@ -54,11 +53,15 @@ class PortArbiter {
   /// The chosen requester's pending head is consumed.
   [[nodiscard]] std::optional<FlowId> grant(Cycle now);
 
-  /// The current owner occupied the output for one cycle (moving or
-  /// stalled).  Call every cycle between grant and release.
-  void charge_cycle() {
-    if (charging_ == Charging::kCycles) held_ += 1.0;
+  /// The current owner occupied the output for `cycles` more cycles
+  /// (moving or stalled).  Between grant and release the owner must be
+  /// charged every cycle it held the output; the router does it in one
+  /// call when the tail leaves.  Adding n at once equals n additions of
+  /// 1.0: held_ stays an exact integer far below 2^53.
+  void charge_cycles(std::uint64_t cycles) {
+    if (charging_ == Charging::kCycles) held_ += static_cast<double>(cycles);
   }
+  void charge_cycle() { charge_cycles(1); }
 
   /// The current owner forwarded one flit.
   void charge_flit() {
@@ -68,6 +71,7 @@ class PortArbiter {
   /// The owner's tail flit has left the output.
   void release();
 
+  [[nodiscard]] Charging charging() const { return charging_; }
   [[nodiscard]] bool bound() const { return owner_.is_valid(); }
   [[nodiscard]] FlowId owner() const { return owner_; }
   [[nodiscard]] std::uint32_t pending(FlowId f) const {
@@ -84,7 +88,11 @@ class PortArbiter {
   /// save_discipline/restore_discipline hooks.  pending_total_ is
   /// recomputed from the restored counts.  Must be called on a freshly
   /// constructed arbiter of the same discipline and requester count.
-  void save_state(SnapshotWriter& w) const;
+  /// `uncharged_cycles` is occupancy the caller has accrued but not yet
+  /// passed to charge_cycles(); the saved cost includes it, so the bytes
+  /// match a save taken with every cycle already charged and the
+  /// restored arbiter starts with those cycles charged.
+  void save_state(SnapshotWriter& w, std::uint64_t uncharged_cycles = 0) const;
   void restore_state(SnapshotReader& r);
 
  protected:

@@ -11,8 +11,16 @@
 // active-set and dense_tick execution paths may interleave queries
 // differently, and the flit-for-flit differential tests require both
 // paths to see the identical fault schedule.
+//
+// The injection answers (injection_multiplier, burst_destination) are
+// further grouped into epochs: injection_epoch(now) names the group a
+// cycle belongs to, and all cycles of one epoch must get identical
+// injection answers for every node.  The traffic source relies on this
+// to ask once per node per epoch instead of once per node per cycle.
+// The default makes every cycle its own epoch, which is always sound.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 
 #include "common/types.hpp"
@@ -38,6 +46,14 @@ class FaultModel {
     (void)now;
     (void)node;
     return 0;
+  }
+
+  /// Epoch of cycle `now` for the injection answers below: two cycles
+  /// with the same epoch get the same injection_multiplier and
+  /// burst_destination for every node.  Default: each cycle is its own
+  /// epoch.
+  [[nodiscard]] virtual std::uint64_t injection_epoch(Cycle now) const {
+    return now;
   }
 
   /// Injection-rate multiplier for `node`'s traffic source: 0 churns the

@@ -139,10 +139,10 @@ void Network::apply_wire_credit(const WireCredit& wc) {
 void Network::send_flit(NodeId from, Direction out, const Flit& flit) {
   const NodeId to = topo_.neighbor(from, out);
   WS_CHECK_MSG(to.is_valid(), "flit sent off the edge of the fabric");
-  flit_wire_.push_back(WireFlit{now_ + config_.link_latency, to,
-                                topo_.peer_port(from, out),
-                                static_cast<std::uint32_t>(flit.vc_class.value()),
-                                flit});
+  flit_wire_.emplace_back(now_ + config_.link_latency, to,
+                          topo_.peer_port(from, out),
+                          static_cast<std::uint32_t>(flit.vc_class.value()),
+                          flit);
   if (collect_delta_) {
     touch(from.index());
     delta_.flits_to_wire.push_back(CycleDelta::UnitEvent{
@@ -322,7 +322,7 @@ void Network::tick_serial(Cycle now) {
     // queued, in order, and arrive late; nothing is ever dropped.
     if (!stalled) {
       while (!flit_wire_.empty() && flit_wire_.front().arrive <= now) {
-        const WireFlit wf = flit_wire_.pop_front();
+        const WireFlit& wf = flit_wire_.front();
         routers_[wf.to.index()].accept_flit(wf.in, wf.cls, wf.flit);
         mark_live(wf.to.index());
         if (collect_delta_) {
@@ -330,6 +330,7 @@ void Network::tick_serial(Cycle now) {
           delta_.flits_from_wire.push_back(CycleDelta::UnitEvent{
               delta_unit(wf.to, wf.in, wf.cls), wf.to.value()});
         }
+        flit_wire_.drop_front();
       }
     } else if (trace_ != nullptr && !flit_wire_.empty() &&
                flit_wire_.front().arrive <= now) {
@@ -462,13 +463,14 @@ void Network::tick_sharded(Cycle now) {
   }
   if (!stalled) {
     while (!flit_wire_.empty() && flit_wire_.front().arrive <= now) {
-      const WireFlit wf = flit_wire_.pop_front();
+      const WireFlit& wf = flit_wire_.front();
       lanes_[shard_of_[wf.to.index()]].flits_due_.push_back(wf);
       if (collect_delta_) {
         touch(wf.to.index());
         delta_.flits_from_wire.push_back(CycleDelta::UnitEvent{
             delta_unit(wf.to, wf.in, wf.cls), wf.to.value()});
       }
+      flit_wire_.drop_front();
     }
   }
   while (!credit_wire_.empty() && credit_wire_.front().arrive <= now) {

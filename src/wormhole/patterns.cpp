@@ -77,33 +77,49 @@ NodeId pick_destination(const Topology& topo, const PatternSpec& pattern,
 
 NetworkTrafficSource::NetworkTrafficSource(Network& network,
                                            const Config& config)
-    : network_(network), config_(config), rng_(config.seed) {}
+    : network_(network),
+      config_(config),
+      rng_(config.seed),
+      injection_(network.topology().num_endpoints()) {}
+
+void NetworkTrafficSource::refresh_injection(Cycle now, std::uint64_t epoch) {
+  const Topology& topo = network_.topology();
+  const FaultModel* faults = config_.faults;
+  for (std::uint32_t n = 0; n < injection_.size(); ++n) {
+    const NodeId src = topo.endpoint(n);
+    Injection& inj = injection_[n];
+    inj.rate = config_.packets_per_node_per_cycle;
+    inj.burst_dest = NodeId::invalid();
+    if (faults == nullptr) continue;
+    inj.rate *= faults->injection_multiplier(now, src);
+    if (inj.rate > 1.0) inj.rate = 1.0;
+    const std::optional<NodeId> burst = faults->burst_destination(now, src);
+    if (burst.has_value() && *burst != src &&
+        burst->value() < topo.num_endpoints())
+      inj.burst_dest = *burst;
+  }
+  injection_epoch_ = epoch;
+  injection_valid_ = true;
+}
 
 void NetworkTrafficSource::tick(Cycle now) {
   next_cycle_ = now + 1;
   if (now >= config_.inject_until) return;
   const Topology& topo = network_.topology();
-  const FaultModel* faults = config_.faults;
-  for (std::uint32_t n = 0; n < topo.num_endpoints(); ++n) {
+  const std::uint64_t epoch =
+      config_.faults != nullptr ? config_.faults->injection_epoch(now) : 0;
+  if (!injection_valid_ || epoch != injection_epoch_)
+    refresh_injection(now, epoch);
+  for (std::uint32_t n = 0; n < injection_.size(); ++n) {
+    const Injection& inj = injection_[n];
+    if (!rng_.bernoulli(inj.rate)) continue;
     const NodeId src = topo.endpoint(n);
-    double rate = config_.packets_per_node_per_cycle;
-    if (faults != nullptr) {
-      rate *= faults->injection_multiplier(now, src);
-      if (rate > 1.0) rate = 1.0;
-    }
-    if (!rng_.bernoulli(rate)) continue;
     PacketDescriptor pkt;
     pkt.id = PacketId(next_id_++);
     pkt.flow = FlowId(n);  // fairness accounted per source node
     pkt.source = src;
     pkt.dest = pick_destination(topo, config_.pattern, src, rng_);
-    if (faults != nullptr) {
-      const std::optional<NodeId> burst = faults->burst_destination(now, src);
-      if (burst.has_value() && *burst != src &&
-          burst->value() < topo.num_endpoints()) {
-        pkt.dest = *burst;
-      }
-    }
+    if (inj.burst_dest.is_valid()) pkt.dest = inj.burst_dest;
     pkt.length = sample_length(rng_, config_.lengths);
     pkt.created = now;
     network_.inject(now, pkt);
@@ -127,6 +143,7 @@ void NetworkTrafficSource::restore_state(SnapshotReader& r) {
   next_id_ = r.u64();
   generated_ = r.u64();
   next_cycle_ = r.u64();
+  injection_valid_ = false;
 }
 
 TraceTrafficSource::TraceTrafficSource(Network& network, const Config& config)

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "common/types.hpp"
@@ -75,12 +76,28 @@ class NetworkTrafficSource final : public sim::Component {
   void restore_state(SnapshotReader& r);
 
  private:
+  /// One endpoint's injection answers for the cached epoch: the clamped
+  /// fault-scaled Bernoulli rate and the burst redirect (invalid = none).
+  struct Injection {
+    double rate = 0.0;
+    NodeId burst_dest = NodeId::invalid();
+  };
+
+  /// Recomputes every endpoint's Injection for the epoch containing
+  /// `now` (FaultModel::injection_epoch).  Fault-free sources fill it
+  /// once with the configured rate.
+  void refresh_injection(Cycle now, std::uint64_t epoch);
+
   Network& network_;
   Config config_;
   Rng rng_;
   PacketId::rep_type next_id_ = 0;
   std::uint64_t generated_ = 0;
   Cycle next_cycle_ = 0;  // first cycle this source has not yet ticked
+  // Derived per-epoch cache, never saved: a pure function of the epoch.
+  std::vector<Injection> injection_;
+  std::uint64_t injection_epoch_ = 0;
+  bool injection_valid_ = false;
 };
 
 /// Replays an arrival trace (CSV or binary, already loaded) into a

@@ -33,13 +33,19 @@ Router::Router(NodeId id, const RouterConfig& config)
   WS_CHECK(config.num_vcs >= 1);
   WS_CHECK_MSG(config.buffer_depth >= 1,
                "buffer_depth 0 deadlocks every flow-control scheme");
-  WS_CHECK_MSG(kNumDirections * config.num_vcs <= 64,
+  WS_CHECK_MSG(kNumDirections * config.num_vcs <= kMaxUnits,
                "pending bitmasks hold at most 64 port/VC units");
   if (onoff_flow_) {
     WS_CHECK_MSG(config.on_low >= 1 && config.on_low <= config.on_high &&
                      config.on_high <= config.buffer_depth,
                  "on/off watermarks must satisfy "
                  "1 <= on_low <= on_high <= buffer_depth");
+  }
+  for (std::uint32_t i = 0; i < inputs_.size(); ++i) {
+    const std::uint32_t port = i / config.num_vcs;
+    unit_port_[i] = static_cast<std::uint8_t>(port);
+    unit_class_[i] = static_cast<std::uint8_t>(i % config.num_vcs);
+    port_units_[port] |= bit(i);
   }
   const std::size_t requesters = inputs_.size();
   for (std::uint32_t i = 0; i < outputs_.size(); ++i) {
@@ -49,6 +55,8 @@ Router::Router(NodeId id, const RouterConfig& config)
     ov.arbiter = make_arbiter(config.arbiter, requesters);
     WS_CHECK_MSG(ov.arbiter != nullptr, "unknown router arbiter");
   }
+  flit_charging_ =
+      outputs_[0].arbiter->charging() == PortArbiter::Charging::kFlits;
 }
 
 void Router::save_state(SnapshotWriter& w) const {
@@ -68,7 +76,7 @@ void Router::save_state(SnapshotWriter& w) const {
     w.b(ov.bound);
     w.u32(ov.owner);
     w.b(peer_on_[o] != 0);
-    ov.arbiter->save_state(w);
+    ov.arbiter->save_state(w, ov.bound ? uncharged_cycles(ov) : 0);
   }
   for (const std::uint32_t p : sa_pointer_) w.u32(p);
   for (const PortStats& ps : port_stats_) {
@@ -132,9 +140,45 @@ void Router::restore_state(SnapshotReader& r) {
   routable_inputs_ = r.u64();
   requesting_outputs_ = r.u64();
   bound_outputs_mask_ = r.u64();
+  check_restored_state();
+  // The saved arbiters already carry every cycle up to the save point;
+  // occupancy from here on is counted from the next tick.
+  for (OutputVc& ov : outputs_) ov.bound_tick = ticks_ + 1;
 }
 
-void Router::accept_flit(Direction in, std::uint32_t cls, Flit flit) {
+void Router::check_restored_state() const {
+  // The same definitions NetworkAuditor::check_one_router_masks audits
+  // every cycle, so any file a run can write passes.
+  std::uint64_t routable = 0;
+  std::uint64_t requesting = 0;
+  std::uint64_t bound = 0;
+  std::uint64_t buffered = 0;
+  for (std::uint32_t u = 0; u < inputs_.size(); ++u) {
+    const InputVc& iv = inputs_[u];
+    const OutputVc& ov = outputs_[u];
+    buffered += iv.buffer.size();
+    if (!iv.routed && !iv.buffer.empty()) routable |= bit(u);
+    if (ov.arbiter->pending_total() > 0) requesting |= bit(u);
+    if (ov.bound) bound |= bit(u);
+    if (ov.bound != ov.arbiter->bound() ||
+        (ov.bound && ov.arbiter->owner().value() != ov.owner))
+      throw SnapshotError("router snapshot output binding disagrees with "
+                          "its arbiter");
+  }
+  if (routable != routable_inputs_ || requesting != requesting_outputs_ ||
+      bound != bound_outputs_mask_)
+    throw SnapshotError("router snapshot pending masks disagree with its "
+                        "units");
+  if (buffered != buffered_flits_ ||
+      static_cast<std::uint32_t>(std::popcount(bound)) != bound_outputs_)
+    throw SnapshotError("router snapshot counters disagree with its units");
+  for (const std::uint32_t p : sa_pointer_)
+    if (p >= config_.num_vcs)
+      throw SnapshotError("router snapshot SA pointer names an invalid VC "
+                          "class");
+}
+
+void Router::accept_flit(Direction in, std::uint32_t cls, const Flit& flit) {
   const std::uint32_t g = unit(in, cls);
   InputVc& iv = inputs_[g];
   if (config_.buffer_model == BufferModel::kFinite) {
@@ -222,26 +266,22 @@ void Router::try_bind_output(std::uint32_t i, Cycle now) {
   if (!chosen) return;
   ov.bound = true;
   ov.owner = static_cast<std::uint32_t>(chosen->value());
+  ov.bound_tick = ticks_;
   ++bound_outputs_;
   bound_outputs_mask_ |= bit(i);
   if (ov.arbiter->pending_total() == 0) requesting_outputs_ &= ~bit(i);
   ++port_stats_[static_cast<std::size_t>(unit_direction(i))].grants;
 }
 
-void Router::charge_bound() {
-  for (std::uint64_t m = bound_outputs_mask_; m != 0; m &= m - 1) {
-    const auto i = static_cast<std::uint32_t>(std::countr_zero(m));
-    outputs_[i].arbiter->charge_cycle();
-  }
-}
-
 void Router::sa_port(std::uint32_t p, bool port_busy, Cycle now,
                      RouterEnv& env) {
   const auto port = static_cast<Direction>(p);
   const std::uint32_t vcs = config_.num_vcs;
+  const std::uint32_t start = sa_pointer_[p];  // < vcs (restore checks it)
   bool port_moved = false;
   for (std::uint32_t probe = 0; probe < vcs; ++probe) {
-    const std::uint32_t cls = (sa_pointer_[p] + probe) % vcs;
+    std::uint32_t cls = start + probe;
+    if (cls >= vcs) cls -= vcs;
     const std::uint32_t o = unit(port, cls);
     OutputVc& ov = outputs_[o];
     if (!ov.bound) continue;
@@ -254,11 +294,14 @@ void Router::sa_port(std::uint32_t p, bool port_busy, Cycle now,
     InputVc& iv = inputs_[ov.owner];
     if (iv.buffer.empty()) continue;  // worm bubble: flits still upstream
 
-    Flit flit = iv.buffer.pop_front();
-    --buffered_flits_;
+    // The flit leaves from where it sits: the env copies it onward, then
+    // the slot is dropped.
+    Flit& flit = iv.buffer.front();
     flit.vc_class = VcId(cls);
+    const bool tail = is_tail(flit.type);
+    --buffered_flits_;
     if (credit_flow_) --ov.credits;
-    ov.arbiter->charge_flit();
+    if (flit_charging_) ov.arbiter->charge_flit();
     ++forwarded_;
 
     const Direction in_dir = unit_direction(ov.owner);
@@ -270,8 +313,9 @@ void Router::sa_port(std::uint32_t p, bool port_busy, Cycle now,
     } else {
       env.send_flit(id_, port, flit);
     }
+    iv.buffer.drop_front();
 
-    if (is_tail(flit.type)) {
+    if (tail) {
       iv.routed = false;
       ov.bound = false;
       --bound_outputs_;
@@ -284,9 +328,13 @@ void Router::sa_port(std::uint32_t p, bool port_busy, Cycle now,
       if (!iv.buffer.empty()) {
         route_input(ov.owner, env);
       }
+      // Occupancy: the packet held the output on every tick from its
+      // grant through this one.
+      ov.arbiter->charge_cycles(uncharged_cycles(ov));
       ov.arbiter->release();
     }
-    sa_pointer_[p] = (cls + 1) % vcs;  // rotate fairness among VCs
+    // Rotate fairness among VCs.
+    sa_pointer_[p] = cls + 1 == vcs ? 0 : cls + 1;
     port_moved = true;
     break;  // port bandwidth: one flit/cycle
   }
@@ -322,6 +370,7 @@ void Router::emit_onoff_signals(RouterEnv& env) {
 }
 
 void Router::tick(Cycle now, RouterEnv& env) {
+  ++ticks_;
   if (config_.dense_pipeline) {
     tick_dense(now, env);
   } else {
@@ -348,7 +397,7 @@ void Router::tick_sparse(Cycle now, RouterEnv& env) {
     }
   }
 
-  // --- VA + occupancy. --------------------------------------------------
+  // --- VA ---------------------------------------------------------------
   {
     metrics::ScopedStageTimer timer(perf_, metrics::Stage::kVcAlloc);
     // Lazy arbitration: only outputs with pending heads (requesting bit)
@@ -359,25 +408,22 @@ void Router::tick_sparse(Cycle now, RouterEnv& env) {
          m &= m - 1) {
       try_bind_output(static_cast<std::uint32_t>(std::countr_zero(m)), now);
     }
-    // Every bound output queue is occupied this cycle: one batched walk
-    // over the bound mask replaces the all-outputs scan.
-    charge_bound();
   }
 
   // --- SA/ST: one flit per physical port per cycle. ---------------------
   {
     metrics::ScopedStageTimer timer(perf_, metrics::Stage::kSwitchTraversal);
     // A port with no bound VC cannot move a flit and records no stats;
-    // skip it without touching its VCs.
-    std::uint64_t busy_ports = 0;
-    for (std::uint64_t m = bound_outputs_mask_; m != 0; m &= m - 1) {
-      busy_ports |= std::uint64_t{1}
-                    << (static_cast<std::uint32_t>(std::countr_zero(m)) /
-                        config_.num_vcs);
-    }
-    for (std::uint64_t m = busy_ports; m != 0; m &= m - 1) {
-      sa_port(static_cast<std::uint32_t>(std::countr_zero(m)),
-              /*port_busy=*/true, now, env);
+    // skip it without touching its VCs.  Units are port-major, so the
+    // lowest bound unit names the next busy port in ascending order, and
+    // clearing that port's units moves on to the next one.  The walk is
+    // over the bound set at SA entry: releases inside sa_port only clear
+    // bits of ports already visited.
+    for (std::uint64_t m = bound_outputs_mask_; m != 0;) {
+      const std::uint32_t p =
+          unit_port_[static_cast<std::uint32_t>(std::countr_zero(m))];
+      m &= ~port_units_[p];
+      sa_port(p, /*port_busy=*/true, now, env);
     }
   }
 }
@@ -398,11 +444,6 @@ void Router::tick_dense(Cycle now, RouterEnv& env) {
   for (std::uint32_t i = 0; i < outputs_.size(); ++i) {
     if (outputs_[i].bound) continue;
     try_bind_output(i, now);
-  }
-
-  // --- Occupancy --------------------------------------------------------
-  for (OutputVc& ov : outputs_) {
-    if (ov.bound) ov.arbiter->charge_cycle();
   }
 
   // --- SA/ST ------------------------------------------------------------

@@ -13,7 +13,12 @@
 //
 // The VA arbiter never sees packet lengths — it is charged per cycle of
 // output occupancy (or per flit, for the ablation), which is exactly the
-// information a real wormhole switch has.
+// information a real wormhole switch has.  Occupancy is charged when the
+// tail leaves: each output remembers the router tick it was bound on,
+// and the release charges every tick from that one through the current
+// one in a single call, so no tick walks the bound outputs just to add
+// 1.0 to each.  Nothing reads the accumulated cost before release except
+// save_state, which writes it as if it had been charged tick by tick.
 //
 // The default pipeline is bitmask-sparse: three uint64_t pending masks
 // (routable inputs, requesting outputs, bound outputs) are walked with
@@ -25,6 +30,7 @@
 // helpers and are flit-for-flit identical by construction.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -118,9 +124,10 @@ class Router {
   [[nodiscard]] NodeId id() const { return id_; }
   [[nodiscard]] const RouterConfig& config() const { return config_; }
 
-  /// Files an arriving flit into input buffer (`in`, `cls`).  The credit
-  /// protocol guarantees space; overflow is a checked invariant violation.
-  void accept_flit(Direction in, std::uint32_t cls, Flit flit);
+  /// Files a copy of an arriving flit into input buffer (`in`, `cls`).
+  /// The credit protocol guarantees space; overflow is a checked
+  /// invariant violation.
+  void accept_flit(Direction in, std::uint32_t cls, const Flit& flit);
 
   /// Returns one credit to output (`out`, `cls`).
   void accept_credit(Direction out, std::uint32_t cls);
@@ -133,7 +140,7 @@ class Router {
   /// NIC-side query: can the local input VC take one more flit?
   [[nodiscard]] bool can_accept_local(std::uint32_t cls) const;
 
-  /// One router cycle: RC, VA, occupancy charging, SA/ST.
+  /// One router cycle: RC, VA, SA/ST (occupancy is charged at release).
   void tick(Cycle now, RouterEnv& env);
 
   /// True when no flits are buffered and no output is owned.  O(1): both
@@ -147,9 +154,13 @@ class Router {
 
   /// Checkpoint/restore: input buffers (flit-for-flit), output bindings
   /// and credits, per-port SA pointers and stats, counters, pending
-  /// bitmasks, and each output arbiter's discipline state.  Restore on a
-  /// freshly constructed router with the same config (unit count and
-  /// arbiter name are checked).
+  /// bitmasks, and each output arbiter's discipline state.  A bound
+  /// output's arbiter is saved with its not-yet-charged occupancy
+  /// included.  Restore on a freshly constructed router with the same
+  /// config (unit count and arbiter name are checked).  Restore re-derives
+  /// the counters and pending masks from the restored units and throws
+  /// SnapshotError when the saved ones disagree, or when an SA pointer or
+  /// an output's owner is out of range.
   void save_state(SnapshotWriter& w) const;
   void restore_state(SnapshotReader& r);
 
@@ -241,14 +252,18 @@ class Router {
   [[nodiscard]] std::uint32_t unit(Direction d, std::uint32_t cls) const {
     return static_cast<std::uint32_t>(d) * config_.num_vcs + cls;
   }
+  /// Table lookups (built in the ctor), not a division by num_vcs.
   [[nodiscard]] Direction unit_direction(std::uint32_t index) const {
-    return static_cast<Direction>(index / config_.num_vcs);
+    return static_cast<Direction>(unit_port_[index]);
   }
   [[nodiscard]] std::uint32_t unit_class(std::uint32_t index) const {
-    return index % config_.num_vcs;
+    return unit_class_[index];
   }
 
  private:
+  /// The pending bitmasks cap a router at 64 port/VC units.
+  static constexpr std::uint32_t kMaxUnits = 64;
+
   struct InputVc {
     RingBuffer<Flit> buffer;
     bool routed = false;  // the packet at the front has a route
@@ -259,6 +274,9 @@ class Router {
     std::uint32_t credits = 0;
     bool bound = false;
     std::uint32_t owner = 0;  // input VC index owning this output queue
+    /// Router tick (ticks_) on which the current owner was granted; the
+    /// release charges ticks_ - bound_tick + 1 cycles.
+    std::uint64_t bound_tick = 0;
     std::unique_ptr<PortArbiter> arbiter;
   };
 
@@ -279,10 +297,16 @@ class Router {
   void route_input(std::uint32_t g, RouterEnv& env);
   /// VA for one free output unit: grant + bind + mask upkeep.
   void try_bind_output(std::uint32_t i, Cycle now);
-  /// Occupancy: one batched walk charging every bound output queue.
-  void charge_bound();
+  /// Cycles bound output `ov` has held its owner through the current
+  /// tick and not yet charged.
+  [[nodiscard]] std::uint64_t uncharged_cycles(const OutputVc& ov) const {
+    return ticks_ - ov.bound_tick + 1;
+  }
   /// SA/ST for one physical port (`port_busy` = any of its VCs bound).
   void sa_port(std::uint32_t p, bool port_busy, Cycle now, RouterEnv& env);
+  /// restore_state's consistency pass: re-derives the counters and masks
+  /// from the restored units and rejects a snapshot that disagrees.
+  void check_restored_state() const;
 
   void tick_sparse(Cycle now, RouterEnv& env);
   void tick_dense(Cycle now, RouterEnv& env);
@@ -308,6 +332,16 @@ class Router {
   std::vector<std::uint32_t> sa_pointer_;  // per port: RR over its VCs
   std::vector<PortStats> port_stats_ =
       std::vector<PortStats>(kNumDirections);
+  // Unit decode tables and per-port unit masks, fixed by num_vcs.
+  std::array<std::uint8_t, kMaxUnits> unit_port_{};
+  std::array<std::uint8_t, kMaxUnits> unit_class_{};
+  std::array<std::uint64_t, kNumDirections> port_units_{};
+  // Whether the arbiters charge per flit (err-flits); charge_flit() is
+  // skipped otherwise.
+  bool flit_charging_ = false;
+  // Ticks so far; OutputVc::bound_tick is measured on this clock, which
+  // (unlike `now`) skips the cycles a frozen fabric does not tick us.
+  std::uint64_t ticks_ = 0;
   std::uint64_t forwarded_ = 0;
   std::uint32_t buffered_flits_ = 0;  // across all input VCs
   std::uint32_t bound_outputs_ = 0;   // output VCs currently owned

@@ -9,8 +9,8 @@ void ShardLane::send_flit(NodeId from, Direction out, const Flit& flit) {
   const NodeId to = net_->topo_.neighbor(from, out);
   WS_CHECK_MSG(to.is_valid(), "flit sent off the edge of the fabric");
   const auto cls = static_cast<std::uint32_t>(flit.vc_class.value());
-  out_flits_.push_back(WireFlit{net_->now_ + net_->config_.link_latency, to,
-                                net_->topo_.peer_port(from, out), cls, flit});
+  out_flits_.emplace_back(net_->now_ + net_->config_.link_latency, to,
+                          net_->topo_.peer_port(from, out), cls, flit);
   if (net_->collect_delta_) {
     net_->touch_into(delta_, from.index());
     delta_.flits_to_wire.push_back(

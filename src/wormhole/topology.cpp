@@ -117,6 +117,18 @@ Topology::Topology(const TopologySpec& spec) : spec_(spec) {
     WS_CHECK_MSG(spec.width >= 2 && spec.height >= 2,
                  "torus needs at least 2 nodes per dimension");
   }
+  build_grid();
+}
+
+void Topology::build_grid() {
+  links_.resize(static_cast<std::size_t>(num_nodes()) * kNumDirections);
+  for (std::uint32_t n = 0; n < num_nodes(); ++n) {
+    for (std::uint32_t p = 0; p < kNumDirections; ++p) {
+      const auto d = static_cast<Direction>(p);
+      link_slot(NodeId(n), d) =
+          Link{grid_neighbor(NodeId(n), d), opposite_compass(d)};
+    }
+  }
 }
 
 std::uint32_t Topology::num_endpoints() const {
@@ -131,14 +143,12 @@ NodeId Topology::endpoint(std::uint32_t i) const {
 }
 
 void Topology::add_link(NodeId a, Direction pa, NodeId b, Direction pb) {
-  auto& la = fat_links_[a.index()];
-  auto& lb = fat_links_[b.index()];
-  WS_CHECK(!la[port_of(pa).value()].is_valid());
-  WS_CHECK(!lb[port_of(pb).value()].is_valid());
-  la[port_of(pa).value()] = b;
-  lb[port_of(pb).value()] = a;
-  fat_peer_ports_[a.index()][port_of(pa).value()] = pb;
-  fat_peer_ports_[b.index()][port_of(pb).value()] = pa;
+  Link& la = link_slot(a, pa);
+  Link& lb = link_slot(b, pb);
+  WS_CHECK(!la.to.is_valid());
+  WS_CHECK(!lb.to.is_valid());
+  la = Link{b, pb};
+  lb = Link{a, pa};
 }
 
 void Topology::build_fat_tree() {
@@ -147,11 +157,11 @@ void Topology::build_fat_tree() {
   const std::uint32_t num_edges = k * half;
   const std::uint32_t num_aggs = k * half;
   const std::uint32_t total = num_nodes();
-  fat_links_.assign(total, {NodeId::invalid(), NodeId::invalid(),
-                            NodeId::invalid(), NodeId::invalid(),
-                            NodeId::invalid()});
-  fat_peer_ports_.assign(total, {kInvalidPort, kInvalidPort, kInvalidPort,
-                                 kInvalidPort, kInvalidPort});
+  // Every port starts unwired; kLocal loops back to the node itself.
+  links_.assign(static_cast<std::size_t>(total) * kNumDirections,
+                Link{NodeId::invalid(), kInvalidPort});
+  for (std::uint32_t n = 0; n < total; ++n)
+    link_slot(NodeId(n), Direction::kLocal) = Link{NodeId(n), Direction::kLocal};
   // Edge (pod p, index i) uplink j -> agg (pod p, index j) down port 1+i.
   for (std::uint32_t p = 0; p < k; ++p) {
     for (std::uint32_t i = 0; i < half; ++i) {
@@ -187,12 +197,7 @@ NodeId Topology::node(Coord c) const {
   return NodeId(c.y * spec_.width + c.x);
 }
 
-NodeId Topology::neighbor(NodeId n, Direction d) const {
-  if (d == Direction::kLocal) return n;
-  if (spec_.kind == TopologySpec::Kind::kFatTree) {
-    WS_CHECK(n.value() < num_nodes());
-    return fat_links_[n.index()][port_of(d).value()];
-  }
+NodeId Topology::grid_neighbor(NodeId n, Direction d) const {
   const Coord c = coord(n);
   const bool torus = spec_.kind == TopologySpec::Kind::kTorus;
   Coord target = c;
@@ -237,17 +242,6 @@ NodeId Topology::neighbor(NodeId n, Direction d) const {
       break;
   }
   return node(target);
-}
-
-Direction Topology::peer_port(NodeId n, Direction d) const {
-  if (d == Direction::kLocal) return Direction::kLocal;
-  if (spec_.kind == TopologySpec::Kind::kFatTree) {
-    WS_CHECK(n.value() < num_nodes());
-    WS_CHECK_MSG(fat_links_[n.index()][port_of(d).value()].is_valid(),
-                 "peer_port on an unwired fat-tree port");
-    return fat_peer_ports_[n.index()][port_of(d).value()];
-  }
-  return opposite_compass(d);
 }
 
 bool Topology::is_wrap_link(NodeId n, Direction d) const {

@@ -17,12 +17,12 @@
 // channel back into an up channel.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "common/small_vec.hpp"
 #include "common/types.hpp"
 
@@ -125,15 +125,24 @@ class Topology {
   [[nodiscard]] NodeId node(Coord c) const;
 
   /// The neighbour reached from `node` through `d`; invalid NodeId when
-  /// no link exists there.  kLocal maps to the node itself.
-  [[nodiscard]] NodeId neighbor(NodeId node, Direction d) const;
+  /// no link exists there.  kLocal maps to the node itself.  One table
+  /// load: the link table is built once at construction.
+  [[nodiscard]] NodeId neighbor(NodeId node, Direction d) const {
+    return link(node, d).to;
+  }
 
   /// The port at the far end of link (node, d): a flit (or credit /
   /// on-off signal) leaving `node` through `d` arrives at
   /// `neighbor(node, d)` on this port.  Mesh/torus links are geometric,
-  /// so this is the opposite compass direction; fat-tree links come from
-  /// the wiring table.
-  [[nodiscard]] Direction peer_port(NodeId node, Direction d) const;
+  /// so this is the opposite compass direction (also on edge ports that
+  /// have no link); fat-tree links come from the wiring, and asking for
+  /// an unwired fat-tree port is an error.
+  [[nodiscard]] Direction peer_port(NodeId node, Direction d) const {
+    const Link& l = link(node, d);
+    WS_CHECK_MSG(l.to.is_valid() || spec_.kind != TopologySpec::Kind::kFatTree,
+                 "peer_port on an unwired fat-tree port");
+    return l.port;
+  }
 
   /// True when (node, d) is a torus wrap-around link.
   [[nodiscard]] bool is_wrap_link(NodeId node, Direction d) const;
@@ -170,20 +179,40 @@ class Topology {
   [[nodiscard]] std::uint32_t hops(NodeId a, NodeId b) const;
 
  private:
+  /// One (node, port) entry of the link table.
+  struct Link {
+    NodeId to;  // invalid when no link leaves through this port
+    Direction port = Direction::kLocal;  // arrival port at `to`
+  };
+  [[nodiscard]] const Link& link(NodeId node, Direction d) const {
+    const std::size_t i =
+        node.index() * kNumDirections + static_cast<std::size_t>(d);
+    WS_CHECK(i < links_.size());
+    return links_[i];
+  }
+  [[nodiscard]] Link& link_slot(NodeId node, Direction d) {
+    return links_[node.index() * kNumDirections + static_cast<std::size_t>(d)];
+  }
+  /// Mesh/torus neighbour by coordinate arithmetic, used only to build
+  /// the link table.
+  [[nodiscard]] NodeId grid_neighbor(NodeId node, Direction d) const;
+
   [[nodiscard]] Direction x_step(std::uint32_t from_x, std::uint32_t to_x,
                                  bool* wraps) const;
   [[nodiscard]] Direction y_step(std::uint32_t from_y, std::uint32_t to_y,
                                  bool* wraps) const;
   [[nodiscard]] RouteDecision updown_route(NodeId current, NodeId dest,
                                            std::uint32_t in_class) const;
+  void build_grid();
   void build_fat_tree();
   void add_link(NodeId a, Direction pa, NodeId b, Direction pb);
 
   TopologySpec spec_;
-  /// Fat-tree wiring (empty for mesh/torus): per node, the peer reached
-  /// through each port and the port index at that peer.
-  std::vector<std::array<NodeId, kNumDirections>> fat_links_;
-  std::vector<std::array<Direction, kNumDirections>> fat_peer_ports_;
+  /// Per (node, port), node-major: the neighbour reached through the port
+  /// and the port it arrives on there.  Built for every topology at
+  /// construction, so neighbor()/peer_port() never do coordinate
+  /// arithmetic on the flit path.
+  std::vector<Link> links_;
 };
 
 }  // namespace wormsched::wormhole

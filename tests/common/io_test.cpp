@@ -20,10 +20,19 @@ std::string slurp(const std::string& path) {
   return os.str();
 }
 
+// ctest runs every case as its own process, possibly in parallel, so
+// each case writes a file named after itself: a shared name let one
+// case's TearDown delete or overwrite another case's file.
 class CsvTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "/ws_csv_test.csv";
+  void SetUp() override {
+    path_ = ::testing::TempDir() + "/ws_csv_test_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            ".csv";
+  }
   void TearDown() override { std::remove(path_.c_str()); }
+
+  std::string path_;
 };
 
 TEST_F(CsvTest, WritesHeaderAndRows) {

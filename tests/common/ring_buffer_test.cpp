@@ -105,9 +105,44 @@ TEST(RingBuffer, EmplaceBack) {
   EXPECT_EQ(rb.front().second, "one");
 }
 
+TEST(RingBuffer, PushBackOfOwnElementSurvivesGrowth) {
+  // The appended value aliases the buffer, and the append has to grow:
+  // the copy must be taken before the old storage is released.  Strings
+  // long enough to live on the heap make a dangling read show.
+  const std::string first(64, 'a');
+  const std::string other(64, 'b');
+  RingBuffer<std::string> rb;
+  rb.push_back(first);
+  while (rb.size() < rb.capacity()) rb.push_back(other);
+  const std::size_t full = rb.capacity();
+  rb.push_back(rb.front());
+  EXPECT_GT(rb.capacity(), full);
+  EXPECT_EQ(rb.back(), first);
+  EXPECT_EQ(rb.front(), first);
+  // The same for a move out of the buffer's own element.
+  while (rb.size() < rb.capacity()) rb.push_back(other);
+  rb.push_back(std::move(rb[0]));
+  EXPECT_EQ(rb.back(), first);
+}
+
+TEST(RingBuffer, DropFrontConsumesInPlace) {
+  RingBuffer<std::string> rb;
+  for (int i = 0; i < 20; ++i) rb.push_back(std::to_string(i));
+  for (int i = 0; i < 20; ++i) {
+    EXPECT_EQ(rb.front(), std::to_string(i));
+    rb.drop_front();
+  }
+  EXPECT_TRUE(rb.empty());
+}
+
 TEST(RingBufferDeath, PopEmptyAborts) {
   RingBuffer<int> rb;
   EXPECT_DEATH((void)rb.pop_front(), "empty");
+}
+
+TEST(RingBufferDeath, DropEmptyAborts) {
+  RingBuffer<int> rb;
+  EXPECT_DEATH(rb.drop_front(), "empty");
 }
 
 TEST(RingBufferDeath, OutOfRangeIndexAborts) {

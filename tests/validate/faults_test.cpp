@@ -5,10 +5,16 @@
 // must hold or the network's FIFO quarantine breaks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <optional>
 #include <vector>
 
+#include "common/snapshot.hpp"
 #include "traffic/workload.hpp"
 #include "validate/faults.hpp"
+#include "wormhole/network.hpp"
+#include "wormhole/patterns.hpp"
 
 namespace wormsched::validate {
 namespace {
@@ -184,6 +190,156 @@ TEST(FaultsTest, ApplyTraceFaultsActuallyPerturbs) {
     changed = out.entries[i].cycle != input.entries[i].cycle ||
               out.entries[i].flow.value() != input.entries[i].flow.value();
   EXPECT_TRUE(changed);
+}
+
+// --- Stall hooks against the hash-first formulas ----------------------------
+
+// The schedule hash, restated here so the reference formulas below share
+// no code with the implementation they check.
+std::uint64_t ref_mix(std::uint64_t x) {
+  x += 0x9E3779B97F4A7C15ull;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+  return x ^ (x >> 31);
+}
+
+double ref_u01(const FaultSpec& spec, std::uint64_t kind, std::uint64_t epoch,
+               std::uint64_t node) {
+  const std::uint64_t h =
+      ref_mix(ref_mix(ref_mix(spec.seed ^ kind) ^ epoch) ^ node);
+  return static_cast<double>(h >> 11) * 0x1.0p-53;
+}
+
+// Hash the epoch first, then test the window offset (kind 1 = link, 2 =
+// credit; stall lengths clipped to the window as the ctor does).
+bool ref_link_stalled(const FaultSpec& spec, Cycle now) {
+  if (!spec.enabled || spec.link_stall_rate <= 0.0) return false;
+  const std::uint64_t epoch = now / spec.window;
+  if (ref_u01(spec, 1, epoch, 0) >= spec.link_stall_rate) return false;
+  return now % spec.window < std::min(spec.link_stall_cycles, spec.window);
+}
+
+Cycle ref_credit_hold_cycles(const FaultSpec& spec, Cycle now, NodeId node) {
+  if (!spec.enabled || spec.credit_stall_rate <= 0.0) return 0;
+  const std::uint64_t epoch = now / spec.window;
+  if (ref_u01(spec, 2, epoch, node.value()) >= spec.credit_stall_rate)
+    return 0;
+  const Cycle stall = std::min(spec.credit_stall_cycles, spec.window);
+  const Cycle offset = now % spec.window;
+  if (offset >= stall) return 0;
+  return stall - offset;
+}
+
+TEST(FaultsTest, OffsetFirstStallHooksMatchHashFirstFormulas) {
+  for (const Cycle window : {Cycle{1}, Cycle{3}, Cycle{16}, Cycle{64}}) {
+    for (const Cycle stall : {Cycle{0}, Cycle{1}, Cycle{4}, Cycle{16},
+                              Cycle{100}}) {
+      for (const double rate : {0.0, 0.1, 0.5, 1.0}) {
+        for (const std::uint64_t seed : {1u, 7u}) {
+          FaultSpec spec = all_on(seed);
+          spec.window = window;
+          spec.link_stall_cycles = stall;
+          spec.credit_stall_cycles = stall;
+          spec.link_stall_rate = rate;
+          spec.credit_stall_rate = rate;
+          const ScheduledFaults f(spec);
+          for (Cycle t = 0; t < 1500; ++t) {
+            ASSERT_EQ(f.link_stalled(t), ref_link_stalled(spec, t))
+                << "window " << window << " stall " << stall << " rate "
+                << rate << " seed " << seed << " cycle " << t;
+            for (std::uint32_t n = 0; n < 6; ++n)
+              ASSERT_EQ(f.credit_hold_cycles(t, NodeId(n)),
+                        ref_credit_hold_cycles(spec, t, NodeId(n)))
+                  << "window " << window << " stall " << stall << " rate "
+                  << rate << " seed " << seed << " cycle " << t << " node "
+                  << n;
+          }
+        }
+      }
+    }
+  }
+}
+
+// --- Injection epochs ------------------------------------------------------
+
+TEST(FaultsTest, InjectionAnswersAreConstantWithinAnEpoch) {
+  FaultSpec spec = all_on(13);
+  spec.window = 16;
+  spec.churn_rate = 0.3;
+  spec.burst_rate = 0.3;
+  const ScheduledFaults f(spec);
+  for (Cycle t = 1; t < 2000; ++t) {
+    EXPECT_EQ(f.injection_epoch(t), t / spec.window);
+    if (f.injection_epoch(t) != f.injection_epoch(t - 1)) continue;
+    for (std::uint32_t n = 0; n < 16; ++n) {
+      const NodeId node(n);
+      ASSERT_EQ(f.injection_multiplier(t, node),
+                f.injection_multiplier(t - 1, node));
+      ASSERT_EQ(f.burst_destination(t, node),
+                f.burst_destination(t - 1, node));
+    }
+  }
+}
+
+/// ScheduledFaults with the FaultModel's default injection_epoch (every
+/// cycle its own epoch), so a traffic source asks every node every cycle.
+class PerCycleEpochs final : public wormhole::FaultModel {
+ public:
+  explicit PerCycleEpochs(const ScheduledFaults& inner) : inner_(inner) {}
+
+  [[nodiscard]] bool link_stalled(Cycle now) const override {
+    return inner_.link_stalled(now);
+  }
+  [[nodiscard]] Cycle credit_hold_cycles(Cycle now,
+                                         NodeId node) const override {
+    return inner_.credit_hold_cycles(now, node);
+  }
+  [[nodiscard]] double injection_multiplier(Cycle now,
+                                            NodeId node) const override {
+    return inner_.injection_multiplier(now, node);
+  }
+  [[nodiscard]] std::optional<NodeId> burst_destination(
+      Cycle now, NodeId src) const override {
+    return inner_.burst_destination(now, src);
+  }
+
+ private:
+  const ScheduledFaults& inner_;
+};
+
+/// The packet stream a traffic source generates over `cycles` under
+/// `faults`: only the source ticks, so every packet stays queued at its
+/// NIC and the saved network (plus the source's RNG) is the whole stream.
+std::vector<std::uint8_t> source_stream(const wormhole::FaultModel* faults,
+                                        Cycle cycles) {
+  wormhole::NetworkConfig net_config;
+  net_config.topo = wormhole::TopologySpec::mesh(4, 4);
+  wormhole::Network net(net_config);
+  wormhole::NetworkTrafficSource::Config config;
+  config.packets_per_node_per_cycle = 0.2;
+  config.seed = 5;
+  config.faults = faults;
+  wormhole::NetworkTrafficSource source(net, config);
+  for (Cycle t = 0; t < cycles; ++t) source.tick(t);
+  EXPECT_GT(source.generated(), 0u);
+  SnapshotWriter w;
+  net.save_state(w);
+  source.save_state(w);
+  return w.bytes();
+}
+
+TEST(FaultsTest, EpochCachedSourceMatchesPerCycleQueries) {
+  FaultSpec spec = all_on(17);
+  spec.window = 8;
+  spec.churn_rate = 0.3;
+  spec.burst_rate = 0.3;
+  const ScheduledFaults faults(spec);
+  const PerCycleEpochs per_cycle(faults);
+  const Cycle cycles = 200 * spec.window;
+  const std::vector<std::uint8_t> cached = source_stream(&faults, cycles);
+  EXPECT_TRUE(cached == source_stream(&per_cycle, cycles));
+  // The faults do shape the stream, so the comparison has teeth.
+  EXPECT_FALSE(cached == source_stream(nullptr, cycles));
 }
 
 TEST(FaultsTest, DisabledSpecPassesTraceThrough) {

@@ -3,9 +3,16 @@
 // returns, independent of the Network plumbing.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
+#include "common/snapshot.hpp"
+#include "core/err.hpp"
+#include "wormhole/arbiter.hpp"
 #include "wormhole/router.hpp"
 
 namespace wormsched::wormhole {
@@ -379,6 +386,216 @@ TEST(Router, TailHandlingReRequestsNextHeadBeforeRelease) {
   // Head of packet 81 moves on the cycle right after packet 80's tail:
   // tick 1 sends the tail (flit 2 of the run), tick 2 the next head.
   EXPECT_EQ(sent3_at, 2u);
+}
+
+// --- Occupancy charging at release ----------------------------------------
+
+/// Appends the ERR charge of every completed service opportunity on the
+/// east class-0 output to `log`.  The scenarios below offer one packet per
+/// opportunity, so each entry is one packet's charge.
+void record_charges(Router& r, std::vector<double>& log) {
+  auto& err = dynamic_cast<ErrArbiter&>(r.arbiter(Direction::kEast, 0));
+  err.policy().set_opportunity_listener(
+      [&log](const core::ErrOpportunity& o) { log.push_back(o.sent); });
+}
+
+/// Saves `r` and returns a fresh router restored from the bytes.
+std::unique_ptr<Router> save_and_restore(const Router& r) {
+  SnapshotWriter w;
+  r.save_state(w);
+  auto restored = std::make_unique<Router>(r.id(), r.config());
+  SnapshotReader in(w.bytes());
+  restored->restore_state(in);
+  return restored;
+}
+
+/// A 6-flit worm through a 4-credit east output: flits 0-3 leave on ticks
+/// 0-3, the output starves on ticks 4-6, and flits 4-5 leave on ticks 7-8
+/// once two credits return — the output is bound on ticks 0-8.  With
+/// `split_after` set, the router is saved after that tick and the run
+/// continues on a fresh router restored from the bytes.  Returns the
+/// packet's charge.
+double stalled_worm_charge(const std::string& arbiter, bool dense_pipeline,
+                           std::optional<Cycle> split_after) {
+  RouterConfig config = small_config(4);
+  config.arbiter = arbiter;
+  config.dense_pipeline = dense_pipeline;
+  ScriptedEnv env;
+  auto r = std::make_unique<Router>(NodeId(0), config);
+  std::vector<double> charges;
+  record_charges(*r, charges);
+  for (Flits i = 0; i < 4; ++i)
+    r->accept_flit(Direction::kWest, 0, make_flit(1, i, 6));
+  for (Cycle t = 0; t < 9; ++t) {
+    if (t == 4) {
+      r->accept_flit(Direction::kWest, 0, make_flit(1, 4, 6));
+      r->accept_flit(Direction::kWest, 0, make_flit(1, 5, 6));
+    }
+    if (t == 7) {
+      r->accept_credit(Direction::kEast, 0);
+      r->accept_credit(Direction::kEast, 0);
+    }
+    r->tick(t, env);
+    if (split_after == t) {
+      r = save_and_restore(*r);
+      record_charges(*r, charges);
+    }
+  }
+  EXPECT_EQ(env.sent.size(), 6u);
+  EXPECT_TRUE(r->drained());
+  EXPECT_EQ(charges.size(), 1u);
+  return charges.empty() ? 0.0 : charges.front();
+}
+
+TEST(RouterCharging, SingleFlitPacketsChargeTheirBoundTicks) {
+  // One credit on the east output.  Packet 1 is granted and leaves on
+  // tick 0; packet 2 is granted on tick 1 but waits for a credit until
+  // tick 4; packet 3 again leaves on its grant tick.
+  ScriptedEnv env;
+  Router r(NodeId(0), small_config(1));
+  std::vector<double> charges;
+  record_charges(r, charges);
+  r.accept_flit(Direction::kWest, 0, make_flit(1, 0, 1));
+  r.tick(0, env);
+  r.accept_flit(Direction::kWest, 0, make_flit(2, 0, 1));
+  for (Cycle t = 1; t < 4; ++t) r.tick(t, env);
+  EXPECT_TRUE(r.output_bound(Direction::kEast, 0));
+  r.accept_credit(Direction::kEast, 0);
+  r.tick(4, env);
+  r.accept_credit(Direction::kEast, 0);
+  r.accept_flit(Direction::kWest, 0, make_flit(3, 0, 1));
+  r.tick(5, env);
+  EXPECT_EQ(env.sent.size(), 3u);
+  EXPECT_EQ(charges, (std::vector<double>{1.0, 4.0, 1.0}));
+}
+
+TEST(RouterCharging, StalledWormChargesEveryBoundTick) {
+  EXPECT_EQ(stalled_worm_charge("err-cycles", false, std::nullopt), 9.0);
+  EXPECT_EQ(stalled_worm_charge("err-cycles", true, std::nullopt), 9.0);
+}
+
+TEST(RouterCharging, SaveRestoreMidPacketKeepsTheCharge) {
+  // Every split point inside the worm, while it moves and while it
+  // starves: the saved arbiter carries the ticks so far, the restored
+  // router counts the rest.
+  for (Cycle split = 0; split < 8; ++split) {
+    EXPECT_EQ(stalled_worm_charge("err-cycles", false, split), 9.0) << split;
+    EXPECT_EQ(stalled_worm_charge("err-cycles", true, split), 9.0) << split;
+  }
+}
+
+TEST(RouterCharging, ErrFlitsStillChargesPerFlit) {
+  EXPECT_EQ(stalled_worm_charge("err-flits", false, std::nullopt), 6.0);
+  EXPECT_EQ(stalled_worm_charge("err-flits", true, std::nullopt), 6.0);
+  EXPECT_EQ(stalled_worm_charge("err-flits", false, Cycle{5}), 6.0);
+}
+
+// --- Restore consistency checks -----------------------------------------------
+
+std::uint64_t get_u64(const std::vector<std::uint8_t>& p, std::size_t at) {
+  std::uint64_t v = 0;
+  for (std::size_t i = 0; i < 8; ++i)
+    v |= static_cast<std::uint64_t>(p[at + i]) << (8 * i);
+  return v;
+}
+
+void put_u64(std::vector<std::uint8_t>& p, std::size_t at, std::uint64_t v) {
+  for (std::size_t i = 0; i < 8; ++i)
+    p[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+std::uint32_t get_u32(const std::vector<std::uint8_t>& p, std::size_t at) {
+  std::uint32_t v = 0;
+  for (std::size_t i = 0; i < 4; ++i)
+    v |= static_cast<std::uint32_t>(p[at + i]) << (8 * i);
+  return v;
+}
+
+void put_u32(std::vector<std::uint8_t>& p, std::size_t at, std::uint32_t v) {
+  for (std::size_t i = 0; i < 4; ++i)
+    p[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+/// The saved bytes of a router mid-run: the west worm owns the east
+/// output, the north worm waits for it, flits are buffered on both.
+/// Router::save_state ends with the SA pointers (one u32 per port), the
+/// port stats (four u64 per port), forwarded (u64), buffered flits and
+/// bound outputs (u32 each) and the routable, requesting and bound masks
+/// (u64 each); the offsets below count back from the end.
+struct BusyRouterBytes {
+  static constexpr std::size_t kBoundMaskFromEnd = 8;
+  static constexpr std::size_t kRoutableMaskFromEnd = 24;
+  static constexpr std::size_t kSaPointersFromEnd =
+      3 * 8 + 2 * 4 + 8 + kNumDirections * 4 * 8 + kNumDirections * 4;
+
+  BusyRouterBytes() {
+    ScriptedEnv env;
+    Router r(NodeId(0), small_config(4));
+    for (Flits i = 0; i < 4; ++i) {
+      r.accept_flit(Direction::kWest, 0, make_flit(1, i, 4));
+      r.accept_flit(Direction::kNorth, 0, make_flit(2, i, 4));
+    }
+    for (Cycle t = 0; t < 2; ++t) r.tick(t, env);
+    EXPECT_NE(r.bound_outputs_mask(), 0u);
+    EXPECT_NE(r.requesting_outputs_mask(), 0u);
+    units = r.num_units();
+    SnapshotWriter w;
+    r.save_state(w);
+    bytes = w.bytes();
+    // The offsets land where the crafting expects: the live masks, and
+    // the east SA pointer advanced past class 0.
+    EXPECT_EQ(get_u64(bytes, from_end(kBoundMaskFromEnd)),
+              r.bound_outputs_mask());
+    EXPECT_EQ(get_u64(bytes, from_end(kRoutableMaskFromEnd)),
+              r.routable_inputs_mask());
+    EXPECT_EQ(get_u32(bytes, from_end(kSaPointersFromEnd) +
+                                 4 * static_cast<std::size_t>(
+                                         Direction::kEast)),
+              1u);
+  }
+
+  [[nodiscard]] std::size_t from_end(std::size_t n) const {
+    return bytes.size() - n;
+  }
+
+  std::uint32_t units = 0;
+  std::vector<std::uint8_t> bytes;
+};
+
+void restore_bytes(const std::vector<std::uint8_t>& bytes) {
+  Router r(NodeId(0), small_config(4));
+  SnapshotReader in(bytes);
+  r.restore_state(in);
+}
+
+TEST(RouterRestoreCheck, UnmodifiedBytesRestore) {
+  const BusyRouterBytes saved;
+  EXPECT_NO_THROW(restore_bytes(saved.bytes));
+}
+
+TEST(RouterRestoreCheck, RejectsMaskBitBeyondTheUnits) {
+  BusyRouterBytes saved;
+  const std::size_t at = saved.from_end(BusyRouterBytes::kRoutableMaskFromEnd);
+  put_u64(saved.bytes, at, get_u64(saved.bytes, at) | std::uint64_t{1} << 63);
+  ASSERT_LT(saved.units, 63u);
+  EXPECT_THROW(restore_bytes(saved.bytes), SnapshotError);
+}
+
+TEST(RouterRestoreCheck, RejectsMaskThatDisagreesWithTheFlags) {
+  // The east output is bound; a bound mask without its bit contradicts
+  // the restored OutputVc flag.
+  BusyRouterBytes saved;
+  put_u64(saved.bytes, saved.from_end(BusyRouterBytes::kBoundMaskFromEnd), 0);
+  EXPECT_THROW(restore_bytes(saved.bytes), SnapshotError);
+}
+
+TEST(RouterRestoreCheck, RejectsSaPointerEqualToNumVcs) {
+  BusyRouterBytes saved;
+  const std::uint32_t east = static_cast<std::uint32_t>(Direction::kEast);
+  put_u32(saved.bytes,
+          saved.from_end(BusyRouterBytes::kSaPointersFromEnd) + 4 * east,
+          small_config().num_vcs);
+  EXPECT_THROW(restore_bytes(saved.bytes), SnapshotError);
 }
 
 TEST(RouterDeath, BufferOverflowCaught) {
