@@ -1,6 +1,7 @@
 #include "common/stats.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <sstream>
 
@@ -51,6 +52,16 @@ void RunningStat::save(SnapshotWriter& w) const {
   w.f64(sum_);
   w.f64(min_);
   w.f64(max_);
+}
+
+bool RunningStat::is_initial() const {
+  const RunningStat fresh;
+  const auto same = [](double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+  };
+  return count_ == 0 && same(mean_, fresh.mean_) && same(m2_, fresh.m2_) &&
+         same(sum_, fresh.sum_) && same(min_, fresh.min_) &&
+         same(max_, fresh.max_);
 }
 
 void RunningStat::restore(SnapshotReader& r) {

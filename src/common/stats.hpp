@@ -32,6 +32,10 @@ class RunningStat {
 
   void reset() { *this = RunningStat{}; }
 
+  /// True while every field holds a fresh accumulator's bit pattern, so
+  /// save() writes what a default-constructed RunningStat writes.
+  [[nodiscard]] bool is_initial() const;
+
   /// Checkpoint/restore: doubles round-trip bit-exactly (mean, M2 and sum
   /// are serialized as raw bit patterns), so a restored accumulator
   /// continues producing the identical floating-point stream.

@@ -1,6 +1,7 @@
 #include "harness/scenario.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <string>
 
 #include "common/assert.hpp"
@@ -169,6 +170,23 @@ void ScenarioCore::restore_state(SnapshotReader& r) {
   restore_sequence(r, result_.service_starts,
                    [](SnapshotReader& in) { return in.u64(); });
   result_.max_served_packet = r.i64();
+  // Everything logged happened before cycle t_, the next to run: a later
+  // entry would put the next service or activity change out of order.
+  // O(flows that sent or were active, plus service starts).
+  const auto at_or_after_now = [this](std::optional<Cycle> c) {
+    return c.has_value() && *c >= t_;
+  };
+  if (at_or_after_now(result_.service_log.last_cycle()))
+    throw SnapshotError(
+        "scenario checkpoint logs a served flit at or after its cycle");
+  if (at_or_after_now(result_.activity.last_change()))
+    throw SnapshotError(
+        "scenario checkpoint has an activity window at or after its cycle");
+  if (std::any_of(result_.service_starts.begin(),
+                  result_.service_starts.end(),
+                  [this](Cycle c) { return c >= t_; }))
+    throw SnapshotError(
+        "scenario checkpoint has a service start at or after its cycle");
   // step() re-records only touched flows, so the restored activity bits
   // must already match the queues: checked once here, O(flows).
   if (result_.activity.finished())

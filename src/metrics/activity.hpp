@@ -5,13 +5,16 @@
 // belonging to it is in the middle of being dequeued, or its queue is not
 // empty", Sec. 3).  The tracker stores each flow's activity as maximal
 // [start, end) cycle windows, so "active throughout [t1, t2)" is one
-// binary search.
+// binary search.  A flow's window list is built on its first activation
+// (metrics/flow_rows.hpp); a flow that never became active has none.
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <vector>
 
 #include "common/types.hpp"
+#include "metrics/flow_rows.hpp"
 
 namespace wormsched {
 class SnapshotReader;
@@ -36,14 +39,19 @@ class ActivityTracker {
   /// True iff `flow` was active for every cycle of [t1, t2).
   [[nodiscard]] bool active_throughout(FlowId flow, Cycle t1, Cycle t2) const;
 
-  [[nodiscard]] std::size_t num_flows() const { return windows_.size(); }
+  [[nodiscard]] std::size_t num_flows() const { return windows_.num_flows(); }
   /// State as of the last record() (false for every flow once finished).
   [[nodiscard]] bool active(FlowId flow) const {
     return currently_active_[flow.index()];
   }
   [[nodiscard]] bool finished() const { return finished_; }
 
-  /// Checkpoint/restore (flow count must match; checked).  restore()
+  /// The latest window start or closed window end (nullopt when no flow
+  /// was ever active); O(flows that were active).
+  [[nodiscard]] std::optional<Cycle> last_change() const;
+
+  /// Checkpoint/restore (flow count must match; checked).  save() writes
+  /// every configured flow, no windows for a flow never active.  restore()
   /// throws SnapshotError unless each flow's windows are ordered,
   /// non-overlapping and non-empty, only the last is open, and it is
   /// open exactly when the flow is active.
@@ -55,7 +63,11 @@ class ActivityTracker {
     Cycle start;
     Cycle end;  // exclusive; kCycleMax while the window is still open
   };
-  std::vector<std::vector<Window>> windows_;
+  struct Row {
+    FlowId flow;
+    std::vector<Window> windows;
+  };
+  FlowRows<Row> windows_;
   std::vector<bool> currently_active_;
   bool finished_ = false;
 };

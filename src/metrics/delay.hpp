@@ -11,6 +11,7 @@
 #include "common/stats.hpp"
 #include "common/types.hpp"
 #include "core/scheduler.hpp"
+#include "metrics/flow_rows.hpp"
 
 namespace wormsched::metrics {
 
@@ -21,34 +22,38 @@ class DelayStats final : public core::SchedulerObserver {
   void on_packet_departure(Cycle now, const core::Packet& packet) override;
 
   [[nodiscard]] const RunningStat& overall() const { return overall_; }
-  [[nodiscard]] const RunningStat& flow(FlowId flow) const {
-    return per_flow_[flow.index()];
-  }
+  /// Per-flow delays (an empty RunningStat for a flow that has seen no
+  /// departures).
+  [[nodiscard]] const RunningStat& flow(FlowId flow) const;
   [[nodiscard]] double quantile(double q) const {
     return quantiles_.quantile(q);
   }
   /// Per-flow delay quantile (0 for a flow that has seen no departures,
   /// matching QuantileEstimator's empty behaviour).
-  [[nodiscard]] double flow_quantile(FlowId flow, double q) const {
-    const auto& est = per_flow_quantiles_[flow.index()];
-    return est ? est->quantile(q) : 0.0;
-  }
+  [[nodiscard]] double flow_quantile(FlowId flow, double q) const;
   [[nodiscard]] std::size_t packets() const { return overall_.count(); }
 
-  /// Checkpoint/restore (flow count must match; checked).  Reservoirs
-  /// round-trip their RNG state, so a restored run samples identically.
+  /// Checkpoint/restore (flow count must match; checked).  save() writes
+  /// every configured flow, an empty record for a flow with no
+  /// departures.  Reservoirs round-trip their RNG state, so a restored run
+  /// samples identically.
   void save(SnapshotWriter& w) const;
   void restore(SnapshotReader& r);
 
  private:
+  // Built on a flow's first departure, reservoir included: a run with
+  // 4096 flows must not pay 4096 eager reservoirs.
+  struct Row {
+    RunningStat stat;
+    std::optional<QuantileEstimator> quantiles;
+  };
+
   RunningStat overall_;
-  std::vector<RunningStat> per_flow_;
   QuantileEstimator quantiles_;
-  // Constructed on a flow's first departure: a run with 4096 flows must
-  // not pay 4096 eager reservoirs, and the per-flow capacity shrinks as
-  // the flow count grows so the whole set stays bounded (~32 MiB).
+  // Shrinks as the flow count grows; see per_flow_capacity() for the
+  // memory bound it gives.
   std::size_t flow_reservoir_capacity_;
-  std::vector<std::optional<QuantileEstimator>> per_flow_quantiles_;
+  FlowRows<Row> per_flow_;
 };
 
 /// Composite observer: fans a scheduler's notifications out to several

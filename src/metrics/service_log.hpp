@@ -4,14 +4,17 @@
 // queries of Sent_i(t1, t2): how many flits flow i transmitted in an
 // interval.  The log records the cycle of every transmitted flit per flow
 // (cycles are naturally sorted), so any interval query is two binary
-// searches.
+// searches.  A flow's cycle list is built on its first served flit
+// (metrics/flow_rows.hpp); a flow that never sent answers 0.
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <vector>
 
 #include "common/types.hpp"
 #include "core/scheduler.hpp"
+#include "metrics/flow_rows.hpp"
 
 namespace wormsched {
 class SnapshotReader;
@@ -26,7 +29,7 @@ class ServiceLog final : public core::SchedulerObserver {
 
   void on_flit(Cycle now, const core::FlitEvent& flit) override;
 
-  [[nodiscard]] std::size_t num_flows() const { return flit_cycles_.size(); }
+  [[nodiscard]] std::size_t num_flows() const { return cycles_.num_flows(); }
   [[nodiscard]] Bytes flit_bytes() const { return flit_bytes_; }
 
   /// Flits sent by `flow` in the half-open interval [t1, t2).
@@ -40,14 +43,21 @@ class ServiceLog final : public core::SchedulerObserver {
   [[nodiscard]] Bytes total_bytes(FlowId flow) const {
     return static_cast<Bytes>(total(flow)) * flit_bytes_;
   }
-  [[nodiscard]] Flits grand_total() const;
+  [[nodiscard]] Flits grand_total() const { return grand_total_; }
 
-  /// Checkpoint/restore (flow count must match; checked).
+  /// The latest logged cycle (nullopt for an empty log); O(flows that
+  /// sent).
+  [[nodiscard]] std::optional<Cycle> last_cycle() const;
+
+  /// Checkpoint/restore (flow count must match; checked).  save() writes
+  /// every configured flow, an empty list for a flow that never sent;
+  /// restore() throws SnapshotError when a flow's cycles decrease.
   void save(SnapshotWriter& w) const;
   void restore(SnapshotReader& r);
 
  private:
-  std::vector<std::vector<Cycle>> flit_cycles_;
+  FlowRows<std::vector<Cycle>> cycles_;
+  Flits grand_total_ = 0;
   Bytes flit_bytes_;
 };
 

@@ -297,7 +297,8 @@ TEST_F(SnapshotFileTest, EveryTruncationThrows) {
   // would catch it) and none may parse successfully.
   const auto bytes = valid_image();
   for (std::size_t len = 0; len < bytes.size(); ++len) {
-    const std::vector<std::uint8_t> cut(bytes.begin(), bytes.begin() + len);
+    const std::vector<std::uint8_t> cut(
+        bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(len));
     EXPECT_THROW((void)parse_snapshot_bytes(cut), SnapshotError) << len;
   }
 }

@@ -3,10 +3,10 @@
 // run — with SnapshotError in the library and exit 2 in the CLI, never an
 // assertion abort or an allocation failure.
 //
-// The crafted files start from a checkpoint saved before cycle 0, whose
-// scenario-state (SSTA) section is the payload's last and ends with the
-// activity tracker, the delay statistics, the service-start count (0) and
-// the largest served packet.
+// The crafted files start from a checkpoint saved before cycle 0 or 100.
+// Its scenario-state (SSTA) section is the payload's last and ends with
+// the service log, the activity tracker, the delay statistics, the
+// service starts and the largest served packet.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
@@ -21,6 +21,7 @@
 #include "harness/checkpoint.hpp"
 #include "metrics/activity.hpp"
 #include "metrics/delay.hpp"
+#include "metrics/service_log.hpp"
 
 namespace wormsched::harness {
 namespace {
@@ -54,15 +55,21 @@ std::vector<std::uint8_t> saved(const T& state) {
   return w.bytes();
 }
 
-/// The cycle-0 checkpoint with the offsets the crafting needs.
-struct Cycle0Checkpoint {
-  Cycle0Checkpoint() {
+/// The checkpoint saved before cycle `at`, with the offsets the crafting
+/// needs.  Finishing the run changes no section's length, so the lengths
+/// come from its result.
+struct Checkpoint {
+  explicit Checkpoint(Cycle cycle = 0) : at(cycle) {
     ScenarioRun run(spec());
+    run.advance_to(at);
     file = run.make_snapshot_file();
+    const ScenarioResult result = run.finish();
     const std::vector<std::uint8_t>& p = file.payload;
-    tracker_len = saved(metrics::ActivityTracker(kFlows)).size();
-    tracker_at = p.size() - 16 - saved(metrics::DelayStats(kFlows)).size() -
-                 tracker_len;
+    starts_at = p.size() - 16 - 8 * result.service_starts.size();
+    tracker_len = saved(result.activity).size();
+    tracker_at = starts_at - saved(result.delays).size() - tracker_len;
+    log_len = saved(result.service_log).size();
+    log_at = tracker_at - log_len;
     SnapshotReader r(p);
     r.enter_section(kCkptMetaTag);
     r.leave_section();
@@ -71,23 +78,44 @@ struct Cycle0Checkpoint {
     ssta_length_at = p.size() - r.remaining() + 4;  // after the u32 tag
   }
 
-  /// This checkpoint with its activity tracker replaced by `tracker`.
-  [[nodiscard]] SnapshotFile with_tracker(
-      const std::vector<std::uint8_t>& tracker) const {
-    SnapshotFile out = file;
-    std::vector<std::uint8_t>& p = out.payload;
-    const auto at = p.begin() + static_cast<std::ptrdiff_t>(tracker_at);
-    p.erase(at, at + static_cast<std::ptrdiff_t>(tracker_len));
-    p.insert(p.begin() + static_cast<std::ptrdiff_t>(tracker_at),
-             tracker.begin(), tracker.end());
-    put_u64(p, ssta_length_at,
-            get_u64(p, ssta_length_at) + tracker.size() - tracker_len);
-    return out;
+  /// The saved activity tracker, as the restore reads it.
+  [[nodiscard]] metrics::ActivityTracker tracker() const {
+    metrics::ActivityTracker t(kFlows);
+    SnapshotReader r(file.payload.data() + tracker_at, tracker_len);
+    t.restore(r);
+    return t;
   }
 
+  /// This checkpoint with `len` payload bytes at `offset` replaced by
+  /// `bytes`.
+  [[nodiscard]] SnapshotFile spliced(
+      std::size_t offset, std::size_t len,
+      const std::vector<std::uint8_t>& bytes) const {
+    SnapshotFile out = file;
+    std::vector<std::uint8_t>& p = out.payload;
+    const auto begin = p.begin() + static_cast<std::ptrdiff_t>(offset);
+    p.erase(begin, begin + static_cast<std::ptrdiff_t>(len));
+    p.insert(p.begin() + static_cast<std::ptrdiff_t>(offset), bytes.begin(),
+             bytes.end());
+    put_u64(p, ssta_length_at, get_u64(p, ssta_length_at) + bytes.size() - len);
+    return out;
+  }
+  [[nodiscard]] SnapshotFile with_tracker(
+      const std::vector<std::uint8_t>& tracker) const {
+    return spliced(tracker_at, tracker_len, tracker);
+  }
+  [[nodiscard]] SnapshotFile with_log(
+      const std::vector<std::uint8_t>& log) const {
+    return spliced(log_at, log_len, log);
+  }
+
+  Cycle at;
   SnapshotFile file;
+  std::size_t log_at = 0;
+  std::size_t log_len = 0;
   std::size_t tracker_at = 0;
   std::size_t tracker_len = 0;
+  std::size_t starts_at = 0;  // the service-start count
   std::size_t ssta_length_at = 0;
 };
 
@@ -109,55 +137,175 @@ std::vector<std::uint8_t> active_with_empty_queue() {
 }
 
 /// The checkpoint with its service-start count set huge.
-SnapshotFile huge_sequence_count(const Cycle0Checkpoint& c) {
+SnapshotFile huge_sequence_count(const Checkpoint& c) {
   SnapshotFile out = c.file;
-  put_u64(out.payload, out.payload.size() - 16, ~std::uint64_t{0});
+  put_u64(out.payload, c.starts_at, ~std::uint64_t{0});
   return out;
 }
 
+/// The checkpoint with a service log that serves flow 0 at `cycles` and
+/// no other flow.
+SnapshotFile with_flow0_cycles(const Checkpoint& c,
+                               const std::vector<Cycle>& cycles) {
+  SnapshotWriter w;
+  w.u64(kFlows);
+  w.u64(cycles.size());
+  for (const Cycle t : cycles) w.u64(t);
+  for (std::size_t f = 1; f < kFlows; ++f) w.u64(0);
+  w.u64(8);  // flit bytes
+  return c.with_log(w.bytes());
+}
+
+/// A flow inactive when `c` was saved, and the cycle its last window
+/// closed (0 if it never was active): a new window may start there.
+struct IdleFlow {
+  FlowId flow;
+  Cycle since = 0;
+};
+
+IdleFlow idle_flow(const Checkpoint& c) {
+  const metrics::ActivityTracker t = c.tracker();
+  metrics::ActivityTracker closed = t;
+  closed.finish(c.at);
+  for (std::size_t f = 0; f < kFlows; ++f) {
+    const FlowId flow(static_cast<FlowId::rep_type>(f));
+    if (t.active(flow)) continue;
+    Cycle since = c.at;
+    while (since > 0 && !closed.active_throughout(flow, since - 1, since))
+      --since;
+    return {flow, since};
+  }
+  ADD_FAILURE() << "every flow is active at the save";
+  return {};
+}
+
+/// The checkpoint's tracker plus a closed window [start, end) for a flow
+/// that was idle at the save, so it stays consistent with the queues.
+SnapshotFile with_window(const Checkpoint& c, Cycle start, Cycle end) {
+  metrics::ActivityTracker t = c.tracker();
+  const FlowId flow = idle_flow(c).flow;
+  t.record(start, flow, true);
+  t.record(end, flow, false);
+  return c.with_tracker(saved(t));
+}
+
+/// The checkpoint with its last service start moved to `cycle`.
+SnapshotFile with_last_service_start(const Checkpoint& c, Cycle cycle) {
+  SnapshotFile out = c.file;
+  put_u64(out.payload, out.payload.size() - 16, cycle);
+  return out;
+}
+
+/// The crafted files the CLI must reject, by name.
+std::vector<std::pair<std::string, SnapshotFile>> crafted_files() {
+  const Checkpoint c0;
+  const Checkpoint c100(100);
+  return {
+      {"active_without_window", c0.with_tracker(active_without_window())},
+      {"active_with_empty_queue", c0.with_tracker(active_with_empty_queue())},
+      {"huge_sequence_count", huge_sequence_count(c0)},
+      {"future_service_cycle", with_flow0_cycles(c100, {50, 150})},
+      {"decreasing_service_cycles", with_flow0_cycles(c100, {50, 10})},
+      {"future_window", with_window(c100, 150, 160)},
+      {"window_closing_after_save",
+       with_window(c100, idle_flow(c100).since, 150)},
+      {"future_service_start", with_last_service_start(c100, 100)},
+  };
+}
+
 TEST(ScenarioRestoreCheck, CraftingOffsetsMatchTheCheckpoint) {
-  const Cycle0Checkpoint c;
-  const std::vector<std::uint8_t> fresh =
-      saved(metrics::ActivityTracker(kFlows));
-  ASSERT_EQ(std::vector<std::uint8_t>(
-                c.file.payload.begin() +
-                    static_cast<std::ptrdiff_t>(c.tracker_at),
-                c.file.payload.begin() +
-                    static_cast<std::ptrdiff_t>(c.tracker_at + c.tracker_len)),
-            fresh);
-  EXPECT_EQ(get_u64(c.file.payload, c.ssta_length_at) + c.ssta_length_at + 8,
-            c.file.payload.size());
-  // Splicing the identical tracker back in yields a file that restores.
-  ScenarioRun resumed(spec(), c.with_tracker(fresh));
-  resumed.run_to_completion();
-  EXPECT_GT(resumed.finish().service_log.grand_total(), 0);
+  for (const Cycle at : {Cycle{0}, Cycle{100}}) {
+    const Checkpoint c(at);
+    const std::vector<std::uint8_t>& p = c.file.payload;
+    const auto bytes_at = [&p](std::size_t begin, std::size_t len) {
+      return std::vector<std::uint8_t>(
+          p.begin() + static_cast<std::ptrdiff_t>(begin),
+          p.begin() + static_cast<std::ptrdiff_t>(begin + len));
+    };
+    EXPECT_EQ(get_u64(p, c.log_at), kFlows) << at;
+    EXPECT_EQ(get_u64(p, c.tracker_at), kFlows) << at;
+    EXPECT_EQ(saved(c.tracker()), bytes_at(c.tracker_at, c.tracker_len)) << at;
+    EXPECT_EQ(c.starts_at + 8 + 8 * get_u64(p, c.starts_at) + 8, p.size())
+        << at;
+    EXPECT_EQ(get_u64(p, c.ssta_length_at) + c.ssta_length_at + 8, p.size())
+        << at;
+    if (at == 0) {
+      EXPECT_EQ(bytes_at(c.log_at, c.log_len),
+                saved(metrics::ServiceLog(kFlows)));
+      EXPECT_EQ(bytes_at(c.tracker_at, c.tracker_len),
+                saved(metrics::ActivityTracker(kFlows)));
+    } else {
+      EXPECT_GT(get_u64(p, c.starts_at), 0u) << "no service start to move";
+    }
+    // Splicing the same log or re-encoded tracker back in changes nothing.
+    EXPECT_EQ(c.with_log(bytes_at(c.log_at, c.log_len)).payload, p) << at;
+    EXPECT_EQ(c.with_tracker(saved(c.tracker())).payload, p) << at;
+  }
 }
 
 TEST(ScenarioRestoreCheck, RejectsActiveFlowWithoutWindow) {
-  const Cycle0Checkpoint c;
+  const Checkpoint c;
   EXPECT_THROW(ScenarioRun(spec(), c.with_tracker(active_without_window())),
                SnapshotError);
 }
 
 TEST(ScenarioRestoreCheck, RejectsActivityThatDisagreesWithQueues) {
-  const Cycle0Checkpoint c;
+  const Checkpoint c;
   EXPECT_THROW(ScenarioRun(spec(), c.with_tracker(active_with_empty_queue())),
                SnapshotError);
 }
 
 TEST(ScenarioRestoreCheck, RejectsHugeSequenceCountBeforeAllocating) {
-  const Cycle0Checkpoint c;
+  const Checkpoint c;
   EXPECT_THROW(ScenarioRun(spec(), huge_sequence_count(c)), SnapshotError);
 }
 
+TEST(ScenarioRestoreCheck, RejectsServiceLoggedAtOrAfterTheSave) {
+  // Before the check, flow 0's next served flit tripped the service log's
+  // time-order assertion and aborted the process.
+  const Checkpoint c(100);
+  EXPECT_THROW(ScenarioRun(spec(), with_flow0_cycles(c, {50, 150})),
+               SnapshotError);
+  EXPECT_THROW(ScenarioRun(spec(), with_flow0_cycles(c, {100})),
+               SnapshotError);
+  // Control: the same crafting with past cycles restores and runs.
+  ScenarioRun past(spec(), with_flow0_cycles(c, {10, 50, 99}));
+  past.run_to_completion();
+  EXPECT_GT(past.finish().service_log.total(FlowId(0)), 3);
+}
+
+TEST(ScenarioRestoreCheck, RejectsDecreasingServiceCycles) {
+  const Checkpoint c(100);
+  EXPECT_THROW(ScenarioRun(spec(), with_flow0_cycles(c, {50, 10})),
+               SnapshotError);
+}
+
+TEST(ScenarioRestoreCheck, RejectsActivityWindowAtOrAfterTheSave) {
+  const Checkpoint c(100);
+  const Cycle since = idle_flow(c).since;
+  ASSERT_LT(since + 1, c.at) << "no room for a window before the save";
+  EXPECT_THROW(ScenarioRun(spec(), with_window(c, 150, 160)), SnapshotError);
+  EXPECT_THROW(ScenarioRun(spec(), with_window(c, 100, 101)), SnapshotError);
+  // A window that opened before the save but closes at or after it.
+  EXPECT_THROW(ScenarioRun(spec(), with_window(c, since, 150)),
+               SnapshotError);
+  EXPECT_THROW(ScenarioRun(spec(), with_window(c, since, 100)),
+               SnapshotError);
+  // Control: a closed window wholly before the save restores.
+  ScenarioRun past(spec(), with_window(c, since, since + 1));
+  past.run_to_completion();
+  EXPECT_GT(past.finish().service_log.grand_total(), 0);
+}
+
+TEST(ScenarioRestoreCheck, RejectsServiceStartAtOrAfterTheSave) {
+  const Checkpoint c(100);
+  EXPECT_THROW(ScenarioRun(spec(), with_last_service_start(c, 100)),
+               SnapshotError);
+  EXPECT_NO_THROW(ScenarioRun(spec(), with_last_service_start(c, 99)));
+}
+
 TEST(ScenarioRestoreCheck, CliRestoreOfCraftedFilesExits2) {
-  const Cycle0Checkpoint c;
-  const std::vector<std::pair<std::string, SnapshotFile>> crafted = {
-      {"active_without_window", c.with_tracker(active_without_window())},
-      {"active_with_empty_queue", c.with_tracker(active_with_empty_queue())},
-      {"huge_sequence_count", huge_sequence_count(c)},
-  };
-  for (const auto& [name, file] : crafted) {
+  for (const auto& [name, file] : crafted_files()) {
     const std::string path =
         testing::TempDir() + "scenario_restore_check_" + name + ".wsnp";
     write_snapshot_file(path, file.manifest_json, file.payload);

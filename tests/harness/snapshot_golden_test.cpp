@@ -204,7 +204,8 @@ TEST(SnapshotGolden, EveryTruncationFailsCleanly) {
   const auto bytes = golden_bytes();
   ASSERT_GT(bytes.size(), 0u);
   for (std::size_t len = 0; len < bytes.size(); len += 7) {
-    const std::vector<std::uint8_t> cut(bytes.begin(), bytes.begin() + len);
+    const std::vector<std::uint8_t> cut(
+        bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(len));
     EXPECT_THROW((void)parse_snapshot_bytes(cut), SnapshotError) << len;
   }
 }
