@@ -204,7 +204,7 @@ std::size_t resolve_jobs(const CliParser& cli) {
 void add_network_parallel_options(CliParser& cli) {
   cli.add_option("threads",
                  "worker threads for the sharded network tick (>= 1; "
-                 "1 = serial kernel)",
+                 "1 = the caller thread only)",
                  "1");
   cli.add_option("shards",
                  "shard domains for the network tick (>= 1; default: one "

@@ -2,11 +2,11 @@
 //
 // The sharded tick assigns each router to exactly one shard domain and
 // commits cross-shard traffic in shard-ascending order.  Determinism
-// rests on the ranges being CONTIGUOUS and ASCENDING: the serial kernel
-// pushes wire entries in router-ascending order (routers tick ascending,
-// each port walk is ascending), so concatenating per-shard send queues
-// shard by shard reproduces the serial FIFO contents byte for byte.  Any
-// other assignment (round-robin, hash) would break that equivalence.
+// rests on the ranges being CONTIGUOUS and ASCENDING: a single-threaded
+// tick pushes wire entries in router-ascending order (routers tick
+// ascending, each port walk is ascending), so concatenating per-shard
+// send queues shard by shard reproduces its FIFO contents byte for byte.
+// Any other assignment (round-robin, hash) would break that equivalence.
 #pragma once
 
 #include <algorithm>

@@ -158,9 +158,16 @@ void QuantileEstimator::save(SnapshotWriter& w) const {
 }
 
 void QuantileEstimator::restore(SnapshotReader& r) {
-  capacity_ = static_cast<std::size_t>(r.u64());
-  WS_CHECK(capacity_ > 0);
-  seen_ = r.u64();
+  const std::uint64_t capacity = r.u64();
+  const std::uint64_t seen = r.u64();
+  if (capacity == 0)
+    throw SnapshotError("quantile reservoir has no capacity");
+  // No run reaches 2^63 samples; a count near 2^64 would wrap add()'s
+  // ++seen_ to 0 and divide by it.
+  if (seen >= std::uint64_t{1} << 63)
+    throw SnapshotError("quantile reservoir seen count is out of range");
+  capacity_ = static_cast<std::size_t>(capacity);
+  seen_ = seen;
   rng_state_ = r.u64();
   sorted_ = r.b();
   restore_doubles(r, samples_);

@@ -1,7 +1,7 @@
 // Structure-of-arrays per-flow scheduler state, sized for 1M+ flows.
 //
 // The seed implementation kept an object per flow: a RingBuffer<Packet>
-// per queue and an AoS FlowState{sc, weight, IntrusiveListHook} per
+// per queue and an AoS FlowState{sc, weight, intrusive list hook} per
 // discipline, linked into pointer-chasing activation lists.  At paper
 // cardinality (tens of flows) that is fine; at a million flows the
 // per-object overhead dominates memory (an empty RingBuffer costs ~32

@@ -82,6 +82,8 @@ void DelayStats::restore(SnapshotReader& r) {
   }
   quantiles_.restore(r);
   flow_reservoir_capacity_ = r.u64();
+  if (flow_reservoir_capacity_ == 0)
+    throw SnapshotError("per-flow delay reservoir has no capacity");
   for (std::size_t i = 0; i < n; ++i) {
     if (!r.b()) continue;
     Row& row = per_flow_.row(FlowId(static_cast<FlowId::rep_type>(i)));

@@ -66,9 +66,10 @@ Network::Network(const NetworkConfig& config)
   touched_flag_.resize(topo_.num_nodes(), 0);
   latency_by_source_.resize(topo_.num_nodes());
 
-  // Sharding geometry.  One shard (the default, or anything clamped down
-  // to one) keeps the serial kernel; the same per-shard counter arrays
-  // back both paths so the bookkeeping code is shared.
+  // Sharding geometry.  Every shard has its counters and a lane; the
+  // worker team exists only with more than one shard (one shard, the
+  // default or anything clamped down to one, always ticks on the caller
+  // thread).
   shard_ranges_ = make_shard_partition(topo_.num_nodes(), config.shards);
   const auto num_shards = static_cast<std::uint32_t>(shard_ranges_.size());
   shard_live_.assign(num_shards, 0);
@@ -79,14 +80,10 @@ Network::Network(const NetworkConfig& config)
     for (std::uint32_t n = shard_ranges_[s].begin; n < shard_ranges_[s].end;
          ++n)
       shard_of_[n] = s;
-  if (num_shards > 1) {
-    lanes_ = std::vector<ShardLane>(num_shards);
-    for (std::uint32_t s = 0; s < num_shards; ++s) {
-      lanes_[s].net_ = this;
-      lanes_[s].shard_ = s;
-    }
+  lanes_ = std::vector<ShardLane>(num_shards);
+  for (ShardLane& lane : lanes_) lane.net_ = this;
+  if (num_shards > 1)
     team_ = std::make_unique<TickTeam>(std::min(config.threads, num_shards));
-  }
 }
 
 void Network::inject(Cycle, const PacketDescriptor& packet) {
@@ -128,34 +125,36 @@ void Network::set_live(std::size_t index, bool live) {
   live ? ++count : --count;
 }
 
-void Network::apply_wire_credit(const WireCredit& wc) {
-  Router& rt = routers_[wc.to.index()];
-  if (wc.kind == WireCredit::Kind::kCredit)
-    rt.accept_credit(wc.out, wc.cls);
-  else
-    rt.accept_signal(wc.out, wc.cls, wc.kind == WireCredit::Kind::kOn);
+template <class Wire>
+void Network::put_flit(Wire& wire, CycleDelta& delta, NodeId from,
+                       Direction out, const Flit& flit) {
+  const NodeId to = topo_.neighbor(from, out);
+  WS_CHECK_MSG(to.is_valid(), "flit sent off the edge of the fabric");
+  const auto cls = static_cast<std::uint32_t>(flit.vc_class.value());
+  wire.emplace_back(now_ + config_.link_latency, to,
+                    topo_.peer_port(from, out), cls, flit);
+  if (collect_delta_) note(delta, delta.flits_to_wire, from, out, cls);
+}
+
+template <class Wire>
+void Network::put_credit(Wire& wire, CycleDelta& delta, NodeId node,
+                         Direction in, std::uint32_t cls,
+                         WireCredit::Kind kind) {
+  const NodeId upstream = topo_.neighbor(node, in);
+  WS_CHECK(upstream.is_valid());
+  wire.push_back(WireCredit{now_ + config_.link_latency, upstream,
+                            topo_.peer_port(node, in), cls, kind});
+  if (collect_delta_) note(delta, delta.credits_to_wire, node, in, cls);
 }
 
 void Network::send_flit(NodeId from, Direction out, const Flit& flit) {
-  const NodeId to = topo_.neighbor(from, out);
-  WS_CHECK_MSG(to.is_valid(), "flit sent off the edge of the fabric");
-  flit_wire_.emplace_back(now_ + config_.link_latency, to,
-                          topo_.peer_port(from, out),
-                          static_cast<std::uint32_t>(flit.vc_class.value()),
-                          flit);
-  if (collect_delta_) {
-    touch(from.index());
-    delta_.flits_to_wire.push_back(CycleDelta::UnitEvent{
-        delta_unit(from, out,
-                   static_cast<std::uint32_t>(flit.vc_class.value())),
-        from.value()});
-  }
+  put_flit(flit_wire_, delta_, from, out, flit);
 }
 
 void Network::eject(NodeId node, const Flit& flit, Cycle now) {
   ++delivered_flits_;
   if (collect_delta_) {
-    touch(node.index());
+    touch_into(delta_, node.index());
     delta_.ejections.push_back(node.value());
   }
   WS_CHECK_MSG(flit.dest == node, "flit ejected at the wrong node");
@@ -184,31 +183,13 @@ void Network::eject(NodeId node, const Flit& flit, Cycle now) {
 }
 
 void Network::send_credit(NodeId node, Direction in, std::uint32_t cls) {
-  const NodeId upstream = topo_.neighbor(node, in);
-  WS_CHECK(upstream.is_valid());
-  credit_wire_.push_back(WireCredit{now_ + config_.link_latency, upstream,
-                                    topo_.peer_port(node, in), cls,
-                                    WireCredit::Kind::kCredit});
-  if (collect_delta_) {
-    touch(node.index());
-    delta_.credits_to_wire.push_back(
-        CycleDelta::UnitEvent{delta_unit(node, in, cls), node.value()});
-  }
+  put_credit(credit_wire_, delta_, node, in, cls, WireCredit::Kind::kCredit);
 }
 
 void Network::send_signal(NodeId node, Direction in, std::uint32_t cls,
                           bool on) {
-  const NodeId upstream = topo_.neighbor(node, in);
-  WS_CHECK(upstream.is_valid());
-  credit_wire_.push_back(
-      WireCredit{now_ + config_.link_latency, upstream,
-                 topo_.peer_port(node, in), cls,
-                 on ? WireCredit::Kind::kOn : WireCredit::Kind::kOff});
-  if (collect_delta_) {
-    touch(node.index());
-    delta_.credits_to_wire.push_back(
-        CycleDelta::UnitEvent{delta_unit(node, in, cls), node.value()});
-  }
+  put_credit(credit_wire_, delta_, node, in, cls,
+             on ? WireCredit::Kind::kOn : WireCredit::Kind::kOff);
 }
 
 RouteDecision Network::route(NodeId node, const Flit& flit, Direction in_from,
@@ -280,16 +261,6 @@ void Network::nic_inject_one(Cycle now, std::uint32_t n, CycleDelta& delta) {
 }
 
 void Network::tick(Cycle now) {
-  // Trace sinks and perf counters are single-threaded; their attachment
-  // falls back to the serial kernel.  Results are bit-identical either
-  // way, so a traced run still reproduces a sharded one exactly.
-  if (shard_ranges_.size() > 1 && trace_ == nullptr && perf_ == nullptr)
-    tick_sharded(now);
-  else
-    tick_serial(now);
-}
-
-void Network::tick_serial(Cycle now) {
   now_ = now;
   if (trace_ != nullptr) trace_->set_now(now);
   const FaultModel* faults = config_.faults;
@@ -298,38 +269,43 @@ void Network::tick_serial(Cycle now) {
   // (see the ctor comment); signals still deliver, traffic still queues
   // at the NICs.
   const bool frozen = stalled && freeze_on_stall_;
+  // Trace sinks and perf counters are single-threaded: attaching either
+  // runs the cycle on the caller thread.  Results are bit-identical
+  // either way, so a traced run still reproduces a sharded one exactly.
+  const bool lanes_run =
+      team_ != nullptr && trace_ == nullptr && perf_ == nullptr;
 
+  // 1. Wire delivery (constant latency -> FIFO order), always serial, so
+  // every fault decision, trace event and from-wire delta event comes out
+  // in one order.  Each due entry goes straight to its router, or, when
+  // the lanes run, onto its shard's delivery list.  The global wires stay
+  // the single source of truth the audit accessors expose.
   {
     metrics::ScopedStageTimer timer(perf_, metrics::Stage::kWireDelivery);
 
-    // 0. Credits whose starvation window has elapsed re-enter the
-    // protocol.
+    // Credits whose starvation window has elapsed re-enter the protocol.
     while (!credit_quarantine_.empty() &&
            credit_quarantine_.front().arrive <= now) {
       const WireCredit wc = credit_quarantine_.pop_front();
-      apply_wire_credit(wc);
-      mark_live(wc.to.index());
-      if (collect_delta_) {
-        touch(wc.to.index());
-        delta_.credits_from_wire.push_back(CycleDelta::UnitEvent{
-            delta_unit(wc.to, wc.out, wc.cls), wc.to.value()});
-      }
+      if (lanes_run)
+        lanes_[shard_of_[wc.to.index()]].quarantine_due_.push_back(wc);
+      else
+        deliver(wc);
+      if (collect_delta_)
+        note(delta_, delta_.credits_from_wire, wc.to, wc.out, wc.cls);
     }
 
-    // 1. Wire delivery (constant latency -> FIFO order).  An arriving
-    // flit or credit enrolls its destination router in the active set.  A
-    // link stall pauses flit delivery for the cycle — the flits stay
+    // A link stall pauses flit delivery for the cycle — the flits stay
     // queued, in order, and arrive late; nothing is ever dropped.
     if (!stalled) {
       while (!flit_wire_.empty() && flit_wire_.front().arrive <= now) {
         const WireFlit& wf = flit_wire_.front();
-        routers_[wf.to.index()].accept_flit(wf.in, wf.cls, wf.flit);
-        mark_live(wf.to.index());
-        if (collect_delta_) {
-          touch(wf.to.index());
-          delta_.flits_from_wire.push_back(CycleDelta::UnitEvent{
-              delta_unit(wf.to, wf.in, wf.cls), wf.to.value()});
-        }
+        if (lanes_run)
+          lanes_[shard_of_[wf.to.index()]].flits_due_.push_back(wf);
+        else
+          deliver(wf);
+        if (collect_delta_)
+          note(delta_, delta_.flits_from_wire, wf.to, wf.in, wf.cls);
         flit_wire_.drop_front();
       }
     } else if (trace_ != nullptr && !flit_wire_.empty() &&
@@ -359,70 +335,68 @@ void Network::tick_serial(Cycle now) {
               obs::TraceEvent::fault_credit_hold(now, wc.to.value(), hold));
         continue;
       }
-      apply_wire_credit(wc);
-      mark_live(wc.to.index());
-      if (collect_delta_) {
-        touch(wc.to.index());
-        delta_.credits_from_wire.push_back(CycleDelta::UnitEvent{
-            delta_unit(wc.to, wc.out, wc.cls), wc.to.value()});
-      }
+      if (lanes_run)
+        lanes_[shard_of_[wc.to.index()]].credits_due_.push_back(wc);
+      else
+        deliver(wc);
+      if (collect_delta_)
+        note(delta_, delta_.credits_from_wire, wc.to, wc.out, wc.cls);
     }
   }
 
-  // 2. NIC injection: one flit per node per cycle into local VC class 0.
-  // Only NICs holding backlog are visited; `remaining` cuts the scan off
-  // once every nonempty NIC has been seen.
-  if (!frozen && nic_backlog_flits() != 0) {
-    metrics::ScopedStageTimer timer(perf_, metrics::Stage::kNicInject);
-    std::uint32_t remaining = 0;
-    for (const std::uint32_t c : shard_nonempty_nics_) remaining += c;
-    for (std::uint32_t n = 0; remaining != 0 && n < nics_.size(); ++n) {
-      if (nics_[n].queue.empty()) continue;
-      --remaining;
-      nic_inject_one(now, n, delta_);
-    }
-  }
+  // 2. NIC injection and the router pipelines, by shard range: once over
+  // every shard against the network itself, or per shard on the lanes
+  // (lane l takes shards l, l + lanes, ...) against the shard's lane.
+  const std::uint32_t num_shards = shard_count();
+  if (!lanes_run) {
+    step(now, frozen, 0, num_shards, *this, delta_);
+  } else {
+    const std::uint32_t nlanes = team_->lanes();
+    team_->run([&](std::uint32_t lane) {
+      for (std::uint32_t s = lane; s < num_shards; s += nlanes)
+        step(now, frozen, s, s + 1, lanes_[s], lanes_[s].delta_);
+    });
 
-  // 3. Router pipelines.  A drained router's tick is a no-op (nothing to
-  // route, grant, charge or forward), so only active routers tick; the
-  // ascending scan keeps side-effect order — and therefore every figure —
-  // identical to the legacy full-fabric loop.  New work can only arrive
-  // through the wires (link latency >= 1), never mid-scan.
-  if (frozen) {
-    // Stalled on/off cycle: no router ticks, no liveness changes.
-  } else if (config_.dense_tick) {
-    for (std::uint32_t n = 0; n < routers_.size(); ++n) {
-      routers_[n].tick(now, *this);
-      const bool live_now = !routers_[n].drained();
-      // Every event site touches its router, so the only liveness change
-      // an event does not already cover is this transition.
-      if (collect_delta_ && static_cast<bool>(router_live_[n]) != live_now)
-        touch(n);
-      set_live(n, live_now);
+    // 3. Commit (serial).  Appending the staged sends shard-ascending
+    // reproduces the caller thread's FIFO contents byte for byte (see
+    // shard.hpp for the argument).
+    for (const ShardLane& lane : lanes_) {
+      for (const WireFlit& wf : lane.out_flits_) flit_wire_.push_back(wf);
+      for (const WireCredit& wc : lane.out_credits_) credit_wire_.push_back(wc);
     }
-  } else if (live_router_count() != 0) {
-    // Router ticks never enroll *other* routers mid-scan (new work only
-    // travels via the wires), so the live count at loop entry bounds the
-    // number of routers left to visit.
-    std::uint32_t remaining = live_router_count();
-    for (std::uint32_t n = 0; remaining != 0 && n < routers_.size(); ++n) {
-      if (!router_live_[n]) continue;
-      --remaining;
-      routers_[n].tick(now, *this);
-      if (routers_[n].drained()) {
-        set_live(n, false);
-        // The one liveness change with no event of its own: a credit can
-        // wake an already-drained router, whose next tick is a no-op that
-        // idles it again.  The drain itself enrolls it in the touched set.
-        if (collect_delta_) touch(n);
+    // Ejections replay through the network's eject path in
+    // shard-ascending (= router) order: the delivered log, the latency
+    // RunningStats (floating-point summation order included), and the
+    // ejection delta events come out exactly as on the caller thread.
+    for (const ShardLane& lane : lanes_)
+      for (const ShardLane::StagedEjection& e : lane.ejections_)
+        eject(e.node, e.flit, now);
+    // Merge the lane deltas (to-wire events, injections, touched) into the
+    // global delta, shard-ascending — again the caller thread's
+    // per-vector order.
+    if (collect_delta_) {
+      for (const ShardLane& lane : lanes_) {
+        const CycleDelta& d = lane.delta_;
+        delta_.flits_to_wire.insert(delta_.flits_to_wire.end(),
+                                    d.flits_to_wire.begin(),
+                                    d.flits_to_wire.end());
+        delta_.credits_to_wire.insert(delta_.credits_to_wire.end(),
+                                      d.credits_to_wire.begin(),
+                                      d.credits_to_wire.end());
+        delta_.injections.insert(delta_.injections.end(), d.injections.begin(),
+                                 d.injections.end());
+        delta_.touched.insert(delta_.touched.end(), d.touched.begin(),
+                              d.touched.end());
       }
     }
+    for (ShardLane& lane : lanes_) lane.clear_cycle();
   }
 
   // 4. Observers (auditor, probes) see the settled post-cycle state —
-  // identical in the active-set and dense paths by construction — plus
-  // this cycle's delta.  The delta is cleared after dispatch; its vectors
-  // keep their capacity, so steady state allocates nothing.
+  // identical in every path by construction — plus this cycle's delta
+  // (equal up to the benign per-vector grouping of the touched list).
+  // The delta is cleared after dispatch; its vectors keep their capacity,
+  // so steady state allocates nothing.
   if (!observers_.empty()) {
     metrics::ScopedStageTimer timer(perf_, metrics::Stage::kObserver);
     observers_.on_cycle_end(now, *this, delta_);
@@ -433,182 +407,121 @@ void Network::tick_serial(Cycle now) {
   }
 }
 
-void Network::tick_sharded(Cycle now) {
-  now_ = now;
-  const FaultModel* faults = config_.faults;
-  const bool stalled = faults != nullptr && faults->link_stalled(now);
-  // link_stalled is a pure hash of (now), so every lane would reach the
-  // same answer; computing it once here keeps the shard hot path cheap
-  // and makes the freeze decision trivially serial-identical.
-  frozen_this_cycle_ = stalled && freeze_on_stall_;
-  const auto num_shards = static_cast<std::uint32_t>(shard_ranges_.size());
+void Network::step(Cycle now, bool frozen, std::uint32_t first,
+                   std::uint32_t last, RouterEnv& env, CycleDelta& delta) {
+  // Arrivals staged for these shards, in the pop loop's sub-order:
+  // quarantine releases, then flits, then wire credits.  Per-router
+  // arrival order is all bit-identity needs (routers interact only via
+  // the wires), and it is kept exactly.
+  for (std::uint32_t s = first; s < last; ++s) {
+    const ShardLane& lane = lanes_[s];
+    for (const WireCredit& wc : lane.quarantine_due_) deliver(wc);
+    for (const WireFlit& wf : lane.flits_due_) deliver(wf);
+    for (const WireCredit& wc : lane.credits_due_) deliver(wc);
+  }
+  // Stalled on/off cycle: arrivals still land (signals must keep moving),
+  // but injection and the pipelines freeze, with no liveness changes.
+  if (frozen) return;
+  const std::uint32_t begin = shard_ranges_[first].begin;
+  const std::uint32_t end = shard_ranges_[last - 1].end;
 
-  // Phase 0 — classify (serial).  The global wires are popped in exactly
-  // the serial order — every fault-model decision included — and each
-  // arrival lands on the owning shard's delivery list.  The from-wire
-  // delta events are recorded here, straight into the global delta, so
-  // their order matches the serial kernel's event order exactly.  The
-  // global FIFOs stay the single source of truth the audit accessors
-  // expose; between ticks their contents are byte-identical to a serial
-  // run's.
-  while (!credit_quarantine_.empty() &&
-         credit_quarantine_.front().arrive <= now) {
-    const WireCredit wc = credit_quarantine_.pop_front();
-    lanes_[shard_of_[wc.to.index()]].quarantine_due_.push_back(wc);
-    if (collect_delta_) {
-      touch(wc.to.index());
-      delta_.credits_from_wire.push_back(CycleDelta::UnitEvent{
-          delta_unit(wc.to, wc.out, wc.cls), wc.to.value()});
-    }
-  }
-  if (!stalled) {
-    while (!flit_wire_.empty() && flit_wire_.front().arrive <= now) {
-      const WireFlit& wf = flit_wire_.front();
-      lanes_[shard_of_[wf.to.index()]].flits_due_.push_back(wf);
-      if (collect_delta_) {
-        touch(wf.to.index());
-        delta_.flits_from_wire.push_back(CycleDelta::UnitEvent{
-            delta_unit(wf.to, wf.in, wf.cls), wf.to.value()});
-      }
-      flit_wire_.drop_front();
-    }
-  }
-  while (!credit_wire_.empty() && credit_wire_.front().arrive <= now) {
-    const WireCredit wc = credit_wire_.pop_front();
-    // Signals skip the credit-hold fault; see tick_serial.
-    const Cycle hold =
-        faults != nullptr && wc.kind == WireCredit::Kind::kCredit
-            ? faults->credit_hold_cycles(now, wc.to)
-            : 0;
-    if (hold > 0) {
-      WireCredit held = wc;
-      held.arrive = now + hold;
-      credit_quarantine_.push_back(held);
-      continue;
-    }
-    lanes_[shard_of_[wc.to.index()]].credits_due_.push_back(wc);
-    if (collect_delta_) {
-      touch(wc.to.index());
-      delta_.credits_from_wire.push_back(CycleDelta::UnitEvent{
-          delta_unit(wc.to, wc.out, wc.cls), wc.to.value()});
+  // NIC injection: one flit per node per cycle into local VC class 0.
+  // Only NICs holding backlog are visited; `remaining` cuts the scan off
+  // once every nonempty NIC has been seen.  Wire flits never land on a
+  // kLocal input, so each node's accept decision depends only on its own
+  // router, whatever the range.
+  std::uint32_t remaining = 0;
+  for (std::uint32_t s = first; s < last; ++s)
+    remaining += shard_nonempty_nics_[s];
+  if (remaining != 0) {
+    metrics::ScopedStageTimer timer(perf_, metrics::Stage::kNicInject);
+    for (std::uint32_t n = begin; remaining != 0 && n < end; ++n) {
+      if (nics_[n].queue.empty()) continue;
+      --remaining;
+      nic_inject_one(now, n, delta);
     }
   }
 
-  // Phase 1 — compute (parallel).  Lane l handles shards l, l + lanes,
-  // ...  Each shard's work touches only its own routers, NICs, counters,
-  // and staging vectors; the barriers inside run() provide the
-  // happens-before edges around the serial phases.
-  const std::uint32_t nlanes = team_->lanes();
-  team_->run([&](std::uint32_t lane) {
-    for (std::uint32_t s = lane; s < num_shards; s += nlanes)
-      compute_shard(now, s);
-  });
-
-  // Phase 2 — commit (serial).  Appending the staged sends shard-
-  // ascending reproduces the serial FIFO contents byte for byte (see
-  // shard.hpp for the argument).
-  for (std::uint32_t s = 0; s < num_shards; ++s) {
-    ShardLane& lane = lanes_[s];
-    for (const WireFlit& wf : lane.out_flits_) flit_wire_.push_back(wf);
-    for (const WireCredit& wc : lane.out_credits_) credit_wire_.push_back(wc);
-  }
-  // Ejections replay through the serial eject path in shard-ascending
-  // (= serial router) order: the delivered log, the latency RunningStats
-  // (floating-point summation order included), and the ejection delta
-  // events come out exactly as the serial kernel produces them.
-  for (std::uint32_t s = 0; s < num_shards; ++s)
-    for (const ShardLane::StagedEjection& e : lanes_[s].ejections_)
-      eject(e.node, e.flit, now);
-  // Merge the lane deltas (to-wire events, injections, touched) into the
-  // global delta, shard-ascending — again the serial per-vector order.
-  if (collect_delta_) {
-    for (std::uint32_t s = 0; s < num_shards; ++s) {
-      const CycleDelta& d = lanes_[s].delta_;
-      delta_.flits_to_wire.insert(delta_.flits_to_wire.end(),
-                                  d.flits_to_wire.begin(),
-                                  d.flits_to_wire.end());
-      delta_.credits_to_wire.insert(delta_.credits_to_wire.end(),
-                                    d.credits_to_wire.begin(),
-                                    d.credits_to_wire.end());
-      delta_.injections.insert(delta_.injections.end(), d.injections.begin(),
-                               d.injections.end());
-      delta_.touched.insert(delta_.touched.end(), d.touched.begin(),
-                            d.touched.end());
+  // Router pipelines.  A drained router's tick is a no-op (nothing to
+  // route, grant, charge or forward), so only active routers tick; the
+  // ascending scan keeps side-effect order — and therefore every figure —
+  // identical to the dense full-fabric loop.  New work can only arrive
+  // through the wires (link latency >= 1), never mid-scan, and router
+  // ticks never enroll *other* routers, so the live count at loop entry
+  // bounds the routers left to visit.
+  if (config_.dense_tick) {
+    for (std::uint32_t n = begin; n < end; ++n) {
+      routers_[n].tick(now, env);
+      const bool live_now = !routers_[n].drained();
+      // Every event site touches its router, so the only liveness change
+      // an event does not already cover is this transition.
+      if (collect_delta_ && static_cast<bool>(router_live_[n]) != live_now)
+        touch_into(delta, n);
+      set_live(n, live_now);
     }
+    return;
   }
-  for (std::uint32_t s = 0; s < num_shards; ++s) lanes_[s].clear_cycle();
-
-  // Observers run serially, after commit, against the settled state —
-  // the same post-cycle snapshot and (up to benign per-vector grouping of
-  // the touched list) the same delta a serial tick dispatches.
-  if (!observers_.empty()) {
-    observers_.on_cycle_end(now, *this, delta_);
-    if (collect_delta_) {
-      for (const std::uint32_t n : delta_.touched) touched_flag_[n] = 0;
-      delta_.clear();
+  std::uint32_t live = 0;
+  for (std::uint32_t s = first; s < last; ++s) live += shard_live_[s];
+  for (std::uint32_t n = begin; live != 0 && n < end; ++n) {
+    if (!router_live_[n]) continue;
+    --live;
+    routers_[n].tick(now, env);
+    if (routers_[n].drained()) {
+      set_live(n, false);
+      // The one liveness change with no event of its own: a credit can
+      // wake an already-drained router, whose next tick is a no-op that
+      // idles it again.  The drain itself enrolls it in the touched set.
+      if (collect_delta_) touch_into(delta, n);
     }
   }
 }
 
-void Network::compute_shard(Cycle now, std::uint32_t s) {
-  ShardLane& lane = lanes_[s];
-  // Deliver this shard's arrivals in the serial sub-order: quarantine
-  // releases first, then flits, then wire credits.  Per-router arrival
-  // order is all that matters for bit-identity (routers only interact
-  // via the wires), and it is preserved exactly.
-  for (const WireCredit& wc : lane.quarantine_due_) {
-    apply_wire_credit(wc);
-    mark_live(wc.to.index());
-  }
-  for (const WireFlit& wf : lane.flits_due_) {
-    routers_[wf.to.index()].accept_flit(wf.in, wf.cls, wf.flit);
-    mark_live(wf.to.index());
-  }
-  for (const WireCredit& wc : lane.credits_due_) {
-    apply_wire_credit(wc);
-    mark_live(wc.to.index());
-  }
+// ShardLane: the RouterEnv a shard's routers tick against on the lanes.
+// Sends stage through the network's own wire-record helpers; routing is
+// const and stateless, so the network's oracle serves every lane.
 
-  // Stalled on/off cycle: arrivals above still land (signals must keep
-  // moving), but injection and the pipelines freeze — mirroring
-  // tick_serial's gate exactly.
-  if (frozen_this_cycle_) return;
+void ShardLane::send_flit(NodeId from, Direction out, const Flit& flit) {
+  net_->put_flit(out_flits_, delta_, from, out, flit);
+}
 
-  // NIC injection for this shard's nodes.  Wire flits never land on a
-  // kLocal input, so each node's accept decision depends only on its own
-  // router — the parallel scan makes the same choices as the serial one.
-  const ShardRange range = shard_ranges_[s];
-  if (shard_nic_backlog_[s] != 0) {
-    std::uint32_t remaining = shard_nonempty_nics_[s];
-    for (std::uint32_t n = range.begin; remaining != 0 && n < range.end; ++n) {
-      if (nics_[n].queue.empty()) continue;
-      --remaining;
-      nic_inject_one(now, n, lane.delta_);
-    }
-  }
+void ShardLane::eject(NodeId node, const Flit& flit, Cycle) {
+  // Staged whole: the delivered log, the latency stats (whose
+  // floating-point summation order must match the caller thread's), and
+  // the ejection delta all happen at commit, in router order.
+  ejections_.push_back(StagedEjection{node, flit});
+}
 
-  // Router pipelines, ticked against the staging lane instead of the
-  // network itself.
-  if (config_.dense_tick) {
-    for (std::uint32_t n = range.begin; n < range.end; ++n) {
-      routers_[n].tick(now, lane);
-      const bool live_now = !routers_[n].drained();
-      if (collect_delta_ && static_cast<bool>(router_live_[n]) != live_now)
-        touch_into(lane.delta_, n);
-      set_live(n, live_now);
-    }
-  } else if (shard_live_[s] != 0) {
-    std::uint32_t remaining = shard_live_[s];
-    for (std::uint32_t n = range.begin; remaining != 0 && n < range.end; ++n) {
-      if (!router_live_[n]) continue;
-      --remaining;
-      routers_[n].tick(now, lane);
-      if (routers_[n].drained()) {
-        set_live(n, false);
-        if (collect_delta_) touch_into(lane.delta_, n);
-      }
-    }
-  }
+void ShardLane::send_credit(NodeId node, Direction in, std::uint32_t cls) {
+  net_->put_credit(out_credits_, delta_, node, in, cls,
+                   WireCredit::Kind::kCredit);
+}
+
+void ShardLane::send_signal(NodeId node, Direction in, std::uint32_t cls,
+                            bool on) {
+  net_->put_credit(out_credits_, delta_, node, in, cls,
+                   on ? WireCredit::Kind::kOn : WireCredit::Kind::kOff);
+}
+
+RouteDecision ShardLane::route(NodeId node, const Flit& flit,
+                               Direction in_from, std::uint32_t in_class) {
+  return net_->route(node, flit, in_from, in_class);
+}
+
+void ShardLane::route_candidates(NodeId node, const Flit& flit,
+                                 Direction in_from, std::uint32_t in_class,
+                                 RouteCandidates& out) {
+  net_->route_candidates(node, flit, in_from, in_class, out);
+}
+
+void ShardLane::clear_cycle() {
+  quarantine_due_.clear();
+  flits_due_.clear();
+  credits_due_.clear();
+  out_flits_.clear();
+  out_credits_.clear();
+  ejections_.clear();
+  delta_.clear();
 }
 
 bool Network::idle() const {

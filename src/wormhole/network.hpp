@@ -51,16 +51,17 @@ struct NetworkConfig {
   /// conservation invariant holds with faults enabled.
   const FaultModel* faults = nullptr;
   /// Shard domains for the multi-threaded tick (>= 1).  1 (the default)
-  /// runs the serial kernel; > 1 partitions routers into contiguous
-  /// domains and runs the three-phase classify/compute/commit tick,
-  /// bit-identical to the serial kernel by construction (see shard.hpp).
-  /// Clamped to the router count (a 1x1 mesh with shards = 8 is serial).
+  /// ticks every router on the caller thread; > 1 partitions routers into
+  /// contiguous domains whose NIC injection and router ticks run on
+  /// worker lanes against per-shard staging, bit-identical to the caller
+  /// thread by construction (see shard.hpp).  Clamped to the router count
+  /// (a 1x1 mesh with shards = 8 has one shard).
   std::uint32_t shards = 1;
   /// Worker lanes ticking the shard domains (>= 1; clamped to `shards`).
   /// A lane handles shards lane, lane + threads, ... — so threads <
   /// shards oversubscribes domains onto lanes without changing results.
-  /// 1 with shards > 1 runs the sharded algorithm single-threaded (the
-  /// staging-path differential the tests lean on).
+  /// 1 with shards > 1 runs the staging path on the caller thread (the
+  /// differential the tests lean on).
   std::uint32_t threads = 1;
   /// Keep the per-packet delivered log.  The log grows with the run, so
   /// soak mode turns it off and reads the O(1) accumulators instead
@@ -97,14 +98,16 @@ class Network final : public sim::Component, private RouterEnv {
   /// (one flit per node per cycle), then tick the active routers.  A
   /// router is active while it holds flits or owns an output; it enrolls
   /// when a flit or credit reaches it and retires once drained, so an
-  /// idle fabric costs nothing per cycle.  With config.shards > 1 the
-  /// cycle runs as the three-phase sharded tick (see shard.hpp) —
-  /// bit-identical results — unless a trace sink or perf counters are
-  /// attached, which fall back to the serial kernel (neither sink is
-  /// thread-safe; results are identical either way).
+  /// idle fabric costs nothing per cycle.  One kernel serves every
+  /// configuration: the wires pop serially, then injection and the
+  /// routers run per shard range — on the caller thread, or with
+  /// config.shards > 1 on the worker lanes against per-shard staging that
+  /// a serial commit folds back (see shard.hpp).  An attached trace sink
+  /// or perf counters (neither is thread-safe) keep the cycle on the
+  /// caller thread; results are bit-identical either way.
   void tick(Cycle now) override;
   /// O(shards): counters track NIC backlog and live routers per shard
-  /// (one shard when serial); the wires are FIFOs with O(1) emptiness
+  /// (one shard by default); the wires are FIFOs with O(1) emptiness
   /// checks.
   [[nodiscard]] bool idle() const override;
 
@@ -188,8 +191,8 @@ class Network final : public sim::Component, private RouterEnv {
   /// Total flits of every packet ever passed to inject().
   [[nodiscard]] Flits injected_flits() const { return injected_flits_; }
   /// Flits still queued at source NICs (not yet entered the fabric).
-  /// O(shards): the counters are per shard domain so the compute phase
-  /// never writes a shared cache line.
+  /// O(shards): the counters are per shard domain so each lane writes
+  /// only its own.
   [[nodiscard]] Flits nic_backlog_flits() const {
     Flits total = 0;
     for (const Flits f : shard_nic_backlog_) total += f;
@@ -219,7 +222,7 @@ class Network final : public sim::Component, private RouterEnv {
   [[nodiscard]] std::uint32_t shard_count() const {
     return static_cast<std::uint32_t>(shard_ranges_.size());
   }
-  /// Worker lanes the sharded tick uses (1 when the tick is serial).
+  /// Worker lanes the sharded tick uses (1 with a single shard).
   [[nodiscard]] std::uint32_t tick_lanes() const {
     return team_ != nullptr ? team_->lanes() : 1;
   }
@@ -253,9 +256,30 @@ class Network final : public sim::Component, private RouterEnv {
                         std::uint32_t in_class,
                         RouteCandidates& out) override;
 
-  /// Dispatches a delivered credit-wire entry by kind: a credit to
-  /// accept_credit, an on/off signal to accept_signal.
-  void apply_wire_credit(const WireCredit& wc);
+  /// Files a due wire entry into its router — a credit-wire entry by
+  /// kind, to accept_credit or accept_signal — and enrolls the router in
+  /// the active set.
+  void deliver(const WireFlit& wf) {
+    routers_[wf.to.index()].accept_flit(wf.in, wf.cls, wf.flit);
+    mark_live(wf.to.index());
+  }
+  void deliver(const WireCredit& wc) {
+    Router& rt = routers_[wc.to.index()];
+    if (wc.kind == WireCredit::Kind::kCredit)
+      rt.accept_credit(wc.out, wc.cls);
+    else
+      rt.accept_signal(wc.out, wc.cls, wc.kind == WireCredit::Kind::kOn);
+    mark_live(wc.to.index());
+  }
+  /// The send paths of the network and of every shard lane: append the
+  /// wire record to `wire` (the global wire, or a lane's staging) and the
+  /// to-wire event to `delta`.
+  template <class Wire>
+  void put_flit(Wire& wire, CycleDelta& delta, NodeId from, Direction out,
+                const Flit& flit);
+  template <class Wire>
+  void put_credit(Wire& wire, CycleDelta& delta, NodeId node, Direction in,
+                  std::uint32_t cls, WireCredit::Kind kind);
 
   struct Nic {
     RingBuffer<PacketDescriptor> queue;
@@ -267,16 +291,15 @@ class Network final : public sim::Component, private RouterEnv {
   /// Sets router `index`'s active flag outright (dense-mode bookkeeping).
   void set_live(std::size_t index, bool live);
 
-  /// The serial kernel (also the fallback when tracing or perf counters
-  /// are attached) and the three-phase sharded tick.  Bit-identical.
-  void tick_serial(Cycle now);
-  void tick_sharded(Cycle now);
-  /// Phase 1 body for one shard: deliver the classified arrivals, inject
-  /// from the shard's NICs, tick the shard's routers against its lane.
-  void compute_shard(Cycle now, std::uint32_t s);
+  /// The per-range step of tick(): shards [first, last) deliver the
+  /// arrivals staged on their lanes, inject from their NICs (unless
+  /// `frozen`) and tick their routers against `env`, recording delta
+  /// events into `delta`.
+  void step(Cycle now, bool frozen, std::uint32_t first, std::uint32_t last,
+            RouterEnv& env, CycleDelta& delta);
   /// Moves one flit of NIC `n`'s front packet into the router if the
-  /// local VC has room; delta events go to `delta` (the global delta in
-  /// the serial tick, the owning lane's in a sharded one).
+  /// local VC has room; delta events go to `delta` (the global delta on
+  /// the caller thread, the owning lane's on the lanes).
   void nic_inject_one(Cycle now, std::uint32_t n, CycleDelta& delta);
 
   /// Adds router `index` to the cycle's touched set, recording it into
@@ -288,8 +311,15 @@ class Network final : public sim::Component, private RouterEnv {
     touched_flag_[index] = 1;
     delta.touched.push_back(static_cast<std::uint32_t>(index));
   }
-  /// Serial-path shorthand: touch into the global delta.
-  void touch(std::size_t index) { touch_into(delta_, index); }
+  /// Records a wire event at `node`'s unit (`port`, `cls`) into `events`,
+  /// one of `delta`'s lists, and touches the node.  Callers guard on
+  /// collect_delta_, so the uncollected hot path pays no call.
+  void note(CycleDelta& delta, std::vector<CycleDelta::UnitEvent>& events,
+            NodeId node, Direction port, std::uint32_t cls) {
+    touch_into(delta, node.index());
+    events.push_back(
+        CycleDelta::UnitEvent{delta_unit(node, port, cls), node.value()});
+  }
   /// Global unit key for CycleDelta events (see UnitEvent in
   /// observer.hpp); emission sites precompute it so consumers pay no
   /// per-event arithmetic.
@@ -339,16 +369,13 @@ class Network final : public sim::Component, private RouterEnv {
   // the router pipelines for the cycle (see the ctor comment); computed
   // once so the tick hot path tests a bool.
   bool freeze_on_stall_ = false;
-  // Set per cycle by tick_sharded so compute_shard freezes its shard
-  // without re-deriving the fault decision on every lane.
-  bool frozen_this_cycle_ = false;
   Cycle now_ = 0;  // cached for send_flit latency stamping
   // Active-set bookkeeping.  router_live_[n] means router n must tick
   // this cycle (it holds work or just received a flit/credit); the
   // per-shard counters make idle() O(shards).  Maintained identically in
-  // dense mode.  Counters are split per shard domain so the parallel
-  // compute phase updates them without sharing a cache line; the serial
-  // kernel uses the same arrays (one shard when config.shards == 1).
+  // dense mode.  Counters are split per shard domain so each lane writes
+  // only its own shards' counters; the caller thread uses the same arrays
+  // (one shard when config.shards == 1).
   std::vector<std::uint8_t> router_live_;
   std::vector<std::uint32_t> shard_live_;          // live routers per shard
   std::vector<std::uint32_t> shard_nonempty_nics_;  // NICs with backlog
@@ -357,7 +384,8 @@ class Network final : public sim::Component, private RouterEnv {
   // inverse map (node index -> owning shard).
   std::vector<ShardRange> shard_ranges_;
   std::vector<std::uint32_t> shard_of_;
-  // Per-shard staging lanes + the persistent worker team, built only when
+  // One staging lane per shard (its vectors stay empty unless the lanes
+  // run the cycle) + the persistent worker team, built only when
   // config.shards > 1.
   std::vector<ShardLane> lanes_;
   std::unique_ptr<TickTeam> team_;

@@ -273,8 +273,7 @@ void Router::try_bind_output(std::uint32_t i, Cycle now) {
   ++port_stats_[static_cast<std::size_t>(unit_direction(i))].grants;
 }
 
-void Router::sa_port(std::uint32_t p, bool port_busy, Cycle now,
-                     RouterEnv& env) {
+void Router::sa_port(std::uint32_t p, Cycle now, RouterEnv& env) {
   const auto port = static_cast<Direction>(p);
   const std::uint32_t vcs = config_.num_vcs;
   const std::uint32_t start = sa_pointer_[p];  // < vcs (restore checks it)
@@ -339,15 +338,14 @@ void Router::sa_port(std::uint32_t p, bool port_busy, Cycle now,
     break;  // port bandwidth: one flit/cycle
   }
   PortStats& stats = port_stats_[p];
-  if (port_busy) {
-    ++stats.busy;
-    if (!port_moved) {
-      ++stats.starved;
-      if (trace_ != nullptr)
-        trace_->record(obs::TraceEvent::router_stall(now, id_.value(), p));
-    }
+  ++stats.busy;
+  if (port_moved) {
+    ++stats.flits;
+  } else {
+    ++stats.starved;
+    if (trace_ != nullptr)
+      trace_->record(obs::TraceEvent::router_stall(now, id_.value(), p));
   }
-  if (port_moved) ++stats.flits;
 }
 
 void Router::emit_onoff_signals(RouterEnv& env) {
@@ -423,7 +421,7 @@ void Router::tick_sparse(Cycle now, RouterEnv& env) {
       const std::uint32_t p =
           unit_port_[static_cast<std::uint32_t>(std::countr_zero(m))];
       m &= ~port_units_[p];
-      sa_port(p, /*port_busy=*/true, now, env);
+      sa_port(p, now, env);
     }
   }
 }
@@ -452,7 +450,7 @@ void Router::tick_dense(Cycle now, RouterEnv& env) {
     for (std::uint32_t cls = 0; cls < config_.num_vcs; ++cls)
       port_busy |= outputs_[unit(static_cast<Direction>(p), cls)].bound;
     if (!port_busy) continue;  // no stats and no movement possible
-    sa_port(p, /*port_busy=*/true, now, env);
+    sa_port(p, now, env);
   }
 }
 

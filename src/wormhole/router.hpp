@@ -302,8 +302,9 @@ class Router {
   [[nodiscard]] std::uint64_t uncharged_cycles(const OutputVc& ov) const {
     return ticks_ - ov.bound_tick + 1;
   }
-  /// SA/ST for one physical port (`port_busy` = any of its VCs bound).
-  void sa_port(std::uint32_t p, bool port_busy, Cycle now, RouterEnv& env);
+  /// SA/ST for one busy physical port (at least one of its VCs bound);
+  /// both pipelines skip idle ports, which record no stats.
+  void sa_port(std::uint32_t p, Cycle now, RouterEnv& env);
   /// restore_state's consistency pass: re-derives the counters and masks
   /// from the restored units and rejects a snapshot that disagrees.
   void check_restored_state() const;

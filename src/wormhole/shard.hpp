@@ -1,38 +1,41 @@
 // Shard staging for the multi-threaded network tick.
 //
-// The sharded tick (NetworkConfig::shards > 1) partitions routers into
-// contiguous shard domains and runs each domain's RC/VA/SA/ST pipeline on
-// a worker lane.  Determinism is by construction, not by luck:
+// Network::tick is one kernel.  Its wire pop is serial; its NIC injection
+// and router ticks run per shard range, either once over every shard on
+// the caller thread against the network itself, or, with
+// NetworkConfig::shards > 1 and no trace sink or perf counters attached,
+// per contiguous shard domain on a worker lane against that shard's
+// ShardLane.  Determinism is by construction, not by luck:
 //
-//   Phase 0 (serial, caller thread) — "classify": due entries are popped
-//   off the global wire FIFOs in exactly the serial order (including
-//   every fault-model decision) and routed into the owning shard's
-//   delivery lists.  The global wires stay the single source of truth the
-//   audit accessors expose.
+//   Wire pop (serial, caller thread): due entries are popped off the
+//   global wire FIFOs in one order, including every fault-model decision.
+//   When the lanes run, each lands on the owning shard's delivery list;
+//   otherwise it is delivered in place.  The global wires stay the single
+//   source of truth the audit accessors expose.
 //
-//   Phase 1 (parallel) — "compute": each lane delivers its shard's
-//   credits and flits, injects from its shard's NICs, and ticks its
-//   shard's routers with THIS object as the RouterEnv.  Sends and
-//   ejections are staged into per-shard queues; nothing global is
-//   written.  Router ticks are mutually independent within a cycle (all
-//   inter-router interaction travels over wires with link_latency >= 1),
-//   so any lane interleaving computes the identical per-router state.
+//   Per-shard step (lanes): each lane delivers its shard's credits and
+//   flits, injects from its shard's NICs, and ticks its shard's routers
+//   with the ShardLane as the RouterEnv.  Sends and ejections are staged
+//   into per-shard queues; nothing global is written.  Router ticks are
+//   mutually independent within a cycle (all inter-router interaction
+//   travels over wires with link_latency >= 1), so any lane interleaving
+//   computes the identical per-router state.
 //
-//   Phase 2 (serial) — "commit": staged sends are appended to the global
-//   wires shard-ascending.  The serial kernel pushes wire entries in
+//   Commit (serial): staged sends are appended to the global wires
+//   shard-ascending.  On the caller thread wire entries are pushed in
 //   router-ascending order (routers tick ascending, each router's port
 //   walk is ascending, and a (router, port) emits at most one flit and
 //   one credit per cycle), and shards are contiguous ascending router
-//   ranges — so the concatenation reproduces the serial FIFO contents
-//   byte for byte.  Ejections replay in the same order, keeping the
-//   delivered log and the latency RunningStats (floating-point summation
-//   order included) bit-identical to the serial run.
+//   ranges — so the concatenation reproduces the same FIFO contents byte
+//   for byte.  Ejections replay in the same order, keeping the delivered
+//   log and the latency RunningStats (floating-point summation order
+//   included) bit-identical.
 //
-// Each lane also accumulates its own CycleDelta; the commit phase merges
-// the lane deltas into the global delta handed to ObserverMux, so
-// incremental auditing keeps working under threads (the auditor's ledger
-// updates are commutative integer adds, so the shard-grouped event order
-// yields the same ledgers and the same verdicts).
+// Each lane also accumulates its own CycleDelta; the commit merges the
+// lane deltas into the global delta handed to ObserverMux, so incremental
+// auditing keeps working under threads (the auditor's ledger updates are
+// commutative integer adds, so the shard-grouped event order yields the
+// same ledgers and the same verdicts).
 #pragma once
 
 #include <cstdint>
@@ -69,10 +72,12 @@ struct WireCredit {
   Kind kind = Kind::kCredit;
 };
 
-/// Per-shard staging state + the RouterEnv its routers tick against.
-/// Owned by the Network, one per shard domain; every vector is cleared —
-/// never shrunk — each cycle, so the sharded tick allocates nothing in
-/// steady state.
+/// Per-shard staging state + the RouterEnv its routers tick against on
+/// the lanes.  Owned by the Network, one per shard domain; every vector
+/// is cleared — never shrunk — each cycle, so the sharded tick allocates
+/// nothing in steady state.  Sends go through the network's own
+/// wire-record helpers and routing through its oracle (defined in
+/// network.cpp).
 class ShardLane final : public RouterEnv {
  public:
   ShardLane() = default;
@@ -86,7 +91,7 @@ class ShardLane final : public RouterEnv {
   };
 
   // RouterEnv: stage instead of mutating the global fabric.  Only this
-  // lane's thread runs these during the compute phase, and they touch
+  // lane's thread runs these during the per-shard step, and they touch
   // only this lane's vectors, this lane's routers' touched flags, and
   // read-only network state.
   void send_flit(NodeId from, Direction out, const Flit& flit) override;
@@ -103,16 +108,15 @@ class ShardLane final : public RouterEnv {
   void clear_cycle();
 
   Network* net_ = nullptr;
-  std::uint32_t shard_ = 0;
 
-  // Delivery lists, filled by the serial classify phase in global FIFO
-  // pop order and drained by this lane's compute phase in the same
-  // serial sub-order (quarantine releases, then flits, then credits).
+  // Delivery lists, filled by the serial wire pop in global FIFO order
+  // and drained by this shard's step in the same sub-order (quarantine
+  // releases, then flits, then credits).
   std::vector<WireCredit> quarantine_due_;
   std::vector<WireFlit> flits_due_;
   std::vector<WireCredit> credits_due_;
 
-  // Staged results of the compute phase, committed serially.
+  // Staged results of the per-shard step, committed serially.
   std::vector<WireFlit> out_flits_;
   std::vector<WireCredit> out_credits_;
   std::vector<StagedEjection> ejections_;

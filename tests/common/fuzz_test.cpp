@@ -1,12 +1,9 @@
-// Randomized differential tests: RingBuffer against std::deque and
-// IntrusiveList against std::list, driven by the same operation streams.
+// Randomized differential test: RingBuffer against std::deque, driven by
+// the same operation streams.
 #include <gtest/gtest.h>
 
 #include <deque>
-#include <list>
-#include <vector>
 
-#include "common/intrusive_list.hpp"
 #include "common/ring_buffer.hpp"
 #include "common/rng.hpp"
 
@@ -54,61 +51,6 @@ TEST_P(ContainerFuzzTest, RingBufferMatchesDeque) {
     ASSERT_EQ(ring.pop_front(), reference.front());
     reference.pop_front();
   }
-}
-
-struct FuzzNode {
-  int id = 0;
-  IntrusiveListHook hook;
-};
-
-TEST_P(ContainerFuzzTest, IntrusiveListMatchesStdList) {
-  Rng rng(GetParam() * 57 + 3);
-  constexpr int kNodes = 64;
-  std::vector<FuzzNode> nodes(kNodes);
-  for (int i = 0; i < kNodes; ++i) nodes[static_cast<std::size_t>(i)].id = i;
-
-  IntrusiveList<FuzzNode, &FuzzNode::hook> list;
-  std::list<int> reference;  // ids, same order
-
-  const auto is_member = [&](int id) {
-    return decltype(list)::is_linked(nodes[static_cast<std::size_t>(id)]);
-  };
-
-  for (int op = 0; op < 20000; ++op) {
-    const auto choice = rng.uniform_u64(100);
-    const int id = static_cast<int>(rng.uniform_u64(kNodes));
-    auto& node = nodes[static_cast<std::size_t>(id)];
-    if (choice < 40) {  // push_back if absent
-      if (!is_member(id)) {
-        list.push_back(node);
-        reference.push_back(id);
-      }
-    } else if (choice < 50) {  // push_front if absent
-      if (!is_member(id)) {
-        list.push_front(node);
-        reference.push_front(id);
-      }
-    } else if (choice < 75) {  // pop_front
-      if (!reference.empty()) {
-        ASSERT_EQ(list.pop_front().id, reference.front());
-        reference.pop_front();
-      }
-    } else if (choice < 90) {  // erase arbitrary member
-      if (is_member(id)) {
-        list.erase(node);
-        reference.remove(id);
-      }
-    } else {  // full order check
-      ASSERT_EQ(list.size(), reference.size());
-      auto it = reference.begin();
-      for (const FuzzNode& n : list) {
-        ASSERT_NE(it, reference.end());
-        ASSERT_EQ(n.id, *it);
-        ++it;
-      }
-    }
-  }
-  list.clear();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ContainerFuzzTest,

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "common/rng.hpp"
+#include "common/snapshot.hpp"
 
 namespace wormsched {
 namespace {
@@ -102,6 +103,52 @@ TEST(QuantileEstimator, ReservoirApproximatesUniform) {
 TEST(QuantileEstimator, EmptyReturnsZero) {
   QuantileEstimator q;
   EXPECT_EQ(q.quantile(0.5), 0.0);
+}
+
+/// A saved reservoir: capacity, seen count, RNG state, sorted flag, and
+/// `held` samples 0, 1, ...
+std::vector<std::uint8_t> saved_reservoir(std::uint64_t capacity,
+                                          std::uint64_t seen,
+                                          std::uint64_t held) {
+  SnapshotWriter w;
+  w.u64(capacity);
+  w.u64(seen);
+  w.u64(1);
+  w.b(false);
+  w.u64(held);
+  for (std::uint64_t i = 0; i < held; ++i) w.f64(static_cast<double>(i));
+  return w.bytes();
+}
+
+TEST(QuantileEstimator, RestoreRejectsZeroCapacity) {
+  QuantileEstimator q;
+  const std::vector<std::uint8_t> zero = saved_reservoir(0, 0, 0);
+  SnapshotReader zero_reader(zero);
+  EXPECT_THROW(q.restore(zero_reader), SnapshotError);
+  // Control: a one-sample reservoir restores and samples.
+  const std::vector<std::uint8_t> one = saved_reservoir(1, 0, 0);
+  SnapshotReader one_reader(one);
+  q.restore(one_reader);
+  q.add(5.0);
+  EXPECT_EQ(q.quantile(0.5), 5.0);
+}
+
+TEST(QuantileEstimator, RestoreRejectsSeenCountThatWraps) {
+  constexpr std::uint64_t kLimit = std::uint64_t{1} << 63;
+  for (const std::uint64_t seen : {~std::uint64_t{0}, kLimit}) {
+    QuantileEstimator q;
+    const std::vector<std::uint8_t> bytes = saved_reservoir(4, seen, 4);
+    SnapshotReader r(bytes);
+    EXPECT_THROW(q.restore(r), SnapshotError) << seen;
+  }
+  // Control: the largest accepted count restores, and the full reservoir
+  // keeps sampling.
+  QuantileEstimator q;
+  const std::vector<std::uint8_t> bytes = saved_reservoir(4, kLimit - 1, 4);
+  SnapshotReader r(bytes);
+  q.restore(r);
+  for (int i = 0; i < 100; ++i) q.add(100.0);
+  EXPECT_EQ(q.sample_count(), kLimit + 99);
 }
 
 }  // namespace

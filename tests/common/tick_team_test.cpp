@@ -36,7 +36,7 @@ TEST(TickTeam, EveryLaneRunsExactlyOncePerCall) {
 TEST(TickTeam, LanesSeeWritesFromBeforeRun) {
   // The start barrier must publish caller writes to every lane, and the
   // done barrier must publish lane writes back — the exact pattern the
-  // sharded tick's classify/compute/commit phases rely on.
+  // sharded tick's wire pop, per-shard step and commit rely on.
   TickTeam team(3);
   std::vector<std::uint64_t> input(3, 0);
   std::vector<std::uint64_t> output(3, 0);

@@ -4,18 +4,22 @@
 // cannot produce — with SnapshotError in the library and exit 2 in the
 // CLI, never an out-of-bounds walk in the sparse pipeline.
 //
-// The crafted files patch the last router of the NNET section, whose
+// Most crafted files patch the last router of the NNET section, whose
 // saved state ends with the SA pointers (one u32 per port), the port
 // stats (four u64 per port), forwarded (u64), buffered flits and bound
 // outputs (u32 each) and the routable, requesting and bound masks (u64
 // each); the last byte of the section is the top byte of its bound mask.
+// The rest patch the packet-latency reservoir (capacity, seen count, RNG
+// state, sorted flag, samples), found by its saved bytes.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -40,23 +44,47 @@ NetworkScenarioConfig config() {
   return config;
 }
 
-/// A mid-run checkpoint and the offset just past its NNET section.
+std::uint64_t get_u64(const std::vector<std::uint8_t>& p, std::size_t at) {
+  std::uint64_t v = 0;
+  for (std::size_t i = 0; i < 8; ++i)
+    v |= static_cast<std::uint64_t>(p[at + i]) << (8 * i);
+  return v;
+}
+
+void put_u64(std::vector<std::uint8_t>& p, std::size_t at, std::uint64_t v) {
+  for (std::size_t i = 0; i < 8; ++i)
+    p[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+/// A mid-run checkpoint, the offset just past its NNET section and the
+/// offset of its latency reservoir (nnet_end when not found once).
 struct MidRunCheckpoint {
   MidRunCheckpoint() {
     NetworkRun run(config(), /*seed=*/3);
     run.advance_to(150);
     file = run.make_snapshot_file();
-    SnapshotReader r(file.payload);
+    const std::vector<std::uint8_t>& p = file.payload;
+    SnapshotReader r(p);
     for (const std::uint32_t tag :
          {kCkptMetaTag, kCkptNetConfigTag, kCkptNetworkTag}) {
       r.enter_section(tag);
       r.leave_section();
     }
-    nnet_end = file.payload.size() - r.remaining();
+    nnet_end = p.size() - r.remaining();
+    SnapshotWriter w;
+    run.network().latency_quantiles().save(w);
+    const std::vector<std::uint8_t>& q = w.bytes();
+    const auto end = p.begin() + static_cast<std::ptrdiff_t>(nnet_end);
+    const auto at = std::search(p.begin(), end, q.begin(), q.end());
+    if (at != end && std::search(at + 1, end, q.begin(), q.end()) == end)
+      reservoir_at = static_cast<std::size_t>(at - p.begin());
+    else
+      reservoir_at = nnet_end;
   }
 
   SnapshotFile file;
   std::size_t nnet_end = 0;
+  std::size_t reservoir_at = 0;
 };
 
 /// The last router's bound mask with bit 63 set: no 2-VC router has a
@@ -75,6 +103,25 @@ SnapshotFile sa_pointer_out_of_range(const MidRunCheckpoint& c) {
   for (std::size_t i = 1; i < 4; ++i) out.payload[at + i] = 0;
   return out;
 }
+
+/// The checkpoint with its latency reservoir's capacity set to
+/// `capacity` and, unless `seen` is 0, its seen count to `seen`.
+SnapshotFile with_reservoir(const MidRunCheckpoint& c, std::uint64_t capacity,
+                            std::uint64_t seen) {
+  SnapshotFile out = c.file;
+  std::vector<std::uint8_t>& p = out.payload;
+  put_u64(p, c.reservoir_at, capacity);
+  if (seen != 0) put_u64(p, c.reservoir_at + 8, seen);
+  return out;
+}
+
+/// Capacity equal to the samples held: a full reservoir.
+std::uint64_t held(const MidRunCheckpoint& c) {
+  return get_u64(c.file.payload, c.reservoir_at + 25);
+}
+
+constexpr std::uint64_t kWrappingSeen = ~std::uint64_t{0};
+constexpr std::uint64_t kLargestSeen = (std::uint64_t{1} << 63) - 1;
 
 TEST(NetworkRestoreCheck, UnmodifiedCheckpointRestores) {
   const MidRunCheckpoint c;
@@ -95,16 +142,52 @@ TEST(NetworkRestoreCheck, RejectsSaPointerOutOfRange) {
                SnapshotError);
 }
 
+TEST(NetworkRestoreCheck, RejectsZeroReservoirCapacity) {
+  // Before the check the restore tripped the reservoir's capacity
+  // assertion and aborted.
+  const MidRunCheckpoint c;
+  ASSERT_LT(c.reservoir_at, c.nnet_end);
+  EXPECT_THROW(NetworkRun(config(), with_reservoir(c, 0, 0)), SnapshotError);
+  // Control: a full reservoir restores and runs.
+  NetworkRun resumed(config(), with_reservoir(c, held(c), 0));
+  resumed.run_to_completion();
+  const NetworkScenarioResult result = resumed.finish();
+  EXPECT_EQ(result.delivered_packets, result.generated_packets);
+}
+
+TEST(NetworkRestoreCheck, RejectsReservoirSeenCountThatWraps) {
+  // Before the check the next tail ejection wrapped the full reservoir's
+  // seen count to 0 and divided by it (SIGFPE).
+  const MidRunCheckpoint c;
+  ASSERT_LT(c.reservoir_at, c.nnet_end);
+  ASSERT_GT(held(c), 0u) << "no packet delivered before the save";
+  EXPECT_THROW(NetworkRun(config(), with_reservoir(c, held(c), kWrappingSeen)),
+               SnapshotError);
+  EXPECT_THROW(
+      NetworkRun(config(), with_reservoir(c, held(c), std::uint64_t{1} << 63)),
+      SnapshotError);
+  // Control: the largest accepted count restores and keeps sampling.
+  NetworkRun resumed(config(), with_reservoir(c, held(c), kLargestSeen));
+  resumed.run_to_completion();
+  EXPECT_GT(resumed.network().latency_quantiles().sample_count(),
+            kLargestSeen);
+}
+
 TEST(NetworkRestoreCheck, CliRestoreOfCraftedFilesExits2) {
   const MidRunCheckpoint c;
-  // The unmodified file restores (exit 0), so the crafted ones fail on
-  // their router state and not on a geometry mismatch.
-  const std::vector<std::pair<std::string, SnapshotFile>> cases = {
-      {"unmodified", c.file},
-      {"stray_mask_bit", stray_mask_bit(c)},
-      {"sa_pointer_out_of_range", sa_pointer_out_of_range(c)},
+  ASSERT_LT(c.reservoir_at, c.nnet_end);
+  // The unmodified file and the controls restore (exit 0), so the crafted
+  // ones fail on the state they change and not on a geometry mismatch.
+  const std::vector<std::tuple<std::string, SnapshotFile, int>> cases = {
+      {"unmodified", c.file, 0},
+      {"stray_mask_bit", stray_mask_bit(c), 2},
+      {"sa_pointer_out_of_range", sa_pointer_out_of_range(c), 2},
+      {"zero_reservoir_capacity", with_reservoir(c, 0, 0), 2},
+      {"full_reservoir", with_reservoir(c, held(c), 0), 0},
+      {"wrapping_seen_count", with_reservoir(c, held(c), kWrappingSeen), 2},
+      {"largest_seen_count", with_reservoir(c, held(c), kLargestSeen), 0},
   };
-  for (const auto& [name, file] : cases) {
+  for (const auto& [name, file, expected] : cases) {
     const std::string path =
         testing::TempDir() + "network_restore_check_" + name + ".wsnp";
     write_snapshot_file(path, file.manifest_json, file.payload);
@@ -113,7 +196,7 @@ TEST(NetworkRestoreCheck, CliRestoreOfCraftedFilesExits2) {
                                 " > /dev/null 2>&1";
     const int status = std::system(command.c_str());
     ASSERT_TRUE(WIFEXITED(status)) << name;
-    EXPECT_EQ(WEXITSTATUS(status), name == "unmodified" ? 0 : 2) << name;
+    EXPECT_EQ(WEXITSTATUS(status), expected) << name;
     std::remove(path.c_str());
   }
 }

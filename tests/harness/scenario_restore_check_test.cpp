@@ -6,7 +6,9 @@
 // The crafted files start from a checkpoint saved before cycle 0 or 100.
 // Its scenario-state (SSTA) section is the payload's last and ends with
 // the service log, the activity tracker, the delay statistics, the
-// service starts and the largest served packet.
+// service starts and the largest served packet.  The delay statistics
+// hold the overall delay reservoir (capacity, seen count, RNG state,
+// sorted flag, samples) followed by the per-flow reservoir capacity.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
@@ -18,6 +20,7 @@
 #include <vector>
 
 #include "common/snapshot.hpp"
+#include "common/stats.hpp"
 #include "harness/checkpoint.hpp"
 #include "metrics/activity.hpp"
 #include "metrics/delay.hpp"
@@ -70,6 +73,17 @@ struct Checkpoint {
     tracker_at = starts_at - saved(result.delays).size() - tracker_len;
     log_len = saved(result.service_log).size();
     log_at = tracker_at - log_len;
+    // Walk the delay statistics past the overall and per-flow running
+    // stats to the overall reservoir and the per-flow capacity after it.
+    const std::size_t delays_at = tracker_at + tracker_len;
+    SnapshotReader d(p.data() + delays_at, starts_at - delays_at);
+    RunningStat stat;
+    stat.restore(d);
+    for (std::uint64_t f = d.u64(); f > 0; --f) stat.restore(d);
+    reservoir_at = starts_at - d.remaining();
+    QuantileEstimator reservoir;
+    reservoir.restore(d);
+    flow_capacity_at = starts_at - d.remaining();
     SnapshotReader r(p);
     r.enter_section(kCkptMetaTag);
     r.leave_section();
@@ -117,6 +131,8 @@ struct Checkpoint {
   std::size_t tracker_len = 0;
   std::size_t starts_at = 0;  // the service-start count
   std::size_t ssta_length_at = 0;
+  std::size_t reservoir_at = 0;      // the overall delay reservoir
+  std::size_t flow_capacity_at = 0;  // the per-flow reservoir capacity
 };
 
 /// A tracker claiming flow 0 is active with no window open for it.
@@ -196,6 +212,23 @@ SnapshotFile with_last_service_start(const Checkpoint& c, Cycle cycle) {
   return out;
 }
 
+/// The checkpoint with the u64 at payload offset `at` set to `v`.
+SnapshotFile with_u64(const Checkpoint& c, std::size_t at, std::uint64_t v) {
+  SnapshotFile out = c.file;
+  put_u64(out.payload, at, v);
+  return out;
+}
+
+/// The checkpoint with its overall delay reservoir full (capacity equal
+/// to the samples held) and `seen` samples seen.
+SnapshotFile full_reservoir(const Checkpoint& c, std::uint64_t seen) {
+  SnapshotFile out = c.file;
+  const std::uint64_t held = get_u64(out.payload, c.reservoir_at + 25);
+  put_u64(out.payload, c.reservoir_at, held);
+  put_u64(out.payload, c.reservoir_at + 8, seen);
+  return out;
+}
+
 /// The crafted files the CLI must reject, by name.
 std::vector<std::pair<std::string, SnapshotFile>> crafted_files() {
   const Checkpoint c0;
@@ -210,6 +243,25 @@ std::vector<std::pair<std::string, SnapshotFile>> crafted_files() {
       {"window_closing_after_save",
        with_window(c100, idle_flow(c100).since, 150)},
       {"future_service_start", with_last_service_start(c100, 100)},
+      {"zero_reservoir_capacity", with_u64(c0, c0.reservoir_at, 0)},
+      {"zero_flow_reservoir_capacity", with_u64(c0, c0.flow_capacity_at, 0)},
+      {"zero_flow_reservoir_capacity_sampled",
+       with_u64(c100, c100.flow_capacity_at, 0)},
+      {"wrapping_seen_count", full_reservoir(c100, ~std::uint64_t{0})},
+  };
+}
+
+/// Their accepted controls: the same fields with values a run can hold.
+std::vector<std::pair<std::string, SnapshotFile>> control_files() {
+  const Checkpoint c0;
+  const Checkpoint c100(100);
+  return {
+      {"reservoir_capacity_1", with_u64(c0, c0.reservoir_at, 1)},
+      {"flow_reservoir_capacity_1", with_u64(c0, c0.flow_capacity_at, 1)},
+      {"flow_reservoir_capacity_1_sampled",
+       with_u64(c100, c100.flow_capacity_at, 1)},
+      {"largest_seen_count",
+       full_reservoir(c100, (std::uint64_t{1} << 63) - 1)},
   };
 }
 
@@ -229,6 +281,8 @@ TEST(ScenarioRestoreCheck, CraftingOffsetsMatchTheCheckpoint) {
         << at;
     EXPECT_EQ(get_u64(p, c.ssta_length_at) + c.ssta_length_at + 8, p.size())
         << at;
+    EXPECT_EQ(get_u64(p, c.reservoir_at), std::uint64_t{1} << 20) << at;
+    EXPECT_EQ(get_u64(p, c.flow_capacity_at), std::uint64_t{1} << 18) << at;
     if (at == 0) {
       EXPECT_EQ(bytes_at(c.log_at, c.log_len),
                 saved(metrics::ServiceLog(kFlows)));
@@ -304,17 +358,62 @@ TEST(ScenarioRestoreCheck, RejectsServiceStartAtOrAfterTheSave) {
   EXPECT_NO_THROW(ScenarioRun(spec(), with_last_service_start(c, 99)));
 }
 
+TEST(ScenarioRestoreCheck, RejectsZeroReservoirCapacity) {
+  // Before the check a zero capacity tripped the reservoir's assertion and
+  // aborted: at once for the overall reservoir or a sampled flow's, at the
+  // first departure of an unsampled flow otherwise.
+  const Checkpoint c0;
+  const Checkpoint c100(100);
+  ASSERT_GT(get_u64(c100.file.payload, c100.reservoir_at + 8), 0u)
+      << "no flow sampled before the save";
+  EXPECT_THROW(ScenarioRun(spec(), with_u64(c0, c0.reservoir_at, 0)),
+               SnapshotError);
+  EXPECT_THROW(ScenarioRun(spec(), with_u64(c0, c0.flow_capacity_at, 0)),
+               SnapshotError);
+  EXPECT_THROW(ScenarioRun(spec(), with_u64(c100, c100.flow_capacity_at, 0)),
+               SnapshotError);
+  // Controls: a one-sample capacity restores and runs.
+  for (const SnapshotFile& file : {with_u64(c0, c0.reservoir_at, 1),
+                                   with_u64(c0, c0.flow_capacity_at, 1),
+                                   with_u64(c100, c100.flow_capacity_at, 1)}) {
+    ScenarioRun run(spec(), file);
+    run.run_to_completion();
+    EXPECT_GT(run.finish().delays.packets(), 0u);
+  }
+}
+
+TEST(ScenarioRestoreCheck, RejectsReservoirSeenCountThatWraps) {
+  // Before the check the next departure wrapped the full reservoir's seen
+  // count to 0 and divided by it (SIGFPE).
+  const Checkpoint c(100);
+  const std::uint64_t seen = get_u64(c.file.payload, c.reservoir_at + 8);
+  ASSERT_GT(seen, 0u) << "no delay sampled before the save";
+  EXPECT_THROW(ScenarioRun(spec(), full_reservoir(c, ~std::uint64_t{0})),
+               SnapshotError);
+  EXPECT_THROW(ScenarioRun(spec(), full_reservoir(c, std::uint64_t{1} << 63)),
+               SnapshotError);
+  // Control: the largest accepted count restores and keeps sampling.
+  ScenarioRun run(spec(), full_reservoir(c, (std::uint64_t{1} << 63) - 1));
+  run.run_to_completion();
+  EXPECT_GT(run.finish().delays.packets(), seen);
+}
+
 TEST(ScenarioRestoreCheck, CliRestoreOfCraftedFilesExits2) {
-  for (const auto& [name, file] : crafted_files()) {
-    const std::string path =
-        testing::TempDir() + "scenario_restore_check_" + name + ".wsnp";
-    write_snapshot_file(path, file.manifest_json, file.payload);
-    const std::string command = std::string(WS_CLI) + " run --restore " +
-                                path + " > /dev/null 2>&1";
-    const int status = std::system(command.c_str());
-    ASSERT_TRUE(WIFEXITED(status)) << name;
-    EXPECT_EQ(WEXITSTATUS(status), 2) << name;
-    std::remove(path.c_str());
+  // The controls restore (exit 0), so the crafted files fail on the
+  // field they change.
+  for (const auto& [files, expected] :
+       {std::pair{crafted_files(), 2}, std::pair{control_files(), 0}}) {
+    for (const auto& [name, file] : files) {
+      const std::string path =
+          testing::TempDir() + "scenario_restore_check_" + name + ".wsnp";
+      write_snapshot_file(path, file.manifest_json, file.payload);
+      const std::string command = std::string(WS_CLI) + " run --restore " +
+                                  path + " > /dev/null 2>&1";
+      const int status = std::system(command.c_str());
+      ASSERT_TRUE(WIFEXITED(status)) << name;
+      EXPECT_EQ(WEXITSTATUS(status), expected) << name;
+      std::remove(path.c_str());
+    }
   }
 }
 

@@ -1,20 +1,25 @@
 // Differential + fuzz coverage for the sharded multi-threaded tick.
 //
-// NetworkConfig::{shards, threads} promise results bit-identical to the
-// serial kernel: same packets, same delivery cycles, same flit counts,
+// NetworkConfig::{shards, threads} promise results bit-identical to a
+// single-shard run: same packets, same delivery cycles, same flit counts,
 // same latency statistics (down to floating-point summation order), and
 // the same auditor verdicts.  This suite drives the promise across shard
 // geometries (including shards > routers, degenerate 1x1 and 1xN meshes,
 // and torus wrap links that cross shard boundaries), the threads < shards
 // oversubscription path, the single-threaded staging path (threads = 1,
-// shards > 1), and a 200-seed faulted + unfaulted fuzz corpus.
+// shards > 1), the caller-thread executor a sharded config runs while a
+// trace sink or perf counters are attached, and a 200-seed faulted +
+// unfaulted fuzz corpus.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <initializer_list>
 #include <optional>
+#include <tuple>
 #include <vector>
 
+#include "metrics/perf_counters.hpp"
+#include "obs/trace_sink.hpp"
 #include "sim/engine.hpp"
 #include "validate/faults.hpp"
 #include "validate/network_auditor.hpp"
@@ -44,17 +49,26 @@ struct FabricRun {
   double latency_max = 0.0;
 };
 
+/// Single-threaded sinks a run may attach (not owned).
+struct Sinks {
+  obs::TraceSink* trace = nullptr;
+  metrics::PerfCounters* perf = nullptr;
+};
+
 FabricRun run_fabric(TopologySpec topo, ShardedMode mode, std::uint64_t seed,
-                     FaultSpec spec, Cycle inject_until) {
+                     FaultSpec spec, Cycle inject_until,
+                     FlowControl flow_control = FlowControl::kCredit,
+                     Sinks sinks = {}) {
   NetworkConfig config;
   config.topo = topo;
   config.router.num_vcs = 2;  // torus-legal everywhere, same in every run
+  config.router.flow_control = flow_control;
   config.threads = mode.threads;
   config.shards = mode.shards;
   std::optional<validate::ScheduledFaults> faults;
   if (spec.enabled) {
     spec.seed += seed;
-    spec.num_nodes = topo.width * topo.height;
+    spec.num_nodes = topo.num_nodes();
     faults.emplace(spec);
     config.faults = &*faults;
   }
@@ -62,6 +76,8 @@ FabricRun run_fabric(TopologySpec topo, ShardedMode mode, std::uint64_t seed,
   AuditLog log(AuditLog::Mode::kCount);
   validate::NetworkAuditor auditor(validate::NetworkAuditorConfig{}, log);
   net.attach_observer(&auditor);
+  net.set_trace_sink(sinks.trace);
+  net.set_perf_counters(sinks.perf);
 
   NetworkTrafficSource::Config traffic;
   traffic.packets_per_node_per_cycle = 0.04;
@@ -231,6 +247,100 @@ TEST(ShardedTick, FaultedTorusMatchesSerial) {
   spec.credit_stall_cycles = 20;
   expect_sharded_matches_serial(TopologySpec::torus(4, 4), /*seed=*/13, spec,
                                 /*inject_until=*/1200, {ShardedMode{4, 4}});
+}
+
+// ---------------------------------------------------------------------------
+// Caller-thread executor: with a trace sink or perf counters attached, a
+// shards=4/threads=4 config ticks on the caller thread.  Each run must
+// reproduce the single-shard run, and tracing must record the identical
+// event stream.
+
+void expect_same_events(const obs::TraceSink& ref, const obs::TraceSink& other,
+                        const char* label) {
+  EXPECT_EQ(ref.dropped(), 0u) << label << ": ring too small";
+  EXPECT_EQ(ref.recorded(), other.recorded()) << label;
+  const std::vector<obs::TraceEvent> a = ref.snapshot();
+  const std::vector<obs::TraceEvent> b = other.snapshot();
+  ASSERT_EQ(a.size(), b.size()) << label;
+  const auto fields = [](const obs::TraceEvent& e) {
+    return std::tuple(e.cycle, static_cast<int>(e.kind), e.flow, e.node,
+                      e.aux, e.id, e.v0, e.v1);
+  };
+  for (std::size_t i = 0; i < a.size(); ++i)
+    ASSERT_EQ(fields(a[i]), fields(b[i])) << label << " event #" << i;
+}
+
+/// Runs `topo` single-shard untraced, then single-shard and at
+/// shards=4/threads=4 traced, then both counted; returns the sharded
+/// trace.
+obs::TraceSink expect_caller_thread_matches(TopologySpec topo,
+                                            FlowControl flow_control,
+                                            const FaultSpec& spec,
+                                            std::uint64_t seed) {
+  constexpr Cycle kInjectUntil = 1200;
+  const ShardedMode serial{1, 1};
+  const ShardedMode sharded{4, 4};
+  obs::TraceSink::Options options;
+  options.capacity = std::size_t{1} << 18;
+  const FabricRun ref =
+      run_fabric(topo, serial, seed, spec, kInjectUntil, flow_control);
+  EXPECT_GT(ref.delivered.size(), 0u);
+  EXPECT_EQ(ref.audit_violations, 0u);
+  EXPECT_GT(ref.audit_checks, 0u);
+
+  obs::TraceSink serial_trace(options);
+  const FabricRun traced_serial = run_fabric(
+      topo, serial, seed, spec, kInjectUntil, flow_control, {&serial_trace});
+  expect_same_run(ref, traced_serial, "traced shards=1");
+  obs::TraceSink sharded_trace(options);
+  const FabricRun traced = run_fabric(topo, sharded, seed, spec, kInjectUntil,
+                                      flow_control, {&sharded_trace});
+  expect_same_run(ref, traced, "traced shards=4");
+  EXPECT_EQ(ref.audit_checks, traced.audit_checks);
+  expect_same_events(serial_trace, sharded_trace, "traced shards=4");
+
+  metrics::PerfCounters serial_perf;
+  const FabricRun counted_serial =
+      run_fabric(topo, serial, seed, spec, kInjectUntil, flow_control,
+                 {nullptr, &serial_perf});
+  expect_same_run(ref, counted_serial, "counted shards=1");
+  metrics::PerfCounters perf;
+  const FabricRun counted = run_fabric(topo, sharded, seed, spec, kInjectUntil,
+                                       flow_control, {nullptr, &perf});
+  expect_same_run(ref, counted, "counted shards=4");
+  EXPECT_EQ(ref.audit_checks, counted.audit_checks);
+  // On the caller thread every stage timer opens exactly as often as in
+  // the single-shard run; per-shard lanes would open the NIC timer once
+  // per shard.
+  for (std::size_t i = 0; i < metrics::kNumStages; ++i) {
+    const auto stage = static_cast<metrics::Stage>(i);
+    EXPECT_EQ(serial_perf.total(stage).calls, perf.total(stage).calls)
+        << metrics::stage_name(stage);
+  }
+  if (metrics::kPerfCountersCompiled) {
+    EXPECT_GT(perf.total(metrics::Stage::kNicInject).calls, 0u);
+  }
+  return sharded_trace;
+}
+
+TEST(CallerThreadFallback, FaultedAuditedMeshMatchesSingleShard) {
+  const obs::TraceSink trace = expect_caller_thread_matches(
+      TopologySpec::mesh(4, 4), FlowControl::kCredit, FaultSpec::chaos(0),
+      /*seed=*/17);
+  EXPECT_GT(trace.count(obs::EventKind::kFaultCreditHold), 0u);
+  EXPECT_GT(trace.count(obs::EventKind::kFaultLinkStall), 0u);
+}
+
+TEST(CallerThreadFallback, OnOffFatTreeWithFrozenCyclesMatchesSingleShard) {
+  FaultSpec spec;
+  spec.enabled = true;
+  spec.link_stall_rate = 0.4;
+  spec.link_stall_cycles = 6;
+  const obs::TraceSink trace = expect_caller_thread_matches(
+      TopologySpec::fat_tree(4), FlowControl::kOnOff, spec, /*seed=*/23);
+  // On/off flow control with finite buffers freezes injection and the
+  // pipelines on a link-stall cycle; these stalls delayed due flits.
+  EXPECT_GT(trace.count(obs::EventKind::kFaultLinkStall), 0u);
 }
 
 // ---------------------------------------------------------------------------
