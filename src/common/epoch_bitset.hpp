@@ -9,8 +9,9 @@
 //
 // The O(1) clear comes from stamping every 64-bit word with the epoch in
 // which it was last written: a word whose stamp is stale reads as zero.
-// clear_all() just bumps the epoch.  When the 32-bit epoch wraps, every
-// stamp is reset once — amortized nothing.
+// clear_all() just bumps the epoch, which is 64 bits wide and so never
+// wraps.  Each word sits next to its stamp in one array: a test reads
+// one cache line, and a small set is a single heap block.
 #pragma once
 
 #include <bit>
@@ -30,8 +31,7 @@ class EpochBitset {
   void resize(std::size_t size) {
     size_ = size;
     count_ = 0;
-    words_.assign((size + 63) / 64, 0);
-    stamps_.assign(words_.size(), epoch_);
+    words_.assign((size + 63) / 64, Word{0, epoch_});
   }
 
   [[nodiscard]] std::size_t size() const { return size_; }
@@ -40,40 +40,31 @@ class EpochBitset {
 
   [[nodiscard]] bool test(std::size_t i) const {
     WS_CHECK(i < size_);
-    const std::size_t w = i >> 6;
-    if (stamps_[w] != epoch_) return false;
-    return (words_[w] >> (i & 63)) & 1u;
+    return (bits(i >> 6) >> (i & 63)) & 1u;
   }
 
   void set(std::size_t i) {
     WS_CHECK(i < size_);
     const std::size_t w = i >> 6;
-    std::uint64_t word = stamps_[w] == epoch_ ? words_[w] : 0;
+    const std::uint64_t word = bits(w);
     const std::uint64_t bit = std::uint64_t{1} << (i & 63);
     count_ += (word & bit) == 0;
-    words_[w] = word | bit;
-    stamps_[w] = epoch_;
+    words_[w] = Word{word | bit, epoch_};
   }
 
   void clear(std::size_t i) {
     WS_CHECK(i < size_);
     const std::size_t w = i >> 6;
-    if (stamps_[w] != epoch_) return;
+    if (words_[w].stamp != epoch_) return;
     const std::uint64_t bit = std::uint64_t{1} << (i & 63);
-    count_ -= (words_[w] & bit) != 0;
-    words_[w] &= ~bit;
+    count_ -= (words_[w].bits & bit) != 0;
+    words_[w].bits &= ~bit;
   }
 
   /// O(1): stale-stamps every word by bumping the epoch.
   void clear_all() {
     count_ = 0;
-    if (++epoch_ == 0) {
-      // Epoch wrapped; stamp 0 would alias long-stale words as current.
-      for (std::size_t w = 0; w < words_.size(); ++w) {
-        words_[w] = 0;
-        stamps_[w] = 0;
-      }
-    }
+    ++epoch_;
   }
 
   /// First set index >= `from`, or npos.  One countr_zero per probe.
@@ -81,8 +72,7 @@ class EpochBitset {
   [[nodiscard]] std::size_t next_set(std::size_t from) const {
     if (from >= size_) return npos;
     std::size_t w = from >> 6;
-    std::uint64_t word = stamps_[w] == epoch_ ? words_[w] : 0;
-    word &= ~std::uint64_t{0} << (from & 63);
+    std::uint64_t word = bits(w) & (~std::uint64_t{0} << (from & 63));
     for (;;) {
       if (word != 0) {
         const std::size_t i =
@@ -90,7 +80,7 @@ class EpochBitset {
         return i < size_ ? i : npos;
       }
       if (++w >= words_.size()) return npos;
-      word = stamps_[w] == epoch_ ? words_[w] : 0;
+      word = bits(w);
     }
   }
 
@@ -98,7 +88,7 @@ class EpochBitset {
   template <typename Fn>
   void for_each_set(Fn&& fn) const {
     for (std::size_t w = 0; w < words_.size(); ++w) {
-      std::uint64_t word = stamps_[w] == epoch_ ? words_[w] : 0;
+      std::uint64_t word = bits(w);
       while (word != 0) {
         const std::size_t i =
             (w << 6) + static_cast<std::size_t>(std::countr_zero(word));
@@ -109,9 +99,17 @@ class EpochBitset {
   }
 
  private:
-  std::vector<std::uint64_t> words_;
-  std::vector<std::uint32_t> stamps_;
-  std::uint32_t epoch_ = 1;
+  struct Word {
+    std::uint64_t bits;
+    std::uint64_t stamp;  // epoch of the last write; stale reads as 0
+  };
+
+  [[nodiscard]] std::uint64_t bits(std::size_t w) const {
+    return words_[w].stamp == epoch_ ? words_[w].bits : 0;
+  }
+
+  std::vector<Word> words_;
+  std::uint64_t epoch_ = 1;
   std::size_t size_ = 0;
   std::size_t count_ = 0;
 };

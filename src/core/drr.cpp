@@ -29,7 +29,8 @@ FlowId DrrPolicy::begin_opportunity() {
   WS_CHECK(!in_opportunity_);
   WS_CHECK(!pool_.active().empty());
   const std::uint32_t i = pool_.active().pop_front();
-  pool_.set_sc(i, pool_.sc(i) + pool_.weight(i));
+  FlowStatePool::Row& row = pool_.row(i);
+  row.sc += row.weight;
   in_opportunity_ = true;
   current_ = FlowId(i);
   return current_;
@@ -42,8 +43,7 @@ bool DrrPolicy::may_serve(Flits length) const {
 
 void DrrPolicy::charge(Flits length) {
   WS_CHECK(in_opportunity_);
-  const std::size_t i = current_.index();
-  pool_.set_sc(i, pool_.sc(i) - static_cast<double>(length));
+  pool_.row(current_.index()).sc -= static_cast<double>(length);
 }
 
 void DrrPolicy::end_opportunity(bool still_backlogged) {
@@ -71,6 +71,8 @@ void DrrPolicy::restore(SnapshotReader& r) {
   base_quantum_ = r.i64();
   in_opportunity_ = r.b();
   current_ = FlowId{r.u32()};
+  if (in_opportunity_ && current_.index() >= pool_.num_flows())
+    throw SnapshotError("DRR snapshot serves an out-of-range flow");
 }
 
 DrrScheduler::DrrScheduler(const DrrConfig& config)

@@ -84,6 +84,7 @@ class DrrScheduler final : public Scheduler {
   void set_weight(FlowId flow, double weight) override;
 
   [[nodiscard]] DrrPolicy& policy() { return policy_; }
+  [[nodiscard]] const DrrPolicy& policy() const { return policy_; }
 
  protected:
   void on_flow_backlogged(FlowId flow) override;

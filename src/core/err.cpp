@@ -44,9 +44,10 @@ FlowId ErrPolicy::begin_opportunity() {
   }
 
   const std::uint32_t i = pool_.active().pop_front();
+  const FlowStatePool::Row& row = pool_.row(i);
   in_opportunity_ = true;
   current_ = FlowId(i);
-  allowance_ = pool_.weight(i) * (1.0 + previous_max_sc_) - pool_.sc(i);
+  allowance_ = row.weight * (1.0 + previous_max_sc_) - row.sc;
   sent_ = 0.0;
   max_charge_ = 0.0;
   WS_CHECK_MSG(allowance_ > 0.0, "ERR allowance must be positive (Lemma 1)");
@@ -63,18 +64,19 @@ void ErrPolicy::charge(double units) {
 void ErrPolicy::end_opportunity(bool still_backlogged) {
   WS_CHECK(in_opportunity_);
   const auto i = static_cast<std::uint32_t>(current_.index());
+  FlowStatePool::Row& row = pool_.row(i);
 
   // SC_i = Sent_i - A_i, folded into the round's MaxSC *before* the
   // empty-queue reset — the pseudo-code order, which means a flow that
   // overshot on its final packet still raises MaxSC even if it then idles.
   const double sc = sent_ - allowance_;
-  pool_.set_sc(i, sc);
+  row.sc = sc;
   if (sc > max_sc_) max_sc_ = sc;
 
   ErrOpportunity record{
       .round = round_,
       .flow = current_,
-      .weight = pool_.weight(i),
+      .weight = row.weight,
       .allowance = allowance_,
       .sent = sent_,
       .surplus_count = sc,
@@ -86,7 +88,7 @@ void ErrPolicy::end_opportunity(bool still_backlogged) {
   if (still_backlogged) {
     pool_.active().push_back(i);
   } else {
-    pool_.set_sc(i, 0.0);
+    row.sc = 0.0;
     record.surplus_count = 0.0;
     record.deactivated = true;
     WS_CHECK(active_count_ > 0);
@@ -136,6 +138,41 @@ void ErrPolicy::restore(SnapshotReader& r) {
   allowance_ = r.f64();
   sent_ = r.f64();
   max_charge_ = r.f64();
+  // State a run cannot reach, which the next opportunity would trip over.
+  // A rowless flow has weight 1, so only built rows need the weight check.
+  for (const FlowStatePool::Row& row : pool_.rows())
+    if (!(row.weight >= 1.0))
+      throw SnapshotError("ERR snapshot has a flow weight below 1");
+  if (in_opportunity_) {
+    if (current_.index() >= pool_.num_flows() ||
+        pool_.active().contains(current_.value()))
+      throw SnapshotError("ERR snapshot serves flow " +
+                          std::to_string(current_.value()) +
+                          ", which is out of range or also in the ActiveList");
+    if (round_robin_visit_count_ == 0)
+      throw SnapshotError(
+          "ERR snapshot has an open opportunity outside any round");
+  }
+  if (active_count_ != pool_.active().size() + (in_opportunity_ ? 1 : 0))
+    throw SnapshotError("ERR snapshot active count " +
+                        std::to_string(active_count_) +
+                        " disagrees with its ActiveList");
+  // Every listed flow's next allowance must be positive (Lemma 1).  The
+  // visits left in this round, less the one in service, go to the head
+  // of the list with the previous MaxSC; later flows are served in a
+  // later round, whose previous MaxSC is at least the current MaxSC.
+  const std::size_t this_round =
+      round_robin_visit_count_ - (in_opportunity_ ? 1 : 0);
+  std::size_t position = 0;
+  bool starved = false;
+  pool_.active().for_each([&](std::uint32_t f) {
+    const double max_sc =
+        position++ < this_round ? previous_max_sc_ : max_sc_;
+    starved |= !(pool_.weight(f) * (1.0 + max_sc) - pool_.sc(f) > 0.0);
+  });
+  if (starved)
+    throw SnapshotError(
+        "ERR snapshot lists a flow whose surplus exceeds its next allowance");
 }
 
 ErrScheduler::ErrScheduler(const ErrConfig& config)

@@ -118,13 +118,18 @@ class ErrPolicy {
   /// ActiveList as a flow-id sequence (rebuilt on restore), the round
   /// bookkeeping, and — because wormhole opportunities span many cycles —
   /// the mid-opportunity fields (current flow, allowance, sent).  The
-  /// listener is runtime wiring and is not part of the snapshot.
+  /// listener is runtime wiring and is not part of the snapshot.  The
+  /// restore throws SnapshotError on a weight below 1, an in-service flow
+  /// that is out of range or also listed, an open opportunity with no
+  /// visits left, an active count other than list size plus service, or
+  /// a listed flow whose next allowance would not be positive.
   void save(SnapshotWriter& w) const;
   void restore(SnapshotReader& r);
 
  private:
-  // Per-flow state (SC, weight, activation links) lives in SoA pool rows
-  // — an idle flow costs two doubles, one link and one membership bit.
+  // Per-flow state (SC, weight, activation links) lives in pool rows
+  // built on a flow's first activation or set_weight: an idle flow costs
+  // a 4-byte slot, a link that is never written and a membership bit.
   FlowStatePool pool_;
   std::size_t active_count_ = 0;  // flows in list + the one in service
   std::size_t round_robin_visit_count_ = 0;

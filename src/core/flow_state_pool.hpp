@@ -8,33 +8,43 @@
 // bytes before a single packet arrives) and every list hop is a cold
 // pointer dereference.
 //
-// This header replaces all of it with three flat-array primitives:
+// This header replaces all of it with three flat primitives:
 //
-//   * PacketQueuePool — every flow's FIFO packet queue, stored as
-//     parallel arrays of packet fields over a shared node store with an
-//     intrusive freelist.  An idle flow costs exactly one {head, tail,
-//     len} row (12 bytes); queued packets cost one node each regardless
-//     of which flow owns them.  Growth is geometric, so the steady state
-//     allocates nothing (the Theorem 1 per-packet cost stays O(1)).
+//   * PacketQueuePool — the packet node store every flow's FIFO queue
+//     lives in: parallel arrays of packet fields with an intrusive
+//     freelist.  A queue itself is a 12-byte QueueRow {head, tail, len}
+//     that the owner keeps in its per-flow row (core/scheduler.hpp), so
+//     queued packets cost one node each regardless of which flow owns
+//     them.  Growth is geometric, so the steady state allocates nothing
+//     (the Theorem 1 per-packet cost stays O(1)).
 //   * ActiveFifo — the disciplines' activation list as index links in a
 //     contiguous u32 array plus an epoch-stamped membership bitset
 //     (common/epoch_bitset.hpp).  Push/pop/membership are O(1) array
 //     ops; clearing on restore is O(1) via the epoch bump.  FIFO order
 //     is preserved exactly — ERR's round-robin order is activation
-//     order, so a plain bitset walk would change schedules.
+//     order, so a plain bitset walk would change schedules.  A link is
+//     written before it is read, so the link array is allocated for
+//     overwrite: an idle flow's link costs address space, not RSS.
 //   * FlowStatePool — the per-flow accounting rows (SC/deficit/credit
 //     and weight/quantum) shared by the round-robin family, plus an
-//     ActiveFifo, with bulk serialization helpers that emit the legacy
-//     v1 snapshot byte layout so existing snapshots restore unchanged.
+//     ActiveFifo.  Rows are built on a flow's first activation or
+//     set_weight (common/flow_rows.hpp), so an idle flow costs one
+//     4-byte slot.  Serialization still emits one record per configured
+//     flow — the default record for a flow without a row — so snapshots
+//     keep their layout byte for byte.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/assert.hpp"
 #include "common/epoch_bitset.hpp"
+#include "common/flow_rows.hpp"
 #include "common/types.hpp"
 #include "core/packet.hpp"
 
@@ -54,7 +64,9 @@ inline constexpr std::uint32_t kPoolNil = 0xFFFFFFFFu;
 class ActiveFifo {
  public:
   explicit ActiveFifo(std::size_t num_flows)
-      : next_(num_flows, kPoolNil), linked_(num_flows) {}
+      : next_(std::make_unique_for_overwrite<std::uint32_t[]>(num_flows)),
+        num_flows_(num_flows),
+        linked_(num_flows) {}
 
   [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] std::size_t size() const { return size_; }
@@ -109,27 +121,32 @@ class ActiveFifo {
   void restore(SnapshotReader& r, std::string_view label);
 
  private:
-  std::vector<std::uint32_t> next_;
+  // next_[f] is written by push_back(f) before anything reads it.
+  std::unique_ptr<std::uint32_t[]> next_;
+  std::size_t num_flows_;
   EpochBitset linked_;
   std::uint32_t head_ = kPoolNil;
   std::uint32_t tail_ = kPoolNil;
   std::size_t size_ = 0;
 };
 
-/// All flows' FIFO packet queues over one shared structure-of-arrays
-/// node store.  Nodes are recycled through an intrusive freelist and the
-/// arrays grow geometrically, so sustained enqueue/dequeue traffic at
-/// any flow count allocates nothing once the high-water mark is reached.
+/// One flow's FIFO packet queue: links into a PacketQueuePool's nodes.
+struct QueueRow {
+  std::uint32_t head = kPoolNil;
+  std::uint32_t tail = kPoolNil;
+  std::uint32_t len = 0;
+};
+
+/// The packet nodes of every flow's FIFO queue, in one shared
+/// structure-of-arrays store.  Nodes are recycled through an intrusive
+/// freelist and the arrays grow geometrically, so sustained
+/// enqueue/dequeue traffic at any flow count allocates nothing once the
+/// high-water mark is reached.  The queues themselves are QueueRows the
+/// caller owns; a Packet materialized from a queue takes `flow` from the
+/// caller, since the nodes do not store it.
 class PacketQueuePool {
  public:
-  explicit PacketQueuePool(std::size_t num_flows)
-      : head_(num_flows, kPoolNil), tail_(num_flows, kPoolNil), len_(num_flows, 0) {}
-
-  [[nodiscard]] std::size_t num_flows() const { return head_.size(); }
-  [[nodiscard]] bool empty(std::size_t flow) const { return len_[flow] == 0; }
-  [[nodiscard]] std::size_t size(std::size_t flow) const { return len_[flow]; }
-
-  void push_back(std::size_t flow, const Packet& p) {
+  void push_back(QueueRow& q, const Packet& p) {
     const std::uint32_t node = alloc_node();
     id_[node] = p.id.value();
     length_[node] = p.length;
@@ -137,66 +154,60 @@ class PacketQueuePool {
     first_service_[node] = p.first_service;
     departure_[node] = p.departure;
     next_[node] = kPoolNil;
-    if (tail_[flow] == kPoolNil) {
-      head_[flow] = node;
+    if (q.tail == kPoolNil) {
+      q.head = node;
     } else {
-      next_[tail_[flow]] = node;
+      next_[q.tail] = node;
     }
-    tail_[flow] = node;
-    ++len_[flow];
+    q.tail = node;
+    ++q.len;
   }
 
-  /// Materializes the head packet (its flow field is the queue's flow).
-  [[nodiscard]] Packet front(std::size_t flow) const {
-    return packet_at(flow, head_node(flow));
-  }
-
-  Packet pop_front(std::size_t flow) {
-    const std::uint32_t node = head_node(flow);
+  Packet pop_front(QueueRow& q, FlowId flow) {
+    const std::uint32_t node = head_node(q);
     const Packet p = packet_at(flow, node);
-    head_[flow] = next_[node];
-    if (head_[flow] == kPoolNil) tail_[flow] = kPoolNil;
-    --len_[flow];
+    q.head = next_[node];
+    if (q.head == kPoolNil) q.tail = kPoolNil;
+    --q.len;
     free_node(node);
     return p;
   }
 
+  /// Returns every node of `q` to the freelist.
+  void clear(QueueRow& q);
+
   /// --- Hot-path head-field access (no Packet materialization) ---------
-  [[nodiscard]] Flits head_length(std::size_t flow) const {
-    return length_[head_node(flow)];
+  [[nodiscard]] Flits head_length(const QueueRow& q) const {
+    return length_[head_node(q)];
   }
-  [[nodiscard]] PacketId head_id(std::size_t flow) const {
-    return PacketId(id_[head_node(flow)]);
+  [[nodiscard]] PacketId head_id(const QueueRow& q) const {
+    return PacketId(id_[head_node(q)]);
   }
-  [[nodiscard]] Cycle head_first_service(std::size_t flow) const {
-    return first_service_[head_node(flow)];
+  void set_head_first_service(const QueueRow& q, Cycle c) {
+    first_service_[head_node(q)] = c;
   }
-  void set_head_first_service(std::size_t flow, Cycle c) {
-    first_service_[head_node(flow)] = c;
-  }
-  void set_head_departure(std::size_t flow, Cycle c) {
-    departure_[head_node(flow)] = c;
+  void set_head_departure(const QueueRow& q, Cycle c) {
+    departure_[head_node(q)] = c;
   }
 
   /// --- Per-node stamps (timestamp disciplines tag queued packets) -----
-  [[nodiscard]] double head_stamp(std::size_t flow) const {
-    return stamp_[head_node(flow)];
+  [[nodiscard]] double head_stamp(const QueueRow& q) const {
+    return stamp_[head_node(q)];
   }
-  void set_tail_stamp(std::size_t flow, double s) {
-    WS_CHECK(tail_[flow] != kPoolNil);
-    stamp_[tail_[flow]] = s;
+  void set_tail_stamp(const QueueRow& q, double s) {
+    WS_CHECK(q.tail != kPoolNil);
+    stamp_[q.tail] = s;
   }
   template <typename Fn>
-  void for_each_stamp(std::size_t flow, Fn&& fn) const {
-    for (std::uint32_t n = head_[flow]; n != kPoolNil; n = next_[n])
-      fn(stamp_[n]);
+  void for_each_stamp(const QueueRow& q, Fn&& fn) const {
+    for (std::uint32_t n = q.head; n != kPoolNil; n = next_[n]) fn(stamp_[n]);
   }
   /// Overwrites the queue's stamps head-to-tail with `count` values from
   /// `next_value()`; `count` must equal the queue length.
   template <typename Fn>
-  void assign_stamps(std::size_t flow, std::size_t count, Fn&& next_value) {
-    WS_CHECK(count == len_[flow]);
-    for (std::uint32_t n = head_[flow]; n != kPoolNil; n = next_[n])
+  void assign_stamps(const QueueRow& q, std::size_t count, Fn&& next_value) {
+    WS_CHECK(count == q.len);
+    for (std::uint32_t n = q.head; n != kPoolNil; n = next_[n])
       stamp_[n] = next_value();
   }
 
@@ -204,19 +215,22 @@ class PacketQueuePool {
   /// Legacy v1 byte layout: u64 count, then each packet's fields in
   /// arrival order — indistinguishable from the seed's per-flow
   /// RingBuffer<Packet> serialization.
-  void save_flow(SnapshotWriter& w, std::size_t flow) const;
-  void restore_flow(SnapshotReader& r, std::size_t flow);
+  void save_queue(SnapshotWriter& w, const QueueRow& q, FlowId flow) const;
+  /// Replaces `q` with `count` packets read in that layout (the count
+  /// itself already read).  Throws SnapshotError on a packet of length
+  /// <= 0.  Returns the flits restored.
+  Flits restore_queue(SnapshotReader& r, QueueRow& q, std::uint64_t count);
 
  private:
-  [[nodiscard]] std::uint32_t head_node(std::size_t flow) const {
-    WS_CHECK_MSG(len_[flow] > 0, "head of an empty flow queue");
-    return head_[flow];
+  [[nodiscard]] std::uint32_t head_node(const QueueRow& q) const {
+    WS_CHECK_MSG(q.len > 0, "head of an empty flow queue");
+    return q.head;
   }
 
-  [[nodiscard]] Packet packet_at(std::size_t flow, std::uint32_t node) const {
+  [[nodiscard]] Packet packet_at(FlowId flow, std::uint32_t node) const {
     Packet p;
     p.id = PacketId(id_[node]);
-    p.flow = FlowId(static_cast<FlowId::rep_type>(flow));
+    p.flow = flow;
     p.length = length_[node];
     p.arrival = arrival_[node];
     p.first_service = first_service_[node];
@@ -238,13 +252,8 @@ class PacketQueuePool {
 
   void grow();
 
-  // Per-flow rows.
-  std::vector<std::uint32_t> head_;
-  std::vector<std::uint32_t> tail_;
-  std::vector<std::uint32_t> len_;
-
-  // Shared packet node store (parallel arrays; `next_` doubles as the
-  // freelist link for free nodes).
+  // Parallel arrays over the nodes; `next_` doubles as the freelist link
+  // for free nodes.
   std::vector<std::uint64_t> id_;
   std::vector<Flits> length_;
   std::vector<Cycle> arrival_;
@@ -257,33 +266,60 @@ class PacketQueuePool {
 
 /// The per-flow accounting rows shared by the round-robin family (ERR's
 /// SC, DRR's deficit, SRR's credit — plus the weight/quantum column) and
-/// the activation FIFO, in contiguous parallel arrays.
+/// the activation FIFO.  A flow without a row reads SC 0 and the initial
+/// weight; the first row() or set_*() call builds its row.
 class FlowStatePool {
  public:
+  struct Row {
+    double sc;
+    double weight;
+  };
+
   FlowStatePool(std::size_t num_flows, double initial_weight)
-      : sc_(num_flows, 0.0),
-        weight_(num_flows, initial_weight),
-        active_(num_flows) {}
+      : rows_(num_flows), initial_weight_(initial_weight), active_(num_flows) {
+    rows_.reserve_all();
+  }
 
-  [[nodiscard]] std::size_t num_flows() const { return sc_.size(); }
+  [[nodiscard]] std::size_t num_flows() const { return rows_.num_flows(); }
 
-  [[nodiscard]] double sc(std::size_t flow) const { return sc_[flow]; }
-  void set_sc(std::size_t flow, double v) { sc_[flow] = v; }
-  [[nodiscard]] double weight(std::size_t flow) const { return weight_[flow]; }
-  void set_weight(std::size_t flow, double v) { weight_[flow] = v; }
+  /// `flow`'s row, built on first use.  References stay valid: rows are
+  /// reserved for every configured flow and never move.
+  Row& row(std::size_t flow) {
+    return rows_.row(id(flow), 0.0, initial_weight_);
+  }
+
+  [[nodiscard]] double sc(std::size_t flow) const {
+    const Row* r = rows_.find(id(flow));
+    return r == nullptr ? 0.0 : r->sc;
+  }
+  void set_sc(std::size_t flow, double v) { row(flow).sc = v; }
+  [[nodiscard]] double weight(std::size_t flow) const {
+    const Row* r = rows_.find(id(flow));
+    return r == nullptr ? initial_weight_ : r->weight;
+  }
+  void set_weight(std::size_t flow, double v) { row(flow).weight = v; }
+
+  /// The built rows, in build order.
+  [[nodiscard]] std::span<const Row> rows() const { return rows_.rows(); }
 
   [[nodiscard]] ActiveFifo& active() { return active_; }
   [[nodiscard]] const ActiveFifo& active() const { return active_; }
 
-  /// Bulk-serializes the accounting rows in the legacy per-flow
-  /// interleaved layout: u64 flow count, then (sc, weight) per flow.
+  /// Serializes the accounting rows in the legacy per-flow interleaved
+  /// layout: u64 flow count, then (sc, weight) per flow — the default
+  /// record for a flow without a row.
   void save_rows(SnapshotWriter& w) const;
+  /// Builds rows only for records that differ bitwise from the default.
   /// `what` names the discipline in the mismatch error, e.g. "ERR".
   void restore_rows(SnapshotReader& r, std::string_view what);
 
  private:
-  std::vector<double> sc_;
-  std::vector<double> weight_;
+  static FlowId id(std::size_t flow) {
+    return FlowId(static_cast<FlowId::rep_type>(flow));
+  }
+
+  FlowRows<Row> rows_;
+  double initial_weight_;
   ActiveFifo active_;
 };
 

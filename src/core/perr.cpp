@@ -1,14 +1,16 @@
 #include "core/perr.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/assert.hpp"
 #include "common/snapshot.hpp"
 
 namespace wormsched::core {
 
-PerrScheduler::PerrScheduler(const PerrConfig& config)
-    : Scheduler(config.num_flows), priority_of_(config.priority_of) {
+PerrScheduler::PerrScheduler(PerrConfig config)
+    : Scheduler(config.num_flows),
+      priority_of_(std::move(config.priority_of)) {
   if (priority_of_.empty()) priority_of_.assign(config.num_flows, 0);
   WS_CHECK_MSG(priority_of_.size() == config.num_flows,
                "priority_of must have one entry per flow");

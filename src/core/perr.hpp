@@ -35,7 +35,8 @@ struct PerrConfig {
 
 class PerrScheduler final : public Scheduler {
  public:
-  explicit PerrScheduler(const PerrConfig& config);
+  /// Takes the config by value: the priority map is moved in, not copied.
+  explicit PerrScheduler(PerrConfig config);
 
   [[nodiscard]] std::string_view name() const override { return "PERR"; }
   void set_weight(FlowId flow, double weight) override;

@@ -1,5 +1,8 @@
 #include "core/scheduler.hpp"
 
+#include <bit>
+#include <limits>
+
 #include "common/assert.hpp"
 #include "common/snapshot.hpp"
 
@@ -11,16 +14,29 @@ namespace {
 constexpr std::uint32_t kSchedBaseTag = 0x53424153;   // "SABS"
 constexpr std::uint32_t kSchedDiscTag = 0x53444953;   // "SIDS"
 
+FlowId flow_at(std::size_t f) {
+  return FlowId(static_cast<FlowId::rep_type>(f));
+}
+
 }  // namespace
 
 void Scheduler::save_state(SnapshotWriter& w) const {
+  const std::size_t n = num_flows();
   w.begin_section(kSchedBaseTag);
-  w.u64(queues_.num_flows());
-  for (std::size_t f = 0; f < queues_.num_flows(); ++f)
-    queues_.save_flow(w, f);
-  save_doubles(w, weights_);
-  save_sequence(w, flits_sent_of_head_,
-                [](SnapshotWriter& o, Flits f) { o.i64(f); });
+  w.u64(n);
+  for (std::size_t f = 0; f < n; ++f) {
+    if (const FrameRow* row = rows_.find(flow_at(f)))
+      queues_.save_queue(w, row->queue, flow_at(f));
+    else
+      w.u64(0);
+  }
+  w.u64(n);
+  for (std::size_t f = 0; f < n; ++f) w.f64(weight(flow_at(f)));
+  w.u64(n);
+  for (std::size_t f = 0; f < n; ++f) {
+    const FrameRow* row = rows_.find(flow_at(f));
+    w.i64(row == nullptr ? 0 : row->progress);
+  }
   w.b(latched_flow_.has_value());
   w.u32(latched_flow_ ? latched_flow_->value() : 0);
   w.i64(backlog_flits_);
@@ -31,67 +47,104 @@ void Scheduler::save_state(SnapshotWriter& w) const {
 }
 
 void Scheduler::restore_state(SnapshotReader& r) {
+  const std::size_t n = num_flows();
   r.enter_section(kSchedBaseTag);
-  const std::uint64_t n = r.u64();
-  if (n != queues_.num_flows())
-    throw SnapshotError("scheduler snapshot has " + std::to_string(n) +
-                        " flows, this scheduler has " +
-                        std::to_string(queues_.num_flows()));
-  for (std::size_t f = 0; f < queues_.num_flows(); ++f)
-    queues_.restore_flow(r, f);
-  restore_doubles(r, weights_);
-  restore_sequence(r, flits_sent_of_head_,
-                   [](SnapshotReader& i) { return i.i64(); });
-  if (weights_.size() != queues_.num_flows() ||
-      flits_sent_of_head_.size() != queues_.num_flows())
+  const std::uint64_t flows = r.u64();
+  if (flows != n)
+    throw SnapshotError("scheduler snapshot has " + std::to_string(flows) +
+                        " flows, this scheduler has " + std::to_string(n));
+  for (FrameRow& row : rows_.rows()) queues_.clear(row.queue);
+  rows_.clear();
+  // Rows only for records that differ from the default: an empty queue,
+  // weight 1 (bitwise) and no progress.
+  Flits queued = 0;
+  for (std::size_t f = 0; f < n; ++f) {
+    const std::uint64_t count = r.u64();
+    if (count == 0) continue;
+    const Flits flits =
+        queues_.restore_queue(r, rows_.row(flow_at(f)).queue, count);
+    if (flits > std::numeric_limits<Flits>::max() - queued)
+      throw SnapshotError("scheduler snapshot queues too many flits");
+    queued += flits;
+  }
+  if (r.u64() != n)
     throw SnapshotError("scheduler snapshot per-flow arrays disagree");
+  for (std::size_t f = 0; f < n; ++f) {
+    const double w = r.f64();
+    if (!(w > 0.0))
+      throw SnapshotError("scheduler snapshot gives flow " +
+                          std::to_string(f) + " a weight that is not positive");
+    if (std::bit_cast<std::uint64_t>(w) != std::bit_cast<std::uint64_t>(1.0))
+      rows_.row(flow_at(f)).weight = w;
+  }
+  if (r.u64() != n)
+    throw SnapshotError("scheduler snapshot per-flow arrays disagree");
+  Flits progress_total = 0;
+  for (std::size_t f = 0; f < n; ++f) {
+    const Flits progress = r.i64();
+    if (progress == 0) continue;
+    FrameRow* row = rows_.find(flow_at(f));
+    if (row == nullptr || row->queue.len == 0 || progress < 0 ||
+        progress >= queues_.head_length(row->queue))
+      throw SnapshotError("scheduler snapshot has flow " + std::to_string(f) +
+                          " past the end of its head packet");
+    row->progress = progress;
+    progress_total += progress;
+  }
   const bool latched = r.b();
   const std::uint32_t latched_value = r.u32();
+  if (latched &&
+      (latched_value >= n || !flow_backlogged(FlowId(latched_value))))
+    throw SnapshotError("scheduler snapshot latches flow " +
+                        std::to_string(latched_value) +
+                        ", which has no packet queued");
   latched_flow_ =
       latched ? std::optional<FlowId>(FlowId(latched_value)) : std::nullopt;
   backlog_flits_ = r.i64();
+  if (backlog_flits_ != queued - progress_total)
+    throw SnapshotError("scheduler snapshot backlog of " +
+                        std::to_string(backlog_flits_) +
+                        " flits disagrees with its queues");
   r.leave_section();
   r.enter_section(kSchedDiscTag);
   restore_discipline(r);
   r.leave_section();
 }
 
-Scheduler::Scheduler(std::size_t num_flows)
-    : queues_(num_flows),
-      weights_(num_flows, 1.0),
-      flits_sent_of_head_(num_flows, 0) {
+Scheduler::Scheduler(std::size_t num_flows) : rows_(num_flows) {
   WS_CHECK_MSG(num_flows > 0, "scheduler needs at least one flow");
+  rows_.reserve_all();
 }
 
 void Scheduler::set_weight(FlowId flow, double w) {
   WS_CHECK_MSG(w > 0.0, "flow weight must be positive");
-  weights_[flow.index()] = w;
+  rows_.row(flow).weight = w;
 }
 
 void Scheduler::enqueue(Cycle now, Packet packet) {
-  WS_CHECK(packet.flow.index() < queues_.num_flows());
+  WS_CHECK(packet.flow.index() < num_flows());
   WS_CHECK_MSG(packet.length > 0, "zero-length packet");
-  const std::size_t f = packet.flow.index();
-  const bool was_idle = queues_.empty(f);
+  FrameRow& row = rows_.row(packet.flow);
+  const bool was_idle = row.queue.len == 0;
   packet.arrival = now;
   backlog_flits_ += packet.length;
   if (observer_ != nullptr) observer_->on_packet_arrival(now, packet);
-  queues_.push_back(f, packet);
+  queues_.push_back(row.queue, packet);
   if (was_idle) on_flow_backlogged(packet.flow);
   on_packet_enqueued(now, packet.flow,
                      requires_apriori_length() ? packet.length : Flits{-1});
 }
 
 std::size_t Scheduler::queue_length(FlowId flow) const {
-  return queues_.size(flow.index());
+  const FrameRow* row = rows_.find(flow);
+  return row == nullptr ? 0 : row->queue.len;
 }
 
 Flits Scheduler::head_packet_length(FlowId flow) const {
   WS_CHECK_MSG(requires_apriori_length(),
                "length oracle used by a discipline that did not declare "
                "requires_apriori_length()");
-  WS_CHECK(!queues_.empty(flow.index()));
-  return queues_.head_length(flow.index());
+  return queues_.head_length(queued_row(flow).queue);
 }
 
 std::optional<FlitEvent> Scheduler::pull_flit(Cycle now) {
@@ -111,35 +164,35 @@ std::optional<FlitEvent> Scheduler::pull_flit_impl(Cycle now) {
 }
 
 Scheduler::EmitResult Scheduler::emit_flit_from(Cycle now, FlowId flow) {
-  const std::size_t f = flow.index();
-  WS_CHECK_MSG(!queues_.empty(f),
-               "discipline selected a flow with an empty queue");
-  const Flits head_length = queues_.head_length(f);
-  Flits& progress = flits_sent_of_head_[f];
-  WS_CHECK(progress < head_length);
+  FrameRow& row = queued_row(flow);
+  QueueRow& queue = row.queue;
+  const Flits head_length = queues_.head_length(queue);
+  const Flits index = row.progress;
+  WS_CHECK(index < head_length);
 
-  if (progress == 0) queues_.set_head_first_service(f, now);
+  if (index == 0) queues_.set_head_first_service(queue, now);
 
+  // Field by field: built as one aggregate, GCC assembled the flit on the
+  // stack and copied it with wide loads that stall on the byte stores
+  // just made, which doubled the per-flit cost.
   EmitResult result;
-  result.flit = FlitEvent{
-      .flow = flow,
-      .packet = queues_.head_id(f),
-      .index = progress,
-      .is_head = progress == 0,
-      .is_tail = progress + 1 == head_length,
-  };
-  ++progress;
+  result.flit.flow = flow;
+  result.flit.packet = queues_.head_id(queue);
+  result.flit.index = index;
+  result.flit.is_head = index == 0;
+  result.flit.is_tail = index + 1 == head_length;
+  row.progress = index + 1;
   WS_CHECK(backlog_flits_ > 0);
   --backlog_flits_;
   if (observer_ != nullptr) observer_->on_flit(now, result.flit);
 
   if (result.flit.is_tail) {
-    queues_.set_head_departure(f, now);
+    queues_.set_head_departure(queue, now);
     result.packet_completed = true;
     result.observed_length = head_length;
-    const Packet completed = queues_.pop_front(f);
-    progress = 0;
-    result.queue_now_empty = queues_.empty(f);
+    const Packet completed = queues_.pop_front(queue, flow);
+    row.progress = 0;
+    result.queue_now_empty = queue.len == 0;
     if (observer_ != nullptr) observer_->on_packet_departure(now, completed);
   }
   return result;

@@ -19,8 +19,9 @@
 #include <cstddef>
 #include <optional>
 #include <string_view>
-#include <vector>
 
+#include "common/assert.hpp"
+#include "common/flow_rows.hpp"
 #include "common/types.hpp"
 #include "core/flow_state_pool.hpp"
 #include "core/packet.hpp"
@@ -77,22 +78,32 @@ class Scheduler {
   /// or nullopt when all queues are empty.
   std::optional<FlitEvent> pull_flit(Cycle now);
 
-  [[nodiscard]] std::size_t num_flows() const { return queues_.num_flows(); }
+  [[nodiscard]] std::size_t num_flows() const { return rows_.num_flows(); }
   [[nodiscard]] bool idle() const { return backlog_flits_ == 0; }
   /// Total untransmitted flits across all queues.
   [[nodiscard]] Flits backlog_flits() const { return backlog_flits_; }
   /// Packets not yet fully transmitted in `flow`'s queue.
   [[nodiscard]] std::size_t queue_length(FlowId flow) const;
+  /// The weight set_weight() gave `flow`; 1 before any.
+  [[nodiscard]] double weight(FlowId flow) const {
+    const FrameRow* row = rows_.find(flow);
+    return row == nullptr ? 1.0 : row->weight;
+  }
 
   /// At most one observer; not owned.  Pass nullptr to detach.
   void set_observer(SchedulerObserver* observer) { observer_ = observer; }
 
   /// Checkpoint/restore.  Serializes the queues, per-flow weights and
   /// in-flight latch, then the discipline's private state through the
-  /// save_discipline/restore_discipline hooks.  restore_state() must be
-  /// called on a freshly constructed scheduler of the same discipline and
-  /// flow count (checked); the observer wiring is runtime state and is
-  /// not part of the snapshot.
+  /// save_discipline/restore_discipline hooks.  Every configured flow is
+  /// written; a flow without a row writes the default record.  The
+  /// restore builds rows only for records that differ from it, and
+  /// throws SnapshotError on state a run cannot reach (a latch on an
+  /// empty or out-of-range queue, progress past the head packet, a
+  /// packet of length <= 0, a backlog that disagrees with the queues).
+  /// restore_state() must be called on a freshly constructed scheduler of
+  /// the same discipline and flow count (checked); the observer wiring is
+  /// runtime state and is not part of the snapshot.
   void save_state(SnapshotWriter& w) const;
   void restore_state(SnapshotReader& r);
 
@@ -136,16 +147,13 @@ class Scheduler {
 
   /// --- Services available to disciplines ------------------------------
   [[nodiscard]] bool flow_backlogged(FlowId flow) const {
-    return !queues_.empty(flow.index());
+    const FrameRow* row = rows_.find(flow);
+    return row != nullptr && row->queue.len > 0;
   }
 
   /// A-priori length oracle.  Only disciplines returning true from
   /// requires_apriori_length() may call this; enforced at runtime.
   [[nodiscard]] Flits head_packet_length(FlowId flow) const;
-
-  [[nodiscard]] double weight(FlowId flow) const {
-    return weights_[flow.index()];
-  }
 
   struct EmitResult {
     FlitEvent flit;
@@ -164,25 +172,48 @@ class Scheduler {
   /// Queued packets carry a double stamp slot in the shared node pool;
   /// these pass-throughs keep the queues themselves private.
   [[nodiscard]] double queue_head_stamp(FlowId flow) const {
-    return queues_.head_stamp(flow.index());
+    return queues_.head_stamp(queued_row(flow).queue);
   }
   void queue_set_tail_stamp(FlowId flow, double s) {
-    queues_.set_tail_stamp(flow.index(), s);
+    queues_.set_tail_stamp(queued_row(flow).queue, s);
   }
   template <typename Fn>
   void queue_for_each_stamp(FlowId flow, Fn&& fn) const {
-    queues_.for_each_stamp(flow.index(), fn);
+    if (const FrameRow* row = rows_.find(flow))
+      queues_.for_each_stamp(row->queue, fn);
   }
   template <typename Fn>
   void queue_assign_stamps(FlowId flow, std::size_t count, Fn&& next_value) {
-    queues_.assign_stamps(flow.index(), count, next_value);
+    if (count > 0)
+      queues_.assign_stamps(queued_row(flow).queue, count, next_value);
   }
 
  private:
+  /// A flow's frame row, built on its first enqueue or set_weight.  A
+  /// flow without one has an empty queue, weight 1 and no progress.
+  struct FrameRow {
+    QueueRow queue;
+    Flits progress = 0;  // flits sent of the head packet
+    double weight = 1.0;
+  };
+
+  /// The row of a flow with a packet queued (checked).
+  [[nodiscard]] const FrameRow& queued_row(FlowId flow) const {
+    const FrameRow* row = rows_.find(flow);
+    WS_CHECK_MSG(row != nullptr && row->queue.len > 0,
+                 "discipline selected a flow with an empty queue");
+    return *row;
+  }
+  [[nodiscard]] FrameRow& queued_row(FlowId flow) {
+    FrameRow* row = rows_.find(flow);
+    WS_CHECK_MSG(row != nullptr && row->queue.len > 0,
+                 "discipline selected a flow with an empty queue");
+    return *row;
+  }
+
   PacketQueuePool queues_;
-  std::vector<double> weights_;
-  std::vector<Flits> flits_sent_of_head_;  // progress into each head packet
-  std::optional<FlowId> latched_flow_;     // packet in flight (default impl)
+  FlowRows<FrameRow> rows_;
+  std::optional<FlowId> latched_flow_;  // packet in flight (default impl)
   Flits backlog_flits_ = 0;
   SchedulerObserver* observer_ = nullptr;
 };

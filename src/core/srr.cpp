@@ -39,8 +39,9 @@ FlowId SrrScheduler::select_next_flow(Cycle) {
   for (;;) {
     WS_CHECK(!pool_.active().empty());
     const std::uint32_t i = pool_.active().pop_front();
-    pool_.set_sc(i, pool_.sc(i) + pool_.weight(i));
-    if (pool_.sc(i) > 0.0) {
+    FlowStatePool::Row& row = pool_.row(i);
+    row.sc += row.weight;
+    if (row.sc > 0.0) {
       in_opportunity_ = true;
       current_ = FlowId(i);
       return current_;
@@ -53,11 +54,12 @@ void SrrScheduler::on_packet_complete(FlowId flow, Flits observed_length,
                                       bool queue_now_empty) {
   WS_CHECK(in_opportunity_ && current_ == flow);
   const auto i = static_cast<std::uint32_t>(flow.index());
-  pool_.set_sc(i, pool_.sc(i) - static_cast<double>(observed_length));
-  const bool may_continue = pool_.sc(i) > 0.0;
+  FlowStatePool::Row& row = pool_.row(i);
+  row.sc -= static_cast<double>(observed_length);
+  const bool may_continue = row.sc > 0.0;
   if (queue_now_empty || !may_continue) {
     if (queue_now_empty) {
-      pool_.set_sc(i, 0.0);
+      row.sc = 0.0;
     } else {
       pool_.active().push_back(i);
     }
@@ -79,6 +81,8 @@ void SrrScheduler::restore_discipline(SnapshotReader& r) {
   base_quantum_ = r.f64();
   in_opportunity_ = r.b();
   current_ = FlowId{r.u32()};
+  if (in_opportunity_ && current_.index() >= num_flows())
+    throw SnapshotError("SRR snapshot serves an out-of-range flow");
 }
 
 }  // namespace wormsched::core

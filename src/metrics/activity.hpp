@@ -6,7 +6,7 @@
 // empty", Sec. 3).  The tracker stores each flow's activity as maximal
 // [start, end) cycle windows, so "active throughout [t1, t2)" is one
 // binary search.  A flow's window list is built on its first activation
-// (metrics/flow_rows.hpp); a flow that never became active has none.
+// (common/flow_rows.hpp); a flow that never became active has none.
 #pragma once
 
 #include <cstddef>
@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "common/types.hpp"
-#include "metrics/flow_rows.hpp"
+#include "common/flow_rows.hpp"
 
 namespace wormsched {
 class SnapshotReader;

@@ -11,7 +11,7 @@
 #include "common/stats.hpp"
 #include "common/types.hpp"
 #include "core/scheduler.hpp"
-#include "metrics/flow_rows.hpp"
+#include "common/flow_rows.hpp"
 
 namespace wormsched::metrics {
 

@@ -5,7 +5,7 @@
 // interval.  The log records the cycle of every transmitted flit per flow
 // (cycles are naturally sorted), so any interval query is two binary
 // searches.  A flow's cycle list is built on its first served flit
-// (metrics/flow_rows.hpp); a flow that never sent answers 0.
+// (common/flow_rows.hpp); a flow that never sent answers 0.
 #pragma once
 
 #include <cstddef>
@@ -14,7 +14,7 @@
 
 #include "common/types.hpp"
 #include "core/scheduler.hpp"
-#include "metrics/flow_rows.hpp"
+#include "common/flow_rows.hpp"
 
 namespace wormsched {
 class SnapshotReader;

@@ -100,7 +100,18 @@ void ErrArbiter::on_release(FlowId owner) {
 
 void ErrArbiter::save_discipline(SnapshotWriter& w) const { policy_.save(w); }
 
-void ErrArbiter::restore_discipline(SnapshotReader& r) { policy_.restore(r); }
+void ErrArbiter::restore_discipline(SnapshotReader& r) {
+  policy_.restore(r);
+  // The owner is the flow in service; an opportunity left open between
+  // packets must be one release() could leave open (see pick()).
+  const bool serving = policy_.in_opportunity();
+  if (bound() ? !serving || owner_ != policy_.current_flow()
+              : serving && (pending_[policy_.current_flow().index()] == 0 ||
+                            !policy_.may_continue()))
+    throw SnapshotError(
+        "ERR arbiter snapshot's service opportunity disagrees with its "
+        "owner and pending heads");
+}
 
 RrArbiter::RrArbiter(std::size_t num_requesters)
     : PortArbiter(num_requesters), ring_(num_requesters) {}

@@ -130,6 +130,7 @@ class ErrArbiter final : public PortArbiter {
   }
 
   [[nodiscard]] core::ErrPolicy& policy() { return policy_; }
+  [[nodiscard]] const core::ErrPolicy& policy() const { return policy_; }
 
  protected:
   void on_new_request(FlowId requester) override;

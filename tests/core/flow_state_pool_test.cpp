@@ -1,8 +1,8 @@
 // SoA pool primitives under the million-flow scheduler core.
 //
 // ActiveFifo is fuzzed against a std::deque + membership-flag model (the
-// seed's intrusive-list semantics), PacketQueuePool against per-flow
-// std::deque<Packet> queues — the pre-pool state layouts the SoA
+// seed's intrusive-list semantics), PacketQueuePool's queues against
+// per-flow std::deque<Packet> queues — the pre-pool state layouts the SoA
 // migration replaced.  Exact FIFO order is the observable round-robin
 // order, so the differentials compare order, not just membership.
 #include <gtest/gtest.h>
@@ -112,7 +112,8 @@ Packet make_packet(std::uint64_t id, std::uint32_t flow, Flits length,
 
 TEST(PacketQueuePool, DifferentialFuzzAgainstPerFlowDeques) {
   const std::size_t flows = 23;
-  PacketQueuePool pool(flows);
+  PacketQueuePool pool;
+  std::vector<QueueRow> queues(flows);
   std::vector<std::deque<Packet>> model(flows);
   Rng rng(12345);
   std::uint64_t next_id = 0;
@@ -123,22 +124,23 @@ TEST(PacketQueuePool, DifferentialFuzzAgainstPerFlowDeques) {
           make_packet(next_id++, static_cast<std::uint32_t>(flow),
                       static_cast<Flits>(1 + rng.uniform_u64(64)),
                       static_cast<Cycle>(op));
-      pool.push_back(flow, p);
+      pool.push_back(queues[flow], p);
       model[flow].push_back(p);
     } else if (!model[flow].empty()) {
       const Packet& expect = model[flow].front();
-      ASSERT_EQ(pool.head_length(flow), expect.length);
-      ASSERT_EQ(pool.head_id(flow), expect.id);
-      const Packet got = pool.pop_front(flow);
+      ASSERT_EQ(pool.head_length(queues[flow]), expect.length);
+      ASSERT_EQ(pool.head_id(queues[flow]), expect.id);
+      const Packet got = pool.pop_front(
+          queues[flow], FlowId(static_cast<std::uint32_t>(flow)));
       ASSERT_EQ(got.id, expect.id);
       ASSERT_EQ(got.flow.index(), flow);
       ASSERT_EQ(got.length, expect.length);
       ASSERT_EQ(got.arrival, expect.arrival);
       model[flow].pop_front();
     } else {
-      ASSERT_TRUE(pool.empty(flow));
+      ASSERT_EQ(queues[flow].len, 0u);
     }
-    ASSERT_EQ(pool.size(flow), model[flow].size());
+    ASSERT_EQ(queues[flow].len, model[flow].size());
   }
 }
 
@@ -146,53 +148,62 @@ TEST(PacketQueuePool, NodesAreRecycledAcrossFlows) {
   // Freelist check: churning one flow then another reuses the same
   // nodes — the steady-state footprint is the high-water mark, not the
   // total packet count (the zero-allocation claim's mechanism).
-  PacketQueuePool pool(2);
+  PacketQueuePool pool;
+  QueueRow queues[2];
   for (int round = 0; round < 1'000; ++round) {
-    const std::size_t flow = round & 1;
+    const auto flow = static_cast<std::uint32_t>(round & 1);
     for (std::uint64_t i = 0; i < 8; ++i)
-      pool.push_back(flow, make_packet(i, static_cast<std::uint32_t>(flow),
-                                       4, 0));
+      pool.push_back(queues[flow], make_packet(i, flow, 4, 0));
     for (std::uint64_t i = 0; i < 8; ++i)
-      EXPECT_EQ(pool.pop_front(flow).id, PacketId(i));
-    EXPECT_TRUE(pool.empty(flow));
+      EXPECT_EQ(pool.pop_front(queues[flow], FlowId(flow)).id, PacketId(i));
+    EXPECT_EQ(queues[flow].len, 0u);
   }
 }
 
 TEST(PacketQueuePool, StampsFollowTheirPackets) {
-  PacketQueuePool pool(1);
+  PacketQueuePool pool;
+  QueueRow q;
   for (std::uint64_t i = 0; i < 5; ++i) {
-    pool.push_back(0, make_packet(i, 0, 1, 0));
-    pool.set_tail_stamp(0, static_cast<double>(10 * i));
+    pool.push_back(q, make_packet(i, 0, 1, 0));
+    pool.set_tail_stamp(q, static_cast<double>(10 * i));
   }
-  EXPECT_EQ(pool.head_stamp(0), 0.0);
-  (void)pool.pop_front(0);
-  EXPECT_EQ(pool.head_stamp(0), 10.0);
+  EXPECT_EQ(pool.head_stamp(q), 0.0);
+  (void)pool.pop_front(q, FlowId(0));
+  EXPECT_EQ(pool.head_stamp(q), 10.0);
   std::vector<double> stamps;
-  pool.for_each_stamp(0, [&](double s) { stamps.push_back(s); });
+  pool.for_each_stamp(q, [&](double s) { stamps.push_back(s); });
   EXPECT_EQ(stamps, (std::vector<double>{10.0, 20.0, 30.0, 40.0}));
   int next = 0;
-  pool.assign_stamps(0, 4, [&] { return static_cast<double>(next++); });
-  EXPECT_EQ(pool.head_stamp(0), 0.0);
+  pool.assign_stamps(q, 4, [&] { return static_cast<double>(next++); });
+  EXPECT_EQ(pool.head_stamp(q), 0.0);
 }
 
 TEST(PacketQueuePool, SaveRestoreRoundTripsQueues) {
-  PacketQueuePool pool(3);
-  pool.push_back(0, make_packet(1, 0, 7, 10));
-  pool.push_back(0, make_packet(2, 0, 3, 11));
-  pool.push_back(2, make_packet(3, 2, 9, 12));
+  PacketQueuePool pool;
+  QueueRow queues[3];
+  pool.push_back(queues[0], make_packet(1, 0, 7, 10));
+  pool.push_back(queues[0], make_packet(2, 0, 3, 11));
+  pool.push_back(queues[2], make_packet(3, 2, 9, 12));
   SnapshotWriter w;
-  for (std::size_t f = 0; f < 3; ++f) pool.save_flow(w, f);
+  for (std::uint32_t f = 0; f < 3; ++f)
+    pool.save_queue(w, queues[f], FlowId(f));
 
-  PacketQueuePool restored(3);
-  restored.push_back(1, make_packet(99, 1, 1, 0));  // must be replaced
+  PacketQueuePool restored;
+  QueueRow restored_queues[3];
+  // Stale contents the restore must replace.
+  restored.push_back(restored_queues[1], make_packet(99, 1, 1, 0));
   SnapshotReader r(w.bytes().data(), w.bytes().size());
-  for (std::size_t f = 0; f < 3; ++f) restored.restore_flow(r, f);
-  EXPECT_EQ(restored.size(0), 2u);
-  EXPECT_EQ(restored.size(1), 0u);
-  EXPECT_EQ(restored.size(2), 1u);
-  EXPECT_EQ(restored.pop_front(0).id, PacketId(1));
-  EXPECT_EQ(restored.pop_front(0).length, 3);
-  EXPECT_EQ(restored.pop_front(2).arrival, 12u);
+  std::vector<Flits> flits;
+  for (QueueRow& q : restored_queues)
+    flits.push_back(restored.restore_queue(r, q, r.u64()));
+  EXPECT_EQ(flits, (std::vector<Flits>{10, 0, 9}));
+  EXPECT_EQ(restored_queues[0].len, 2u);
+  EXPECT_EQ(restored_queues[1].len, 0u);
+  EXPECT_EQ(restored_queues[2].len, 1u);
+  EXPECT_EQ(restored.pop_front(restored_queues[0], FlowId(0)).id,
+            PacketId(1));
+  EXPECT_EQ(restored.pop_front(restored_queues[0], FlowId(0)).length, 3);
+  EXPECT_EQ(restored.pop_front(restored_queues[2], FlowId(2)).arrival, 12u);
 }
 
 TEST(FlowStatePool, RowsRoundTripThroughLegacyLayout) {

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "core/packet.hpp"
 #include "core/registry.hpp"
 #include "core/scheduler.hpp"
+#include "scheduler_craft.hpp"
 
 namespace wormsched::core {
 namespace {
@@ -190,6 +192,212 @@ TEST_P(SchedulerSnapshotTest, FlowCountMismatchThrows) {
   ASSERT_NE(scheduler, nullptr);
   SnapshotReader r(w.bytes());
   EXPECT_THROW(scheduler->restore_state(r), SnapshotError) << name;
+}
+
+// --- Crafted checkpoints -------------------------------------------------
+//
+// A CRC only guards accidental damage, so a restore must reject state a
+// run cannot reach with SnapshotError, before the next pull_flit() trips
+// over it.  Each case below aborted or crashed the parent at that pull.
+
+using test::ErrImage;
+using test::SchedulerImage;
+using test::get_le;
+using test::put_f64;
+using test::put_le;
+
+constexpr std::uint32_t kFarFlow = 0x7FFFFFF0;
+
+/// An ERR checkpoint from the first cycle where a packet is mid-flight,
+/// other flows wait in the ActiveList and some flow is idle.
+struct ErrCheckpoint {
+  ErrCheckpoint() {
+    const std::vector<Arrival> script = make_script();
+    auto scheduler = fresh("err");
+    std::vector<EmittedFlit> out;
+    for (at = 1; at < kHorizon; ++at) {
+      drive(*scheduler, script, at - 1, at, out);
+      SnapshotWriter w;
+      scheduler->save_state(w);
+      bytes = w.bytes();
+      const SchedulerImage sched(bytes, 0);
+      const ErrImage err(bytes, sched.discipline_at);
+      latched =
+          static_cast<std::uint32_t>(get_le(bytes, sched.latched_at + 1, 4));
+      if (bytes[sched.latched_at] == 0 || err.list.empty()) continue;
+      for (std::uint32_t f = 0; f < kNumFlows; ++f)
+        if (sched.queue_length(bytes, f) == 0) idle = f;
+      if (idle != kNumFlows) return;
+    }
+    ADD_FAILURE() << "the script never reaches the crafting state";
+  }
+
+  [[nodiscard]] SchedulerImage sched() const { return {bytes, 0}; }
+  [[nodiscard]] ErrImage err() const { return {bytes, sched().discipline_at}; }
+
+  Cycle at = 0;  // the next cycle to run
+  std::vector<std::uint8_t> bytes;
+  std::uint32_t latched = 0;       // the flow with a packet in flight
+  std::uint32_t idle = kNumFlows;  // a flow with an empty queue
+};
+
+/// Restores `bytes` into a fresh `name` scheduler and serves the rest of
+/// the script; throws what the restore throws.
+void restore_and_run(std::string_view name,
+                     const std::vector<std::uint8_t>& bytes, Cycle from) {
+  auto scheduler = fresh(name);
+  SnapshotReader r(bytes);
+  scheduler->restore_state(r);
+  std::vector<EmittedFlit> out;
+  drive(*scheduler, make_script(), from, kHorizon, out);
+  EXPECT_FALSE(out.empty());
+}
+
+TEST(SchedulerRestoreCheck, UnmodifiedCheckpointRestoresAndRuns) {
+  const ErrCheckpoint c;
+  EXPECT_NO_THROW(restore_and_run("err", c.bytes, c.at));
+}
+
+TEST(SchedulerRestoreCheck, RejectsLatchOnAFlowWithoutPackets) {
+  // Before the check, latching flow 0x7FFFFFF0 crashed the next pull
+  // (SIGSEGV).
+  const ErrCheckpoint c;
+  for (const std::uint32_t flow : {kFarFlow, c.idle}) {
+    std::vector<std::uint8_t> p = c.bytes;
+    put_le(p, c.sched().latched_at + 1, 4, flow);
+    EXPECT_THROW(restore_and_run("err", p, c.at), SnapshotError) << flow;
+  }
+}
+
+TEST(SchedulerRestoreCheck, RejectsProgressPastTheHeadPacket) {
+  const ErrCheckpoint c;
+  const SchedulerImage sched = c.sched();
+  const auto head = static_cast<Flits>(
+      get_le(c.bytes, sched.packet_length_at(c.latched, 0), 8));
+  for (const Flits progress : {head, head + 5, Flits{-1}}) {
+    std::vector<std::uint8_t> p = c.bytes;
+    put_le(p, sched.progress_at + 8 * c.latched, 8,
+           static_cast<std::uint64_t>(progress));
+    EXPECT_THROW(restore_and_run("err", p, c.at), SnapshotError) << progress;
+  }
+  // An idle flow has no head packet to be part-way through.
+  std::vector<std::uint8_t> p = c.bytes;
+  put_le(p, sched.progress_at + 8 * c.idle, 8, 1);
+  EXPECT_THROW(restore_and_run("err", p, c.at), SnapshotError);
+}
+
+TEST(SchedulerRestoreCheck, RejectsPacketOfNoFlits) {
+  const ErrCheckpoint c;
+  for (const Flits length : {Flits{0}, Flits{-3}}) {
+    std::vector<std::uint8_t> p = c.bytes;
+    put_le(p, c.sched().packet_length_at(c.latched, 0), 8,
+           static_cast<std::uint64_t>(length));
+    EXPECT_THROW(restore_and_run("err", p, c.at), SnapshotError) << length;
+  }
+}
+
+TEST(SchedulerRestoreCheck, RejectsBacklogThatDisagreesWithTheQueues) {
+  const ErrCheckpoint c;
+  const std::size_t at = c.sched().backlog_at;
+  for (const std::uint64_t backlog :
+       {get_le(c.bytes, at, 8) + 1, get_le(c.bytes, at, 8) - 1}) {
+    std::vector<std::uint8_t> p = c.bytes;
+    put_le(p, at, 8, backlog);
+    EXPECT_THROW(restore_and_run("err", p, c.at), SnapshotError) << backlog;
+  }
+}
+
+TEST(SchedulerRestoreCheck, RejectsErrServiceOutOfRangeOrListed) {
+  // Before the check, flow 0x7FFFFFF0 in service aborted the next pull
+  // (err.cpp assertion, exit 134).
+  const ErrCheckpoint c;
+  const ErrImage err = c.err();
+  for (const std::uint32_t flow : {kFarFlow, err.list.front()}) {
+    std::vector<std::uint8_t> p = c.bytes;
+    put_le(p, err.current_at, 4, flow);
+    EXPECT_THROW(restore_and_run("err", p, c.at), SnapshotError) << flow;
+  }
+}
+
+TEST(SchedulerRestoreCheck, RejectsErrActiveCountThatDisagreesWithTheList) {
+  const ErrCheckpoint c;
+  const ErrImage err = c.err();
+  for (const std::uint64_t count :
+       {err.list.size(), err.list.size() + 2}) {  // in service: + 1
+    std::vector<std::uint8_t> p = c.bytes;
+    put_le(p, err.active_count_at, 8, count);
+    EXPECT_THROW(restore_and_run("err", p, c.at), SnapshotError) << count;
+  }
+}
+
+TEST(SchedulerRestoreCheck, RejectsOpenOpportunityWithNoVisitsLeft) {
+  const ErrCheckpoint c;
+  std::vector<std::uint8_t> p = c.bytes;
+  put_le(p, c.err().visits_at, 8, 0);
+  EXPECT_THROW(restore_and_run("err", p, c.at), SnapshotError);
+}
+
+TEST(SchedulerRestoreCheck, RejectsErrWeightBelowOne) {
+  // Before the check, ERR weight 0 on a queued flow aborted the next
+  // opportunity ("ERR allowance must be positive (Lemma 1)", exit 134).
+  const ErrCheckpoint c;
+  const std::uint32_t queued = c.err().list.front();
+  for (const double weight : {0.0, 0.5, -1.0}) {
+    std::vector<std::uint8_t> p = c.bytes;
+    put_f64(p, c.err().weight_at(queued), weight);
+    EXPECT_THROW(restore_and_run("err", p, c.at), SnapshotError) << weight;
+  }
+  // Control: set_weight() accepts 1 and up, and so does the restore.
+  std::vector<std::uint8_t> p = c.bytes;
+  put_f64(p, c.err().weight_at(queued), 2.5);
+  EXPECT_NO_THROW(restore_and_run("err", p, c.at));
+}
+
+TEST(SchedulerRestoreCheck, RejectsSurplusBeyondTheNextAllowance) {
+  // Before the check, a listed flow with SC 1e9 aborted its next
+  // opportunity ("ERR allowance must be positive (Lemma 1)").
+  const ErrCheckpoint c;
+  const ErrImage err = c.err();
+  const std::size_t sc_at = err.rows_at + 16 * err.list.back();
+  for (const double sc : {1e9, std::numeric_limits<double>::quiet_NaN()}) {
+    std::vector<std::uint8_t> p = c.bytes;
+    put_f64(p, sc_at, sc);
+    EXPECT_THROW(restore_and_run("err", p, c.at), SnapshotError) << sc;
+  }
+}
+
+TEST(SchedulerRestoreCheck, RejectsDrrAndSrrServiceOutOfRange) {
+  // Both disciplines' state ends with the in-opportunity bool and the u32
+  // flow in service, the last bytes of the image.
+  for (const std::string_view name : {"drr", "srr"}) {
+    auto scheduler = fresh(name);
+    std::vector<EmittedFlit> out;
+    drive(*scheduler, make_script(), 0, kSplit, out);
+    SnapshotWriter w;
+    scheduler->save_state(w);
+    std::vector<std::uint8_t> p = w.bytes();
+    EXPECT_NO_THROW(restore_and_run(name, p, kSplit)) << name;
+    p[p.size() - 5] = 1;
+    put_le(p, p.size() - 4, 4, kFarFlow);
+    EXPECT_THROW(restore_and_run(name, p, kSplit), SnapshotError) << name;
+  }
+}
+
+TEST(SchedulerRestoreCheck, RejectsPerrClassWeightBelowOne) {
+  auto scheduler = fresh("perr");
+  std::vector<EmittedFlit> out;
+  drive(*scheduler, make_script(), 0, kSplit, out);
+  SnapshotWriter w;
+  scheduler->save_state(w);
+  std::vector<std::uint8_t> p = w.bytes();
+  // SIDS: the priority map (u64 n, u32 per flow), the u64 class count,
+  // then one ErrPolicy image per class.  Flow 0 is in class 0.
+  const std::size_t classes_at =
+      SchedulerImage(p, 0).discipline_at + 8 + 4 * kNumFlows;
+  ASSERT_EQ(get_le(p, classes_at, 8), 2u);
+  EXPECT_NO_THROW(restore_and_run("perr", p, kSplit));
+  put_f64(p, ErrImage(p, classes_at + 8).weight_at(0), 0.0);
+  EXPECT_THROW(restore_and_run("perr", p, kSplit), SnapshotError);
 }
 
 std::vector<std::string> all_scheduler_names() {

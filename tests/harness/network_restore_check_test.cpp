@@ -9,8 +9,11 @@
 // stats (four u64 per port), forwarded (u64), buffered flits and bound
 // outputs (u32 each) and the routable, requesting and bound masks (u64
 // each); the last byte of the section is the top byte of its bound mask.
-// The rest patch the packet-latency reservoir (capacity, seen count, RNG
-// state, sorted flag, samples), found by its saved bytes.
+// Others patch the packet-latency reservoir (capacity, seen count, RNG
+// state, sorted flag, samples), found by its saved bytes, or an idle ERR
+// output arbiter found the same way: its saved state ends with the
+// policy's in-opportunity bool, u32 flow in service and f64 allowance,
+// sent and largest charge.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
@@ -80,11 +83,32 @@ struct MidRunCheckpoint {
       reservoir_at = static_cast<std::size_t>(at - p.begin());
     else
       reservoir_at = nnet_end;
+    // The first unbound ERR arbiter between opportunities whose saved
+    // state occurs once in the fabric section.
+    for (std::uint32_t n = 0; n < 16 && err_end == 0; ++n) {
+      for (std::uint32_t d = 0; d < wormhole::kNumDirections; ++d) {
+        const auto& arbiter = run.network().router(NodeId(n)).arbiter(
+            static_cast<wormhole::Direction>(d), 0);
+        const auto* err = dynamic_cast<const wormhole::ErrArbiter*>(&arbiter);
+        if (err == nullptr || arbiter.bound() ||
+            err->policy().in_opportunity() || err->policy().round() == 0)
+          continue;
+        SnapshotWriter a;
+        arbiter.save_state(a);
+        const std::vector<std::uint8_t>& b = a.bytes();
+        const auto hit = std::search(p.begin(), end, b.begin(), b.end());
+        if (hit == end || std::search(hit + 1, end, b.begin(), b.end()) != end)
+          continue;
+        err_end = static_cast<std::size_t>(hit - p.begin()) + b.size();
+        break;
+      }
+    }
   }
 
   SnapshotFile file;
   std::size_t nnet_end = 0;
   std::size_t reservoir_at = 0;
+  std::size_t err_end = 0;  // just past an idle ERR arbiter's saved state
 };
 
 /// The last router's bound mask with bit 63 set: no 2-VC router has a
@@ -114,6 +138,32 @@ SnapshotFile with_reservoir(const MidRunCheckpoint& c, std::uint64_t capacity,
   if (seen != 0) put_u64(p, c.reservoir_at + 8, seen);
   return out;
 }
+
+/// The idle ERR arbiter's policy opening an opportunity for `flow`.  With
+/// `with_counts`, its active and visit counts also match an open
+/// opportunity (one flow in service, one visit left) and its allowance
+/// and sent are both 0.
+SnapshotFile err_serving(const MidRunCheckpoint& c, std::uint32_t flow,
+                         bool with_counts = false) {
+  SnapshotFile out = c.file;
+  std::vector<std::uint8_t>& p = out.payload;
+  const std::size_t in_opportunity_at = c.err_end - 8 * 3 - 4 - 1;
+  p[in_opportunity_at] = 1;
+  for (std::size_t i = 0; i < 4; ++i)
+    p[in_opportunity_at + 1 + i] = static_cast<std::uint8_t>(flow >> (8 * i));
+  if (with_counts) {
+    // Back over the reset-on-idle bool, round, both MaxSCs and the visit
+    // count to the active count.
+    const std::size_t visits_at = in_opportunity_at - 1 - 8 * 3 - 8;
+    put_u64(p, visits_at, 1);
+    put_u64(p, visits_at - 8, get_u64(p, visits_at - 8) + 1);
+    put_u64(p, in_opportunity_at + 1 + 4, 0);      // allowance
+    put_u64(p, in_opportunity_at + 1 + 4 + 8, 0);  // sent
+  }
+  return out;
+}
+
+constexpr std::uint32_t kFarFlow = 0x7FFFFFF0;
 
 /// Capacity equal to the samples held: a full reservoir.
 std::uint64_t held(const MidRunCheckpoint& c) {
@@ -173,9 +223,28 @@ TEST(NetworkRestoreCheck, RejectsReservoirSeenCountThatWraps) {
             kLargestSeen);
 }
 
+TEST(NetworkRestoreCheck, RejectsErrArbiterServingAnOutOfRangeFlow) {
+  // Before the check the next grant indexed the arbiter's pending heads
+  // with the restored flow.
+  const MidRunCheckpoint c;
+  ASSERT_GT(c.err_end, 0u) << "no idle ERR arbiter with unique bytes";
+  EXPECT_THROW(NetworkRun(config(), err_serving(c, kFarFlow)), SnapshotError);
+}
+
+TEST(NetworkRestoreCheck, RejectsErrArbiterOpportunityReleaseNeverLeaves) {
+  // Requester 0 in service with consistent counts passes the policy's own
+  // checks, but an unbound arbiter only keeps an opportunity open for a
+  // requester with a head pending and allowance left (here none is left);
+  // before the check, the next grant aborted on that assertion.
+  const MidRunCheckpoint c;
+  ASSERT_GT(c.err_end, 0u) << "no idle ERR arbiter with unique bytes";
+  EXPECT_THROW(NetworkRun(config(), err_serving(c, 0, true)), SnapshotError);
+}
+
 TEST(NetworkRestoreCheck, CliRestoreOfCraftedFilesExits2) {
   const MidRunCheckpoint c;
   ASSERT_LT(c.reservoir_at, c.nnet_end);
+  ASSERT_GT(c.err_end, 0u);
   // The unmodified file and the controls restore (exit 0), so the crafted
   // ones fail on the state they change and not on a geometry mismatch.
   const std::vector<std::tuple<std::string, SnapshotFile, int>> cases = {
@@ -186,6 +255,7 @@ TEST(NetworkRestoreCheck, CliRestoreOfCraftedFilesExits2) {
       {"full_reservoir", with_reservoir(c, held(c), 0), 0},
       {"wrapping_seen_count", with_reservoir(c, held(c), kWrappingSeen), 2},
       {"largest_seen_count", with_reservoir(c, held(c), kLargestSeen), 0},
+      {"err_serving_out_of_range_flow", err_serving(c, kFarFlow), 2},
   };
   for (const auto& [name, file, expected] : cases) {
     const std::string path =

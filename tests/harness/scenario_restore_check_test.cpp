@@ -3,9 +3,12 @@
 // run — with SnapshotError in the library and exit 2 in the CLI, never an
 // assertion abort or an allocation failure.
 //
-// The crafted files start from a checkpoint saved before cycle 0 or 100.
-// Its scenario-state (SSTA) section is the payload's last and ends with
-// the service log, the activity tracker, the delay statistics, the
+// The crafted files start from a checkpoint saved before cycle 0 or 100,
+// or at the first cycle after 100 with a packet in flight.  Its
+// scenario-state (SSTA) section is the payload's last.  It starts with
+// the cycle, arrival cursor, next packet id, done flag and trace round,
+// then the ERR scheduler (laid out in core/scheduler_craft.hpp), and ends
+// with the service log, the activity tracker, the delay statistics, the
 // service starts and the largest served packet.  The delay statistics
 // hold the overall delay reservoir (capacity, seen count, RNG state,
 // sorted flag, samples) followed by the per-flow reservoir capacity.
@@ -25,6 +28,7 @@
 #include "metrics/activity.hpp"
 #include "metrics/delay.hpp"
 #include "metrics/service_log.hpp"
+#include "../core/scheduler_craft.hpp"
 
 namespace wormsched::harness {
 namespace {
@@ -121,6 +125,14 @@ struct Checkpoint {
   [[nodiscard]] SnapshotFile with_log(
       const std::vector<std::uint8_t>& log) const {
     return spliced(log_at, log_len, log);
+  }
+
+  /// The saved scheduler and its ERR policy.
+  [[nodiscard]] test::SchedulerImage scheduler() const {
+    return {file.payload, ssta_length_at + 8 + 8 + 8 + 8 + 1 + 8};
+  }
+  [[nodiscard]] test::ErrImage err() const {
+    return {file.payload, scheduler().discipline_at};
   }
 
   Cycle at;
@@ -229,11 +241,46 @@ SnapshotFile full_reservoir(const Checkpoint& c, std::uint64_t seen) {
   return out;
 }
 
+/// The first checkpoint after cycle 100 with a packet in flight and
+/// another flow waiting in ERR's ActiveList.
+Checkpoint in_flight() {
+  for (Cycle at = 100; at < spec().config.horizon; ++at) {
+    Checkpoint c(at);
+    if (c.file.payload[c.scheduler().latched_at] != 0 && !c.err().list.empty())
+      return c;
+  }
+  ADD_FAILURE() << "no packet in flight after cycle 100";
+  return Checkpoint(100);
+}
+
+/// The checkpoint with `bytes` little-endian bytes at `at` set to `v`.
+SnapshotFile with_field(const Checkpoint& c, std::size_t at,
+                        std::size_t bytes, std::uint64_t v) {
+  SnapshotFile out = c.file;
+  test::put_le(out.payload, at, bytes, v);
+  return out;
+}
+
+/// The checkpoint with ERR's weight of its first listed flow set to `w`.
+SnapshotFile with_listed_weight(const Checkpoint& c, double w) {
+  SnapshotFile out = c.file;
+  test::put_f64(out.payload, c.err().weight_at(c.err().list.front()), w);
+  return out;
+}
+
+constexpr std::uint64_t kFarFlow = 0x7FFFFFF0;
+
 /// The crafted files the CLI must reject, by name.
 std::vector<std::pair<std::string, SnapshotFile>> crafted_files() {
   const Checkpoint c0;
   const Checkpoint c100(100);
+  const Checkpoint busy = in_flight();
   return {
+      {"latch_out_of_range",
+       with_field(busy, busy.scheduler().latched_at + 1, 4, kFarFlow)},
+      {"err_service_out_of_range",
+       with_field(busy, busy.err().current_at, 4, kFarFlow)},
+      {"err_zero_weight_on_queued_flow", with_listed_weight(busy, 0.0)},
       {"active_without_window", c0.with_tracker(active_without_window())},
       {"active_with_empty_queue", c0.with_tracker(active_with_empty_queue())},
       {"huge_sequence_count", huge_sequence_count(c0)},
@@ -255,7 +302,10 @@ std::vector<std::pair<std::string, SnapshotFile>> crafted_files() {
 std::vector<std::pair<std::string, SnapshotFile>> control_files() {
   const Checkpoint c0;
   const Checkpoint c100(100);
+  const Checkpoint busy = in_flight();
   return {
+      {"in_flight", busy.file},
+      {"err_weight_2_on_queued_flow", with_listed_weight(busy, 2.0)},
       {"reservoir_capacity_1", with_u64(c0, c0.reservoir_at, 1)},
       {"flow_reservoir_capacity_1", with_u64(c0, c0.flow_capacity_at, 1)},
       {"flow_reservoir_capacity_1_sampled",
@@ -295,6 +345,22 @@ TEST(ScenarioRestoreCheck, CraftingOffsetsMatchTheCheckpoint) {
     EXPECT_EQ(c.with_log(bytes_at(c.log_at, c.log_len)).payload, p) << at;
     EXPECT_EQ(c.with_tracker(saved(c.tracker())).payload, p) << at;
   }
+}
+
+TEST(ScenarioRestoreCheck, SchedulerOffsetsMatchTheCheckpoint) {
+  const Checkpoint c = in_flight();
+  const std::vector<std::uint8_t>& p = c.file.payload;
+  const test::SchedulerImage sched = c.scheduler();
+  EXPECT_EQ(test::get_le(p, sched.queue_at[0] - 20, 4), 0x53424153u);  // SABS
+  EXPECT_EQ(sched.flows, kFlows);
+  EXPECT_EQ(test::get_le(p, sched.discipline_at - 12, 4),
+            0x53444953u);  // SIDS
+  const test::ErrImage err = c.err();
+  EXPECT_EQ(err.flows, kFlows);
+  EXPECT_EQ(p[err.in_opportunity_at], 1u);
+  EXPECT_EQ(test::get_le(p, err.current_at, 4),
+            test::get_le(p, sched.latched_at + 1, 4));
+  EXPECT_EQ(test::get_le(p, err.active_count_at, 8), err.list.size() + 1);
 }
 
 TEST(ScenarioRestoreCheck, RejectsActiveFlowWithoutWindow) {

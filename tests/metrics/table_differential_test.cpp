@@ -1,7 +1,7 @@
 // The per-flow metrics tables against the dense layout they replaced.
 //
 // ServiceLog, ActivityTracker and DelayStats keep a row only for a flow
-// that carried traffic (metrics/flow_rows.hpp).  The reference models
+// that carried traffic (common/flow_rows.hpp).  The reference models
 // below keep one slot per configured flow, as the tables did before, and
 // are the specification: over random event streams on many flows, most of
 // them idle, every accessor must give the same answer and every save the
