@@ -24,10 +24,13 @@
 
 #include <array>
 #include <bit>
+#include <concepts>
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -48,16 +51,48 @@ class SnapshotError : public std::runtime_error {
 [[nodiscard]] std::uint32_t snapshot_crc32(const std::uint8_t* data,
                                            std::size_t size);
 
+/// --- Fixed-width fields --------------------------------------------------
+///
+/// The one place byte order is handled: every u32/u64/f64 field, section
+/// length and CRC trailer goes through these.  On a little-endian host
+/// each is a plain copy; elsewhere the bytes are reversed, so files stay
+/// little-endian on every host.
+
+static_assert(std::endian::native == std::endian::little ||
+                  std::endian::native == std::endian::big,
+              "mixed-endian hosts are not supported");
+
+template <std::unsigned_integral U>
+constexpr U to_little_endian(U v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    return v;
+  } else {
+    U out = 0;
+    for (std::size_t i = 0; i < sizeof(U); ++i, v >>= 8)
+      out = static_cast<U>((out << 8) | (v & 0xFFu));
+    return out;
+  }
+}
+
+template <std::unsigned_integral U>
+inline void store_le(std::uint8_t* dst, U v) {
+  v = to_little_endian(v);
+  std::memcpy(dst, &v, sizeof(U));
+}
+
+template <std::unsigned_integral U>
+[[nodiscard]] inline U load_le(const std::uint8_t* src) {
+  U v = 0;
+  std::memcpy(&v, src, sizeof(U));
+  return to_little_endian(v);
+}
+
 class SnapshotWriter {
  public:
   void u8(std::uint8_t v) { buf_.push_back(v); }
   void b(bool v) { u8(v ? 1 : 0); }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+  void u32(std::uint32_t v);
+  void u64(std::uint64_t v);
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   /// Exact: the double's bit pattern, not a decimal rendering.
   void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
@@ -80,8 +115,20 @@ class SnapshotWriter {
     WS_CHECK_MSG(open_sections_.empty(), "unclosed snapshot section");
     return buf_;
   }
+  /// Hands the finished buffer over without copying it; the writer is
+  /// empty afterwards.
+  [[nodiscard]] std::vector<std::uint8_t> take() {
+    WS_CHECK_MSG(open_sections_.empty(), "unclosed snapshot section");
+    return std::exchange(buf_, {});
+  }
 
  private:
+  friend void save_doubles(SnapshotWriter& w, const std::vector<double>& v);
+
+  /// Appends `n` bytes for the caller to fill; the pointer is valid until
+  /// the next write.
+  std::uint8_t* grow(std::size_t n);
+
   std::vector<std::uint8_t> buf_;
   std::vector<std::size_t> open_sections_;  // offsets of length fields
 };
@@ -93,34 +140,29 @@ class SnapshotReader {
   explicit SnapshotReader(const std::vector<std::uint8_t>& payload)
       : SnapshotReader(payload.data(), payload.size()) {}
 
-  [[nodiscard]] std::uint8_t u8() {
-    need(1);
-    return data_[pos_++];
-  }
+  [[nodiscard]] std::uint8_t u8() { return *raw(1); }
   [[nodiscard]] bool b() { return u8() != 0; }
   [[nodiscard]] std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-      v |= static_cast<std::uint32_t>(data_[pos_++]) << (8 * i);
-    return v;
+    return load_le<std::uint32_t>(raw(sizeof(std::uint32_t)));
   }
   [[nodiscard]] std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-      v |= static_cast<std::uint64_t>(data_[pos_++]) << (8 * i);
-    return v;
+    return load_le<std::uint64_t>(raw(sizeof(std::uint64_t)));
   }
   [[nodiscard]] std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   [[nodiscard]] double f64() { return std::bit_cast<double>(u64()); }
   [[nodiscard]] std::string str() {
     const std::uint64_t n = u64();
+    const std::uint8_t* s = raw(n);
+    return std::string(reinterpret_cast<const char*>(s),
+                       static_cast<std::size_t>(n));
+  }
+  /// Borrows the next `n` bytes verbatim (the counterpart of
+  /// SnapshotWriter::raw); bounds-checked before anything is touched.
+  [[nodiscard]] const std::uint8_t* raw(std::uint64_t n) {
     need(n);
-    std::string s(reinterpret_cast<const char*>(data_ + pos_),
-                  static_cast<std::size_t>(n));
+    const std::uint8_t* at = data_ + pos_;
     pos_ += static_cast<std::size_t>(n);
-    return s;
+    return at;
   }
 
   /// Tag of the next section without consuming it; 0 when the current
@@ -196,12 +238,12 @@ void restore_sequence(SnapshotReader& r, std::vector<T>& v, Fn load_elem) {
   for (std::uint64_t i = 0; i < n; ++i) v.push_back(load_elem(r));
 }
 
-inline void save_doubles(SnapshotWriter& w, const std::vector<double>& v) {
-  save_sequence(w, v, [](SnapshotWriter& o, double x) { o.f64(x); });
-}
-inline void restore_doubles(SnapshotReader& r, std::vector<double>& v) {
-  restore_sequence(r, v, [](SnapshotReader& i) { return i.f64(); });
-}
+/// A u64 count and then each double as an f64 field: the same bytes as
+/// save_sequence with an f64 per element, written and read in bulk (the
+/// latency reservoir is most of a fabric checkpoint).  The restore rejects
+/// a count above the bytes left / 8 before it sizes the vector.
+void save_doubles(SnapshotWriter& w, const std::vector<double>& v);
+void restore_doubles(SnapshotReader& r, std::vector<double>& v);
 
 /// --- File container ------------------------------------------------------
 ///
@@ -224,6 +266,13 @@ void write_snapshot_file(const std::string& path,
 
 /// Throws SnapshotError on any malformed input (see file comment).
 [[nodiscard]] SnapshotFile read_snapshot_file(const std::string& path);
+
+/// The whole file in one buffer, sized once from the file's length.  The
+/// reader behind both containers (snapshots and binary traces); `what`
+/// names the file kind in the SnapshotError thrown when the path cannot
+/// be opened or read.
+[[nodiscard]] std::vector<std::uint8_t> read_file_bytes(
+    const std::string& path, std::string_view what);
 
 /// Container parse of an in-memory image (the file reader's core; also
 /// what the corruption tests drive directly).

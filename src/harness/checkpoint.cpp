@@ -333,7 +333,7 @@ std::vector<std::uint8_t> NetworkRun::checkpoint_payload(
   source_->save_state(w);
   w.end_section();
   if (extra) extra(w);
-  return w.bytes();
+  return w.take();
 }
 
 SnapshotFile NetworkRun::make_snapshot_file(const ExtraSections& extra) const {
@@ -497,7 +497,7 @@ std::vector<std::uint8_t> ScenarioRun::checkpoint_payload() const {
   w.begin_section(kCkptScenStateTag);
   core_->save_state(w);
   w.end_section();
-  return w.bytes();
+  return w.take();
 }
 
 SnapshotFile ScenarioRun::make_snapshot_file() const {

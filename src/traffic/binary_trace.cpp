@@ -77,7 +77,7 @@ std::vector<std::uint8_t> BinaryTraceWriter::finish(
   payload.raw(entries_.bytes().data(), entries_.bytes().size());
   payload.end_section();
 
-  const std::vector<std::uint8_t>& body = payload.bytes();
+  const std::vector<std::uint8_t> body = payload.take();
   SnapshotWriter file;
   for (const char c : kMagic) file.u8(static_cast<std::uint8_t>(c));
   file.u32(kBinaryTraceFormatVersion);
@@ -86,7 +86,7 @@ std::vector<std::uint8_t> BinaryTraceWriter::finish(
   file.u64(body.size());
   file.raw(body.data(), body.size());
   file.u32(snapshot_crc32(body.data(), body.size()));
-  return file.bytes();
+  return file.take();
 }
 
 BinaryTraceReader::BinaryTraceReader(const std::uint8_t* data,
@@ -95,7 +95,7 @@ BinaryTraceReader::BinaryTraceReader(const std::uint8_t* data,
       std::memcmp(data, kMagic, sizeof(kMagic)) != 0)
     throw SnapshotError("not a wormsched binary trace (bad magic)");
   SnapshotReader header(data, size);
-  for (std::size_t i = 0; i < sizeof(kMagic); ++i) (void)header.u8();
+  (void)header.raw(sizeof(kMagic));
   const std::uint32_t version = header.u32();
   if (version != kBinaryTraceFormatVersion)
     throw SnapshotError("unsupported binary trace format version " +
@@ -106,16 +106,11 @@ BinaryTraceReader::BinaryTraceReader(const std::uint8_t* data,
   meta_json_ = header.str();
   const std::uint64_t payload_len = header.u64();
   // Borrow the payload span in place; the declared trailer must fit too.
-  const std::uint64_t header_bytes =
-      sizeof(kMagic) + 4 + 4 + 8 + meta_json_.size() + 8;
-  if (payload_len > size - header_bytes ||
-      size - header_bytes - payload_len < 4)
+  if (payload_len > header.remaining() ||
+      header.remaining() - payload_len < 4)
     throw SnapshotError("binary trace truncated (read past end of data)");
-  const std::uint8_t* payload = data + header_bytes;
-  std::uint32_t declared_crc = 0;
-  for (std::size_t i = 0; i < 4; ++i)
-    declared_crc |= static_cast<std::uint32_t>(payload[payload_len + i])
-                    << (8 * i);
+  const std::uint8_t* payload = header.raw(payload_len);
+  const std::uint32_t declared_crc = header.u32();
   if (declared_crc !=
       snapshot_crc32(payload, static_cast<std::size_t>(payload_len)))
     throw SnapshotError("binary trace payload corrupted (CRC mismatch)");
@@ -196,17 +191,7 @@ void write_binary_trace_bytes(const std::string& path,
 }
 
 Trace load_binary_trace_file(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) throw SnapshotError("cannot open trace file: " + path);
-  std::vector<std::uint8_t> bytes;
-  std::uint8_t chunk[1 << 16];
-  std::size_t got = 0;
-  while ((got = std::fread(chunk, 1, sizeof(chunk), f)) > 0)
-    bytes.insert(bytes.end(), chunk, chunk + got);
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) throw SnapshotError("I/O error reading trace: " + path);
-  return decode_binary_trace(bytes);
+  return decode_binary_trace(read_file_bytes(path, "trace"));
 }
 
 bool is_binary_trace(const std::uint8_t* data, std::size_t size) {

@@ -8,18 +8,46 @@
 // a known container field.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
+
+#include <sys/stat.h>
 
 #include "common/snapshot.hpp"
 
 namespace wormsched {
 namespace {
+
+// Byte-at-a-time reference, one polynomial step per bit: shares nothing
+// with the sliced tables under test.
+std::uint32_t reference_crc32(const std::uint8_t* data, std::size_t size) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int k = 0; k < 8; ++k)
+      crc = (crc & 1) != 0 ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+std::vector<std::uint8_t> pseudo_random_bytes(std::size_t n) {
+  std::vector<std::uint8_t> bytes(n);
+  std::uint64_t x = 0x9E3779B97F4A7C15ull;
+  for (auto& byte : bytes) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    byte = static_cast<std::uint8_t>(x >> 32);
+  }
+  return bytes;
+}
 
 TEST(SnapshotPrimitives, ScalarsRoundTripBitExactly) {
   SnapshotWriter w;
@@ -52,6 +80,48 @@ TEST(SnapshotPrimitives, ScalarsRoundTripBitExactly) {
   EXPECT_EQ(r.str(), "hello");
   EXPECT_EQ(r.str(), "");
   EXPECT_TRUE(r.exhausted());
+}
+
+TEST(SnapshotPrimitives, FixedWidthFieldsRoundTripAtOddOffsets) {
+  // A leading u8 puts the u32, u64 and f64 at odd offsets (1, 5, 13),
+  // so their loads and stores are misaligned.  The bytes are pinned too:
+  // fields are little-endian on every host.
+  SnapshotWriter w;
+  w.u8(0x5A);
+  w.u32(0xDEADBEEFu);
+  w.u64(0x0123456789ABCDEFull);
+  w.f64(-1.5e-300);
+  w.u8(0xA5);
+  w.u32(0x01020304u);
+  const std::vector<std::uint8_t>& bytes = w.bytes();
+  ASSERT_EQ(bytes.size(), 1u + 4 + 8 + 8 + 1 + 4);
+  EXPECT_EQ(std::vector<std::uint8_t>(bytes.begin() + 1, bytes.begin() + 5),
+            (std::vector<std::uint8_t>{0xEF, 0xBE, 0xAD, 0xDE}));
+  EXPECT_EQ(std::vector<std::uint8_t>(bytes.begin() + 5, bytes.begin() + 13),
+            (std::vector<std::uint8_t>{0xEF, 0xCD, 0xAB, 0x89, 0x67, 0x45,
+                                       0x23, 0x01}));
+
+  SnapshotReader r(bytes);
+  EXPECT_EQ(r.u8(), 0x5A);
+  EXPECT_EQ(r.u32(), 0xDEADBEEFu);
+  EXPECT_EQ(r.u64(), 0x0123456789ABCDEFull);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.f64()),
+            std::bit_cast<std::uint64_t>(-1.5e-300));
+  EXPECT_EQ(r.u8(), 0xA5);
+  EXPECT_EQ(r.u32(), 0x01020304u);
+  EXPECT_TRUE(r.exhausted());
+}
+
+TEST(SnapshotPrimitives, TakeHandsOverTheBufferAndEmptiesTheWriter) {
+  SnapshotWriter w;
+  w.begin_section(0x12121212u);
+  w.u64(9);
+  w.end_section();
+  const std::vector<std::uint8_t> expected = w.bytes();
+  EXPECT_EQ(w.take(), expected);
+  EXPECT_TRUE(w.bytes().empty());
+  w.u8(1);  // still usable
+  EXPECT_EQ(w.take(), std::vector<std::uint8_t>{1});
 }
 
 TEST(SnapshotPrimitives, ReadPastEndThrows) {
@@ -168,6 +238,78 @@ TEST(SnapshotSequences, VectorAndDoublesRoundTrip) {
   EXPECT_EQ(xs2, xs);
 }
 
+TEST(SnapshotSequences, DoublesRoundTripSpecialValuesBitForBit) {
+  const std::vector<double> xs = {
+      std::bit_cast<double>(0x7FF8DEADBEEF1234ull),  // NaN with a payload
+      std::bit_cast<double>(0xFFFC00000000ABCDull),  // negative NaN, payload
+      -0.0,
+      std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+  };
+  SnapshotWriter w;
+  save_doubles(w, xs);
+  SnapshotReader r(w.bytes());
+  std::vector<double> back = {42.0};  // restore replaces, never appends
+  restore_doubles(r, back);
+  EXPECT_TRUE(r.exhausted());
+  ASSERT_EQ(back.size(), xs.size());
+  for (std::size_t i = 0; i < xs.size(); ++i)
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(back[i]),
+              std::bit_cast<std::uint64_t>(xs[i]))
+        << i;
+}
+
+TEST(SnapshotSequences, BulkDoublesMatchThePerElementEncoding) {
+  // The bulk codec is a faster path to the same bytes: a u64 count, then
+  // one f64 field per element.  Each side reads what the other wrote.
+  std::vector<double> xs;
+  for (int i = 0; i < 1000; ++i) xs.push_back(static_cast<double>(i) * 0.37);
+  SnapshotWriter bulk;
+  bulk.u8(7);  // misaligns the sequence
+  save_doubles(bulk, xs);
+  SnapshotWriter each;
+  each.u8(7);
+  save_sequence(each, xs, [](SnapshotWriter& o, double x) { o.f64(x); });
+  EXPECT_EQ(bulk.bytes(), each.bytes());
+
+  SnapshotReader r(each.bytes());
+  (void)r.u8();
+  std::vector<double> back;
+  restore_doubles(r, back);
+  EXPECT_EQ(back, xs);
+}
+
+TEST(SnapshotSequences, DoubleCountAboveRemainingOverEightThrows) {
+  // Three doubles claimed, sixteen bytes left: the count is within the
+  // bytes left (the generic sequence bound) but not within bytes / 8.
+  SnapshotWriter w;
+  w.u64(3);
+  w.f64(1.0);
+  w.f64(2.0);
+  SnapshotReader r(w.bytes());
+  std::vector<double> v;
+  EXPECT_THROW(restore_doubles(r, v), SnapshotError);
+  EXPECT_TRUE(v.empty());
+}
+
+TEST(SnapshotSequences, DoubleCountThatWrapsTimesEightThrows) {
+  // From 2^61 up, count * 8 wraps: 2^61 + 2 wraps to exactly the sixteen
+  // bytes left, so a bound written as count * 8 > left would pass and
+  // the vector would be sized from the untrusted count.
+  for (const std::uint64_t count :
+       {std::uint64_t{1} << 61, (std::uint64_t{1} << 61) + 2,
+        std::uint64_t{1} << 63, ~std::uint64_t{0}}) {
+    SnapshotWriter w;
+    w.u64(count);
+    w.f64(1.0);
+    w.f64(2.0);
+    SnapshotReader r(w.bytes());
+    std::vector<double> v;
+    EXPECT_THROW(restore_doubles(r, v), SnapshotError) << count;
+  }
+}
+
 TEST(SnapshotSequences, CountBeyondRemainingBytesThrowsBeforeAllocating) {
   // A count field set huge (CRC recomputed) must fail as corruption, not
   // as std::length_error / std::bad_alloc from sizing the container.
@@ -261,6 +403,44 @@ TEST_F(SnapshotFileTest, MissingFileThrows) {
                SnapshotError);
 }
 
+TEST_F(SnapshotFileTest, ReadFileBytesReadsRegularFilesWhole) {
+  // Sizes on both sides of the 64 KiB a pipe read grows by.
+  const std::string p = path();
+  for (const std::size_t size :
+       {std::size_t{0}, std::size_t{1}, std::size_t{1} << 16,
+        (std::size_t{1} << 16) + 1, (std::size_t{1} << 20) + 3}) {
+    const std::vector<std::uint8_t> bytes = pseudo_random_bytes(size);
+    std::FILE* f = std::fopen(p.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    if (!bytes.empty()) {
+      ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+    }
+    ASSERT_EQ(std::fclose(f), 0);
+    EXPECT_EQ(read_file_bytes(p, "snapshot"), bytes) << size;
+  }
+  std::remove(p.c_str());
+}
+
+TEST_F(SnapshotFileTest, ReadFileBytesReadsAPipeOfUnknownLength) {
+  // A FIFO has no length to size the buffer from, so the reader grows it
+  // as the bytes arrive.
+  const std::string p = path();
+  std::remove(p.c_str());
+  ASSERT_EQ(::mkfifo(p.c_str(), 0600), 0);
+  const std::vector<std::uint8_t> bytes = pseudo_random_bytes(200'000);
+  std::thread writer([&p, &bytes] {
+    std::FILE* f = std::fopen(p.c_str(), "wb");
+    if (f == nullptr) return;
+    (void)std::fwrite(bytes.data(), 1, bytes.size(), f);
+    std::fclose(f);
+  });
+  std::vector<std::uint8_t> got;
+  EXPECT_NO_THROW(got = read_file_bytes(p, "snapshot"));
+  writer.join();
+  std::remove(p.c_str());
+  EXPECT_EQ(got, bytes);
+}
+
 TEST_F(SnapshotFileTest, ValidImageParses) {
   const SnapshotFile file = parse_snapshot_bytes(valid_image());
   SnapshotReader r(file.payload);
@@ -342,6 +522,22 @@ TEST(SnapshotCrc, KnownVector) {
   const char* s = "123456789";
   EXPECT_EQ(snapshot_crc32(reinterpret_cast<const std::uint8_t*>(s), 9),
             0xCBF43926u);
+}
+
+TEST(SnapshotCrc, MatchesReferenceAtEveryLengthAndAlignment) {
+  // Every tail length of the 8-byte loop at every start misalignment.
+  const std::vector<std::uint8_t> bytes = pseudo_random_bytes(256 + 8);
+  for (std::size_t offset = 0; offset < 8; ++offset)
+    for (std::size_t len = 0; len <= 256; ++len)
+      ASSERT_EQ(snapshot_crc32(bytes.data() + offset, len),
+                reference_crc32(bytes.data() + offset, len))
+          << "offset " << offset << ", length " << len;
+}
+
+TEST(SnapshotCrc, MatchesReferenceOnOneMebibyte) {
+  const std::vector<std::uint8_t> bytes = pseudo_random_bytes(1 << 20);
+  EXPECT_EQ(snapshot_crc32(bytes.data(), bytes.size()),
+            reference_crc32(bytes.data(), bytes.size()));
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Allocation audit for ScenarioResult's per-flow metrics tables.
 //
 // ServiceLog, ActivityTracker and DelayStats build a flow's row on its
-// first event (metrics/flow_rows.hpp), so constructing the tables for a
+// first event (common/flow_rows.hpp), so constructing the tables for a
 // configured flow costs a 4-byte slot per table and a bit of activity
 // state: about 12.1 bytes per flow.  The dense layout they replaced
 // allocated about 160 bytes per flow (an empty vector or RunningStat plus
