@@ -3,7 +3,6 @@
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
 #include <system_error>
 
 #include "common/assert.hpp"
@@ -168,6 +167,16 @@ std::uint64_t CliParser::get_uint(const std::string& name) const {
   return out;
 }
 
+std::uint32_t CliParser::get_u32(const std::string& name) const {
+  const std::string value = get(name);
+  std::uint32_t out = 0;
+  if (const char* what =
+          parse_full(value, &out, "is not a non-negative integer",
+                     "overflows an unsigned 32-bit integer"))
+    numeric_error(name, value, what);
+  return out;
+}
+
 double CliParser::get_double(const std::string& name) const {
   const std::string value = get(name);
   double out = 0.0;
@@ -214,24 +223,17 @@ void add_network_parallel_options(CliParser& cli) {
 
 NetworkParallelism resolve_network_parallelism(const CliParser& cli) {
   NetworkParallelism out;
-  // get_uint already rejects non-numeric, negative, and overflowing
+  // get_u32 already rejects non-numeric, negative, and overflowing
   // values with exit 2; only the zero case is ours to add — a fabric
   // cannot tick with zero threads or zero shard domains.
-  const std::uint64_t threads = cli.get_uint("threads");
-  if (threads == 0) numeric_error("threads", "0", "must be >= 1");
-  if (threads > std::numeric_limits<std::uint32_t>::max())
-    numeric_error("threads", cli.get("threads"), "overflows the option");
-  out.threads = static_cast<std::uint32_t>(threads);
-  const std::string shards_text = cli.get("shards");
-  if (shards_text.empty()) {
+  out.threads = cli.get_u32("threads");
+  if (out.threads == 0) numeric_error("threads", "0", "must be >= 1");
+  if (cli.get("shards").empty()) {
     out.shards = out.threads;
     return out;
   }
-  const std::uint64_t shards = cli.get_uint("shards");
-  if (shards == 0) numeric_error("shards", "0", "must be >= 1");
-  if (shards > std::numeric_limits<std::uint32_t>::max())
-    numeric_error("shards", shards_text, "overflows the option");
-  out.shards = static_cast<std::uint32_t>(shards);
+  out.shards = cli.get_u32("shards");
+  if (out.shards == 0) numeric_error("shards", "0", "must be >= 1");
   return out;
 }
 

@@ -51,6 +51,7 @@ class CliParser {
   /// unsigned option by wrapping.
   [[nodiscard]] std::int64_t get_int(const std::string& name) const;
   [[nodiscard]] std::uint64_t get_uint(const std::string& name) const;
+  [[nodiscard]] std::uint32_t get_u32(const std::string& name) const;
   [[nodiscard]] double get_double(const std::string& name) const;
   [[nodiscard]] bool get_flag(const std::string& name) const;
 

@@ -28,15 +28,20 @@ std::string fmt_number(double v) {
 std::string current_git_sha() {
   const char* env = std::getenv("WORMSCHED_GIT_SHA");
   if (env != nullptr && *env != '\0') return env;
-  FILE* pipe = ::popen("git rev-parse HEAD 2>/dev/null", "r");
-  if (pipe == nullptr) return "unknown";
-  char buf[128] = {};
-  std::string sha;
-  if (std::fgets(buf, sizeof buf, pipe) != nullptr) sha = buf;
-  ::pclose(pipe);
-  while (!sha.empty() && (sha.back() == '\n' || sha.back() == '\r'))
-    sha.pop_back();
-  return sha.empty() ? "unknown" : sha;
+  // Starting git costs milliseconds and a checkpoint save asks twice, so
+  // the answer is resolved once per process.
+  static const std::string resolved = [] {
+    FILE* pipe = ::popen("git rev-parse HEAD 2>/dev/null", "r");
+    if (pipe == nullptr) return std::string("unknown");
+    char buf[128] = {};
+    std::string sha;
+    if (std::fgets(buf, sizeof buf, pipe) != nullptr) sha = buf;
+    ::pclose(pipe);
+    while (!sha.empty() && (sha.back() == '\n' || sha.back() == '\r'))
+      sha.pop_back();
+    return sha.empty() ? std::string("unknown") : sha;
+  }();
+  return resolved;
 }
 
 void RunManifest::write(std::ostream& os) const {

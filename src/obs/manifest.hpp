@@ -17,8 +17,9 @@
 namespace wormsched::obs {
 
 /// The checkout's commit SHA: $WORMSCHED_GIT_SHA when set (reproduce.sh
-/// and CI export it), else `git rev-parse HEAD` in the working directory,
-/// else "unknown".  Never fails.
+/// and CI export it; read on every call), else `git rev-parse HEAD` in
+/// the working directory (run once per process, on the first call that
+/// needs it), else "unknown".  Never fails.
 [[nodiscard]] std::string current_git_sha();
 
 struct RunManifest {

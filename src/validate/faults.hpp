@@ -5,9 +5,9 @@
 // decision — is the fabric stalled, is this node's credit return starved,
 // is this source muted or bursting — is a pure hash of
 // (seed, fault kind, epoch, node).  Nothing depends on call order or call
-// count, so the dense and active-set execution paths (which interleave
+// count, so the serial and the sharded network tick (which interleave
 // their queries differently) observe the *identical* fault schedule; that
-// property is what the flit-for-flit differential tests rely on.
+// property is what the flit-for-flit ShardedFuzzTest relies on.
 //
 // Faults perturb timing and traffic only.  No flit or credit is ever
 // dropped, so every conservation invariant the network auditor checks

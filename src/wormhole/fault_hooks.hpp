@@ -8,9 +8,9 @@
 //
 // Contract: every answer must be a pure function of (cycle, node) and the
 // model's own configuration — never of call order or call count.  The
-// active-set and dense_tick execution paths may interleave queries
-// differently, and the flit-for-flit differential tests require both
-// paths to see the identical fault schedule.
+// serial and the sharded network tick interleave queries differently,
+// and the flit-for-flit ShardedFuzzTest requires both to see the
+// identical fault schedule.
 //
 // The injection answers (injection_multiplier, burst_destination) are
 // further grouped into epochs: injection_epoch(now) names the group a

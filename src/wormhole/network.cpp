@@ -8,49 +8,63 @@
 
 namespace wormsched::wormhole {
 
+namespace {
+
+// Resolves the on/off auto watermarks (0) the way the routers are built.
+// An "off" emitted at occupancy on_high takes link_latency (L) cycles to
+// arrive, during which the sender streams L - 1 more flits on top of the
+// L already in flight (2L - 1 of headroom).  A link-stall fault can
+// additionally bunch up to L spaced arrivals into one delivery burst that
+// jumps occupancy past on_high before the off fires, so the auto
+// watermark reserves 3L - 2 slots — overflow-proof even under faults (for
+// L = 1 the two bounds coincide).  Explicit watermarks are only required
+// to be ordered; the auditor polices what a too-tight choice actually
+// breaks.
+RouterConfig resolve_watermarks(const NetworkConfig& config) {
+  RouterConfig rc = config.router;
+  if (rc.flow_control != FlowControl::kOnOff ||
+      rc.buffer_model != BufferModel::kFinite)
+    return rc;
+  const std::uint32_t headroom = 3 * config.link_latency - 2;
+  if (rc.on_high == 0)
+    rc.on_high = rc.buffer_depth > headroom ? rc.buffer_depth - headroom : 1;
+  if (rc.on_low == 0) rc.on_low = (rc.on_high + 1) / 2;
+  return rc;
+}
+
+}  // namespace
+
+std::optional<ConfigError> check_config(const NetworkConfig& config) {
+  using Kind = TopologySpec::Kind;
+  using Routing = NetworkConfig::Routing;
+  const Kind kind = config.topo.kind;
+  const auto fail = [](const char* option, std::string message) {
+    return std::optional<ConfigError>({option, std::move(message)});
+  };
+  if (config.link_latency < 1) return fail("link-latency", "must be >= 1");
+  if (config.threads < 1) return fail("threads", "must be >= 1");
+  if (config.shards < 1) return fail("shards", "must be >= 1");
+  if (auto error = check_router_config(resolve_watermarks(config)))
+    return error;
+  if (make_arbiter(config.router.arbiter, 1) == nullptr)
+    return fail("arbiter", "'" + config.router.arbiter +
+                               "' is not one of err-cycles|err-flits|rr|fcfs");
+  if (kind == Kind::kTorus && config.router.num_vcs < 2)
+    return fail("vcs", "torus requires >= 2 VC classes (dateline rule)");
+  if (kind == Kind::kTorus && config.routing != Routing::kDor)
+    return fail("routing", "torus supports deterministic DOR routing only");
+  if (config.routing == Routing::kWestFirst && kind != Kind::kMesh)
+    return fail("routing", "west-first routing is mesh-only");
+  if (config.routing == Routing::kUpDownAdaptive && kind != Kind::kFatTree)
+    return fail("routing", "up/down adaptive routing is fat-tree-only");
+  return std::nullopt;
+}
+
 Network::Network(const NetworkConfig& config)
     : config_(config), topo_(config.topo) {
-  WS_CHECK(config.link_latency >= 1);
-  WS_CHECK_MSG(config.shards >= 1, "shards must be >= 1");
-  WS_CHECK_MSG(config.threads >= 1, "threads must be >= 1");
-  WS_CHECK_MSG(config.router.buffer_depth >= 1,
-               "buffer_depth 0 deadlocks every flow-control scheme");
-  if (config.topo.kind == TopologySpec::Kind::kTorus) {
-    WS_CHECK_MSG(config.router.num_vcs >= 2,
-                 "torus requires >= 2 VC classes (dateline rule)");
-    WS_CHECK_MSG(config.routing == NetworkConfig::Routing::kDor,
-                 "torus supports deterministic DOR routing only");
-  }
-  if (config.routing == NetworkConfig::Routing::kWestFirst)
-    WS_CHECK_MSG(config.topo.kind == TopologySpec::Kind::kMesh,
-                 "west-first routing is mesh-only");
-  if (config.routing == NetworkConfig::Routing::kUpDownAdaptive)
-    WS_CHECK_MSG(config.topo.kind == TopologySpec::Kind::kFatTree,
-                 "up/down adaptive routing is fat-tree-only");
-  // Resolve the on/off auto watermarks before any router is built.  An
-  // "off" emitted at occupancy on_high takes link_latency (L) cycles to
-  // arrive, during which the sender streams L - 1 more flits on top of
-  // the L already in flight (2L - 1 of headroom).  A link-stall fault can
-  // additionally bunch up to L spaced arrivals into one delivery burst
-  // that jumps occupancy past on_high before the off fires, so the auto
-  // watermark reserves 3L - 2 slots — overflow-proof even under faults
-  // (for L = 1 the two bounds coincide).  Explicit watermarks are only
-  // required to be ordered; the auditor polices what a too-tight choice
-  // actually breaks.
-  if (config.router.flow_control == FlowControl::kOnOff &&
-      config.router.buffer_model == BufferModel::kFinite) {
-    RouterConfig& rc = config_.router;
-    const std::uint32_t headroom =
-        static_cast<std::uint32_t>(3 * config.link_latency - 2);
-    if (rc.on_high == 0)
-      rc.on_high =
-          rc.buffer_depth > headroom ? rc.buffer_depth - headroom : 1;
-    if (rc.on_low == 0) rc.on_low = (rc.on_high + 1) / 2;
-    WS_CHECK_MSG(rc.on_low >= 1 && rc.on_low <= rc.on_high &&
-                     rc.on_high <= rc.buffer_depth,
-                 "on/off watermarks must satisfy "
-                 "1 <= on_low <= on_high <= buffer_depth");
-  }
+  if (const auto error = check_config(config))
+    WS_CHECK_MSG(false, (error->option + ": " + error->message).c_str());
+  config_.router = resolve_watermarks(config);
   // In on/off mode a link stall freezes the router pipelines as well:
   // with no credits to absorb the slip, a stalled channel asserts
   // backpressure straight into the output stage, and senders that kept
@@ -116,13 +130,6 @@ void Network::mark_live(std::size_t index) {
   if (router_live_[index]) return;
   router_live_[index] = 1;
   ++shard_live_[shard_of_[index]];
-}
-
-void Network::set_live(std::size_t index, bool live) {
-  if (static_cast<bool>(router_live_[index]) == live) return;
-  router_live_[index] = live ? 1 : 0;
-  std::uint32_t& count = shard_live_[shard_of_[index]];
-  live ? ++count : --count;
 }
 
 template <class Wire>
@@ -443,24 +450,11 @@ void Network::step(Cycle now, bool frozen, std::uint32_t first,
   }
 
   // Router pipelines.  A drained router's tick is a no-op (nothing to
-  // route, grant, charge or forward), so only active routers tick; the
-  // ascending scan keeps side-effect order — and therefore every figure —
-  // identical to the dense full-fabric loop.  New work can only arrive
-  // through the wires (link latency >= 1), never mid-scan, and router
-  // ticks never enroll *other* routers, so the live count at loop entry
-  // bounds the routers left to visit.
-  if (config_.dense_tick) {
-    for (std::uint32_t n = begin; n < end; ++n) {
-      routers_[n].tick(now, env);
-      const bool live_now = !routers_[n].drained();
-      // Every event site touches its router, so the only liveness change
-      // an event does not already cover is this transition.
-      if (collect_delta_ && static_cast<bool>(router_live_[n]) != live_now)
-        touch_into(delta, n);
-      set_live(n, live_now);
-    }
-    return;
-  }
+  // route, grant, charge or forward), so only active routers tick, in
+  // ascending order.  New work can only arrive through the wires (link
+  // latency >= 1), never mid-scan, and router ticks never enroll *other*
+  // routers, so the live count at loop entry bounds the routers left to
+  // visit.
   std::uint32_t live = 0;
   for (std::uint32_t s = first; s < last; ++s) live += shard_live_[s];
   for (std::uint32_t n = begin; live != 0 && n < end; ++n) {
@@ -468,7 +462,8 @@ void Network::step(Cycle now, bool frozen, std::uint32_t first,
     --live;
     routers_[n].tick(now, env);
     if (routers_[n].drained()) {
-      set_live(n, false);
+      router_live_[n] = 0;
+      --shard_live_[shard_of_[n]];
       // The one liveness change with no event of its own: a credit can
       // wake an already-drained router, whose next tick is a no-op that
       // idles it again.  The drain itself enrolls it in the touched set.

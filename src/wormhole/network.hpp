@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/ring_buffer.hpp"
@@ -40,11 +41,6 @@ struct NetworkConfig {
   RouterConfig router;
   std::uint32_t link_latency = 1;  // cycles; >= 1
   Routing routing = Routing::kDor;
-  /// Legacy full-fabric ticking: every router ticks every cycle even when
-  /// drained.  Results are bit-identical to the default active-set
-  /// scheduling (a drained router's tick is a no-op by construction);
-  /// kept as the perf baseline bench_perf_kernel measures against.
-  bool dense_tick = false;
   /// Optional fault injector (not owned; must outlive the network).
   /// nullptr = fault-free.  Faults perturb *timing* (stalled wires,
   /// quarantined credits), never drop flits or credits, so every
@@ -69,6 +65,13 @@ struct NetworkConfig {
   /// counter and statistic is maintained identically either way.
   bool record_delivered = true;
 };
+
+/// The first fabric rule `config` breaks, router rules included (on the
+/// resolved watermarks), then the arbiter name, topology and routing.
+/// Network's constructor asserts there is none; the CLI reports it as
+/// "option --<option>: <message>" and exits 2.
+[[nodiscard]] std::optional<ConfigError> check_config(
+    const NetworkConfig& config);
 
 struct DeliveredPacket {
   PacketId id;
@@ -152,11 +155,10 @@ class Network final : public sim::Component, private RouterEnv {
   /// Attaches a cycle-end observer (not owned; must outlive its
   /// attachment).  Any number may be attached at once — the auditor, a
   /// trace probe, and ad-hoc test hooks compose — and all are notified in
-  /// attachment order after every tick in both the active-set and dense
-  /// paths.  An observer whose wants_delta() returns true switches on
-  /// CycleDelta collection for the whole fabric; wants_delta() is
-  /// re-sampled only at attach/detach time, so its answer must be stable
-  /// while attached.
+  /// attachment order after every tick.  An observer whose wants_delta()
+  /// returns true switches on CycleDelta collection for the whole fabric;
+  /// wants_delta() is re-sampled only at attach/detach time, so its
+  /// answer must be stable while attached.
   void attach_observer(NetworkObserver* observer) {
     observers_.attach(observer);
     refresh_delta_collection();
@@ -288,8 +290,6 @@ class Network final : public sim::Component, private RouterEnv {
 
   /// Enrolls router `index` in the active set (idempotent).
   void mark_live(std::size_t index);
-  /// Sets router `index`'s active flag outright (dense-mode bookkeeping).
-  void set_live(std::size_t index, bool live);
 
   /// The per-range step of tick(): shards [first, last) deliver the
   /// arrivals staged on their lanes, inject from their NICs (unless
@@ -372,10 +372,10 @@ class Network final : public sim::Component, private RouterEnv {
   Cycle now_ = 0;  // cached for send_flit latency stamping
   // Active-set bookkeeping.  router_live_[n] means router n must tick
   // this cycle (it holds work or just received a flit/credit); the
-  // per-shard counters make idle() O(shards).  Maintained identically in
-  // dense mode.  Counters are split per shard domain so each lane writes
-  // only its own shards' counters; the caller thread uses the same arrays
-  // (one shard when config.shards == 1).
+  // per-shard counters make idle() O(shards).  Counters are split per
+  // shard domain so each lane writes only its own shards' counters; the
+  // caller thread uses the same arrays (one shard when config.shards ==
+  // 1).
   std::vector<std::uint8_t> router_live_;
   std::vector<std::uint32_t> shard_live_;          // live routers per shard
   std::vector<std::uint32_t> shard_nonempty_nics_;  // NICs with backlog

@@ -14,6 +14,28 @@ namespace {
 constexpr std::uint32_t kLocalCredits = 1u << 30;
 }  // namespace
 
+std::optional<ConfigError> check_router_config(const RouterConfig& config) {
+  constexpr std::uint32_t kMaxVcs = Router::kMaxUnits / kNumDirections;
+  const auto fail = [](const char* option, std::string message) {
+    return std::optional<ConfigError>({option, std::move(message)});
+  };
+  if (config.num_vcs < 1) return fail("vcs", "must be >= 1");
+  if (config.num_vcs > kMaxVcs)
+    return fail("vcs", "must be <= " + std::to_string(kMaxVcs) +
+                           " (a router has at most 64 port/VC units)");
+  if (config.buffer_depth < 1)
+    return fail("buffers",
+                "buffer_depth 0 deadlocks every flow-control scheme");
+  const bool high_broken = config.on_high > config.buffer_depth;
+  if (config.flow_control == FlowControl::kOnOff &&
+      config.buffer_model == BufferModel::kFinite &&
+      (high_broken || config.on_low < 1 || config.on_low > config.on_high))
+    return fail(high_broken ? "on-high" : "on-low",
+                "must keep 1 <= on_low <= on_high <= buffer_depth (on_high "
+                "is " + std::to_string(config.on_high) + ")");
+  return std::nullopt;
+}
+
 void RouterEnv::send_signal(NodeId, Direction, std::uint32_t, bool) {
   WS_CHECK_MSG(false, "router env does not carry on/off signals");
 }
@@ -30,17 +52,8 @@ Router::Router(NodeId id, const RouterConfig& config)
       off_sent_(kNumDirections * config.num_vcs, 0),
       peer_on_(kNumDirections * config.num_vcs, 1),
       sa_pointer_(kNumDirections, 0) {
-  WS_CHECK(config.num_vcs >= 1);
-  WS_CHECK_MSG(config.buffer_depth >= 1,
-               "buffer_depth 0 deadlocks every flow-control scheme");
-  WS_CHECK_MSG(kNumDirections * config.num_vcs <= kMaxUnits,
-               "pending bitmasks hold at most 64 port/VC units");
-  if (onoff_flow_) {
-    WS_CHECK_MSG(config.on_low >= 1 && config.on_low <= config.on_high &&
-                     config.on_high <= config.buffer_depth,
-                 "on/off watermarks must satisfy "
-                 "1 <= on_low <= on_high <= buffer_depth");
-  }
+  if (const auto error = check_router_config(config))
+    WS_CHECK_MSG(false, (error->option + ": " + error->message).c_str());
   for (std::uint32_t i = 0; i < inputs_.size(); ++i) {
     const std::uint32_t port = i / config.num_vcs;
     unit_port_[i] = static_cast<std::uint8_t>(port);
@@ -369,25 +382,11 @@ void Router::emit_onoff_signals(RouterEnv& env) {
 
 void Router::tick(Cycle now, RouterEnv& env) {
   ++ticks_;
-  if (config_.dense_pipeline) {
-    tick_dense(now, env);
-  } else {
-    tick_sparse(now, env);
-  }
-  // Hysteresis runs after SA in the same tick, so a router that drains
-  // completely always restores its upstream to "on" before retiring from
-  // the active set.
-  if (onoff_flow_) emit_onoff_signals(env);
-}
+  // Each stage walks only the units with work, in ascending unit index.
 
-// Bitmask-sparse pipeline: each stage walks only the units with work.
-// Visit order within each stage is ascending unit index — the same order
-// the dense scan produces after its skip tests — so every arbiter call,
-// env callback, and stat update happens in the identical sequence.
-void Router::tick_sparse(Cycle now, RouterEnv& env) {
   // --- RC: route fresh head flits and raise arbitration requests. -------
   // route_input only clears bits, so walking a snapshot of the mask
-  // visits exactly the units the dense scan would route.
+  // visits exactly the units that held an unrouted head at stage entry.
   {
     metrics::ScopedStageTimer timer(perf_, metrics::Stage::kRouteCompute);
     for (std::uint64_t m = routable_inputs_; m != 0; m &= m - 1) {
@@ -424,34 +423,11 @@ void Router::tick_sparse(Cycle now, RouterEnv& env) {
       sa_port(p, now, env);
     }
   }
-}
 
-// Legacy full-scan pipeline (the PR-1 kernel): every unit is visited every
-// tick, and all work tests read the per-unit flags — never the pending
-// masks — so a dense-vs-sparse differential run flags any divergence
-// between mask state and flag state.
-void Router::tick_dense(Cycle now, RouterEnv& env) {
-  // --- RC ---------------------------------------------------------------
-  for (std::uint32_t g = 0; g < inputs_.size(); ++g) {
-    InputVc& iv = inputs_[g];
-    if (iv.routed || iv.buffer.empty()) continue;
-    route_input(g, env);
-  }
-
-  // --- VA ---------------------------------------------------------------
-  for (std::uint32_t i = 0; i < outputs_.size(); ++i) {
-    if (outputs_[i].bound) continue;
-    try_bind_output(i, now);
-  }
-
-  // --- SA/ST ------------------------------------------------------------
-  for (std::uint32_t p = 0; p < kNumDirections; ++p) {
-    bool port_busy = false;
-    for (std::uint32_t cls = 0; cls < config_.num_vcs; ++cls)
-      port_busy |= outputs_[unit(static_cast<Direction>(p), cls)].bound;
-    if (!port_busy) continue;  // no stats and no movement possible
-    sa_port(p, now, env);
-  }
+  // Hysteresis runs after SA in the same tick, so a router that drains
+  // completely always restores its upstream to "on" before retiring from
+  // the active set.
+  if (onoff_flow_) emit_onoff_signals(env);
 }
 
 }  // namespace wormsched::wormhole

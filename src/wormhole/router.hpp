@@ -20,19 +20,17 @@
 // 1.0 to each.  Nothing reads the accumulated cost before release except
 // save_state, which writes it as if it had been charged tick by tick.
 //
-// The default pipeline is bitmask-sparse: three uint64_t pending masks
-// (routable inputs, requesting outputs, bound outputs) are walked with
+// The pipeline is bitmask-sparse: three uint64_t pending masks (routable
+// inputs, requesting outputs, bound outputs) are walked with
 // std::countr_zero, so a tick costs work proportional to pending units,
-// not kNumDirections x num_vcs.  The legacy full-scan pipeline is kept
-// behind RouterConfig::dense_pipeline; it reads only the per-unit flags,
-// never the masks, so the dense-vs-sparse differential tests catch any
-// mask-bookkeeping bug.  Both paths mutate state through the same
-// helpers and are flit-for-flit identical by construction.
+// not kNumDirections x num_vcs.  The NetworkAuditor re-derives every mask
+// from the per-unit flags and flags any bookkeeping bug.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -79,13 +77,19 @@ struct RouterConfig {
   /// 1 <= on_low <= on_high <= buffer_depth.
   std::uint32_t on_high = 0;
   std::uint32_t on_low = 0;
-  /// Legacy full-scan pipeline: every input and output unit is visited
-  /// every tick.  Bit-identical to the default bitmask-sparse pipeline
-  /// (same helpers, same visit order); kept as the differential baseline
-  /// the sparse pipeline is verified against, mirroring
-  /// NetworkConfig::dense_tick one level up.
-  bool dense_pipeline = false;
 };
+
+/// A broken configuration rule: the CLI option that sets the offending
+/// field (`vcs`, `buffers`, `arbiter`, `on-low`, `routing`, ...) and why.
+struct ConfigError {
+  std::string option;
+  std::string message;
+};
+
+/// The first rule `config` breaks: VC classes, buffer depth, on/off
+/// watermark order.  The Router constructor asserts there is none.
+[[nodiscard]] std::optional<ConfigError> check_router_config(
+    const RouterConfig& config);
 
 /// Callbacks the router needs from its surrounding network.
 class RouterEnv {
@@ -119,6 +123,9 @@ class RouterEnv {
 
 class Router {
  public:
+  /// The pending bitmasks cap a router at 64 port/VC units.
+  static constexpr std::uint32_t kMaxUnits = 64;
+
   Router(NodeId id, const RouterConfig& config);
 
   [[nodiscard]] NodeId id() const { return id_; }
@@ -234,8 +241,8 @@ class Router {
     return *outputs_[unit(out, cls)].arbiter;
   }
   /// Pending bitmasks (unit index = direction * num_vcs + class).  The
-  /// sparse pipeline walks these; the auditor re-derives each from the
-  /// per-unit flags and cross-checks.
+  /// pipeline walks these; the auditor re-derives each from the per-unit
+  /// flags and cross-checks.
   [[nodiscard]] std::uint64_t routable_inputs_mask() const {
     return routable_inputs_;
   }
@@ -261,9 +268,6 @@ class Router {
   }
 
  private:
-  /// The pending bitmasks cap a router at 64 port/VC units.
-  static constexpr std::uint32_t kMaxUnits = 64;
-
   struct InputVc {
     RingBuffer<Flit> buffer;
     bool routed = false;  // the packet at the front has a route
@@ -292,8 +296,8 @@ class Router {
                                            std::uint32_t in_class);
 
   /// RC for one input unit: routes the head at its front, raises the
-  /// arbitration request, maintains the masks.  Shared by both pipelines
-  /// and by the tail-handling re-request in SA.
+  /// arbitration request, maintains the masks.  Shared by the RC stage
+  /// and the tail-handling re-request in SA.
   void route_input(std::uint32_t g, RouterEnv& env);
   /// VA for one free output unit: grant + bind + mask upkeep.
   void try_bind_output(std::uint32_t i, Cycle now);
@@ -303,14 +307,12 @@ class Router {
     return ticks_ - ov.bound_tick + 1;
   }
   /// SA/ST for one busy physical port (at least one of its VCs bound);
-  /// both pipelines skip idle ports, which record no stats.
+  /// idle ports are skipped and record no stats.
   void sa_port(std::uint32_t p, Cycle now, RouterEnv& env);
   /// restore_state's consistency pass: re-derives the counters and masks
   /// from the restored units and rejects a snapshot that disagrees.
   void check_restored_state() const;
 
-  void tick_sparse(Cycle now, RouterEnv& env);
-  void tick_dense(Cycle now, RouterEnv& env);
   /// On/off hysteresis, run at the end of every tick: raises "off" for
   /// non-local input VCs that crossed on_high, "on" for parked ones that
   /// drained to on_low.  Emitting from the router's own tick (not at
@@ -346,9 +348,8 @@ class Router {
   std::uint64_t forwarded_ = 0;
   std::uint32_t buffered_flits_ = 0;  // across all input VCs
   std::uint32_t bound_outputs_ = 0;   // output VCs currently owned
-  // Pending bitmasks, one bit per port/VC unit (ctor checks units <= 64).
-  // Maintained by the shared mutation helpers in every mode; only the
-  // sparse pipeline reads them.
+  // Pending bitmasks, one bit per port/VC unit (ctor checks units <= 64),
+  // maintained by the mutation helpers.
   std::uint64_t routable_inputs_ = 0;    // front is an unrouted head
   std::uint64_t requesting_outputs_ = 0; // arbiter pending_total() > 0
   std::uint64_t bound_outputs_mask_ = 0; // mirrors OutputVc::bound

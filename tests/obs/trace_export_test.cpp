@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "obs/manifest.hpp"
 
@@ -198,6 +200,20 @@ TEST(RunManifest, GitShaHonorsEnvOverride) {
   ::setenv("WORMSCHED_GIT_SHA", "deadbeef", 1);
   EXPECT_EQ(current_git_sha(), "deadbeef");
   ::unsetenv("WORMSCHED_GIT_SHA");
+}
+
+TEST(RunManifest, GitShaResolvesOncePerProcessAndEnvStillWins) {
+  const char* pinned = std::getenv("WORMSCHED_GIT_SHA");
+  const std::string saved = pinned != nullptr ? pinned : "";
+  ::unsetenv("WORMSCHED_GIT_SHA");
+  const std::string first = current_git_sha();
+  EXPECT_FALSE(first.empty());
+  EXPECT_EQ(current_git_sha(), first);
+  ::setenv("WORMSCHED_GIT_SHA", "cafef00d", 1);
+  EXPECT_EQ(current_git_sha(), "cafef00d");
+  ::unsetenv("WORMSCHED_GIT_SHA");
+  EXPECT_EQ(current_git_sha(), first);
+  if (!saved.empty()) ::setenv("WORMSCHED_GIT_SHA", saved.c_str(), 1);
 }
 
 TEST(RunManifest, FileWriteRoundTrips) {

@@ -1,6 +1,6 @@
 // Unit tests for the deterministic fault injector: every answer must be a
 // pure function of (spec, cycle, node) — that purity is what lets the
-// dense and active-set network paths observe identical fault schedules —
+// serial and sharded network ticks observe identical fault schedules —
 // and the quarantine-release contract (non-decreasing release cycles)
 // must hold or the network's FIFO quarantine breaks.
 #include <gtest/gtest.h>

@@ -137,56 +137,6 @@ TEST(Network, MeshSaturationNoDeadlockAllArbiters) {
   }
 }
 
-// Runs one traffic configuration to drain and returns the full delivery
-// record, so active-set scheduling can be checked flit-for-flit against
-// the legacy dense tick-everything loop.
-std::vector<DeliveredPacket> run_traffic(const NetworkConfig& config,
-                                         double rate, Cycle inject_until,
-                                         std::uint64_t seed) {
-  Network net(config);
-  NetworkTrafficSource::Config traffic_config;
-  traffic_config.packets_per_node_per_cycle = rate;
-  traffic_config.inject_until = inject_until;
-  traffic_config.lengths = traffic::LengthSpec::uniform(1, 12);
-  traffic_config.pattern.kind = PatternSpec::Kind::kHotspot;
-  traffic_config.seed = seed;
-  NetworkTrafficSource source(net, traffic_config);
-  sim::Engine engine;
-  engine.add_component(source);
-  engine.add_component(net);
-  engine.run_until(inject_until);
-  engine.run_until_idle(inject_until * 100);
-  EXPECT_TRUE(net.idle());
-  EXPECT_EQ(net.delivered().size(), source.generated());
-  return net.delivered();
-}
-
-TEST(Network, ActiveSetBitIdenticalToDenseTick) {
-  // The active set only skips ticks that are provably no-ops, so the two
-  // modes must agree on every delivered packet, in order, including the
-  // delivery cycle — under congested hotspot traffic where routers
-  // enroll and retire constantly.
-  NetworkConfig active;
-  active.topo = TopologySpec::mesh(4, 4);
-  active.router.buffer_depth = 4;
-  NetworkConfig dense = active;
-  dense.dense_tick = true;
-  for (const std::uint64_t seed : {1u, 7u, 42u}) {
-    SCOPED_TRACE(seed);
-    const auto a = run_traffic(active, 0.03, 2000, seed);
-    const auto d = run_traffic(dense, 0.03, 2000, seed);
-    ASSERT_EQ(a.size(), d.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].id, d[i].id);
-      EXPECT_EQ(a[i].delivered, d[i].delivered);
-      EXPECT_EQ(a[i].created, d[i].created);
-      EXPECT_EQ(a[i].source, d[i].source);
-      EXPECT_EQ(a[i].dest, d[i].dest);
-      EXPECT_EQ(a[i].length, d[i].length);
-    }
-  }
-}
-
 TEST(Network, IdleIsConstantTimeCounterCheck) {
   // idle() must be true exactly when nothing is buffered, bound, queued
   // or in flight — checked across inject / drain phase boundaries.

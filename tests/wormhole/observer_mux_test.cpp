@@ -165,23 +165,5 @@ TEST(ObserverMux, DeltaEventsReconcileWithFabricCounters) {
   EXPECT_EQ(probe.flits_to_wire_, probe.flits_from_wire_);
 }
 
-TEST(ObserverMux, DenseAndActiveSetProduceSameEventTotals) {
-  auto run = [](bool dense_tick) {
-    NetworkConfig config;
-    config.dense_tick = dense_tick;
-    Network net(config);
-    Probe probe(/*wants=*/true);
-    net.attach_observer(&probe);
-    net.inject(0, packet(0, 0, 15, 4));
-    net.inject(2, packet(1, 12, 3, 5));
-    sim::Engine engine;
-    engine.add_component(net);
-    engine.run_until_idle(10'000);
-    return std::tuple{probe.flits_to_wire_, probe.flits_from_wire_,
-                      probe.injections_, probe.ejections_};
-  };
-  EXPECT_EQ(run(false), run(true));
-}
-
 }  // namespace
 }  // namespace wormsched::wormhole

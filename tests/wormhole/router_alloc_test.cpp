@@ -1,7 +1,6 @@
 // Allocation audit for the router hot path: after warm-up, Router::tick
 // (including route computation via RouterEnv::route_candidates) must
-// execute without touching the heap, in both the sparse and the legacy
-// dense pipeline.
+// execute without touching the heap.
 //
 // The hook is a counting override of the global allocation functions —
 // all four shapes the library uses (plain and aligned, scalar and array)
@@ -90,12 +89,11 @@ Flit make_flit(std::uint64_t packet, Flits index, Flits length) {
   return f;
 }
 
-std::uint64_t measure_steady_state(bool dense_pipeline) {
+std::uint64_t measure_steady_state() {
   RouterConfig config;
   config.num_vcs = 2;
   config.buffer_depth = 8;
   config.arbiter = "err-cycles";
-  config.dense_pipeline = dense_pipeline;
   Router r(NodeId(0), config);
   CountingEnv env;
 
@@ -133,11 +131,7 @@ std::uint64_t measure_steady_state(bool dense_pipeline) {
 }
 
 TEST(RouterAlloc, SparsePipelineSteadyStateIsAllocationFree) {
-  EXPECT_EQ(measure_steady_state(/*dense_pipeline=*/false), 0u);
-}
-
-TEST(RouterAlloc, DensePipelineSteadyStateIsAllocationFree) {
-  EXPECT_EQ(measure_steady_state(/*dense_pipeline=*/true), 0u);
+  EXPECT_EQ(measure_steady_state(), 0u);
 }
 
 TEST(RouterAlloc, CounterObservesHeapTraffic) {

@@ -308,63 +308,6 @@ TEST(Router, RequestingMaskStaysSetWhileBacklogged) {
   EXPECT_EQ(env.sent.size(), 2u);
 }
 
-TEST(Router, SparseAndDensePipelinesAreFlitIdentical) {
-  // Same stimulus, both pipelines, compared event-for-event.  The dense
-  // pipeline reads only the per-unit flags, so a mask-maintenance bug in
-  // the sparse walk shows up as a sequence divergence here.
-  const auto drive = [](bool dense_pipeline) {
-    ScriptedEnv env;
-    env.keep_class = true;
-    RouterConfig config = small_config(4);
-    config.dense_pipeline = dense_pipeline;
-    Router r(NodeId(0), config);
-    std::uint64_t next_packet = 100;
-    Cycle now = 0;
-    // Phased stimulus: competing multi-flit worms on three inputs and two
-    // VC classes, a worm bubble, credit exhaustion and late credits.
-    for (Flits i = 0; i < 4; ++i)
-      r.accept_flit(Direction::kWest, 0, make_flit(next_packet, i, 4));
-    ++next_packet;
-    for (Flits i = 0; i < 4; ++i)
-      r.accept_flit(Direction::kNorth, 0, make_flit(next_packet, i, 4));
-    ++next_packet;
-    for (Flits i = 0; i < 2; ++i)
-      r.accept_flit(Direction::kWest, 1, make_flit(next_packet, i, 2));
-    ++next_packet;
-    for (; now < 6; ++now) r.tick(now, env);
-    r.accept_flit(Direction::kSouth, 0, make_flit(next_packet, 0, 3));
-    for (; now < 9; ++now) r.tick(now, env);
-    r.accept_flit(Direction::kSouth, 0, make_flit(next_packet, 1, 3));
-    r.accept_flit(Direction::kSouth, 0, make_flit(next_packet, 2, 3));
-    ++next_packet;
-    // Late credits, twice: return exactly what the east output consumed
-    // so far (the credit protocol forbids over-returning), drain a while,
-    // then top it up again so the backlogged worms finish.
-    for (std::uint32_t c = r.output_credits(Direction::kEast, 0); c < 4; ++c)
-      r.accept_credit(Direction::kEast, 0);
-    for (; now < 20; ++now) r.tick(now, env);
-    for (std::uint32_t c = r.output_credits(Direction::kEast, 0); c < 4; ++c)
-      r.accept_credit(Direction::kEast, 0);
-    for (; now < 30; ++now) r.tick(now, env);
-    EXPECT_TRUE(r.drained());
-    return env;
-  };
-  const ScriptedEnv sparse = drive(false);
-  const ScriptedEnv dense = drive(true);
-  ASSERT_EQ(sparse.sent.size(), dense.sent.size());
-  for (std::size_t i = 0; i < sparse.sent.size(); ++i) {
-    EXPECT_EQ(sparse.sent[i].out, dense.sent[i].out) << i;
-    EXPECT_EQ(sparse.sent[i].flit.packet, dense.sent[i].flit.packet) << i;
-    EXPECT_EQ(sparse.sent[i].flit.index, dense.sent[i].flit.index) << i;
-    EXPECT_EQ(sparse.sent[i].flit.vc_class, dense.sent[i].flit.vc_class) << i;
-  }
-  ASSERT_EQ(sparse.credits.size(), dense.credits.size());
-  for (std::size_t i = 0; i < sparse.credits.size(); ++i) {
-    EXPECT_EQ(sparse.credits[i].in, dense.credits[i].in) << i;
-    EXPECT_EQ(sparse.credits[i].cls, dense.credits[i].cls) << i;
-  }
-}
-
 TEST(Router, TailHandlingReRequestsNextHeadBeforeRelease) {
   // Back-to-back packets in one input VC: the continuation re-request
   // must keep the packets flowing with no idle cycle between them, and
@@ -415,11 +358,10 @@ std::unique_ptr<Router> save_and_restore(const Router& r) {
 /// `split_after` set, the router is saved after that tick and the run
 /// continues on a fresh router restored from the bytes.  Returns the
 /// packet's charge.
-double stalled_worm_charge(const std::string& arbiter, bool dense_pipeline,
+double stalled_worm_charge(const std::string& arbiter,
                            std::optional<Cycle> split_after) {
   RouterConfig config = small_config(4);
   config.arbiter = arbiter;
-  config.dense_pipeline = dense_pipeline;
   ScriptedEnv env;
   auto r = std::make_unique<Router>(NodeId(0), config);
   std::vector<double> charges;
@@ -470,8 +412,7 @@ TEST(RouterCharging, SingleFlitPacketsChargeTheirBoundTicks) {
 }
 
 TEST(RouterCharging, StalledWormChargesEveryBoundTick) {
-  EXPECT_EQ(stalled_worm_charge("err-cycles", false, std::nullopt), 9.0);
-  EXPECT_EQ(stalled_worm_charge("err-cycles", true, std::nullopt), 9.0);
+  EXPECT_EQ(stalled_worm_charge("err-cycles", std::nullopt), 9.0);
 }
 
 TEST(RouterCharging, SaveRestoreMidPacketKeepsTheCharge) {
@@ -479,15 +420,13 @@ TEST(RouterCharging, SaveRestoreMidPacketKeepsTheCharge) {
   // starves: the saved arbiter carries the ticks so far, the restored
   // router counts the rest.
   for (Cycle split = 0; split < 8; ++split) {
-    EXPECT_EQ(stalled_worm_charge("err-cycles", false, split), 9.0) << split;
-    EXPECT_EQ(stalled_worm_charge("err-cycles", true, split), 9.0) << split;
+    EXPECT_EQ(stalled_worm_charge("err-cycles", split), 9.0) << split;
   }
 }
 
 TEST(RouterCharging, ErrFlitsStillChargesPerFlit) {
-  EXPECT_EQ(stalled_worm_charge("err-flits", false, std::nullopt), 6.0);
-  EXPECT_EQ(stalled_worm_charge("err-flits", true, std::nullopt), 6.0);
-  EXPECT_EQ(stalled_worm_charge("err-flits", false, Cycle{5}), 6.0);
+  EXPECT_EQ(stalled_worm_charge("err-flits", std::nullopt), 6.0);
+  EXPECT_EQ(stalled_worm_charge("err-flits", Cycle{5}), 6.0);
 }
 
 // --- Restore consistency checks -----------------------------------------------

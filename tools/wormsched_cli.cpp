@@ -29,6 +29,7 @@
 #include "common/snapshot.hpp"
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
+#include "core/registry.hpp"
 #include "harness/checkpoint.hpp"
 #include "harness/network_sweep.hpp"
 #include "harness/scenario.hpp"
@@ -104,6 +105,20 @@ void drive_with_checkpoints(Run& run, const std::string& path, Cycle every) {
   }
 }
 
+/// Exits 2 with "option --<option>: ..." unless the scheduler registry
+/// knows `name` (any case), instead of letting the run abort on it.
+void check_scheduler_or_exit(const char* option, const std::string& name) {
+  if (core::make_scheduler(name, core::SchedulerParams{}) != nullptr) return;
+  std::string known;
+  for (const auto n : core::scheduler_names()) {
+    if (!known.empty()) known += '|';
+    known.append(n);
+  }
+  std::fprintf(stderr, "option --%s: '%s' is not one of %s\n", option,
+               name.c_str(), known.c_str());
+  std::exit(2);
+}
+
 std::vector<std::string> split_names(const std::string& csv) {
   std::vector<std::string> names;
   std::stringstream ss(csv);
@@ -150,6 +165,7 @@ int cmd_compare(int argc, const char* const* argv) {
   } else {
     names = split_names(cli.get("schedulers"));
   }
+  for (const auto& name : names) check_scheduler_or_exit("schedulers", name);
 
   harness::ScenarioConfig config;
   config.horizon = cycles;
@@ -231,6 +247,7 @@ int cmd_run(int argc, const char* const* argv) {
   if (!cli.parse(argc, argv)) return 1;
 
   const auto workload = parse_or_die(cli.get("workload"));
+  check_scheduler_or_exit("scheduler", cli.get("scheduler"));
   harness::ScenarioConfig config;
   config.horizon = cli.get_uint("cycles");
   config.seed = cli.get_uint("seed");
@@ -470,6 +487,7 @@ int cmd_replay(int argc, const char* const* argv) {
   cli.add_option("trace", "input trace (CSV or binary)", "trace.csv");
   cli.add_option("scheduler", "scheduler name", "err");
   if (!cli.parse(argc, argv)) return 1;
+  check_scheduler_or_exit("scheduler", cli.get("scheduler"));
 
   // Both loaders reject malformed, header-only and unreadable traces
   // with a message naming the problem.
@@ -532,73 +550,56 @@ void add_flow_control_options(CliParser& cli) {
 }
 
 /// Applies the shared options onto a NetworkConfig whose `topo` is
-/// already set.  Invalid combinations exit 2 with an option-style
-/// message rather than tripping a fabric assertion later.
+/// already set.  check_network_config_or_exit judges the result.
 void apply_flow_control_options(const CliParser& cli,
                                 wormhole::NetworkConfig* config) {
-  const std::uint64_t buffers = cli.get_uint("buffers");
-  if (buffers == 0) {
-    std::fprintf(stderr,
-                 "option --buffers: buffer depth must be >= 1 (a zero-slot "
-                 "buffer can never accept a flit, deadlocking every "
-                 "flow-control scheme)\n");
-    std::exit(2);
-  }
-  config->router.buffer_depth = static_cast<std::uint32_t>(buffers);
+  config->router.buffer_depth = cli.get_u32("buffers");
   config->router.flow_control = cli.get("flow-control") == "onoff"
                                     ? wormhole::FlowControl::kOnOff
                                     : wormhole::FlowControl::kCredit;
   config->router.buffer_model = cli.get("buffer-model") == "infinite"
                                     ? wormhole::BufferModel::kInfinite
                                     : wormhole::BufferModel::kFinite;
-  config->router.on_high = static_cast<std::uint32_t>(cli.get_uint("on-high"));
-  config->router.on_low = static_cast<std::uint32_t>(cli.get_uint("on-low"));
-  const bool fattree =
-      config->topo.kind == wormhole::TopologySpec::Kind::kFatTree;
+  config->router.on_high = cli.get_u32("on-high");
+  config->router.on_low = cli.get_u32("on-low");
+  // adaptive is the topology's adaptive scheme: up/down on the fat tree,
+  // west-first elsewhere (which check_config rejects off a mesh).
   const std::string routing = cli.get("routing");
+  using Routing = wormhole::NetworkConfig::Routing;
   if (routing == "dor") {
-    config->routing = wormhole::NetworkConfig::Routing::kDor;
-  } else if (routing == "westfirst") {
-    if (config->topo.kind != wormhole::TopologySpec::Kind::kMesh) {
-      std::fprintf(stderr, "option --routing: westfirst is mesh-only\n");
-      std::exit(2);
-    }
-    config->routing = wormhole::NetworkConfig::Routing::kWestFirst;
-  } else {  // adaptive: the topology's natural adaptive scheme
-    if (config->topo.kind == wormhole::TopologySpec::Kind::kTorus) {
-      std::fprintf(stderr,
-                   "option --routing: torus has no adaptive scheme (use "
-                   "dor)\n");
-      std::exit(2);
-    }
-    config->routing = fattree
-                          ? wormhole::NetworkConfig::Routing::kUpDownAdaptive
-                          : wormhole::NetworkConfig::Routing::kWestFirst;
-  }
-  if (config->router.flow_control == wormhole::FlowControl::kOnOff &&
-      config->router.buffer_model == wormhole::BufferModel::kFinite) {
-    const std::uint32_t high = config->router.on_high;
-    const std::uint32_t low = config->router.on_low;
-    if (high != 0 && high > config->router.buffer_depth) {
-      std::fprintf(stderr,
-                   "option --on-high: must be <= --buffers (%u)\n",
-                   config->router.buffer_depth);
-      std::exit(2);
-    }
-    if (low != 0 && high != 0 && low > high) {
-      std::fprintf(stderr, "option --on-low: must be <= --on-high\n");
-      std::exit(2);
-    }
+    config->routing = Routing::kDor;
+  } else if (routing == "adaptive" &&
+             config->topo.kind == wormhole::TopologySpec::Kind::kFatTree) {
+    config->routing = Routing::kUpDownAdaptive;
+  } else {
+    config->routing = Routing::kWestFirst;
   }
 }
 
-wormhole::PatternSpec::Kind pattern_kind(const std::string& name) {
+/// Exits 2 with "option --<name>: ..." on the first fabric rule `config`
+/// breaks (the rules live in wormhole::check_config), instead of letting
+/// the Network constructor abort on it.
+void check_network_config_or_exit(const wormhole::NetworkConfig& config) {
+  if (const auto error = wormhole::check_config(config)) {
+    std::fprintf(stderr, "option --%s: %s\n", error->option.c_str(),
+                 error->message.c_str());
+    std::exit(2);
+  }
+}
+
+/// The --pattern value; an unknown name exits 2.
+wormhole::PatternSpec::Kind pattern_kind_or_exit(const std::string& name) {
   using Kind = wormhole::PatternSpec::Kind;
-  return name == "transpose"  ? Kind::kTranspose
-         : name == "bitcomp"  ? Kind::kBitComplement
-         : name == "hotspot"  ? Kind::kHotspot
-         : name == "neighbor" ? Kind::kNeighbor
-                              : Kind::kUniform;
+  if (name == "uniform") return Kind::kUniform;
+  if (name == "transpose") return Kind::kTranspose;
+  if (name == "bitcomp") return Kind::kBitComplement;
+  if (name == "hotspot") return Kind::kHotspot;
+  if (name == "neighbor") return Kind::kNeighbor;
+  std::fprintf(stderr,
+               "option --pattern: '%s' is not one of "
+               "uniform|transpose|bitcomp|hotspot|neighbor\n",
+               name.c_str());
+  std::exit(2);
 }
 
 int cmd_network(int argc, const char* const* argv) {
@@ -636,18 +637,19 @@ int cmd_network(int argc, const char* const* argv) {
   wormhole::NetworkConfig config;
   config.topo = parse_topo_or_exit(cli.get("topo"));
   config.router.arbiter = cli.get("arbiter");
-  config.router.num_vcs = static_cast<std::uint32_t>(cli.get_uint("vcs"));
+  config.router.num_vcs = cli.get_u32("vcs");
   apply_flow_control_options(cli, &config);
   {
     const NetworkParallelism par = resolve_network_parallelism(cli);
     config.threads = par.threads;
     config.shards = par.shards;
   }
+  check_network_config_or_exit(config);
 
   wormhole::NetworkTrafficSource::Config traffic_config;
   traffic_config.packets_per_node_per_cycle = cli.get_double("rate");
   traffic_config.inject_until = cli.get_uint("cycles");
-  traffic_config.pattern.kind = pattern_kind(cli.get("pattern"));
+  traffic_config.pattern.kind = pattern_kind_or_exit(cli.get("pattern"));
   harness::NetworkScenarioConfig point;
   point.network = config;
   point.traffic = traffic_config;
@@ -872,19 +874,19 @@ int cmd_soak(int argc, const char* const* argv) {
   harness::NetworkScenarioConfig point;
   point.network.topo = parse_topo_or_exit(cli.get("topo"));
   point.network.router.arbiter = cli.get("arbiter");
-  point.network.router.num_vcs =
-      static_cast<std::uint32_t>(cli.get_uint("vcs"));
+  point.network.router.num_vcs = cli.get_u32("vcs");
   apply_flow_control_options(cli, &point.network);
   {
     const NetworkParallelism par = resolve_network_parallelism(cli);
     point.network.threads = par.threads;
     point.network.shards = par.shards;
   }
+  check_network_config_or_exit(point.network);
   point.traffic.packets_per_node_per_cycle = cli.get_double("rate");
   const Cycle cycles = cli.get_uint("cycles");
   const Cycle horizon = cli.get_uint("horizon");
   point.traffic.inject_until = horizon > 0 ? horizon : cycles;
-  point.traffic.pattern.kind = pattern_kind(cli.get("pattern"));
+  point.traffic.pattern.kind = pattern_kind_or_exit(cli.get("pattern"));
   point.faults = validate::fault_spec_from_cli(cli);
   {
     const std::string audit = cli.get("audit");
