@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   cli.add_option("intervals", "random intervals for avg relative fairness",
                  "4000");
   cli.add_option("csv", "output CSV path", "ablation_elasticity.csv");
-  if (!cli.parse(argc, argv)) return 1;
+  cli.parse(argc, argv);
 
   const Cycle cycles = cli.get_uint("cycles");
   const std::size_t intervals = cli.get_uint("intervals");

@@ -89,7 +89,7 @@ int main(int argc, char** argv) {
   CliParser cli("Ablation A2: effect of resetting ERR round state on idle");
   cli.add_option("episodes", "idle/resume episodes per variant", "50");
   cli.add_option("csv", "output CSV path", "ablation_idle_reset.csv");
-  if (!cli.parse(argc, argv)) return 1;
+  cli.parse(argc, argv);
 
   const int episodes = static_cast<int>(cli.get_int("episodes"));
 

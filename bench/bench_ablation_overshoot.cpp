@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   cli.add_option("cycles", "simulated cycles per point", "400000");
   cli.add_option("flows", "number of flows", "4");
   cli.add_option("csv", "output CSV path", "ablation_overshoot.csv");
-  if (!cli.parse(argc, argv)) return 1;
+  cli.parse(argc, argv);
 
   const Cycle cycles = cli.get_uint("cycles");
   const std::size_t flows = cli.get_uint("flows");

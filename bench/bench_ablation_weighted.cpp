@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   CliParser cli("Ablation A3: weighted ERR vs weighted DRR/SCFQ/WFQ/WF2Q+");
   cli.add_option("cycles", "simulated cycles", "400000");
   cli.add_option("csv", "output CSV path", "ablation_weighted.csv");
-  if (!cli.parse(argc, argv)) return 1;
+  cli.parse(argc, argv);
 
   const Cycle cycles = cli.get_uint("cycles");
   const std::vector<double> weights = {1.0, 2.0, 4.0, 8.0};

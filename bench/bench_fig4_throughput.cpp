@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
   cli.add_option("seed", "workload seed", "1");
   cli.add_option("overload", "aggregate offered load / capacity", "1.5");
   cli.add_option("csv", "output CSV path", "fig4_throughput.csv");
-  if (!cli.parse(argc, argv)) return 1;
+  cli.parse(argc, argv);
 
   const Cycle cycles = cli.get_uint("cycles");
   const auto workload =

@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
   cli.add_option("ratio-step", "sweep step", "0.05");
   cli.add_option("seeds", "averaging runs per point", "5");
   cli.add_option("csv", "output CSV path", "fig5_delay.csv");
-  if (!cli.parse(argc, argv)) return 1;
+  cli.parse(argc, argv);
 
   const Cycle window = cli.get_uint("congestion-cycles");
   const double lo = cli.get_double("ratio-min");

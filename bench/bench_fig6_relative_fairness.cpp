@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
   cli.add_option("seed", "base workload seed", "1");
   cli.add_option("seeds", "independent runs averaged per point", "3");
   cli.add_option("csv", "output CSV path", "fig6_relative_fairness.csv");
-  if (!cli.parse(argc, argv)) return 1;
+  cli.parse(argc, argv);
 
   const Cycle cycles = cli.get_uint("cycles");
   const std::size_t intervals = cli.get_uint("intervals");

@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
   cli.add_option("seeds", "independent seeds per point", "1");
   cli.add_option("csv", "output CSV path", "network_sweep.csv");
   add_jobs_option(cli);
-  if (!cli.parse(argc, argv)) return 1;
+  cli.parse(argc, argv);
 
   const Cycle cycles = cli.get_uint("cycles");
   SweepOptions sweep;

@@ -487,7 +487,7 @@ int main(int argc, char** argv) {
                  "100000");
   cli.add_option("out", "output JSON path", "BENCH_perf.json");
   add_jobs_option(cli, /*default_value=*/"0");
-  if (!cli.parse(argc, argv)) return 1;
+  cli.parse(argc, argv);
 
   const Cycle fig4_cycles = cli.get_uint("fig4-cycles");
   const Cycle hotspot_cycles = cli.get_uint("hotspot-cycles");

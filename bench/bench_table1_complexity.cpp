@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
   cli.add_option("pulls", "flits pulled per timing measurement", "400000");
   cli.add_option("fairness-cycles", "cycles for the fairness panel", "400000");
   cli.add_option("csv", "output CSV path", "table1_complexity.csv");
-  if (!cli.parse(argc, argv)) return 1;
+  cli.parse(argc, argv);
 
   // --- Panel 0: the analytic table as printed in the paper. -------------
   AsciiTable analytic("Table 1 (analytic): relative fairness and work complexity");

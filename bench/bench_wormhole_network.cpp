@@ -114,7 +114,7 @@ int main(int argc, char** argv) {
   cli.add_option("switch-cycles", "single-switch run length", "200000");
   cli.add_option("mesh-cycles", "mesh run length", "100000");
   cli.add_option("csv", "output CSV path", "wormhole_network.csv");
-  if (!cli.parse(argc, argv)) return 1;
+  cli.parse(argc, argv);
 
   CsvWriter csv(cli.get("csv"));
   csv.header({"panel", "arbiter", "metric1", "metric2"});

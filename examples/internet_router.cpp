@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
                  "err");
   cli.add_option("cycles", "simulated cycles", "200000");
   cli.add_flag("compare", "run all schedulers and summarize");
-  if (!cli.parse(argc, argv)) return 1;
+  cli.parse(argc, argv);
   const Cycle cycles = cli.get_uint("cycles");
 
   traffic::WorkloadSpec workload;

@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
   cli.add_option("rate", "packets per node per cycle", "0.02");
   cli.add_option("cycles", "injection cycles", "50000");
   cli.add_option("torus", "1 = torus instead of mesh", "0");
-  if (!cli.parse(argc, argv)) return 1;
+  cli.parse(argc, argv);
 
   NetworkConfig config;
   config.topo = cli.get_int("torus") != 0 ? TopologySpec::torus(4, 4)

@@ -56,7 +56,7 @@ traffic::WorkloadSpec build_workload() {
 int main(int argc, char** argv) {
   CliParser cli("PERR priority-class isolation demo");
   cli.add_option("cycles", "simulated cycles", "300000");
-  if (!cli.parse(argc, argv)) return 1;
+  cli.parse(argc, argv);
   const Cycle cycles = cli.get_uint("cycles");
 
   const auto workload = build_workload();

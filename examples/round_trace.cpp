@@ -18,7 +18,7 @@ using namespace wormsched;
 int main(int argc, char** argv) {
   CliParser cli("ERR round trace (paper Fig. 3)");
   cli.add_option("rounds", "rounds to display", "3");
-  if (!cli.parse(argc, argv)) return 1;
+  cli.parse(argc, argv);
   const std::size_t rounds = cli.get_uint("rounds");
 
   core::ErrScheduler scheduler(core::ErrConfig{3});

@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
                  "trace_replay_demo.csv");
   cli.add_option("cycles", "horizon when generating", "100000");
   cli.add_option("seed", "generation seed", "42");
-  if (!cli.parse(argc, argv)) return 1;
+  cli.parse(argc, argv);
 
   const std::string path = cli.get("trace");
   const Cycle cycles = cli.get_uint("cycles");

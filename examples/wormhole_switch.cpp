@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   CliParser cli("wormhole switch arbitration demo");
   cli.add_option("cycles", "simulated cycles", "100000");
   cli.add_option("stall", "downstream stall probability", "0.3");
-  if (!cli.parse(argc, argv)) return 1;
+  cli.parse(argc, argv);
   const Cycle cycles = cli.get_uint("cycles");
 
   // Input 0 sends long worms (16 flits), inputs 1-3 short ones (2-4).

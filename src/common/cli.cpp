@@ -34,15 +34,13 @@ const char* parse_full(const std::string& text, T* out,
   return nullptr;
 }
 
-[[noreturn]] void numeric_error(const std::string& name,
-                                const std::string& value,
-                                const char* what) {
-  std::fprintf(stderr, "option --%s: '%s' %s\n", name.c_str(), value.c_str(),
-               what);
+}  // namespace
+
+void CliParser::option_error(const std::string& name,
+                             const std::string& message) {
+  std::fprintf(stderr, "option --%s: %s\n", name.c_str(), message.c_str());
   std::exit(2);
 }
-
-}  // namespace
 
 CliParser::CliParser(std::string program_description)
     : description_(std::move(program_description)) {}
@@ -77,12 +75,12 @@ void CliParser::add_choice_flag(const std::string& name,
                           bare_value};
 }
 
-bool CliParser::parse(int argc, const char* const* argv) {
+void CliParser::parse(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") {
       std::fputs(usage(argv[0]).c_str(), stdout);
-      return false;
+      std::exit(0);
     }
     if (arg.rfind("--", 0) != 0) {
       positional_.push_back(std::move(arg));
@@ -95,20 +93,13 @@ bool CliParser::parse(int argc, const char* const* argv) {
       name = name.substr(0, eq);
     }
     const auto it = options_.find(name);
-    if (it == options_.end()) {
-      std::fprintf(stderr, "unknown option --%s\n%s", name.c_str(),
-                   usage(argv[0]).c_str());
-      return false;
-    }
+    if (it == options_.end()) option_error(name, "unknown option");
     Option& opt = it->second;
     if (opt.is_flag) {
-      if (inline_value && !is_flag_value(*inline_value)) {
-        std::fprintf(stderr,
-                     "option --%s: '%s' is not a flag value "
-                     "(use true/false, 1/0, or yes/no)\n",
-                     name.c_str(), inline_value->c_str());
-        return false;
-      }
+      if (inline_value && !is_flag_value(*inline_value))
+        option_error(name, "'" + *inline_value +
+                               "' is not a flag value "
+                               "(use true/false, 1/0, or yes/no)");
       opt.value = inline_value.value_or("true");
     } else if (!opt.choices.empty()) {
       // Choice flags never consume the next token, so scripts that used
@@ -122,22 +113,16 @@ bool CliParser::parse(int argc, const char* const* argv) {
           if (!expect.empty()) expect += "|";
           expect += c;
         }
-        std::fprintf(stderr, "option --%s: '%s' is not one of %s\n",
-                     name.c_str(), value.c_str(), expect.c_str());
-        return false;
+        option_error(name, "'" + value + "' is not one of " + expect);
       }
       opt.value = value;
     } else if (inline_value) {
       opt.value = *inline_value;
     } else {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "option --%s expects a value\n", name.c_str());
-        return false;
-      }
+      if (i + 1 >= argc) option_error(name, "expects a value");
       opt.value = argv[++i];
     }
   }
-  return true;
 }
 
 std::string CliParser::get(const std::string& name) const {
@@ -151,7 +136,7 @@ std::int64_t CliParser::get_int(const std::string& name) const {
   std::int64_t out = 0;
   if (const char* what = parse_full(value, &out, "is not an integer",
                                     "overflows a signed 64-bit integer"))
-    numeric_error(name, value, what);
+    option_error(name, "'" + value + "' " + what);
   return out;
 }
 
@@ -163,7 +148,7 @@ std::uint64_t CliParser::get_uint(const std::string& name) const {
   if (const char* what =
           parse_full(value, &out, "is not a non-negative integer",
                      "overflows an unsigned 64-bit integer"))
-    numeric_error(name, value, what);
+    option_error(name, "'" + value + "' " + what);
   return out;
 }
 
@@ -173,7 +158,7 @@ std::uint32_t CliParser::get_u32(const std::string& name) const {
   if (const char* what =
           parse_full(value, &out, "is not a non-negative integer",
                      "overflows an unsigned 32-bit integer"))
-    numeric_error(name, value, what);
+    option_error(name, "'" + value + "' " + what);
   return out;
 }
 
@@ -182,13 +167,19 @@ double CliParser::get_double(const std::string& name) const {
   double out = 0.0;
   if (const char* what = parse_full(value, &out, "is not a number",
                                     "is out of range for a double"))
-    numeric_error(name, value, what);
+    option_error(name, "'" + value + "' " + what);
   return out;
 }
 
 bool CliParser::get_flag(const std::string& name) const {
   const std::string v = get(name);
   return v == "true" || v == "1" || v == "yes";
+}
+
+bool CliParser::given(const std::string& name) const {
+  const auto it = options_.find(name);
+  WS_CHECK_MSG(it != options_.end(), "undeclared option queried");
+  return it->second.value.has_value();
 }
 
 std::vector<std::pair<std::string, std::string>> CliParser::items() const {
@@ -208,33 +199,6 @@ std::size_t resolve_jobs(const CliParser& cli) {
   const std::uint64_t jobs = cli.get_uint("jobs");
   if (jobs == 0) return ThreadPool::hardware_workers();
   return static_cast<std::size_t>(jobs);
-}
-
-void add_network_parallel_options(CliParser& cli) {
-  cli.add_option("threads",
-                 "worker threads for the sharded network tick (>= 1; "
-                 "1 = the caller thread only)",
-                 "1");
-  cli.add_option("shards",
-                 "shard domains for the network tick (>= 1; default: one "
-                 "per thread)",
-                 "");
-}
-
-NetworkParallelism resolve_network_parallelism(const CliParser& cli) {
-  NetworkParallelism out;
-  // get_u32 already rejects non-numeric, negative, and overflowing
-  // values with exit 2; only the zero case is ours to add — a fabric
-  // cannot tick with zero threads or zero shard domains.
-  out.threads = cli.get_u32("threads");
-  if (out.threads == 0) numeric_error("threads", "0", "must be >= 1");
-  if (cli.get("shards").empty()) {
-    out.shards = out.threads;
-    return out;
-  }
-  out.shards = cli.get_u32("shards");
-  if (out.shards == 0) numeric_error("shards", "0", "must be >= 1");
-  return out;
 }
 
 std::string CliParser::usage(const std::string& program) const {

@@ -1,13 +1,13 @@
-// Small command-line option parser for the examples and figure benches.
+// Small command-line option parser for the CLI, examples and benches.
 //
-// Supports `--name value`, `--name=value` and boolean `--name`.  Unknown
-// options are an error (catches typos in sweep scripts); positional
-// arguments are collected in order.  Flag options validate any inline
-// value at parse time (`--audit=yes` works, `--audit=on` is rejected),
-// and the numeric getters validate the full string with std::from_chars —
-// junk (`--cycles=10x`), overflow, and a negative value handed to an
-// unsigned option all fail with a per-option message and exit code 2
-// instead of throwing or silently wrapping.
+// Supports `--name value`, `--name=value` and boolean `--name`; positional
+// arguments are collected in order.  One exit contract for argv: `--help`
+// prints usage to stdout and exits 0, and every bad option exits 2 with
+// one "option --<name>: ..." line on stderr (option_error): an unknown
+// option (catches typos in sweep scripts), a missing value, a flag value
+// outside true/false/1/0/yes/no (`--audit=on`), an unknown choice, or a
+// numeric value that is junk (`--cycles=10x`), overflows, or is negative
+// for an unsigned getter (std::from_chars on the full string).
 #pragma once
 
 #include <cstdint>
@@ -39,10 +39,16 @@ class CliParser {
                        const std::string& bare_value,
                        const std::string& default_value);
 
-  /// Parses argv.  Returns false (after printing usage) on error or when
-  /// `--help` is requested.  Flag options accept inline values from
-  /// {true,false,1,0,yes,no} only; anything else is a parse error.
-  [[nodiscard]] bool parse(int argc, const char* const* argv);
+  /// Parses argv.  `--help` prints usage to stdout and exits 0; a bad
+  /// option exits 2 through option_error.  Flag options accept inline
+  /// values from {true,false,1,0,yes,no} only.
+  void parse(int argc, const char* const* argv);
+
+  /// Prints "option --<name>: <message>" to stderr and exits 2: the one
+  /// reporter for every bad option value, here and in front ends that
+  /// check ranges or convert values further.
+  [[noreturn]] static void option_error(const std::string& name,
+                                        const std::string& message);
 
   [[nodiscard]] std::string get(const std::string& name) const;
   /// Numeric getters: the whole value must parse (std::from_chars) and
@@ -54,6 +60,8 @@ class CliParser {
   [[nodiscard]] std::uint32_t get_u32(const std::string& name) const;
   [[nodiscard]] double get_double(const std::string& name) const;
   [[nodiscard]] bool get_flag(const std::string& name) const;
+  /// True iff argv set the option (its default does not count).
+  [[nodiscard]] bool given(const std::string& name) const;
 
   [[nodiscard]] const std::vector<std::string>& positional() const {
     return positional_;
@@ -92,25 +100,5 @@ void add_jobs_option(CliParser& cli, const std::string& default_value = "1");
 /// Resolves `--jobs` to an effective worker count: 0 expands to the
 /// hardware thread count, anything else is used as given (minimum 1).
 [[nodiscard]] std::size_t resolve_jobs(const CliParser& cli);
-
-/// Declares the shared `--threads` / `--shards` options for the sharded
-/// network tick.  Unlike `--jobs`, 0 is NOT a wildcard here: a network
-/// always has at least one tick thread and one shard domain, so both
-/// options reject 0 (and non-numeric values) at resolve time with exit
-/// code 2.  `--shards` left unset follows `--threads` (one domain per
-/// thread, the balanced default).
-void add_network_parallel_options(CliParser& cli);
-
-struct NetworkParallelism {
-  std::uint32_t threads = 1;
-  std::uint32_t shards = 1;
-};
-
-/// Resolves `--threads` / `--shards` with strict validation: both must be
-/// numeric and >= 1 (prints "option --<name>: ..." and exits 2 otherwise,
-/// matching the numeric getters).  An unset `--shards` resolves to the
-/// thread count.
-[[nodiscard]] NetworkParallelism resolve_network_parallelism(
-    const CliParser& cli);
 
 }  // namespace wormsched

@@ -1,8 +1,6 @@
 #include "harness/checkpoint.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <utility>
 
@@ -133,15 +131,6 @@ CheckpointProvenance read_checkpoint_provenance(const SnapshotFile& file) {
     throw SnapshotError("checkpoint kind \"" + prov.kind +
                         "\" is not a known run kind");
   return prov;
-}
-
-SnapshotFile load_checkpoint_or_exit(const std::string& path) {
-  try {
-    return read_snapshot_file(path);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "wormsched: %s: %s\n", path.c_str(), e.what());
-    std::exit(2);
-  }
 }
 
 /// --- NetworkRun -----------------------------------------------------------

@@ -72,11 +72,6 @@ struct CheckpointProvenance {
 [[nodiscard]] CheckpointProvenance read_checkpoint_provenance(
     const SnapshotFile& file);
 
-/// CLI helper: read_snapshot_file with the documented failure contract —
-/// any malformed file (missing, bad magic, wrong version, truncated, CRC
-/// mismatch) prints "wormsched: <path>: <reason>" to stderr and exits 2.
-[[nodiscard]] SnapshotFile load_checkpoint_or_exit(const std::string& path);
-
 /// --- Network runs ---------------------------------------------------------
 
 /// Resumable whole-fabric run.  Owns the network, traffic source, fault

@@ -1,6 +1,7 @@
 #include "harness/workload_parse.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <vector>
 
 namespace wormsched::harness {
@@ -30,9 +31,11 @@ struct Cursor {
   }
 };
 
+// NaN and infinity fail every field: from_chars accepts "nan" and "inf",
+// and a NaN slips past every `< 0.0` test below.
 bool parse_double(std::string_view s, double* out) {
   const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), *out);
-  return ec == std::errc{} && ptr == s.data() + s.size();
+  return ec == std::errc{} && ptr == s.data() + s.size() && std::isfinite(*out);
 }
 
 bool parse_flits(std::string_view s, Flits* out) {

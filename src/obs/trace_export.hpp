@@ -17,8 +17,8 @@
 namespace wormsched::obs {
 
 /// What a run should trace and where the exports go.  Carried by run
-/// configs (harness::NetworkScenarioConfig) and built from CLI flags by
-/// trace_request_from_cli.
+/// configs (harness::NetworkScenarioConfig) and built from the CLI's
+/// --trace* options.
 struct TraceRequest {
   /// Chrome trace JSON output path; empty = none.
   std::string chrome_path;

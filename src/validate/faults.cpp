@@ -151,34 +151,4 @@ traffic::Trace apply_trace_faults(const FaultSpec& spec,
   return out;
 }
 
-void add_fault_options(CliParser& cli) {
-  cli.add_flag("faults", "enable deterministic fault injection");
-  cli.add_option("fault-seed", "fault schedule seed", "1");
-  cli.add_option("fault-window", "fault epoch length in cycles", "64");
-  cli.add_option("fault-link-rate", "P(epoch has a fabric link stall)",
-                 "0.1");
-  cli.add_option("fault-link-cycles", "link stall length in cycles", "4");
-  cli.add_option("fault-credit-rate",
-                 "P(node's credit returns starve per epoch)", "0.05");
-  cli.add_option("fault-credit-cycles", "credit starvation window", "16");
-  cli.add_option("fault-churn-rate", "P(source muted per epoch)", "0.1");
-  cli.add_option("fault-burst-rate", "P(source bursts per epoch)", "0.05");
-  cli.add_option("fault-burst-mult", "burst injection multiplier", "4");
-}
-
-FaultSpec fault_spec_from_cli(const CliParser& cli) {
-  FaultSpec spec;
-  spec.enabled = cli.get_flag("faults");
-  spec.seed = cli.get_uint("fault-seed");
-  spec.window = cli.get_uint("fault-window");
-  spec.link_stall_rate = cli.get_double("fault-link-rate");
-  spec.link_stall_cycles = cli.get_uint("fault-link-cycles");
-  spec.credit_stall_rate = cli.get_double("fault-credit-rate");
-  spec.credit_stall_cycles = cli.get_uint("fault-credit-cycles");
-  spec.churn_rate = cli.get_double("fault-churn-rate");
-  spec.burst_rate = cli.get_double("fault-burst-rate");
-  spec.burst_multiplier = cli.get_double("fault-burst-mult");
-  return spec;
-}
-
 }  // namespace wormsched::validate

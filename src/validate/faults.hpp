@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <string>
 
-#include "common/cli.hpp"
 #include "common/types.hpp"
 #include "traffic/workload.hpp"
 #include "wormhole/fault_hooks.hpp"
@@ -108,12 +107,5 @@ class ScheduledFaults final : public wormhole::FaultModel {
 /// Returns the input unchanged when spec.enabled is false.
 [[nodiscard]] traffic::Trace apply_trace_faults(const FaultSpec& spec,
                                                 const traffic::Trace& trace);
-
-/// Declares the shared fault-injection CLI options (--faults et al.) so
-/// the flags read identically in the CLI, benches and test drivers.
-void add_fault_options(CliParser& cli);
-
-/// Builds a FaultSpec from parsed fault options; enabled iff --faults.
-[[nodiscard]] FaultSpec fault_spec_from_cli(const CliParser& cli);
 
 }  // namespace wormsched::validate

@@ -1,6 +1,7 @@
 #include "wormhole/topology.hpp"
 
 #include <charconv>
+#include <limits>
 #include <sstream>
 
 #include "common/assert.hpp"
@@ -98,6 +99,11 @@ std::optional<TopologySpec> parse_topology_spec(const std::string& text,
     return fail("malformed <W>x<H> dimensions in '" + text + "'");
   if (spec.width == 0 || spec.height == 0)
     return fail("topology dimensions must be non-zero in '" + text + "'");
+  // num_nodes() is a 32-bit product; a wider one would wrap.
+  if (std::uint64_t{spec.width} * spec.height >
+      std::numeric_limits<std::uint32_t>::max())
+    return fail("topology has more nodes than a 32-bit node id holds in '" +
+                text + "'");
   if (spec.kind == TopologySpec::Kind::kTorus &&
       (spec.width < 2 || spec.height < 2))
     return fail("torus needs at least 2 nodes per dimension in '" + text +

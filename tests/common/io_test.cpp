@@ -114,7 +114,7 @@ TEST(CliParser, ParsesOptionsAndFlags) {
   cli.add_flag("verbose", "chatty");
   const char* argv[] = {"prog", "--cycles", "5000", "--verbose",
                         "--rate=0.25", "pos1"};
-  ASSERT_TRUE(cli.parse(6, argv));
+  cli.parse(6, argv);
   EXPECT_EQ(cli.get_uint("cycles"), 5000u);
   EXPECT_DOUBLE_EQ(cli.get_double("rate"), 0.25);
   EXPECT_TRUE(cli.get_flag("verbose"));
@@ -127,28 +127,32 @@ TEST(CliParser, DefaultsApplyWhenAbsent) {
   cli.add_option("n", "count", "42");
   cli.add_flag("quiet", "silence");
   const char* argv[] = {"prog"};
-  ASSERT_TRUE(cli.parse(1, argv));
+  cli.parse(1, argv);
   EXPECT_EQ(cli.get_int("n"), 42);
   EXPECT_FALSE(cli.get_flag("quiet"));
 }
 
+// parse() owns argv's exit contract: a bad option exits 2 with one
+// "option --NAME: ..." line, --help exits 0.
 TEST(CliParser, UnknownOptionFails) {
   CliParser cli("test");
   const char* argv[] = {"prog", "--nope", "1"};
-  EXPECT_FALSE(cli.parse(3, argv));
+  EXPECT_EXIT(cli.parse(3, argv), ::testing::ExitedWithCode(2),
+              "^option --nope: unknown option\n$");
 }
 
 TEST(CliParser, MissingValueFails) {
   CliParser cli("test");
   cli.add_option("n", "count", "1");
   const char* argv[] = {"prog", "--n"};
-  EXPECT_FALSE(cli.parse(2, argv));
+  EXPECT_EXIT(cli.parse(2, argv), ::testing::ExitedWithCode(2),
+              "^option --n: expects a value\n$");
 }
 
-TEST(CliParser, HelpReturnsFalse) {
+TEST(CliParser, HelpExits0) {
   CliParser cli("test");
   const char* argv[] = {"prog", "--help"};
-  EXPECT_FALSE(cli.parse(2, argv));
+  EXPECT_EXIT(cli.parse(2, argv), ::testing::ExitedWithCode(0), "^$");
 }
 
 // --- Strict numeric parsing (regressions: stoll/stoull/stod accepted
@@ -159,7 +163,7 @@ TEST(CliParserStrictDeathTest, TrailingJunkExitsWithMessage) {
   CliParser cli("test");
   cli.add_option("cycles", "run length", "1000");
   const char* argv[] = {"prog", "--cycles=10x"};
-  ASSERT_TRUE(cli.parse(2, argv));
+  cli.parse(2, argv);
   EXPECT_EXIT((void)cli.get_uint("cycles"), ::testing::ExitedWithCode(2),
               "option --cycles: '10x' is not a non-negative integer");
 }
@@ -170,7 +174,7 @@ TEST(CliParserStrictDeathTest, NegativeUnsignedDoesNotWrap) {
   CliParser cli("test");
   cli.add_option("seeds", "seed count", "1");
   const char* argv[] = {"prog", "--seeds=-1"};
-  ASSERT_TRUE(cli.parse(2, argv));
+  cli.parse(2, argv);
   EXPECT_EXIT((void)cli.get_uint("seeds"), ::testing::ExitedWithCode(2),
               "option --seeds: '-1' is not a non-negative integer");
 }
@@ -179,7 +183,7 @@ TEST(CliParserStrictDeathTest, IntegerOverflowExits) {
   CliParser cli("test");
   cli.add_option("n", "count", "0");
   const char* argv[] = {"prog", "--n=99999999999999999999"};
-  ASSERT_TRUE(cli.parse(2, argv));
+  cli.parse(2, argv);
   EXPECT_EXIT((void)cli.get_int("n"), ::testing::ExitedWithCode(2),
               "overflows a signed 64-bit integer");
 }
@@ -188,7 +192,7 @@ TEST(CliParserStrictDeathTest, DoubleJunkExits) {
   CliParser cli("test");
   cli.add_option("rate", "rate", "0.5");
   const char* argv[] = {"prog", "--rate", "1.5q"};
-  ASSERT_TRUE(cli.parse(3, argv));
+  cli.parse(3, argv);
   EXPECT_EXIT((void)cli.get_double("rate"), ::testing::ExitedWithCode(2),
               "option --rate: '1.5q' is not a number");
 }
@@ -197,83 +201,9 @@ TEST(CliParserStrictDeathTest, EmptyValueExits) {
   CliParser cli("test");
   cli.add_option("n", "count", "0");
   const char* argv[] = {"prog", "--n="};
-  ASSERT_TRUE(cli.parse(2, argv));
+  cli.parse(2, argv);
   EXPECT_EXIT((void)cli.get_int("n"), ::testing::ExitedWithCode(2),
               "is not an integer");
-}
-
-// --- --threads / --shards (sharded network tick) ------------------------
-
-TEST(NetworkParallelismDeathTest, ZeroThreadsExits) {
-  // 0 is NOT an "auto" wildcard here: a fabric cannot tick with zero
-  // worker threads, and silently promoting 0 to 1 would mask typos.
-  CliParser cli("test");
-  add_network_parallel_options(cli);
-  const char* argv[] = {"prog", "--threads=0"};
-  ASSERT_TRUE(cli.parse(2, argv));
-  EXPECT_EXIT((void)resolve_network_parallelism(cli),
-              ::testing::ExitedWithCode(2),
-              "option --threads: '0' must be >= 1");
-}
-
-TEST(NetworkParallelismDeathTest, ZeroShardsExits) {
-  CliParser cli("test");
-  add_network_parallel_options(cli);
-  const char* argv[] = {"prog", "--threads=2", "--shards=0"};
-  ASSERT_TRUE(cli.parse(3, argv));
-  EXPECT_EXIT((void)resolve_network_parallelism(cli),
-              ::testing::ExitedWithCode(2),
-              "option --shards: '0' must be >= 1");
-}
-
-TEST(NetworkParallelismDeathTest, NonNumericThreadsExits) {
-  CliParser cli("test");
-  add_network_parallel_options(cli);
-  const char* argv[] = {"prog", "--threads=four"};
-  ASSERT_TRUE(cli.parse(2, argv));
-  EXPECT_EXIT((void)resolve_network_parallelism(cli),
-              ::testing::ExitedWithCode(2),
-              "option --threads: 'four' is not a non-negative integer");
-}
-
-TEST(NetworkParallelismDeathTest, TrailingJunkShardsExits) {
-  CliParser cli("test");
-  add_network_parallel_options(cli);
-  const char* argv[] = {"prog", "--shards=4x"};
-  ASSERT_TRUE(cli.parse(2, argv));
-  EXPECT_EXIT((void)resolve_network_parallelism(cli),
-              ::testing::ExitedWithCode(2),
-              "option --shards: '4x' is not a non-negative integer");
-}
-
-TEST(NetworkParallelism, DefaultsAreSerial) {
-  CliParser cli("test");
-  add_network_parallel_options(cli);
-  const char* argv[] = {"prog"};
-  ASSERT_TRUE(cli.parse(1, argv));
-  const NetworkParallelism par = resolve_network_parallelism(cli);
-  EXPECT_EQ(par.threads, 1u);
-  EXPECT_EQ(par.shards, 1u);
-}
-
-TEST(NetworkParallelism, UnsetShardsFollowThreads) {
-  CliParser cli("test");
-  add_network_parallel_options(cli);
-  const char* argv[] = {"prog", "--threads=6"};
-  ASSERT_TRUE(cli.parse(2, argv));
-  const NetworkParallelism par = resolve_network_parallelism(cli);
-  EXPECT_EQ(par.threads, 6u);
-  EXPECT_EQ(par.shards, 6u);
-}
-
-TEST(NetworkParallelism, ExplicitShardsOverride) {
-  CliParser cli("test");
-  add_network_parallel_options(cli);
-  const char* argv[] = {"prog", "--threads=2", "--shards=8"};
-  ASSERT_TRUE(cli.parse(3, argv));
-  const NetworkParallelism par = resolve_network_parallelism(cli);
-  EXPECT_EQ(par.threads, 2u);
-  EXPECT_EQ(par.shards, 8u);
 }
 
 TEST(CliParserStrict, ValidNumbersStillParse) {
@@ -283,7 +213,7 @@ TEST(CliParserStrict, ValidNumbersStillParse) {
   cli.add_option("c", "", "0");
   const char* argv[] = {"prog", "--a=-7", "--b=18446744073709551615",
                         "--c=2.5e-3"};
-  ASSERT_TRUE(cli.parse(4, argv));
+  cli.parse(4, argv);
   EXPECT_EQ(cli.get_int("a"), -7);
   EXPECT_EQ(cli.get_uint("b"), 18446744073709551615ull);
   EXPECT_DOUBLE_EQ(cli.get_double("c"), 2.5e-3);
@@ -296,7 +226,8 @@ TEST(CliParserFlags, UnrecognizedInlineValueFailsParse) {
   CliParser cli("test");
   cli.add_flag("audit", "auditing");
   const char* argv[] = {"prog", "--audit=on"};
-  EXPECT_FALSE(cli.parse(2, argv));
+  EXPECT_EXIT(cli.parse(2, argv), ::testing::ExitedWithCode(2),
+              "^option --audit: 'on' is not a flag value");
 }
 
 TEST(CliParserFlags, RecognizedInlineValuesParse) {
@@ -311,7 +242,7 @@ TEST(CliParserFlags, RecognizedInlineValuesParse) {
     cli.add_flag("audit", "auditing");
     const std::string arg = std::string("--audit=") + value;
     const char* argv[] = {"prog", arg.c_str()};
-    ASSERT_TRUE(cli.parse(2, argv)) << arg;
+    cli.parse(2, argv);
     EXPECT_EQ(cli.get_flag("audit"), expected) << arg;
   }
 }
@@ -322,7 +253,7 @@ TEST(CliParser, ItemsReturnsEffectiveValues) {
   cli.add_option("rate", "rate", "0.5");
   cli.add_flag("audit", "auditing");
   const char* argv[] = {"prog", "--cycles", "250", "--audit"};
-  ASSERT_TRUE(cli.parse(4, argv));
+  cli.parse(4, argv);
   const auto items = cli.items();
   ASSERT_EQ(items.size(), 3u);
   // std::map order: audit, cycles, rate.
@@ -338,7 +269,7 @@ TEST(CliParserChoice, BareUsesBareValueAndKeepsNextTokenPositional) {
   // A choice flag must never eat the following token, so scripts that
   // treated it as a boolean (`--audit run.json`) keep working.
   const char* argv[] = {"prog", "--audit", "run.json"};
-  ASSERT_TRUE(cli.parse(3, argv));
+  cli.parse(3, argv);
   EXPECT_EQ(cli.get("audit"), "incremental");
   ASSERT_EQ(cli.positional().size(), 1u);
   EXPECT_EQ(cli.positional()[0], "run.json");
@@ -349,7 +280,7 @@ TEST(CliParserChoice, InlineValueValidatedAgainstChoices) {
   cli.add_choice_flag("audit", "audit mode", {"incremental", "full", "off"},
                       "incremental", "off");
   const char* argv[] = {"prog", "--audit=full"};
-  ASSERT_TRUE(cli.parse(2, argv));
+  cli.parse(2, argv);
   EXPECT_EQ(cli.get("audit"), "full");
 }
 
@@ -358,7 +289,9 @@ TEST(CliParserChoice, UnknownChoiceFailsParse) {
   cli.add_choice_flag("audit", "audit mode", {"incremental", "full", "off"},
                       "incremental", "off");
   const char* argv[] = {"prog", "--audit=sometimes"};
-  EXPECT_FALSE(cli.parse(2, argv));
+  EXPECT_EXIT(cli.parse(2, argv), ::testing::ExitedWithCode(2),
+              "^option --audit: 'sometimes' is not one of "
+              "incremental\\|full\\|off\n$");
 }
 
 TEST(CliParserChoice, AbsentReadsBackDefault) {
@@ -366,7 +299,7 @@ TEST(CliParserChoice, AbsentReadsBackDefault) {
   cli.add_choice_flag("audit", "audit mode", {"incremental", "full", "off"},
                       "incremental", "off");
   const char* argv[] = {"prog"};
-  ASSERT_TRUE(cli.parse(1, argv));
+  cli.parse(1, argv);
   EXPECT_EQ(cli.get("audit"), "off");
 }
 

@@ -1,26 +1,94 @@
-// Bad fabric and scheduler options through the CLI: each must exit 2 with
-// exactly one "option --<name>: ..." line on stderr — the contract --topo
-// and the numeric getters keep — never abort on a library assertion or
-// quietly run something other than what was asked.  Every network/soak
-// case carries a short --cycles so a regression that accepts the option
-// still finishes quickly.
+// The CLI's exit contract, driven from its option table
+// (tools/cli_options.hpp).  Every bad input exits exactly 2 (never by a
+// signal) with exactly one stderr line; a bad option's line starts
+// "option --<name>: ", a bad command, file, snapshot or trace's line
+// starts "wormsched: ".  `--help` exits 0 everywhere.
+//
+// The sweep feeds every numeric row of every subcommand junk, an empty
+// value, an overflow, one value past each finite bound, and NaN and
+// infinity for doubles; each lower bound and each small upper bound must
+// run (exit 0), so a range looser or tighter than the precondition it
+// guards fails here.  One subprocess at a time, each under a timeout and
+// with a short --cycles; no large legal value ever reaches --threads,
+// --shards, --jobs, --seeds, --cycles, --horizon, --flows,
+// --trace-capacity or --incast-fanin, which start threads, run long or
+// allocate in proportion.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <limits>
+#include <ostream>
 #include <string>
 #include <vector>
 
+#include "cli_options.hpp"
+
+namespace wormsched::cli {
 namespace {
 
-struct CliCase {
-  std::string args;
-  std::string option;  // the option the stderr line must name
+/// A per-process scratch directory: ctest -j runs the suites of this
+/// binary as separate processes at once.
+const std::string& scratch() {
+  static const std::string dir = [] {
+    const std::string d = testing::TempDir() + "cli_options_" +
+                          std::to_string(::getpid()) + "/";
+    std::filesystem::create_directories(d);
+    std::ofstream(d + "replay.csv") << "cycle,flow,length\n0,0,2\n3,1,1\n";
+    std::ofstream(d + "header_only.csv") << "cycle,flow,length\n";
+    return d;
+  }();
+  return dir;
+}
+
+struct Outcome {
+  int code = -1;
+  std::string out;
+  std::vector<std::string> err;
 };
 
+/// Runs `wormsched <args>` in the scratch directory.
+Outcome run_cli(const std::string& args) {
+  const std::string& dir = scratch();
+  const std::string command = "cd '" + dir + "' && timeout 120 " + WS_CLI +
+                              " " + args + " > stdout.txt 2> stderr.txt";
+  const int status = std::system(command.c_str());
+  Outcome o;
+  // The shell reports a CLI killed by a signal as exit code 128 + signal.
+  o.code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  std::ifstream out(dir + "stdout.txt");
+  o.out.assign(std::istreambuf_iterator<char>(out),
+               std::istreambuf_iterator<char>());
+  std::ifstream err(dir + "stderr.txt");
+  for (std::string line; std::getline(err, line);) o.err.push_back(line);
+  return o;
+}
+
+/// Exit 2 with one stderr line starting with `prefix`.
+void expect_rejected(const std::string& args, const std::string& prefix) {
+  const Outcome o = run_cli(args);
+  EXPECT_EQ(o.code, 2) << args;
+  ASSERT_EQ(o.err.size(), 1u) << args;
+  EXPECT_EQ(o.err[0].rfind(prefix, 0), 0u) << args << " -> " << o.err[0];
+}
+
+void expect_runs(const std::string& args) {
+  const Outcome o = run_cli(args);
+  EXPECT_EQ(o.code, 0) << args << " -> "
+                       << (o.err.empty() ? "" : o.err[0]);
+}
+
 TEST(CliOptions, BadFabricAndSchedulerOptionsExit2WithOneLine) {
+  struct CliCase {
+    std::string args;
+    std::string option;  // the option the stderr line must name
+  };
   const std::vector<CliCase> cases = {
       {"network --cycles 100 --vcs 0", "vcs"},
       {"network --cycles 100 --vcs 13", "vcs"},
@@ -36,28 +104,349 @@ TEST(CliOptions, BadFabricAndSchedulerOptionsExit2WithOneLine) {
       {"network --cycles 100 --vcs 4294967297", "vcs"},
       {"network --cycles 100 --buffers 5000000000", "buffers"},
   };
-  const std::string err_path = testing::TempDir() + "cli_options_stderr.txt";
-  for (const CliCase& c : cases) {
-    const std::string command = std::string(WS_CLI) + " " + c.args +
-                                " > /dev/null 2> " + err_path;
-    const int status = std::system(command.c_str());
-    ASSERT_TRUE(WIFEXITED(status)) << c.args;
-    EXPECT_EQ(WEXITSTATUS(status), 2) << c.args;
-    std::ifstream err(err_path);
-    std::vector<std::string> lines;
-    for (std::string line; std::getline(err, line);) lines.push_back(line);
-    ASSERT_EQ(lines.size(), 1u) << c.args;
-    EXPECT_EQ(lines[0].rfind("option --" + c.option + ": ", 0), 0u)
-        << c.args << ": " << lines[0];
-  }
+  for (const CliCase& c : cases)
+    expect_rejected(c.args, "option --" + c.option + ": ");
   // Control: the same harness sees a valid torus run exit 0.
-  const std::string control = std::string(WS_CLI) +
-                              " network --cycles 50 --topo torus4x4 --vcs 2"
-                              " > /dev/null 2>&1";
-  const int status = std::system(control.c_str());
-  ASSERT_TRUE(WIFEXITED(status));
-  EXPECT_EQ(WEXITSTATUS(status), 0);
-  std::remove(err_path.c_str());
+  expect_runs("network --cycles 50 --topo torus4x4 --vcs 2");
+}
+
+// Invocations that used to abort (exit 134), exit 1 or quietly run
+// something other than what was asked.
+TEST(CliOptions, ListedBadInputsExit2WithOneLine) {
+  const std::string net = "network --topo mesh2x2 --cycles 100 ";
+  const std::string soak = "soak --topo mesh2x2 --cycles 100 --window 10 ";
+  const std::string gen = "trace-gen --flows 4 --cycles 100 --out t.wst ";
+  struct Row {
+    std::string args;
+    std::string prefix;
+  };
+  const std::vector<Row> rows = {
+      // Unwritable outputs, found after the run's work is done.
+      {"gen-trace --cycles 100 --out /nonexistent/dir/x.csv", "wormsched: "},
+      {"gen-trace --cycles 100 --format=binary --out /nonexistent/dir/x.csv",
+       "wormsched: "},
+      {"trace-gen --flows 4 --cycles 100 --out /nonexistent/dir/x.wst",
+       "wormsched: "},
+      {net + "--manifest /nonexistent/dir/f", "wormsched: "},
+      {net + "--trace /nonexistent/dir/f", "wormsched: "},
+      {net + "--checkpoint /nonexistent/dir/f", "wormsched: "},
+      {"run --cycles 100 --trace-csv /nonexistent/dir/t.csv", "wormsched: "},
+      {soak + "--checkpoint /nonexistent/dir/c.wsnp", "wormsched: "},
+      {net + "--seeds 2 --jobs 2 --trace /nonexistent/dir/t.json",
+       "wormsched: "},
+      // Values a library precondition rejects.
+      {net + "--faults --fault-window 0", "option --fault-window: "},
+      {net + "--faults --fault-burst-mult -3", "option --fault-burst-mult: "},
+      {soak + "--window 0", "option --window: "},
+      {soak + "--stable-windows 0", "option --stable-windows: "},
+      {soak + "--rel-tol -1", "option --rel-tol: "},
+      {soak + "--rel-tol nan", "option --rel-tol: "},
+      {gen + "--load nan", "option --load: "},
+      {gen + "--load 1e300", "option --load: "},
+      {net + "--trace t.json --trace-capacity 1152921504606846976",
+       "option --trace-capacity: "},
+      {net + "--cycles 18446744073709551615", "option --cycles: "},
+      {soak + "--horizon 18446744073709551615", "option --horizon: "},
+      {"run --cycles 100 --workload 'bern:nan:u1-8'", "option --workload: "},
+      {"network --topo mesh65536x65536 --cycles 1", "option --topo: "},
+      // Bad input that used to exit 1.
+      {"run --cycles 100 --workload bogus", "option --workload: "},
+      {"compare --cycles 100 --workload bogus", "option --workload: "},
+      {"network --bogus 1", "option --bogus: "},
+      {"replay --trace /nonexistent.wst", "wormsched: "},
+      {"network --trace-in /nonexistent.wst", "wormsched: "},
+      {gen + "--flows 0", "option --flows: "},
+      {"run --cycles 100 --trace-events bogus", "option --trace-events: "},
+      {net + "--trace-events bogus", "option --trace-events: "},
+      {soak + "--trace-events bogus", "option --trace-events: "},
+      {net + "--seeds 2 --restore x.wsnp", "option --restore: "},
+      {net + "--seeds 2 --checkpoint c.wsnp", "option --checkpoint: "},
+      {net + "--seeds 2 --checkpoint-every 10", "option --checkpoint-every: "},
+      {"network --trace-in x --seeds 2", "option --seeds: "},
+      {"frobnicate", "wormsched: "},
+      {"", "wormsched: "},
+      {"replay --trace replay.csv --scheduler nope", "option --scheduler: "},
+      {"replay --trace header_only.csv", "wormsched: "},
+      // Runs that exited 0 without doing what was asked.
+      {net + "--rate 2", "option --rate: "},
+      {net + "--rate -1", "option --rate: "},
+      {net + "--rate nan", "option --rate: "},
+      {net + "--rate inf", "option --rate: "},
+      {net + "--faults --fault-link-rate 2", "option --fault-link-rate: "},
+      {net + "--faults --fault-link-rate -0.5", "option --fault-link-rate: "},
+      {gen + "--elephant-fraction 2", "option --elephant-fraction: "},
+      {gen + "--elephant-share -1", "option --elephant-share: "},
+      {"compare --cycles 100 --schedulers ''", "option --schedulers: "},
+      {"compare --cycles 100 --schedulers ',,'", "option --schedulers: "},
+      {"compare --cycles 100 --seeds 0", "option --seeds: "},
+      // The three former WILL_FAIL smoke tests, now held to exit 2.
+      {"run --workload nope", "option --workload: "},
+      {"network --topo mesh3x3 --restore no_such.wsnp", "wormsched: "},
+  };
+  for (const Row& r : rows) expect_rejected(r.args, r.prefix);
+  expect_runs("trace-gen --flows 2 --cycles 0 --out empty.wst");
+  expect_rejected("replay --trace empty.wst", "option --trace: ");
+}
+
+// `network --trace-in` reads only the fabric options, --pattern and
+// --seed; any other option set with it is rejected by name instead of
+// silently ignored.
+TEST(CliOptions, TraceInRejectsOptionsItIgnores) {
+  expect_runs("trace-gen --flows 8 --cycles 300 --load 0.3 --out in.wst");
+  const std::string base = "network --topo mesh2x2 --trace-in in.wst ";
+  expect_runs(base + "--pattern hotspot --seed 3 --vcs 3 --threads 2");
+  const std::vector<std::string> ignored = {
+      "--faults",          "--fault-seed 2",      "--fault-window 8",
+      "--fault-link-rate 0.2", "--fault-link-cycles 2",
+      "--fault-credit-rate 0.2", "--fault-credit-cycles 2",
+      "--fault-churn-rate 0.2", "--fault-burst-rate 0.2",
+      "--fault-burst-mult 2", "--audit",           "--audit=full",
+      "--trace tr.json",   "--trace-csv tr.csv",  "--trace-events packet",
+      "--trace-capacity 64", "--manifest m.json", "--checkpoint c.wsnp",
+      "--checkpoint-every 10", "--restore c.wsnp", "--seeds 2",
+      "--jobs 2",          "--rate 0.5",          "--cycles 10"};
+  for (const std::string& option : ignored) {
+    const std::string name = option.substr(2, option.find_first_of(" =") - 2);
+    expect_rejected(base + option, "option --" + name + ": ");
+  }
+  expect_rejected("network --topo mesh4x4 --trace-in in.wst --faults --audit "
+                  "--manifest m.json --trace tr.json --checkpoint c.wsnp",
+                  "option --");
+  EXPECT_FALSE(std::filesystem::exists(scratch() + "m.json"));
+}
+
+TEST(CliOptions, TopLevelHelpExits0) {
+  for (const char* help : {"--help", "-h"}) {
+    const Outcome o = run_cli(help);
+    EXPECT_EQ(o.code, 0) << help;
+    EXPECT_NE(o.out.find("soak"), std::string::npos) << help;
+    EXPECT_TRUE(o.err.empty()) << help;
+  }
+}
+
+// Rows sharing a name take disjoint subcommands, and every default lies
+// in its row's range (defaults are not range-checked at run time).
+TEST(CliOptions, TableRowsAreConsistent) {
+  for (const Option& a : kOptions) {
+    for (const Option& b : kOptions) {
+      if (&a != &b && std::string(a.name) == b.name) {
+        EXPECT_EQ(a.commands & b.commands, 0u) << a.name;
+      }
+    }
+  }
+  for (const unsigned command : {kCompare, kRun, kGenTrace, kTraceGen,
+                                 kReplay, kNetwork, kSoak}) {
+    std::vector<std::string> args = {"cmd"};
+    for (const Option& o : kOptions)
+      if ((o.commands & command) != 0 && *o.default_value != '\0' &&
+          (o.kind == Kind::kUint || o.kind == Kind::kDouble))
+        args.push_back(std::string("--") + o.name + "=" + o.default_value);
+    std::vector<const char*> argv;
+    for (const std::string& a : args) argv.push_back(a.c_str());
+    EXPECT_EXIT(
+        {
+          (void)parse_command(command, "test", static_cast<int>(argv.size()),
+                              argv.data());
+          std::exit(0);
+        },
+        ::testing::ExitedWithCode(0), "")
+        << command;
+  }
+}
+
+struct Subcommand {
+  const char* name;
+  unsigned bit;
+  const char* base;  // cheap, valid arguments every case builds on
+};
+
+constexpr Subcommand kSubcommands[] = {
+    {"compare", kCompare,
+     "--cycles 50 --schedulers err --workload bern:0.05:u1-4*2"},
+    {"run", kRun, "--cycles 50 --workload bern:0.05:u1-4*2"},
+    {"gen-trace", kGenTrace, "--cycles 50 --out g.csv"},
+    {"trace-gen", kTraceGen, "--flows 4 --cycles 50 --out t.wst"},
+    {"replay", kReplay, "--trace replay.csv"},
+    {"network", kNetwork, "--topo mesh2x2 --cycles 50"},
+    {"soak", kSoak, "--topo mesh2x2 --cycles 50 --window 10"},
+};
+
+void PrintTo(const Subcommand& sub, std::ostream* os) { *os << sub.name; }
+
+/// Options that only take effect alongside another one.
+std::string enabler(const std::string& name) {
+  if (name.rfind("fault-", 0) == 0) return " --faults";
+  if (name == "trace-capacity") return " --trace t.json";
+  if (name == "checkpoint-every") return " --checkpoint c.wsnp";
+  return "";
+}
+
+std::string exact(double v) {
+  char text[40];
+  std::snprintf(text, sizeof text, "%.17g", v);
+  return text;
+}
+
+class CliOptionSweep : public testing::TestWithParam<Subcommand> {};
+
+TEST_P(CliOptionSweep, EveryOptionKeepsTheExitContract) {
+  const Subcommand& sub = GetParam();
+  const std::string base = std::string(sub.name) + " " + sub.base;
+  {
+    const Outcome o = run_cli(std::string(sub.name) + " --help");
+    EXPECT_EQ(o.code, 0) << sub.name;
+    EXPECT_NE(o.out.find("--"), std::string::npos) << sub.name;
+    EXPECT_TRUE(o.err.empty()) << sub.name;
+  }
+  expect_runs(base);
+  expect_rejected(base + " --bogus 1", "option --bogus: ");
+  for (const Option& o : kOptions) {
+    if ((o.commands & sub.bit) == 0) continue;
+    const std::string name = o.name;
+    const std::string with = base + enabler(name) + " --" + name;
+    const std::string named = "option --" + name + ": ";
+    if (o.kind == Kind::kFlag) {
+      expect_rejected(with + "=maybe", named);
+      continue;
+    }
+    if (o.kind == Kind::kChoice) {
+      expect_rejected(with + "=bogus", named);
+      continue;
+    }
+    if (o.kind == Kind::kText) {
+      expect_rejected(base + " --" + name, named);  // no value
+      continue;
+    }
+    std::vector<std::string> bad = {"x1", "''", "1x"};
+    std::vector<std::string> legal;
+    if (o.kind == Kind::kUint) {
+      bad.push_back("-1");
+      bad.push_back("99999999999999999999999");  // overflows 64 bits
+      if (o.min > 0) bad.push_back(std::to_string(o.min - 1));
+      if (o.max < std::numeric_limits<std::uint64_t>::max())
+        bad.push_back(std::to_string(o.max + 1));
+      legal.push_back(std::to_string(o.min));
+      if (o.max <= 64) legal.push_back(std::to_string(o.max));
+    } else {
+      bad.insert(bad.end(), {"nan", "inf", "-inf", "1e999"});
+      constexpr double kInf = std::numeric_limits<double>::infinity();
+      bad.push_back(exact(std::nextafter(o.lo, -kInf)));
+      if (o.hi < std::numeric_limits<double>::max())
+        bad.push_back(exact(std::nextafter(o.hi, kInf)));
+      if (o.hi <= 64) legal.push_back(exact(o.hi));
+      legal.push_back(exact(o.lo));
+    }
+    for (const std::string& v : bad) expect_rejected(with + " " + v, named);
+    for (const std::string& v : legal) expect_runs(with + " " + v);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Subcommands, CliOptionSweep, testing::ValuesIn(kSubcommands),
+    [](const testing::TestParamInfo<Subcommand>& p) {
+      std::string name = p.param.name;
+      for (char& c : name)
+        if (c == '-') c = '_';
+      return name;
+    });
+
+// --- The table's converters, in process -----------------------------------
+
+CliParser parse(unsigned command, std::vector<const char*> argv) {
+  argv.insert(argv.begin(), "cmd");
+  return parse_command(command, "test", static_cast<int>(argv.size()),
+                       argv.data());
+}
+
+// --threads / --shards: 0 is not a wildcard (a fabric cannot tick with
+// zero threads or shard domains); an unset --shards follows --threads.
+TEST(NetworkParallelismDeathTest, ZeroThreadsExits) {
+  EXPECT_EXIT((void)parse(kNetwork, {"--threads=0"}),
+              ::testing::ExitedWithCode(2), "^option --threads: '0' is not");
+}
+
+TEST(NetworkParallelismDeathTest, ZeroShardsExits) {
+  EXPECT_EXIT((void)parse(kNetwork, {"--threads=2", "--shards=0"}),
+              ::testing::ExitedWithCode(2), "^option --shards: '0' is not");
+}
+
+TEST(NetworkParallelismDeathTest, NonNumericThreadsExits) {
+  EXPECT_EXIT((void)parse(kSoak, {"--threads=four"}),
+              ::testing::ExitedWithCode(2),
+              "option --threads: 'four' is not a non-negative integer");
+}
+
+TEST(NetworkParallelismDeathTest, TrailingJunkShardsExits) {
+  EXPECT_EXIT((void)parse(kNetwork, {"--shards=4x"}),
+              ::testing::ExitedWithCode(2),
+              "option --shards: '4x' is not a non-negative integer");
+}
+
+TEST(NetworkParallelism, DefaultsAreSerial) {
+  const auto point = fabric_config(parse(kNetwork, {}), 100);
+  EXPECT_EQ(point.network.threads, 1u);
+  EXPECT_EQ(point.network.shards, 1u);
+}
+
+TEST(NetworkParallelism, UnsetShardsFollowThreads) {
+  const auto point = fabric_config(parse(kSoak, {"--threads=6"}), 100);
+  EXPECT_EQ(point.network.threads, 6u);
+  EXPECT_EQ(point.network.shards, 6u);
+}
+
+TEST(NetworkParallelism, ExplicitShardsOverride) {
+  const auto point =
+      fabric_config(parse(kNetwork, {"--threads=2", "--shards=8"}), 100);
+  EXPECT_EQ(point.network.threads, 2u);
+  EXPECT_EQ(point.network.shards, 8u);
+}
+
+TEST(TraceCli, DefaultsAreDisabled) {
+  const CliParser cli = parse(kRun, {});
+  const obs::TraceRequest request = trace_request(cli);
+  EXPECT_FALSE(request.enabled());
+  EXPECT_EQ(request.mask, obs::kAllEventsMask);
+  EXPECT_EQ(request.capacity, std::size_t{1} << 16);
+  EXPECT_EQ(cli.get("manifest"), "");
+}
+
+TEST(TraceCli, FlagsFlowIntoRequest) {
+  const CliParser cli =
+      parse(kNetwork, {"--trace=t.json", "--trace-csv=t.csv",
+                       "--trace-events=packet,violation",
+                       "--trace-capacity=128", "--manifest=m.json"});
+  const obs::TraceRequest request = trace_request(cli);
+  EXPECT_TRUE(request.enabled());
+  EXPECT_EQ(request.chrome_path, "t.json");
+  EXPECT_EQ(request.timeline_csv, "t.csv");
+  EXPECT_EQ(request.capacity, 128u);
+  EXPECT_EQ(request.mask, obs::event_bit(obs::EventKind::kPacketEnqueue) |
+                              obs::event_bit(obs::EventKind::kPacketDequeue) |
+                              obs::event_bit(obs::EventKind::kViolation));
+  EXPECT_EQ(cli.get("manifest"), "m.json");
+}
+
+TEST(TraceCli, BadEventListReportsError) {
+  const CliParser cli = parse(kSoak, {"--trace-events=nonsense"});
+  EXPECT_EXIT((void)trace_request(cli), ::testing::ExitedWithCode(2),
+              "^option --trace-events: unknown event group 'nonsense'");
+}
+
+TEST(TraceCli, ManifestFromCliCapturesEffectiveConfig) {
+  const obs::RunManifest m =
+      manifest("wormsched test", parse(kRun, {"--cycles=50"}), 11);
+  EXPECT_EQ(m.tool, "wormsched test");
+  EXPECT_EQ(m.seed, 11u);
+  bool saw_cycles = false;
+  for (const auto& [key, value] : m.config) {
+    if (key == "cycles") {
+      saw_cycles = true;
+      EXPECT_EQ(value, "50");
+    }
+  }
+  EXPECT_TRUE(saw_cycles);
+  EXPECT_FALSE(m.git_sha.empty());
 }
 
 }  // namespace
+}  // namespace wormsched::cli

@@ -12,16 +12,19 @@
 // layout change must bump kSnapshotFormatVersion and commit a new
 // golden alongside this one.
 //
-// The rejection matrix drives the CLI failure contract end to end:
-// corrupted, truncated and wrong-version variants must exit 2 with a
-// clear stderr message (load_checkpoint_or_exit), and no malformed
-// variant may ever reach undefined behaviour (the ASan CI leg runs this
-// suite too).
+// The rejection matrix drives the failure contract end to end:
+// read_snapshot_file throws a SnapshotError naming the problem for every
+// corrupted, truncated, wrong-version or missing variant, and
+// `wormsched network --restore` turns it into exit 2 with that one line
+// on stderr.  No malformed variant may ever reach undefined behaviour
+// (the ASan CI leg runs this suite too).
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -51,6 +54,33 @@ std::string write_variant(const std::string& name,
   out.write(reinterpret_cast<const char*>(bytes.data()),
             static_cast<std::streamsize>(bytes.size()));
   return path;
+}
+
+/// Both halves of the contract for a malformed checkpoint at `path`: the
+/// library throws SnapshotError with `reason` in its message, and the
+/// CLI's restore exits 2 with one "wormsched: ..." line carrying it.
+void expect_rejected(const std::string& path, const std::string& reason) {
+  try {
+    (void)read_snapshot_file(path);
+    ADD_FAILURE() << "read_snapshot_file accepted " << path;
+  } catch (const SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find(reason), std::string::npos)
+        << e.what();
+  }
+  const std::string err_path = path + ".stderr";
+  const std::string command = std::string(WS_CLI) +
+                              " network --topo mesh3x3 --restore " + path +
+                              " > /dev/null 2> " + err_path;
+  const int status = std::system(command.c_str());
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 2);
+  std::ifstream err(err_path);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(err, line);) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_EQ(lines[0].rfind("wormsched: ", 0), 0u) << lines[0];
+  EXPECT_NE(lines[0].find(reason), std::string::npos) << lines[0];
+  std::remove(err_path.c_str());
 }
 
 /// The geometry the golden run used (everything else — traffic law,
@@ -151,8 +181,7 @@ TEST(SnapshotGoldenDeathTest, WrongVersionExits2WithClearMessage) {
   auto bytes = golden_bytes();
   bytes[8] = 0x7F;  // u32 format version follows the 8-byte magic
   const std::string path = write_variant("wrong_version", bytes);
-  EXPECT_EXIT((void)load_checkpoint_or_exit(path),
-              ::testing::ExitedWithCode(2), "version");
+  expect_rejected(path, "version");
   std::remove(path.c_str());
 }
 
@@ -160,16 +189,14 @@ TEST(SnapshotGoldenDeathTest, V1GoldenRejectedWithVersionMessage) {
   // The real retired v1 image (not a synthetic byte flip): the loader
   // must refuse it at the version gate with exit 2, never attempt to
   // parse v1 state with v2 readers.
-  EXPECT_EXIT((void)load_checkpoint_or_exit(WS_GOLDEN_SNAPSHOT_V1),
-              ::testing::ExitedWithCode(2), "version");
+  expect_rejected(WS_GOLDEN_SNAPSHOT_V1, "version");
 }
 
 TEST(SnapshotGoldenDeathTest, BadMagicExits2WithClearMessage) {
   auto bytes = golden_bytes();
   bytes[0] = 'X';
   const std::string path = write_variant("bad_magic", bytes);
-  EXPECT_EXIT((void)load_checkpoint_or_exit(path),
-              ::testing::ExitedWithCode(2), "magic");
+  expect_rejected(path, "magic");
   std::remove(path.c_str());
 }
 
@@ -177,8 +204,7 @@ TEST(SnapshotGoldenDeathTest, CorruptedPayloadExits2WithClearMessage) {
   auto bytes = golden_bytes();
   bytes[bytes.size() / 2] ^= 0xFF;  // payload byte; CRC must catch it
   const std::string path = write_variant("corrupt", bytes);
-  EXPECT_EXIT((void)load_checkpoint_or_exit(path),
-              ::testing::ExitedWithCode(2), "CRC");
+  expect_rejected(path, "CRC");
   std::remove(path.c_str());
 }
 
@@ -186,15 +212,13 @@ TEST(SnapshotGoldenDeathTest, TruncatedFileExits2WithClearMessage) {
   auto bytes = golden_bytes();
   bytes.resize(bytes.size() / 3);
   const std::string path = write_variant("truncated", bytes);
-  EXPECT_EXIT((void)load_checkpoint_or_exit(path),
-              ::testing::ExitedWithCode(2), "truncat");
+  expect_rejected(path, "truncat");
   std::remove(path.c_str());
 }
 
 TEST(SnapshotGoldenDeathTest, MissingFileExits2WithClearMessage) {
-  EXPECT_EXIT(
-      (void)load_checkpoint_or_exit(golden_path() + ".does-not-exist"),
-      ::testing::ExitedWithCode(2), "wormsched:");
+  expect_rejected(testing::TempDir() + "golden_does_not_exist.wsnp",
+                  "cannot open");
 }
 
 TEST(SnapshotGolden, EveryTruncationFailsCleanly) {

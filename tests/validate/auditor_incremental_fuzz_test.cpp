@@ -82,8 +82,8 @@ AuditedRun run_audited(AuditMode mode, std::uint64_t seed,
   return run;
 }
 
-// Same five-preset rotation the pipeline fuzz uses: one seed in five runs
-// fault-free, the rest stress a distinct fault class.
+// The five fault presets FabricDigest pins, rotated across seeds: one seed
+// in five runs fault-free, the rest stress a distinct fault class.
 FaultSpec preset_for(std::uint64_t seed) {
   FaultSpec spec;
   switch (seed % 5) {

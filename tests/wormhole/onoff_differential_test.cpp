@@ -14,7 +14,7 @@
 //    is bit-identical to the serial run, delivery cycles included.
 //
 // The 200-seed block rotates the five fault presets across seeds (the
-// fuzz idiom of fault_differential_test.cpp) on mesh and fat tree.  A
+// fuzz idiom of NetworkFuzzAuditTest) on mesh and fat tree.  A
 // second suite pits deterministic against adaptive up/down routing on the
 // fat tree under incast: both must drain deadlock-free with the same
 // packet set, and the harness-level checkpoint differential pins
