@@ -83,8 +83,8 @@ void CliParser::parse(int argc, const char* const* argv) {
       std::exit(0);
     }
     if (arg.rfind("--", 0) != 0) {
-      positional_.push_back(std::move(arg));
-      continue;
+      std::fprintf(stderr, "unexpected argument '%s'\n", arg.c_str());
+      std::exit(2);
     }
     std::string name = arg.substr(2);
     std::optional<std::string> inline_value;
@@ -102,12 +102,17 @@ void CliParser::parse(int argc, const char* const* argv) {
                                "(use true/false, 1/0, or yes/no)");
       opt.value = inline_value.value_or("true");
     } else if (!opt.choices.empty()) {
-      // Choice flags never consume the next token, so scripts that used
-      // the option as a plain boolean (`--audit run.json`) keep working.
+      // A choice flag without `=` takes the next token when that token is
+      // one of its choices (`--audit off`), and reads as bare otherwise.
+      const auto known = [&opt](const std::string& v) {
+        for (const auto& c : opt.choices)
+          if (c == v) return true;
+        return false;
+      };
+      if (!inline_value && i + 1 < argc && known(argv[i + 1]))
+        inline_value = argv[++i];
       const std::string value = inline_value.value_or(opt.bare_value);
-      bool known = false;
-      for (const auto& c : opt.choices) known = known || c == value;
-      if (!known) {
+      if (!known(value)) {
         std::string expect;
         for (const auto& c : opt.choices) {
           if (!expect.empty()) expect += "|";

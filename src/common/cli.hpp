@@ -1,10 +1,12 @@
 // Small command-line option parser for the CLI, examples and benches.
 //
-// Supports `--name value`, `--name=value` and boolean `--name`; positional
-// arguments are collected in order.  One exit contract for argv: `--help`
-// prints usage to stdout and exits 0, and every bad option exits 2 with
-// one "option --<name>: ..." line on stderr (option_error): an unknown
-// option (catches typos in sweep scripts), a missing value, a flag value
+// Supports `--name value`, `--name=value` and boolean `--name`; there are
+// no positional arguments.  One exit contract for argv: `--help` prints
+// usage to stdout and exits 0, a token that is not an option exits 2 with
+// one "unexpected argument '<token>'" line on stderr, and every bad option
+// exits 2 with one "option --<name>: ..." line on stderr (option_error):
+// an unknown option (catches typos in sweep scripts), a missing value, a
+// flag value
 // outside true/false/1/0/yes/no (`--audit=on`), an unknown choice, or a
 // numeric value that is junk (`--cycles=10x`), overflows, or is negative
 // for an unsigned getter (std::from_chars on the full string).
@@ -28,12 +30,11 @@ class CliParser {
   void add_option(const std::string& name, const std::string& help,
                   const std::string& default_value);
   void add_flag(const std::string& name, const std::string& help);
-  /// Declares an enumerated option that behaves like a flag on the
-  /// command line: it never consumes the next token, so `--audit run.json`
-  /// keeps `run.json` positional.  Bare `--name` reads back as
-  /// `bare_value`; `--name=choice` is validated against `choices` at
-  /// parse time; an absent option reads back as `default_value`.  Both
-  /// `bare_value` and `default_value` must themselves be in `choices`.
+  /// Declares an enumerated option.  `--name=choice` is validated against
+  /// `choices` at parse time; `--name choice` takes the next token when
+  /// it is one of `choices`; bare `--name` reads back as `bare_value`; an
+  /// absent option reads back as `default_value`.  Both `bare_value` and
+  /// `default_value` must themselves be in `choices`.
   void add_choice_flag(const std::string& name, const std::string& help,
                        std::vector<std::string> choices,
                        const std::string& bare_value,
@@ -63,10 +64,6 @@ class CliParser {
   /// True iff argv set the option (its default does not count).
   [[nodiscard]] bool given(const std::string& name) const;
 
-  [[nodiscard]] const std::vector<std::string>& positional() const {
-    return positional_;
-  }
-
   /// Every declared option with its effective (parsed-or-default) value,
   /// in declaration-name order.  Run manifests record this as the
   /// invocation's full configuration.
@@ -89,7 +86,6 @@ class CliParser {
 
   std::string description_;
   std::map<std::string, Option> options_;
-  std::vector<std::string> positional_;
 };
 
 /// Declares the shared `--jobs` option (worker threads for sweeps;

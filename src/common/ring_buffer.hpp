@@ -19,6 +19,8 @@ namespace wormsched {
 template <typename T>
 class RingBuffer {
  public:
+  using value_type = T;
+
   RingBuffer() = default;
   explicit RingBuffer(std::size_t initial_capacity) {
     reserve(initial_capacity);

@@ -121,21 +121,6 @@ void save_doubles(SnapshotWriter& w, const std::vector<double>& v) {
   }
 }
 
-void restore_doubles(SnapshotReader& r, std::vector<double>& v) {
-  v.clear();
-  const std::uint64_t n = r.u64();
-  if (n > r.remaining() / sizeof(double))
-    throw SnapshotError("snapshot double count " + std::to_string(n) +
-                        " exceeds the " + std::to_string(r.remaining()) +
-                        " bytes left");
-  const std::uint8_t* in = r.raw(n * sizeof(double));
-  v.resize(static_cast<std::size_t>(n));
-  for (double& x : v) {
-    x = std::bit_cast<double>(load_le<std::uint64_t>(in));
-    in += sizeof(double);
-  }
-}
-
 void write_snapshot_file(const std::string& path,
                          const std::string& manifest_json,
                          const std::vector<std::uint8_t>& payload) {

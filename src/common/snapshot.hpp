@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "common/assert.hpp"
-#include "common/ring_buffer.hpp"
 
 namespace wormsched {
 
@@ -178,6 +177,8 @@ class SnapshotReader {
   void skip_section();
 
   [[nodiscard]] bool exhausted() const { return pos_ >= limit(); }
+  /// Offset of the next byte to read.
+  [[nodiscard]] std::size_t position() const { return pos_; }
   /// Unread bytes left in the current scope (section or whole stream).
   [[nodiscard]] std::size_t remaining() const { return limit() - pos_; }
 
@@ -196,54 +197,10 @@ class SnapshotReader {
   std::vector<std::size_t> section_ends_;
 };
 
-/// --- Sequence helpers ----------------------------------------------------
-///
-/// Every element loader reads at least one byte, so a stored count larger
-/// than the bytes left in scope is corrupt: it is rejected before anything
-/// proportional to the untrusted count is allocated.
-
-inline std::uint64_t read_sequence_count(SnapshotReader& r) {
-  const std::uint64_t n = r.u64();
-  if (n > r.remaining())
-    throw SnapshotError("snapshot sequence count " + std::to_string(n) +
-                        " exceeds the " + std::to_string(r.remaining()) +
-                        " bytes left");
-  return n;
-}
-
-template <typename T, typename Fn>
-void save_sequence(SnapshotWriter& w, const RingBuffer<T>& rb, Fn save_elem) {
-  w.u64(rb.size());
-  for (std::size_t i = 0; i < rb.size(); ++i) save_elem(w, rb[i]);
-}
-
-template <typename T, typename Fn>
-void restore_sequence(SnapshotReader& r, RingBuffer<T>& rb, Fn load_elem) {
-  rb.clear();
-  const std::uint64_t n = read_sequence_count(r);
-  for (std::uint64_t i = 0; i < n; ++i) rb.push_back(load_elem(r));
-}
-
-template <typename T, typename Fn>
-void save_sequence(SnapshotWriter& w, const std::vector<T>& v, Fn save_elem) {
-  w.u64(v.size());
-  for (const T& e : v) save_elem(w, e);
-}
-
-template <typename T, typename Fn>
-void restore_sequence(SnapshotReader& r, std::vector<T>& v, Fn load_elem) {
-  v.clear();
-  const std::uint64_t n = read_sequence_count(r);
-  v.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) v.push_back(load_elem(r));
-}
-
-/// A u64 count and then each double as an f64 field: the same bytes as
-/// save_sequence with an f64 per element, written and read in bulk (the
-/// latency reservoir is most of a fabric checkpoint).  The restore rejects
-/// a count above the bytes left / 8 before it sizes the vector.
+/// A u64 count and then each double as an f64 field, written in bulk (the
+/// latency reservoir is most of a fabric checkpoint).  Archive::doubles
+/// is its declaration and reads it back.
 void save_doubles(SnapshotWriter& w, const std::vector<double>& v);
-void restore_doubles(SnapshotReader& r, std::vector<double>& v);
 
 /// --- File container ------------------------------------------------------
 ///

@@ -6,7 +6,7 @@
 #include <sstream>
 
 #include "common/assert.hpp"
-#include "common/snapshot.hpp"
+#include "common/archive.hpp"
 
 namespace wormsched {
 
@@ -45,32 +45,13 @@ void RunningStat::merge(const RunningStat& other) {
   max_ = std::max(max_, other.max_);
 }
 
-void RunningStat::save(SnapshotWriter& w) const {
-  w.u64(count_);
-  w.f64(mean_);
-  w.f64(m2_);
-  w.f64(sum_);
-  w.f64(min_);
-  w.f64(max_);
-}
-
-bool RunningStat::is_initial() const {
-  const RunningStat fresh;
-  const auto same = [](double a, double b) {
-    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
-  };
-  return count_ == 0 && same(mean_, fresh.mean_) && same(m2_, fresh.m2_) &&
-         same(sum_, fresh.sum_) && same(min_, fresh.min_) &&
-         same(max_, fresh.max_);
-}
-
-void RunningStat::restore(SnapshotReader& r) {
-  count_ = static_cast<std::size_t>(r.u64());
-  mean_ = r.f64();
-  m2_ = r.f64();
-  sum_ = r.f64();
-  min_ = r.f64();
-  max_ = r.f64();
+void RunningStat::fields(Archive& a) {
+  a.size("count", count_);
+  a.f64("mean", mean_);
+  a.f64("m2", m2_);
+  a.f64("sum", sum_);
+  a.f64("min", min_);
+  a.f64("max", max_);
 }
 
 Histogram::Histogram(double lo, double hi, std::size_t bins)
@@ -146,31 +127,19 @@ void QuantileEstimator::add(double x) {
   }
 }
 
-void QuantileEstimator::save(SnapshotWriter& w) const {
-  w.u64(capacity_);
-  w.u64(seen_);
-  w.u64(rng_state_);
+void QuantileEstimator::fields(Archive& a) {
+  std::uint64_t capacity = capacity_;
+  a.u64("capacity", capacity, at_least<std::uint64_t>(1));
+  if (a.loading()) capacity_ = static_cast<std::size_t>(capacity);
+  // No run reaches 2^63 samples; a count near 2^64 would wrap add()'s
+  // ++seen_ to 0 and divide by it.
+  a.u64("seen", seen_, at_most((std::uint64_t{1} << 63) - 1));
+  a.u64("rng_state", rng_state_);
   // The reservoir is saved in its current array order (with the lazy-sort
   // flag): future Algorithm R replacements address samples by slot, so
   // the order itself is state.
-  w.b(sorted_);
-  save_doubles(w, samples_);
-}
-
-void QuantileEstimator::restore(SnapshotReader& r) {
-  const std::uint64_t capacity = r.u64();
-  const std::uint64_t seen = r.u64();
-  if (capacity == 0)
-    throw SnapshotError("quantile reservoir has no capacity");
-  // No run reaches 2^63 samples; a count near 2^64 would wrap add()'s
-  // ++seen_ to 0 and divide by it.
-  if (seen >= std::uint64_t{1} << 63)
-    throw SnapshotError("quantile reservoir seen count is out of range");
-  capacity_ = static_cast<std::size_t>(capacity);
-  seen_ = seen;
-  rng_state_ = r.u64();
-  sorted_ = r.b();
-  restore_doubles(r, samples_);
+  a.b("sorted", sorted_);
+  a.doubles("samples", samples_);
 }
 
 double QuantileEstimator::quantile(double q) const {

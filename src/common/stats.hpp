@@ -9,8 +9,7 @@
 
 namespace wormsched {
 
-class SnapshotReader;
-class SnapshotWriter;
+class Archive;
 
 /// Streaming mean/variance/min/max (Welford's algorithm): O(1) memory,
 /// numerically stable over the multi-million-sample runs of Fig. 5.
@@ -32,15 +31,10 @@ class RunningStat {
 
   void reset() { *this = RunningStat{}; }
 
-  /// True while every field holds a fresh accumulator's bit pattern, so
-  /// save() writes what a default-constructed RunningStat writes.
-  [[nodiscard]] bool is_initial() const;
-
-  /// Checkpoint/restore: doubles round-trip bit-exactly (mean, M2 and sum
-  /// are serialized as raw bit patterns), so a restored accumulator
-  /// continues producing the identical floating-point stream.
-  void save(SnapshotWriter& w) const;
-  void restore(SnapshotReader& r);
+  /// Checkpoint state (common/archive.hpp): doubles round-trip
+  /// bit-exactly (mean, M2 and sum are their raw bit patterns), so a
+  /// restored accumulator continues the identical floating-point stream.
+  void fields(Archive& a);
 
  private:
   std::size_t count_ = 0;
@@ -96,11 +90,10 @@ class QuantileEstimator {
   /// q in [0,1]; 0.5 is the median.  Returns 0 for an empty estimator.
   [[nodiscard]] double quantile(double q) const;
 
-  /// Checkpoint/restore: reservoir contents, the replacement RNG state
-  /// and the seen count all round-trip, so a restored estimator makes the
+  /// Checkpoint state: reservoir contents, the replacement RNG state and
+  /// the seen count all round-trip, so a restored estimator makes the
   /// identical future replacement decisions.
-  void save(SnapshotWriter& w) const;
-  void restore(SnapshotReader& r);
+  void fields(Archive& a);
 
  private:
   std::size_t capacity_;

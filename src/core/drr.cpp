@@ -1,7 +1,7 @@
 #include "core/drr.hpp"
 
 #include "common/assert.hpp"
-#include "common/snapshot.hpp"
+#include "common/archive.hpp"
 
 namespace wormsched::core {
 
@@ -57,22 +57,13 @@ void DrrPolicy::end_opportunity(bool still_backlogged) {
   in_opportunity_ = false;
 }
 
-void DrrPolicy::save(SnapshotWriter& w) const {
-  pool_.save_rows(w);
-  pool_.active().save(w);
-  w.i64(base_quantum_);
-  w.b(in_opportunity_);
-  w.u32(current_.value());
-}
-
-void DrrPolicy::restore(SnapshotReader& r) {
-  pool_.restore_rows(r, "DRR");
-  pool_.active().restore(r, "DRR ActiveList");
-  base_quantum_ = r.i64();
-  in_opportunity_ = r.b();
-  current_ = FlowId{r.u32()};
-  if (in_opportunity_ && current_.index() >= pool_.num_flows())
-    throw SnapshotError("DRR snapshot serves an out-of-range flow");
+void DrrPolicy::fields(Archive& a) {
+  pool_.fields(a);
+  a.i64("base_quantum", base_quantum_);
+  a.b("in_opportunity", in_opportunity_);
+  a.id("current", current_);
+  if (a.loading() && in_opportunity_ && current_.index() >= pool_.num_flows())
+    a.fail("current", "serves an out-of-range flow");
 }
 
 DrrScheduler::DrrScheduler(const DrrConfig& config)
@@ -112,12 +103,6 @@ void DrrScheduler::on_packet_complete(FlowId flow, Flits observed_length,
   }
 }
 
-void DrrScheduler::save_discipline(SnapshotWriter& w) const {
-  policy_.save(w);
-}
-
-void DrrScheduler::restore_discipline(SnapshotReader& r) {
-  policy_.restore(r);
-}
+void DrrScheduler::discipline_fields(Archive& a) { policy_.fields(a); }
 
 }  // namespace wormsched::core

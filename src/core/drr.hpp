@@ -64,8 +64,7 @@ class DrrPolicy {
 
   /// Checkpoint/restore: per-flow deficit/quantum, ActiveList order, and
   /// the in-opportunity latch.
-  void save(SnapshotWriter& w) const;
-  void restore(SnapshotReader& r);
+  void fields(Archive& a);
 
  private:
   // SoA rows: sc column = deficit counter, weight column = quantum.
@@ -91,8 +90,7 @@ class DrrScheduler final : public Scheduler {
   FlowId select_next_flow(Cycle now) override;
   void on_packet_complete(FlowId flow, Flits observed_length,
                           bool queue_now_empty) override;
-  void save_discipline(SnapshotWriter& w) const override;
-  void restore_discipline(SnapshotReader& r) override;
+  void discipline_fields(Archive& a) override;
 
  private:
   DrrPolicy policy_;

@@ -1,7 +1,7 @@
 #include "core/err.hpp"
 
 #include "common/assert.hpp"
-#include "common/snapshot.hpp"
+#include "common/archive.hpp"
 
 namespace wormsched::core {
 
@@ -108,41 +108,25 @@ void ErrPolicy::end_opportunity(bool still_backlogged) {
   if (listener_) listener_(record);
 }
 
-void ErrPolicy::save(SnapshotWriter& w) const {
-  pool_.save_rows(w);
-  pool_.active().save(w);
-  w.u64(active_count_);
-  w.u64(round_robin_visit_count_);
-  w.f64(max_sc_);
-  w.f64(previous_max_sc_);
-  w.u64(round_);
-  w.b(reset_on_idle_);
-  w.b(in_opportunity_);
-  w.u32(current_.value());
-  w.f64(allowance_);
-  w.f64(sent_);
-  w.f64(max_charge_);
+void ErrPolicy::fields(Archive& a) {
+  const Range<double> weight = at_least(1.0);
+  pool_.fields(a, &weight);
+  a.size("active_count", active_count_);
+  a.size("round_robin_visit_count", round_robin_visit_count_);
+  a.f64("max_sc", max_sc_);
+  a.f64("previous_max_sc", previous_max_sc_);
+  a.size("round", round_);
+  a.b("reset_on_idle", reset_on_idle_);
+  a.b("in_opportunity", in_opportunity_);
+  a.id("current", current_);
+  a.f64("allowance", allowance_);
+  a.f64("sent", sent_);
+  a.f64("max_charge", max_charge_);
+  if (a.loading()) check_restored();
 }
 
-void ErrPolicy::restore(SnapshotReader& r) {
-  pool_.restore_rows(r, "ERR");
-  pool_.active().restore(r, "ERR ActiveList");
-  active_count_ = r.u64();
-  round_robin_visit_count_ = r.u64();
-  max_sc_ = r.f64();
-  previous_max_sc_ = r.f64();
-  round_ = r.u64();
-  reset_on_idle_ = r.b();
-  in_opportunity_ = r.b();
-  current_ = FlowId{r.u32()};
-  allowance_ = r.f64();
-  sent_ = r.f64();
-  max_charge_ = r.f64();
+void ErrPolicy::check_restored() const {
   // State a run cannot reach, which the next opportunity would trip over.
-  // A rowless flow has weight 1, so only built rows need the weight check.
-  for (const FlowStatePool::Row& row : pool_.rows())
-    if (!(row.weight >= 1.0))
-      throw SnapshotError("ERR snapshot has a flow weight below 1");
   if (in_opportunity_) {
     if (current_.index() >= pool_.num_flows() ||
         pool_.active().contains(current_.value()))
@@ -208,12 +192,6 @@ void ErrScheduler::on_packet_complete(FlowId flow, Flits observed_length,
     policy_.end_opportunity(!queue_now_empty);
 }
 
-void ErrScheduler::save_discipline(SnapshotWriter& w) const {
-  policy_.save(w);
-}
-
-void ErrScheduler::restore_discipline(SnapshotReader& r) {
-  policy_.restore(r);
-}
+void ErrScheduler::discipline_fields(Archive& a) { policy_.fields(a); }
 
 }  // namespace wormsched::core

@@ -114,19 +114,21 @@ class ErrPolicy {
     listener_ = std::move(fn);
   }
 
-  /// Checkpoint/restore.  Serializes every flow's SC and weight, the
+  /// Checkpoint state: every flow's SC and weight (at least 1), the
   /// ActiveList as a flow-id sequence (rebuilt on restore), the round
   /// bookkeeping, and — because wormhole opportunities span many cycles —
   /// the mid-opportunity fields (current flow, allowance, sent).  The
   /// listener is runtime wiring and is not part of the snapshot.  The
-  /// restore throws SnapshotError on a weight below 1, an in-service flow
-  /// that is out of range or also listed, an open opportunity with no
-  /// visits left, an active count other than list size plus service, or
-  /// a listed flow whose next allowance would not be positive.
-  void save(SnapshotWriter& w) const;
-  void restore(SnapshotReader& r);
+  /// restore throws SnapshotError on an in-service flow that is out of
+  /// range or also listed, an open opportunity with no visits left, an
+  /// active count other than list size plus service, or a listed flow
+  /// whose next allowance would not be positive.
+  void fields(Archive& a);
 
  private:
+  /// The cross-field rules of a restored policy.
+  void check_restored() const;
+
   // Per-flow state (SC, weight, activation links) lives in pool rows
   // built on a flow's first activation or set_weight: an idle flow costs
   // a 4-byte slot, a link that is never written and a membership bit.
@@ -163,8 +165,7 @@ class ErrScheduler final : public Scheduler {
   FlowId select_next_flow(Cycle now) override;
   void on_packet_complete(FlowId flow, Flits observed_length,
                           bool queue_now_empty) override;
-  void save_discipline(SnapshotWriter& w) const override;
-  void restore_discipline(SnapshotReader& r) override;
+  void discipline_fields(Archive& a) override;
 
  private:
   ErrPolicy policy_;

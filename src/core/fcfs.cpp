@@ -1,7 +1,7 @@
 #include "core/fcfs.hpp"
 
 #include "common/assert.hpp"
-#include "common/snapshot.hpp"
+#include "common/archive.hpp"
 
 namespace wormsched::core {
 
@@ -20,14 +20,9 @@ FlowId FcfsScheduler::select_next_flow(Cycle) {
 
 void FcfsScheduler::on_packet_complete(FlowId, Flits, bool) {}
 
-void FcfsScheduler::save_discipline(SnapshotWriter& w) const {
-  save_sequence(w, arrival_order_,
-                [](SnapshotWriter& o, FlowId f) { o.u32(f.value()); });
-}
-
-void FcfsScheduler::restore_discipline(SnapshotReader& r) {
-  restore_sequence(r, arrival_order_,
-                   [](SnapshotReader& i) { return FlowId{i.u32()}; });
+void FcfsScheduler::discipline_fields(Archive& a) {
+  a.seq("arrival_order", arrival_order_,
+        [&a](FlowId& flow) { a.id("", flow); });
 }
 
 }  // namespace wormsched::core

@@ -1,29 +1,22 @@
 #include "core/flow_state_pool.hpp"
 
-#include <bit>
-#include <limits>
-
-#include "common/snapshot.hpp"
+#include "common/archive.hpp"
 
 namespace wormsched::core {
 
-void ActiveFifo::save(SnapshotWriter& w) const {
-  w.u64(size_);
-  for_each([&](std::uint32_t flow) { w.u32(flow); });
-}
-
-void ActiveFifo::restore(SnapshotReader& r, std::string_view label) {
+void ActiveFifo::fields(Archive& a) {
+  const std::uint64_t n = a.count("active", size_, num_flows_);
+  if (a.saving()) {
+    for_each([&a](std::uint32_t flow) { a.u32("", flow); });
+    return;
+  }
   clear();
-  const std::uint64_t linked = r.u64();
-  if (linked > num_flows_)
-    throw SnapshotError(std::string(label) + " longer than the flow table");
-  for (std::uint64_t i = 0; i < linked; ++i) {
-    const std::uint32_t flow = r.u32();
-    if (flow >= num_flows_)
-      throw SnapshotError(std::string(label) +
-                          " names an out-of-range flow");
-    if (linked_.test(flow))
-      throw SnapshotError(std::string(label) + " names a flow twice");
+  const auto range = below(static_cast<std::uint32_t>(num_flows_));
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const Archive::Scope s = a.scope("active", i);
+    std::uint32_t flow = 0;
+    a.u32("", flow, range);
+    if (linked_.test(flow)) a.fail("", "names a flow twice");
     push_back(flow);
   }
 }
@@ -54,64 +47,40 @@ void PacketQueuePool::clear(QueueRow& q) {
   q = QueueRow{};
 }
 
-void PacketQueuePool::save_queue(SnapshotWriter& w, const QueueRow& q,
-                                 FlowId flow) const {
-  w.u64(q.len);
-  for (std::uint32_t n = q.head; n != kPoolNil; n = next_[n]) {
-    w.u64(id_[n]);
-    w.u32(flow.value());
-    w.i64(length_[n]);
-    w.u64(arrival_[n]);
-    w.u64(first_service_[n]);
-    w.u64(departure_[n]);
+void PacketQueuePool::fields(Archive& a, QueueRow& q, FlowId flow) {
+  const std::uint64_t n = a.count("packets", q.len);
+  if (a.loading()) clear(q);
+  std::uint32_t node = q.head;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const Archive::Scope s = a.scope("packets", i);
+    Packet p = a.saving() ? packet_at(flow, node) : Packet{};
+    a.id("id", p.id);
+    a.id("flow", p.flow);  // the queue's own flow
+    a.i64("length", p.length, at_least<Flits>(1));
+    a.u64("arrival", p.arrival);
+    a.u64("first_service", p.first_service);
+    a.u64("departure", p.departure);
+    if (a.saving())
+      node = next_[node];
+    else
+      push_back(q, p);
   }
 }
 
-Flits PacketQueuePool::restore_queue(SnapshotReader& r, QueueRow& q,
-                                     std::uint64_t count) {
-  clear(q);
-  Flits flits = 0;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    Packet p;
-    p.id = PacketId(r.u64());
-    (void)r.u32();  // the queue's own flow
-    p.length = r.i64();
-    p.arrival = r.u64();
-    p.first_service = r.u64();
-    p.departure = r.u64();
-    if (p.length <= 0 ||
-        p.length > std::numeric_limits<Flits>::max() - flits)
-      throw SnapshotError("snapshot queues a packet of " +
-                          std::to_string(p.length) + " flits");
-    flits += p.length;
-    push_back(q, p);
-  }
-  return flits;
-}
-
-void FlowStatePool::save_rows(SnapshotWriter& w) const {
-  w.u64(num_flows());
-  for (std::size_t f = 0; f < num_flows(); ++f) {
-    const Row* r = rows_.find(id(f));
-    w.f64(r == nullptr ? 0.0 : r->sc);
-    w.f64(r == nullptr ? initial_weight_ : r->weight);
-  }
-}
-
-void FlowStatePool::restore_rows(SnapshotReader& r, std::string_view what) {
-  const std::uint64_t n = r.u64();
-  if (n != num_flows())
-    throw SnapshotError(std::string(what) + " snapshot has " +
-                        std::to_string(n) + " flows, this policy has " +
-                        std::to_string(num_flows()));
-  rows_.clear();
-  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
-  for (std::size_t f = 0; f < num_flows(); ++f) {
-    const double sc = r.f64();
-    const double weight = r.f64();
-    if (bits(sc) != bits(0.0) || bits(weight) != bits(initial_weight_))
-      rows_.row(id(f), sc, weight);
-  }
+void FlowStatePool::fields(Archive& a, const Range<double>* weight) {
+  if (a.loading()) rows_.clear();
+  a.flow_table(
+      "rows", num_flows(), Row{0.0, initial_weight_},
+      [this](std::size_t f) { return rows_.find(id(f)); },
+      [this](std::size_t f, Row&& r) { rows_.row(id(f), r.sc, r.weight); },
+      [weight](Archive& ar, Row& r, std::size_t) {
+        ar.f64("sc", r.sc);
+        if (weight != nullptr)
+          ar.f64("weight", r.weight, *weight);
+        else
+          ar.f64("weight", r.weight);
+      });
+  active_.fields(a);
 }
 
 }  // namespace wormsched::core

@@ -49,8 +49,9 @@
 #include "core/packet.hpp"
 
 namespace wormsched {
-class SnapshotReader;
-class SnapshotWriter;
+class Archive;
+template <typename T>
+struct Range;
 }  // namespace wormsched
 
 namespace wormsched::core {
@@ -115,10 +116,9 @@ class ActiveFifo {
     for (std::uint32_t i = head_; i != kPoolNil; i = next_[i]) fn(i);
   }
 
-  /// Legacy snapshot layout: u64 size, then the flow ids head-to-tail.
-  void save(SnapshotWriter& w) const;
-  /// `label` names the list in error messages, e.g. "ERR ActiveList".
-  void restore(SnapshotReader& r, std::string_view label);
+  /// Checkpoint state: the u64 size, then the flow ids head-to-tail.  A
+  /// restore rejects a flow out of range or listed twice.
+  void fields(Archive& a);
 
  private:
   // next_[f] is written by push_back(f) before anything reads it.
@@ -211,15 +211,16 @@ class PacketQueuePool {
       stamp_[n] = next_value();
   }
 
-  /// --- Checkpointing ---------------------------------------------------
-  /// Legacy v1 byte layout: u64 count, then each packet's fields in
-  /// arrival order — indistinguishable from the seed's per-flow
-  /// RingBuffer<Packet> serialization.
-  void save_queue(SnapshotWriter& w, const QueueRow& q, FlowId flow) const;
-  /// Replaces `q` with `count` packets read in that layout (the count
-  /// itself already read).  Throws SnapshotError on a packet of length
-  /// <= 0.  Returns the flits restored.
-  Flits restore_queue(SnapshotReader& r, QueueRow& q, std::uint64_t count);
+  template <typename Fn>
+  void for_each_length(const QueueRow& q, Fn&& fn) const {
+    for (std::uint32_t n = q.head; n != kPoolNil; n = next_[n])
+      fn(length_[n]);
+  }
+
+  /// Checkpoint state of `flow`'s queue `q` (replaced on restore): a u64
+  /// count, then each packet's fields in arrival order.  A packet's
+  /// length is at least one flit.
+  void fields(Archive& a, QueueRow& q, FlowId flow);
 
  private:
   [[nodiscard]] std::uint32_t head_node(const QueueRow& q) const {
@@ -305,13 +306,10 @@ class FlowStatePool {
   [[nodiscard]] ActiveFifo& active() { return active_; }
   [[nodiscard]] const ActiveFifo& active() const { return active_; }
 
-  /// Serializes the accounting rows in the legacy per-flow interleaved
-  /// layout: u64 flow count, then (sc, weight) per flow — the default
-  /// record for a flow without a row.
-  void save_rows(SnapshotWriter& w) const;
-  /// Builds rows only for records that differ bitwise from the default.
-  /// `what` names the discipline in the mismatch error, e.g. "ERR".
-  void restore_rows(SnapshotReader& r, std::string_view what);
+  /// Checkpoint state: the accounting rows as a per-flow record table of
+  /// (sc, weight), each weight within `weight` when given, then the
+  /// activation FIFO.
+  void fields(Archive& a, const Range<double>* weight = nullptr);
 
  private:
   static FlowId id(std::size_t flow) {

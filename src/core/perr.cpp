@@ -4,7 +4,7 @@
 #include <utility>
 
 #include "common/assert.hpp"
-#include "common/snapshot.hpp"
+#include "common/archive.hpp"
 
 namespace wormsched::core {
 
@@ -65,27 +65,13 @@ void PerrScheduler::on_packet_complete(FlowId flow, Flits observed_length,
     policy.end_opportunity(!queue_now_empty);
 }
 
-void PerrScheduler::save_discipline(SnapshotWriter& w) const {
-  w.u64(priority_of_.size());
-  for (const std::uint32_t p : priority_of_) w.u32(p);
-  w.u64(classes_.size());
-  for (const PriorityClass& cls : classes_) cls.policy->save(w);
-}
-
-void PerrScheduler::restore_discipline(SnapshotReader& r) {
-  const std::uint64_t n = r.u64();
-  if (n != priority_of_.size())
-    throw SnapshotError("PERR snapshot priority map size mismatch");
-  for (std::uint32_t& p : priority_of_) p = r.u32();
-  for (const std::uint32_t p : priority_of_)
-    if (p >= classes_.size())
-      throw SnapshotError("PERR snapshot priority map exceeds class count");
-  const std::uint64_t classes = r.u64();
-  if (classes != classes_.size())
-    throw SnapshotError("PERR snapshot has " + std::to_string(classes) +
-                        " classes, this scheduler has " +
-                        std::to_string(classes_.size()));
-  for (PriorityClass& cls : classes_) cls.policy->restore(r);
+void PerrScheduler::discipline_fields(Archive& a) {
+  const auto classes = below(static_cast<std::uint32_t>(classes_.size()));
+  a.table("priority_of", priority_of_, [&a, classes](std::uint32_t& p) {
+    a.u32("", p, classes);
+  });
+  a.table("classes", classes_,
+          [&a](PriorityClass& cls) { cls.policy->fields(a); });
 }
 
 }  // namespace wormsched::core

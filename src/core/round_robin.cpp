@@ -1,7 +1,7 @@
 #include "core/round_robin.hpp"
 
 #include "common/assert.hpp"
-#include "common/snapshot.hpp"
+#include "common/archive.hpp"
 
 namespace wormsched::core {
 
@@ -22,11 +22,7 @@ bool ActiveFlowRing::contains(FlowId flow) const {
   return fifo_.contains(static_cast<std::uint32_t>(flow.index()));
 }
 
-void ActiveFlowRing::save(SnapshotWriter& w) const { fifo_.save(w); }
-
-void ActiveFlowRing::restore(SnapshotReader& r) {
-  fifo_.restore(r, "round-robin ring");
-}
+void ActiveFlowRing::fields(Archive& a) { fifo_.fields(a); }
 
 PbrrScheduler::PbrrScheduler(std::size_t num_flows)
     : Scheduler(num_flows), ring_(num_flows) {}
@@ -49,14 +45,9 @@ void PbrrScheduler::on_packet_complete(FlowId flow, Flits, //
   serving_ = FlowId::invalid();
 }
 
-void PbrrScheduler::save_discipline(SnapshotWriter& w) const {
-  ring_.save(w);
-  w.u32(serving_.value());
-}
-
-void PbrrScheduler::restore_discipline(SnapshotReader& r) {
-  ring_.restore(r);
-  serving_ = FlowId{r.u32()};
+void PbrrScheduler::discipline_fields(Archive& a) {
+  ring_.fields(a);
+  a.id("serving", serving_);
 }
 
 FbrrScheduler::FbrrScheduler(std::size_t num_flows)
@@ -82,8 +73,6 @@ void FbrrScheduler::on_packet_complete(FlowId, Flits, bool) {
   WS_CHECK_MSG(false, "FBRR overrides pull_flit_impl");
 }
 
-void FbrrScheduler::save_discipline(SnapshotWriter& w) const { ring_.save(w); }
-
-void FbrrScheduler::restore_discipline(SnapshotReader& r) { ring_.restore(r); }
+void FbrrScheduler::discipline_fields(Archive& a) { ring_.fields(a); }
 
 }  // namespace wormsched::core

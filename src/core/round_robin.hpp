@@ -34,8 +34,7 @@ class ActiveFlowRing {
   [[nodiscard]] bool contains(FlowId flow) const;
 
   /// Checkpoint/restore: the ring is serialized as its flow-id order.
-  void save(SnapshotWriter& w) const;
-  void restore(SnapshotReader& r);
+  void fields(Archive& a);
 
  private:
   ActiveFifo fifo_;
@@ -52,8 +51,7 @@ class PbrrScheduler final : public Scheduler {
   FlowId select_next_flow(Cycle now) override;
   void on_packet_complete(FlowId flow, Flits observed_length,
                           bool queue_now_empty) override;
-  void save_discipline(SnapshotWriter& w) const override;
-  void restore_discipline(SnapshotReader& r) override;
+  void discipline_fields(Archive& a) override;
 
  private:
   ActiveFlowRing ring_;
@@ -73,8 +71,7 @@ class FbrrScheduler final : public Scheduler {
   FlowId select_next_flow(Cycle now) override;
   void on_packet_complete(FlowId flow, Flits observed_length,
                           bool queue_now_empty) override;
-  void save_discipline(SnapshotWriter& w) const override;
-  void restore_discipline(SnapshotReader& r) override;
+  void discipline_fields(Archive& a) override;
 
  private:
   ActiveFlowRing ring_;

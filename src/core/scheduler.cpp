@@ -1,10 +1,9 @@
 #include "core/scheduler.hpp"
 
-#include <bit>
 #include <limits>
 
+#include "common/archive.hpp"
 #include "common/assert.hpp"
-#include "common/snapshot.hpp"
 
 namespace wormsched::core {
 
@@ -20,95 +19,91 @@ FlowId flow_at(std::size_t f) {
 
 }  // namespace
 
-void Scheduler::save_state(SnapshotWriter& w) const {
+void Scheduler::fields(Archive& a) {
   const std::size_t n = num_flows();
-  w.begin_section(kSchedBaseTag);
-  w.u64(n);
-  for (std::size_t f = 0; f < n; ++f) {
-    if (const FrameRow* row = rows_.find(flow_at(f)))
-      queues_.save_queue(w, row->queue, flow_at(f));
-    else
-      w.u64(0);
-  }
-  w.u64(n);
-  for (std::size_t f = 0; f < n; ++f) w.f64(weight(flow_at(f)));
-  w.u64(n);
-  for (std::size_t f = 0; f < n; ++f) {
-    const FrameRow* row = rows_.find(flow_at(f));
-    w.i64(row == nullptr ? 0 : row->progress);
-  }
-  w.b(latched_flow_.has_value());
-  w.u32(latched_flow_ ? latched_flow_->value() : 0);
-  w.i64(backlog_flits_);
-  w.end_section();
-  w.begin_section(kSchedDiscTag);
-  save_discipline(w);
-  w.end_section();
+  a.section(kSchedBaseTag, "base", [&] {
+    if (a.loading()) {
+      for (FrameRow& row : rows_.rows()) queues_.clear(row.queue);
+      rows_.clear();
+    }
+    const auto row_of = [this](std::size_t f) {
+      return rows_.find(flow_at(f));
+    };
+    a.flow_table(
+        "queues", n, QueueRow{},
+        [&](std::size_t f) -> const QueueRow* {
+          const FrameRow* row = row_of(f);
+          return row == nullptr ? nullptr : &row->queue;
+        },
+        [this](std::size_t f, QueueRow&& q) {
+          rows_.row(flow_at(f)).queue = q;
+        },
+        [this](Archive& ar, QueueRow& q, std::size_t f) {
+          queues_.fields(ar, q, flow_at(f));
+        });
+    a.flow_table(
+        "weights", n, 1.0,
+        [&](std::size_t f) -> const double* {
+          const FrameRow* row = row_of(f);
+          return row == nullptr ? nullptr : &row->weight;
+        },
+        [this](std::size_t f, double&& w) {
+          rows_.row(flow_at(f)).weight = w;
+        },
+        [](Archive& ar, double& w, std::size_t) {
+          ar.f64("", w, positive());
+        });
+    a.flow_table(
+        "progress", n, Flits{0},
+        [&](std::size_t f) -> const Flits* {
+          const FrameRow* row = row_of(f);
+          return row == nullptr ? nullptr : &row->progress;
+        },
+        [this](std::size_t f, Flits&& p) {
+          rows_.row(flow_at(f)).progress = p;
+        },
+        [](Archive& ar, Flits& p, std::size_t) { ar.i64("", p); });
+    bool latched = latched_flow_.has_value();
+    std::uint32_t latched_value = latched ? latched_flow_->value() : 0;
+    a.b("latched", latched);
+    a.u32("latched_flow", latched_value);
+    a.i64("backlog", backlog_flits_);
+    if (!a.loading()) return;
+    latched_flow_ =
+        latched ? std::optional<FlowId>(FlowId(latched_value)) : std::nullopt;
+    check_restored();
+  });
+  a.section(kSchedDiscTag, "discipline", [&] { discipline_fields(a); });
 }
 
-void Scheduler::restore_state(SnapshotReader& r) {
+void Scheduler::check_restored() const {
   const std::size_t n = num_flows();
-  r.enter_section(kSchedBaseTag);
-  const std::uint64_t flows = r.u64();
-  if (flows != n)
-    throw SnapshotError("scheduler snapshot has " + std::to_string(flows) +
-                        " flows, this scheduler has " + std::to_string(n));
-  for (FrameRow& row : rows_.rows()) queues_.clear(row.queue);
-  rows_.clear();
-  // Rows only for records that differ from the default: an empty queue,
-  // weight 1 (bitwise) and no progress.
   Flits queued = 0;
-  for (std::size_t f = 0; f < n; ++f) {
-    const std::uint64_t count = r.u64();
-    if (count == 0) continue;
-    const Flits flits =
-        queues_.restore_queue(r, rows_.row(flow_at(f)).queue, count);
-    if (flits > std::numeric_limits<Flits>::max() - queued)
-      throw SnapshotError("scheduler snapshot queues too many flits");
-    queued += flits;
-  }
-  if (r.u64() != n)
-    throw SnapshotError("scheduler snapshot per-flow arrays disagree");
-  for (std::size_t f = 0; f < n; ++f) {
-    const double w = r.f64();
-    if (!(w > 0.0))
-      throw SnapshotError("scheduler snapshot gives flow " +
-                          std::to_string(f) + " a weight that is not positive");
-    if (std::bit_cast<std::uint64_t>(w) != std::bit_cast<std::uint64_t>(1.0))
-      rows_.row(flow_at(f)).weight = w;
-  }
-  if (r.u64() != n)
-    throw SnapshotError("scheduler snapshot per-flow arrays disagree");
   Flits progress_total = 0;
   for (std::size_t f = 0; f < n; ++f) {
-    const Flits progress = r.i64();
-    if (progress == 0) continue;
-    FrameRow* row = rows_.find(flow_at(f));
-    if (row == nullptr || row->queue.len == 0 || progress < 0 ||
-        progress >= queues_.head_length(row->queue))
+    const FrameRow* row = rows_.find(flow_at(f));
+    if (row == nullptr) continue;
+    queues_.for_each_length(row->queue, [&queued](Flits length) {
+      if (length > std::numeric_limits<Flits>::max() - queued)
+        throw SnapshotError("scheduler snapshot queues too many flits");
+      queued += length;
+    });
+    if (row->progress == 0) continue;
+    if (row->queue.len == 0 || row->progress < 0 ||
+        row->progress >= queues_.head_length(row->queue))
       throw SnapshotError("scheduler snapshot has flow " + std::to_string(f) +
                           " past the end of its head packet");
-    row->progress = progress;
-    progress_total += progress;
+    progress_total += row->progress;
   }
-  const bool latched = r.b();
-  const std::uint32_t latched_value = r.u32();
-  if (latched &&
-      (latched_value >= n || !flow_backlogged(FlowId(latched_value))))
+  if (latched_flow_ && (latched_flow_->index() >= n ||
+                        !flow_backlogged(*latched_flow_)))
     throw SnapshotError("scheduler snapshot latches flow " +
-                        std::to_string(latched_value) +
+                        std::to_string(latched_flow_->value()) +
                         ", which has no packet queued");
-  latched_flow_ =
-      latched ? std::optional<FlowId>(FlowId(latched_value)) : std::nullopt;
-  backlog_flits_ = r.i64();
   if (backlog_flits_ != queued - progress_total)
     throw SnapshotError("scheduler snapshot backlog of " +
                         std::to_string(backlog_flits_) +
                         " flits disagrees with its queues");
-  r.leave_section();
-  r.enter_section(kSchedDiscTag);
-  restore_discipline(r);
-  r.leave_section();
 }
 
 Scheduler::Scheduler(std::size_t num_flows) : rows_(num_flows) {

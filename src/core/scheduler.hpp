@@ -27,8 +27,7 @@
 #include "core/packet.hpp"
 
 namespace wormsched {
-class SnapshotReader;
-class SnapshotWriter;
+class Archive;
 }  // namespace wormsched
 
 namespace wormsched::core {
@@ -93,26 +92,21 @@ class Scheduler {
   /// At most one observer; not owned.  Pass nullptr to detach.
   void set_observer(SchedulerObserver* observer) { observer_ = observer; }
 
-  /// Checkpoint/restore.  Serializes the queues, per-flow weights and
-  /// in-flight latch, then the discipline's private state through the
-  /// save_discipline/restore_discipline hooks.  Every configured flow is
-  /// written; a flow without a row writes the default record.  The
-  /// restore builds rows only for records that differ from it, and
-  /// throws SnapshotError on state a run cannot reach (a latch on an
-  /// empty or out-of-range queue, progress past the head packet, a
-  /// packet of length <= 0, a backlog that disagrees with the queues).
-  /// restore_state() must be called on a freshly constructed scheduler of
-  /// the same discipline and flow count (checked); the observer wiring is
-  /// runtime state and is not part of the snapshot.
-  void save_state(SnapshotWriter& w) const;
-  void restore_state(SnapshotReader& r);
+  /// Checkpoint state (common/archive.hpp): the queues, per-flow weights
+  /// and head progress as per-flow record tables, the in-flight latch and
+  /// backlog, then the discipline's private state through
+  /// discipline_fields().  A restore throws SnapshotError on state a run
+  /// cannot reach (a latch on an empty or out-of-range queue, progress
+  /// past the head packet, a packet of length <= 0, a backlog that
+  /// disagrees with the queues).  Restore into a freshly constructed
+  /// scheduler of the same discipline and flow count (checked); the
+  /// observer wiring is runtime state and is not part of the snapshot.
+  void fields(Archive& a);
 
  protected:
-  /// Discipline-private checkpoint state.  The default saves nothing —
-  /// correct only for genuinely stateless disciplines; every stateful
-  /// discipline overrides both.
-  virtual void save_discipline(SnapshotWriter& w) const { (void)w; }
-  virtual void restore_discipline(SnapshotReader& r) { (void)r; }
+  /// Discipline-private checkpoint state.  The default declares nothing —
+  /// correct only for genuinely stateless disciplines.
+  virtual void discipline_fields(Archive& a) { (void)a; }
 
   /// --- Discipline interface -------------------------------------------
   /// Called when a packet arrival makes flow `flow` go from idle to
@@ -204,6 +198,9 @@ class Scheduler {
                  "discipline selected a flow with an empty queue");
     return *row;
   }
+  /// The cross-field rules of a restored frame.
+  void check_restored() const;
+
   [[nodiscard]] FrameRow& queued_row(FlowId flow) {
     FrameRow* row = rows_.find(flow);
     WS_CHECK_MSG(row != nullptr && row->queue.len > 0,

@@ -1,7 +1,7 @@
 #include "core/srr.hpp"
 
 #include "common/assert.hpp"
-#include "common/snapshot.hpp"
+#include "common/archive.hpp"
 
 namespace wormsched::core {
 
@@ -67,22 +67,13 @@ void SrrScheduler::on_packet_complete(FlowId flow, Flits observed_length,
   }
 }
 
-void SrrScheduler::save_discipline(SnapshotWriter& w) const {
-  pool_.save_rows(w);
-  pool_.active().save(w);
-  w.f64(base_quantum_);
-  w.b(in_opportunity_);
-  w.u32(current_.value());
-}
-
-void SrrScheduler::restore_discipline(SnapshotReader& r) {
-  pool_.restore_rows(r, "SRR");
-  pool_.active().restore(r, "SRR ActiveList");
-  base_quantum_ = r.f64();
-  in_opportunity_ = r.b();
-  current_ = FlowId{r.u32()};
-  if (in_opportunity_ && current_.index() >= num_flows())
-    throw SnapshotError("SRR snapshot serves an out-of-range flow");
+void SrrScheduler::discipline_fields(Archive& a) {
+  pool_.fields(a);
+  a.f64("base_quantum", base_quantum_);
+  a.b("in_opportunity", in_opportunity_);
+  a.id("current", current_);
+  if (a.loading() && in_opportunity_ && current_.index() >= num_flows())
+    a.fail("current", "serves an out-of-range flow");
 }
 
 }  // namespace wormsched::core

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/assert.hpp"
-#include "common/snapshot.hpp"
+#include "common/archive.hpp"
 
 namespace wormsched::core {
 
@@ -57,65 +57,52 @@ void TimestampScheduler::on_packet_complete(FlowId flow, Flits,
   }
 }
 
-void TimestampScheduler::save_discipline(SnapshotWriter& w) const {
-  // Legacy v1 layout: the stamps as per-flow sequences (they mirror the
-  // packet queues exactly), then one membership bool per flow.
-  w.u64(num_flows());
-  for (std::size_t f = 0; f < num_flows(); ++f) {
+void TimestampScheduler::discipline_fields(Archive& a) {
+  // The stamps as per-flow sequences that mirror the packet queues (the
+  // base section restored those first, and the stamps write straight
+  // back into the queue nodes, so the counts must agree), then one heap
+  // membership bool per flow.
+  const std::size_t n = num_flows();
+  {
+    const Archive::Scope s = a.scope("stamps");
+    a.fingerprint<std::uint64_t>("count", n);
+  }
+  for (std::size_t f = 0; f < n; ++f) {
+    const Archive::Scope s = a.scope("stamps", f);
     const FlowId flow(static_cast<FlowId::rep_type>(f));
-    w.u64(queue_length(flow));
-    queue_for_each_stamp(flow, [&](double x) { w.f64(x); });
+    const std::size_t count = queue_length(flow);
+    a.fingerprint<std::uint64_t>("count", count);
+    std::uint64_t k = 0;
+    const auto stamp = [&a, &k](double x) {
+      const Archive::Scope e = a.scope("", k++);
+      a.f64("", x);
+      return x;
+    };
+    if (a.saving())
+      queue_for_each_stamp(flow, stamp);
+    else
+      queue_assign_stamps(flow, count, [&stamp] { return stamp(0.0); });
   }
-  for (std::size_t f = 0; f < num_flows(); ++f) w.b(in_heap_.test(f));
-  auto drain = heap_;  // copy; pops in (tag, sequence) order
-  w.u64(drain.size());
-  while (!drain.empty()) {
-    const HeapEntry& e = drain.top();
-    w.f64(e.tag);
-    w.u64(e.sequence);
-    w.u32(e.flow.value());
-    drain.pop();
+  if (a.loading()) in_heap_.clear_all();
+  for (std::size_t f = 0; f < n; ++f) {
+    const Archive::Scope s = a.scope("in_heap", f);
+    bool in = a.saving() && in_heap_.test(f);
+    a.b("", in);
+    if (a.loading() && in) in_heap_.set(f);
   }
-  w.u64(next_sequence_);
-  w.u64(backlogged_flows_);
-  w.u32(serving_.value());
-  save_stamping(w);
-}
-
-void TimestampScheduler::restore_discipline(SnapshotReader& r) {
-  const std::uint64_t n = r.u64();
-  if (n != num_flows())
-    throw SnapshotError("timestamp snapshot per-flow array size mismatch");
-  // The base section restored the packet queues first; the stamps write
-  // straight back into the queue nodes, so the counts must agree.
-  for (std::size_t f = 0; f < num_flows(); ++f) {
-    const FlowId flow(static_cast<FlowId::rep_type>(f));
-    const std::uint64_t count = r.u64();
-    if (count != queue_length(flow))
-      throw SnapshotError(
-          "timestamp snapshot stamp count disagrees with the packet queue");
-    queue_assign_stamps(flow, count, [&] { return r.f64(); });
-  }
-  in_heap_.clear_all();
-  for (std::size_t f = 0; f < num_flows(); ++f)
-    if (r.b()) in_heap_.set(f);
-  heap_ = {};
-  const std::uint64_t entries = r.u64();
-  if (entries > num_flows())
-    throw SnapshotError("timestamp snapshot heap larger than the flow table");
-  for (std::uint64_t i = 0; i < entries; ++i) {
-    HeapEntry e;
-    e.tag = r.f64();
-    e.sequence = r.u64();
-    e.flow = FlowId{r.u32()};
-    if (e.flow.index() >= num_flows())
-      throw SnapshotError("timestamp snapshot heap names an invalid flow");
-    heap_.push(e);
-  }
-  next_sequence_ = r.u64();
-  backlogged_flows_ = r.u64();
-  serving_ = FlowId{r.u32()};
-  restore_stamping(r);
+  const auto flows = below(static_cast<FlowId::rep_type>(n));
+  a.heap(
+      "heap", heap_,
+      [&a, flows](HeapEntry& e) {
+        a.f64("tag", e.tag);
+        a.u64("sequence", e.sequence);
+        a.id("flow", e.flow, flows);
+      },
+      n);
+  a.u64("next_sequence", next_sequence_);
+  a.size("backlogged_flows", backlogged_flows_);
+  a.id("serving", serving_);
+  stamping_fields(a);
 }
 
 ScfqScheduler::ScfqScheduler(std::size_t num_flows)
@@ -140,16 +127,9 @@ void ScfqScheduler::on_all_idle() {
   for (auto& f : last_finish_) f = 0.0;
 }
 
-void ScfqScheduler::save_stamping(SnapshotWriter& w) const {
-  w.f64(virtual_time_);
-  save_doubles(w, last_finish_);
-}
-
-void ScfqScheduler::restore_stamping(SnapshotReader& r) {
-  virtual_time_ = r.f64();
-  restore_doubles(r, last_finish_);
-  if (last_finish_.size() != num_flows())
-    throw SnapshotError("SCFQ snapshot per-flow array size mismatch");
+void ScfqScheduler::stamping_fields(Archive& a) {
+  a.f64("virtual_time", virtual_time_);
+  a.doubles("last_finish", last_finish_, num_flows());
 }
 
 StfqScheduler::StfqScheduler(std::size_t num_flows)
@@ -173,16 +153,9 @@ void StfqScheduler::on_all_idle() {
   for (auto& f : last_finish_) f = 0.0;
 }
 
-void StfqScheduler::save_stamping(SnapshotWriter& w) const {
-  w.f64(virtual_time_);
-  save_doubles(w, last_finish_);
-}
-
-void StfqScheduler::restore_stamping(SnapshotReader& r) {
-  virtual_time_ = r.f64();
-  restore_doubles(r, last_finish_);
-  if (last_finish_.size() != num_flows())
-    throw SnapshotError("STFQ snapshot per-flow array size mismatch");
+void StfqScheduler::stamping_fields(Archive& a) {
+  a.f64("virtual_time", virtual_time_);
+  a.doubles("last_finish", last_finish_, num_flows());
 }
 
 VirtualClockScheduler::VirtualClockScheduler(std::size_t num_flows)
@@ -208,16 +181,9 @@ double VirtualClockScheduler::stamp(Cycle now, FlowId flow, Flits length) {
   return aux;
 }
 
-void VirtualClockScheduler::save_stamping(SnapshotWriter& w) const {
-  save_doubles(w, aux_vc_);
-  w.f64(total_weight_);
-}
-
-void VirtualClockScheduler::restore_stamping(SnapshotReader& r) {
-  restore_doubles(r, aux_vc_);
-  if (aux_vc_.size() != num_flows())
-    throw SnapshotError("VC snapshot per-flow array size mismatch");
-  total_weight_ = r.f64();
+void VirtualClockScheduler::stamping_fields(Archive& a) {
+  a.doubles("aux_vc", aux_vc_, num_flows());
+  a.f64("total_weight", total_weight_);
 }
 
 }  // namespace wormsched::core

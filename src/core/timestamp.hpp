@@ -56,15 +56,13 @@ class TimestampScheduler : public Scheduler {
 
   /// Checkpoint of the shared machinery (per-packet stamps, candidate
   /// heap, sequence counter), then the stamping rule's own state via the
-  /// save_stamping/restore_stamping hooks.  The heap is serialized by
-  /// draining a copy in (tag, sequence) order; restoring by pushing in
-  /// that order rebuilds an equivalent heap because the comparator is a
-  /// strict total order (the sequence tie-break), so pop order — the only
+  /// stamping_fields() hook.  The heap is serialized by draining a copy
+  /// in (tag, sequence) order; restoring by pushing in that order
+  /// rebuilds an equivalent heap because the comparator is a strict
+  /// total order (the sequence tie-break), so pop order — the only
   /// observable — is preserved exactly.
-  void save_discipline(SnapshotWriter& w) const final;
-  void restore_discipline(SnapshotReader& r) final;
-  virtual void save_stamping(SnapshotWriter& w) const { (void)w; }
-  virtual void restore_stamping(SnapshotReader& r) { (void)r; }
+  void discipline_fields(Archive& a) final;
+  virtual void stamping_fields(Archive& a) { (void)a; }
 
  private:
   struct HeapEntry {
@@ -104,8 +102,7 @@ class ScfqScheduler final : public TimestampScheduler {
   double stamp(Cycle now, FlowId flow, Flits length) override;
   void on_service_start(FlowId flow, double tag) override;
   void on_all_idle() override;
-  void save_stamping(SnapshotWriter& w) const override;
-  void restore_stamping(SnapshotReader& r) override;
+  void stamping_fields(Archive& a) override;
 
  private:
   double virtual_time_ = 0.0;
@@ -126,8 +123,7 @@ class StfqScheduler final : public TimestampScheduler {
   double stamp(Cycle now, FlowId flow, Flits length) override;
   void on_service_start(FlowId flow, double tag) override;
   void on_all_idle() override;
-  void save_stamping(SnapshotWriter& w) const override;
-  void restore_stamping(SnapshotReader& r) override;
+  void stamping_fields(Archive& a) override;
 
  private:
   double virtual_time_ = 0.0;
@@ -146,8 +142,7 @@ class VirtualClockScheduler final : public TimestampScheduler {
 
  protected:
   double stamp(Cycle now, FlowId flow, Flits length) override;
-  void save_stamping(SnapshotWriter& w) const override;
-  void restore_stamping(SnapshotReader& r) override;
+  void stamping_fields(Archive& a) override;
 
  private:
   /// Reserved rate of `flow` in flits/cycle: weight_i / sum of weights

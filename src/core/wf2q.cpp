@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/assert.hpp"
-#include "common/snapshot.hpp"
+#include "common/archive.hpp"
 
 namespace wormsched::core {
 
@@ -95,84 +95,34 @@ void Wf2qPlusScheduler::on_packet_complete(FlowId flow, Flits observed_length,
   if (!queue_now_empty) install_head(flow, lengths.front());
 }
 
-namespace {
-
-// Heaps are serialized by draining a copy in (key, sequence) order — a
-// strict total order, so pushing entries back in that order rebuilds a
-// heap with identical pop behaviour.  Stale entries (epoch mismatch) are
-// preserved: dropping them lazily is part of the observable algorithm.
-template <typename Heap>
-void save_heap(SnapshotWriter& w, const Heap& heap) {
-  auto drain = heap;
-  w.u64(drain.size());
-  while (!drain.empty()) {
-    const auto& e = drain.top();
-    w.f64(e.key);
-    w.u64(e.sequence);
-    w.u64(e.epoch);
-    w.u32(e.flow.value());
-    drain.pop();
-  }
-}
-
-template <typename Heap, typename Entry>
-void restore_heap(SnapshotReader& r, Heap& heap, std::size_t num_flows) {
-  heap = {};
-  const std::uint64_t entries = r.u64();
-  for (std::uint64_t i = 0; i < entries; ++i) {
-    Entry e;
-    e.key = r.f64();
-    e.sequence = r.u64();
-    e.epoch = r.u64();
-    e.flow = FlowId{r.u32()};
-    if (e.flow.index() >= num_flows)
-      throw SnapshotError("WF2Q+ snapshot heap names an invalid flow");
-    heap.push(e);
-  }
-}
-
-}  // namespace
-
-void Wf2qPlusScheduler::save_discipline(SnapshotWriter& w) const {
-  w.u64(flows_.size());
-  for (const FlowState& f : flows_) {
-    w.f64(f.last_finish);
-    w.f64(f.head_start);
-    w.f64(f.head_finish);
-    w.u64(f.epoch);
-    w.b(f.has_head);
-  }
-  for (const auto& lengths : pending_lengths_)
-    save_sequence(w, lengths, [](SnapshotWriter& o, Flits x) { o.i64(x); });
-  save_heap(w, eligible_);
-  save_heap(w, waiting_);
-  w.f64(virtual_time_);
-  w.f64(pending_work_);
-  w.f64(total_weight_);
-  w.u64(next_sequence_);
-  w.u32(serving_.value());
-}
-
-void Wf2qPlusScheduler::restore_discipline(SnapshotReader& r) {
-  const std::uint64_t n = r.u64();
-  if (n != flows_.size())
-    throw SnapshotError("WF2Q+ snapshot per-flow array size mismatch");
-  for (FlowState& f : flows_) {
-    f.last_finish = r.f64();
-    f.head_start = r.f64();
-    f.head_finish = r.f64();
-    f.epoch = r.u64();
-    f.has_head = r.b();
-  }
-  for (auto& lengths : pending_lengths_)
-    restore_sequence(r, lengths, [](SnapshotReader& i) { return i.i64(); });
-  restore_heap<Heap, HeapEntry>(r, eligible_, flows_.size());
-  restore_heap<Heap, HeapEntry>(r, waiting_, flows_.size());
-  virtual_time_ = r.f64();
-  pending_work_ = r.f64();
-  total_weight_ = r.f64();
-  next_sequence_ = r.u64();
-  serving_ = FlowId{r.u32()};
+void Wf2qPlusScheduler::discipline_fields(Archive& a) {
+  a.table("flows", flows_, [&a](FlowState& f) {
+    a.f64("last_finish", f.last_finish);
+    a.f64("head_start", f.head_start);
+    a.f64("head_finish", f.head_finish);
+    a.u64("epoch", f.epoch);
+    a.b("has_head", f.has_head);
+  });
+  a.each("pending_lengths", pending_lengths_,
+         [&a](RingBuffer<Flits>& lengths) {
+           a.seq("", lengths, [&a](Flits& x) { a.i64("", x); });
+         });
+  // Heaps keep their stale entries (epoch mismatch): dropping them lazily
+  // is part of the observable algorithm.
+  const auto flows = below(static_cast<FlowId::rep_type>(flows_.size()));
+  const auto entry = [&a, flows](HeapEntry& e) {
+    a.f64("key", e.key);
+    a.u64("sequence", e.sequence);
+    a.u64("epoch", e.epoch);
+    a.id("flow", e.flow, flows);
+  };
+  a.heap("eligible", eligible_, entry);
+  a.heap("waiting", waiting_, entry);
+  a.f64("virtual_time", virtual_time_);
+  a.f64("pending_work", pending_work_);
+  a.f64("total_weight", total_weight_);
+  a.u64("next_sequence", next_sequence_);
+  a.id("serving", serving_);
 }
 
 }  // namespace wormsched::core

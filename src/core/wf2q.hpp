@@ -42,8 +42,7 @@ class Wf2qPlusScheduler final : public Scheduler {
   FlowId select_next_flow(Cycle now) override;
   void on_packet_complete(FlowId flow, Flits observed_length,
                           bool queue_now_empty) override;
-  void save_discipline(SnapshotWriter& w) const override;
-  void restore_discipline(SnapshotReader& r) override;
+  void discipline_fields(Archive& a) override;
 
  private:
   struct FlowState {

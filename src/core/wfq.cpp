@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/assert.hpp"
-#include "common/snapshot.hpp"
+#include "common/archive.hpp"
 
 namespace wormsched::core {
 
@@ -49,46 +49,20 @@ double WfqScheduler::stamp(Cycle now, FlowId flow, Flits length) {
   return finish;
 }
 
-void WfqScheduler::save_stamping(SnapshotWriter& w) const {
-  w.f64(virtual_time_);
-  w.f64(last_update_);
-  w.f64(phi_);
-  save_doubles(w, last_gps_finish_);
-  w.u64(gps_pending_.size());
-  for (const std::uint32_t p : gps_pending_) w.u32(p);
-  auto drain = departures_;  // copy; pops in (finish, sequence) order
-  w.u64(drain.size());
-  while (!drain.empty()) {
-    const GpsDeparture& d = drain.top();
-    w.f64(d.finish);
-    w.u64(d.sequence);
-    w.u32(d.flow.value());
-    drain.pop();
-  }
-  w.u64(next_sequence_);
-}
-
-void WfqScheduler::restore_stamping(SnapshotReader& r) {
-  virtual_time_ = r.f64();
-  last_update_ = r.f64();
-  phi_ = r.f64();
-  restore_doubles(r, last_gps_finish_);
-  const std::uint64_t n = r.u64();
-  if (last_gps_finish_.size() != num_flows() || n != num_flows())
-    throw SnapshotError("WFQ snapshot per-flow array size mismatch");
-  for (std::uint32_t& p : gps_pending_) p = r.u32();
-  departures_ = {};
-  const std::uint64_t entries = r.u64();
-  for (std::uint64_t i = 0; i < entries; ++i) {
-    GpsDeparture d;
-    d.finish = r.f64();
-    d.sequence = r.u64();
-    d.flow = FlowId{r.u32()};
-    if (d.flow.index() >= num_flows())
-      throw SnapshotError("WFQ snapshot GPS queue names an invalid flow");
-    departures_.push(d);
-  }
-  next_sequence_ = r.u64();
+void WfqScheduler::stamping_fields(Archive& a) {
+  a.f64("virtual_time", virtual_time_);
+  a.f64("last_update", last_update_);
+  a.f64("phi", phi_);
+  a.doubles("last_gps_finish", last_gps_finish_, num_flows());
+  a.table("gps_pending", gps_pending_,
+          [&a](std::uint32_t& p) { a.u32("", p); });
+  const auto flows = below(static_cast<FlowId::rep_type>(num_flows()));
+  a.heap("departures", departures_, [&a, flows](GpsDeparture& d) {
+    a.f64("finish", d.finish);
+    a.u64("sequence", d.sequence);
+    a.id("flow", d.flow, flows);
+  });
+  a.u64("next_sequence", next_sequence_);
 }
 
 }  // namespace wormsched::core

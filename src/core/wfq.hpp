@@ -32,8 +32,7 @@ class WfqScheduler final : public TimestampScheduler {
 
  protected:
   double stamp(Cycle now, FlowId flow, Flits length) override;
-  void save_stamping(SnapshotWriter& w) const override;
-  void restore_stamping(SnapshotReader& r) override;
+  void stamping_fields(Archive& a) override;
 
  private:
   struct GpsDeparture {

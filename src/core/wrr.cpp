@@ -3,7 +3,7 @@
 #include <cmath>
 
 #include "common/assert.hpp"
-#include "common/snapshot.hpp"
+#include "common/archive.hpp"
 
 namespace wormsched::core {
 
@@ -40,22 +40,12 @@ void WrrScheduler::on_packet_complete(FlowId flow, Flits, //
   }
 }
 
-void WrrScheduler::save_discipline(SnapshotWriter& w) const {
-  ring_.save(w);
-  w.u64(packets_per_visit_.size());
-  for (const std::uint32_t p : packets_per_visit_) w.u32(p);
-  w.u32(serving_.value());
-  w.u32(remaining_this_visit_);
-}
-
-void WrrScheduler::restore_discipline(SnapshotReader& r) {
-  ring_.restore(r);
-  const std::uint64_t n = r.u64();
-  if (n != packets_per_visit_.size())
-    throw SnapshotError("WRR snapshot per-flow array size mismatch");
-  for (std::uint32_t& p : packets_per_visit_) p = r.u32();
-  serving_ = FlowId{r.u32()};
-  remaining_this_visit_ = r.u32();
+void WrrScheduler::discipline_fields(Archive& a) {
+  ring_.fields(a);
+  a.table("packets_per_visit", packets_per_visit_,
+          [&a](std::uint32_t& p) { a.u32("", p); });
+  a.id("serving", serving_);
+  a.u32("remaining_this_visit", remaining_this_visit_);
 }
 
 }  // namespace wormsched::core

@@ -8,6 +8,7 @@
 #include "core/err.hpp"
 #include "harness/scenario_core.hpp"
 #include "harness/workload_parse.hpp"
+#include "harness/soak.hpp"
 #include "obs/manifest.hpp"
 #include "wormhole/arbiter.hpp"
 
@@ -15,95 +16,73 @@ namespace wormsched::harness {
 
 namespace {
 
-/// --- Config (de)serialization helpers ------------------------------------
+/// --- Configuration fields -------------------------------------------------
 ///
 /// The generative configuration travels inside the checkpoint so a restore
 /// needs nothing beyond the file (and the run-local wiring).  Enum values
-/// are range-checked on load: a corrupted-but-CRC-valid file must fail
-/// with SnapshotError, never reach a switch default.
+/// are declared with their last value: a corrupted-but-CRC-valid file must
+/// fail with SnapshotError, never reach a switch default.
 
-void save_fault_spec(SnapshotWriter& w, const validate::FaultSpec& s) {
-  w.b(s.enabled);
-  w.u64(s.seed);
-  w.u64(s.window);
-  w.f64(s.link_stall_rate);
-  w.u64(s.link_stall_cycles);
-  w.f64(s.credit_stall_rate);
-  w.u64(s.credit_stall_cycles);
-  w.f64(s.churn_rate);
-  w.f64(s.burst_rate);
-  w.f64(s.burst_multiplier);
-  w.u32(s.num_nodes);
-  w.u64(s.trace_jitter_max);
+void fields(Archive& a, validate::FaultSpec& s) {
+  a.b("enabled", s.enabled);
+  a.u64("seed", s.seed);
+  a.u64("window", s.window);
+  a.f64("link_stall_rate", s.link_stall_rate);
+  a.u64("link_stall_cycles", s.link_stall_cycles);
+  a.f64("credit_stall_rate", s.credit_stall_rate);
+  a.u64("credit_stall_cycles", s.credit_stall_cycles);
+  a.f64("churn_rate", s.churn_rate);
+  a.f64("burst_rate", s.burst_rate);
+  a.f64("burst_multiplier", s.burst_multiplier);
+  a.u32("num_nodes", s.num_nodes);
+  a.u64("trace_jitter_max", s.trace_jitter_max);
+  if (a.loading() && s.enabled && s.window == 0)
+    a.fail("window", "is a zero epoch window");
 }
 
-validate::FaultSpec load_fault_spec(SnapshotReader& r) {
-  validate::FaultSpec s;
-  s.enabled = r.b();
-  s.seed = r.u64();
-  s.window = r.u64();
-  s.link_stall_rate = r.f64();
-  s.link_stall_cycles = r.u64();
-  s.credit_stall_rate = r.f64();
-  s.credit_stall_cycles = r.u64();
-  s.churn_rate = r.f64();
-  s.burst_rate = r.f64();
-  s.burst_multiplier = r.f64();
-  s.num_nodes = r.u32();
-  s.trace_jitter_max = r.u64();
-  if (s.enabled && s.window == 0)
-    throw SnapshotError("checkpoint fault spec has a zero epoch window");
-  return s;
+void fields(Archive& a, traffic::LengthSpec& s) {
+  a.enumeration<std::uint8_t>("kind", s.kind,
+                              traffic::LengthSpec::Kind::kBimodal);
+  // sample_length's preconditions: 1 <= lo <= hi, and a positive rate
+  // for the truncated exponential.
+  a.i64("lo", s.lo, at_least<Flits>(1));
+  a.i64("hi", s.hi, at_least(s.lo));
+  a.f64("lambda", s.lambda);
+  if (a.loading() && s.kind == traffic::LengthSpec::Kind::kTruncExp &&
+      !(s.lambda > 0.0))
+    a.fail("lambda", "is not a positive rate");
+  a.f64("bimodal_small_prob", s.bimodal_small_prob);
 }
 
-void save_length_spec(SnapshotWriter& w, const traffic::LengthSpec& s) {
-  w.u8(static_cast<std::uint8_t>(s.kind));
-  w.i64(s.lo);
-  w.i64(s.hi);
-  w.f64(s.lambda);
-  w.f64(s.bimodal_small_prob);
+void fields(Archive& a, wormhole::NetworkTrafficSource::Config& c) {
+  a.f64("packets_per_node_per_cycle", c.packets_per_node_per_cycle);
+  {
+    const Archive::Scope s = a.scope("lengths");
+    fields(a, c.lengths);
+  }
+  a.enumeration<std::uint8_t>("pattern", c.pattern.kind,
+                              wormhole::PatternSpec::Kind::kNeighbor);
+  a.f64("hotspot_fraction", c.pattern.hotspot_fraction);
+  a.id("hotspot", c.pattern.hotspot);
+  // A bounded injection window: the drain cap is a multiple of it.
+  a.u64("inject_until", c.inject_until, at_most(kCycleMax - 1));
+  a.u64("seed", c.seed);
 }
 
-traffic::LengthSpec load_length_spec(SnapshotReader& r) {
-  traffic::LengthSpec s;
-  const std::uint8_t kind = r.u8();
-  if (kind > static_cast<std::uint8_t>(traffic::LengthSpec::Kind::kBimodal))
-    throw SnapshotError("checkpoint length law kind out of range");
-  s.kind = static_cast<traffic::LengthSpec::Kind>(kind);
-  s.lo = r.i64();
-  s.hi = r.i64();
-  s.lambda = r.f64();
-  s.bimodal_small_prob = r.f64();
-  return s;
-}
-
-void save_traffic_config(SnapshotWriter& w,
-                         const wormhole::NetworkTrafficSource::Config& c) {
-  w.f64(c.packets_per_node_per_cycle);
-  save_length_spec(w, c.lengths);
-  w.u8(static_cast<std::uint8_t>(c.pattern.kind));
-  w.f64(c.pattern.hotspot_fraction);
-  w.u32(c.pattern.hotspot.value());
-  w.u64(c.inject_until);
-  w.u64(c.seed);
-}
-
-wormhole::NetworkTrafficSource::Config load_traffic_config(SnapshotReader& r) {
-  wormhole::NetworkTrafficSource::Config c;
-  c.packets_per_node_per_cycle = r.f64();
-  c.lengths = load_length_spec(r);
-  const std::uint8_t pattern = r.u8();
-  if (pattern >
-      static_cast<std::uint8_t>(wormhole::PatternSpec::Kind::kNeighbor))
-    throw SnapshotError("checkpoint traffic pattern kind out of range");
-  c.pattern.kind = static_cast<wormhole::PatternSpec::Kind>(pattern);
-  c.pattern.hotspot_fraction = r.f64();
-  c.pattern.hotspot = NodeId(r.u32());
-  c.inject_until = r.u64();
-  if (c.inject_until >= kCycleMax)
-    throw SnapshotError("checkpoint injection window is unbounded");
-  c.seed = r.u64();
-  return c;
+/// Takes over the provenance of the checkpoint being restored.
+void adopt(const CheckpointProvenance& prov, std::string_view kind,
+           std::uint64_t& original_seed, std::uint32_t& restore_count,
+           bool& restored, obs::TraceProvenance& trace) {
+  if (prov.kind != kind)
+    throw SnapshotError("expected a " + std::string(kind) +
+                        " checkpoint, found kind \"" + prov.kind + "\"");
+  original_seed = prov.original_seed;
+  restore_count = prov.restore_count + 1;
+  restored = true;
+  trace.restored = true;
+  trace.restored_from_sha = prov.saved_git_sha;
+  trace.original_seed = prov.original_seed;
+  trace.restore_cycle = prov.saved_cycle;
 }
 
 std::string manifest_to_json(const obs::RunManifest& manifest) {
@@ -114,22 +93,24 @@ std::string manifest_to_json(const obs::RunManifest& manifest) {
 
 }  // namespace
 
+void CheckpointProvenance::fields(Archive& a) {
+  a.str("kind", kind);
+  a.u64("original_seed", original_seed);
+  a.str("saved_git_sha", saved_git_sha);
+  a.u32("restore_count", restore_count);
+  a.u64("saved_cycle", saved_cycle);
+  if (a.loading() && kind != "network" && kind != "scenario")
+    a.fail("kind", "\"" + kind + "\" is not a known run kind");
+}
+
 CheckpointProvenance read_checkpoint_provenance(const SnapshotFile& file) {
   if (file.version != kSnapshotFormatVersion)
     throw SnapshotError("unsupported snapshot format version " +
                         std::to_string(file.version));
   SnapshotReader r(file.payload);
-  r.enter_section(kCkptMetaTag);
+  Archive a(r);
   CheckpointProvenance prov;
-  prov.kind = r.str();
-  prov.original_seed = r.u64();
-  prov.saved_git_sha = r.str();
-  prov.restore_count = r.u32();
-  prov.saved_cycle = r.u64();
-  r.leave_section();
-  if (prov.kind != "network" && prov.kind != "scenario")
-    throw SnapshotError("checkpoint kind \"" + prov.kind +
-                        "\" is not a known run kind");
+  a.section(kCkptMetaTag, "META", [&] { prov.fields(a); });
   return prov;
 }
 
@@ -150,39 +131,40 @@ NetworkRun::NetworkRun(const NetworkScenarioConfig& config, std::uint64_t seed)
 }
 
 NetworkRun::NetworkRun(const NetworkScenarioConfig& config,
-                       const SnapshotFile& file)
+                       const SnapshotFile& file, FieldMap* map)
     : config_(config),
       engine_(read_checkpoint_provenance(file).saved_cycle) {
-  const CheckpointProvenance prov = read_checkpoint_provenance(file);
-  if (prov.kind != "network")
-    throw SnapshotError("expected a network checkpoint, found kind \"" +
-                        prov.kind + "\"");
-  original_seed_ = prov.original_seed;
-  restore_count_ = prov.restore_count + 1;
-  restored_ = true;
-  trace_provenance_.restored = true;
-  trace_provenance_.restored_from_sha = prov.saved_git_sha;
-  trace_provenance_.original_seed = prov.original_seed;
-  trace_provenance_.restore_cycle = prov.saved_cycle;
-  end_cycle_ = prov.saved_cycle;
-
   SnapshotReader r(file.payload);
-  r.enter_section(kCkptMetaTag);
-  r.leave_section();  // parsed above
-  r.enter_section(kCkptNetConfigTag);
-  config_.drain_factor = r.u64();
-  config_.traffic = load_traffic_config(r);
-  config_.faults = load_fault_spec(r);
-  r.leave_section();
-  build();
-  wire_observers();
-  r.enter_section(kCkptNetworkTag);
-  net_->restore_state(r);
-  r.leave_section();
-  r.enter_section(kCkptSourceTag);
-  source_->restore_state(r);
-  r.leave_section();
+  Archive a(r, map);
+  fields(a);
   // Trailing sections (e.g. SOAK) belong to the caller; leave them unread.
+}
+
+void NetworkRun::fields(Archive& a) {
+  CheckpointProvenance prov{"network", original_seed_,
+                            a.saving() ? obs::current_git_sha() : "",
+                            restore_count_, engine_.now()};
+  a.section(kCkptMetaTag, "META", [&] { prov.fields(a); });
+  if (a.loading()) {
+    adopt(prov, "network", original_seed_, restore_count_, restored_,
+          trace_provenance_);
+    end_cycle_ = prov.saved_cycle;
+  }
+  a.section(kCkptNetConfigTag, "NCFG", [&] {
+    a.u64("drain_factor", config_.drain_factor);
+    {
+      const Archive::Scope s = a.scope("traffic");
+      harness::fields(a, config_.traffic);
+    }
+    const Archive::Scope s = a.scope("faults");
+    harness::fields(a, config_.faults);
+  });
+  if (a.loading()) {
+    build();
+    wire_observers();
+  }
+  a.section(kCkptNetworkTag, "NNET", [&] { net_->fields(a); });
+  a.section(kCkptSourceTag, "NSRC", [&] { source_->fields(a); });
 }
 
 NetworkRun::~NetworkRun() = default;
@@ -303,24 +285,9 @@ void NetworkRun::run_to_completion() { advance_to(kCycleMax); }
 std::vector<std::uint8_t> NetworkRun::checkpoint_payload(
     const ExtraSections& extra) const {
   SnapshotWriter w;
-  w.begin_section(kCkptMetaTag);
-  w.str("network");
-  w.u64(original_seed_);
-  w.str(obs::current_git_sha());
-  w.u32(restore_count_);
-  w.u64(engine_.now());
-  w.end_section();
-  w.begin_section(kCkptNetConfigTag);
-  w.u64(config_.drain_factor);
-  save_traffic_config(w, config_.traffic);
-  save_fault_spec(w, config_.faults);
-  w.end_section();
-  w.begin_section(kCkptNetworkTag);
-  net_->save_state(w);
-  w.end_section();
-  w.begin_section(kCkptSourceTag);
-  source_->save_state(w);
-  w.end_section();
+  Archive a(w);
+  // A saving Archive writes no member.
+  const_cast<NetworkRun*>(this)->fields(a);
   if (extra) extra(w);
   return w.take();
 }
@@ -396,41 +363,40 @@ ScenarioRun::ScenarioRun(const ScenarioSpec& spec) : spec_(spec) {
   build();
 }
 
-ScenarioRun::ScenarioRun(const ScenarioSpec& wiring, const SnapshotFile& file)
+ScenarioRun::ScenarioRun(const ScenarioSpec& wiring, const SnapshotFile& file,
+                         FieldMap* map)
     : spec_(wiring) {
-  const CheckpointProvenance prov = read_checkpoint_provenance(file);
-  if (prov.kind != "scenario")
-    throw SnapshotError("expected a scenario checkpoint, found kind \"" +
-                        prov.kind + "\"");
-  original_seed_ = prov.original_seed;
-  restore_count_ = prov.restore_count + 1;
-  restored_ = true;
-  trace_provenance_.restored = true;
-  trace_provenance_.restored_from_sha = prov.saved_git_sha;
-  trace_provenance_.original_seed = prov.original_seed;
-  trace_provenance_.restore_cycle = prov.saved_cycle;
-
+  (void)read_checkpoint_provenance(file);  // the version gate
   SnapshotReader r(file.payload);
-  r.enter_section(kCkptMetaTag);
-  r.leave_section();  // parsed above
-  r.enter_section(kCkptScenConfigTag);
-  spec_.scheduler = r.str();
-  spec_.workload_text = r.str();
-  spec_.config.horizon = r.u64();
-  spec_.config.drain = r.b();
-  spec_.config.seed = r.u64();
-  spec_.config.flit_bytes = r.u64();
-  spec_.config.sched.drr_quantum = r.i64();
-  spec_.config.sched.err_reset_on_idle = r.b();
-  restore_sequence(r, spec_.config.sched.perr_priorities,
-                   [](SnapshotReader& in) { return in.u32(); });
-  restore_doubles(r, spec_.config.weights);
-  spec_.faults = load_fault_spec(r);
-  r.leave_section();
-  build();
-  r.enter_section(kCkptScenStateTag);
-  core_->restore_state(r);
-  r.leave_section();
+  Archive a(r, map);
+  fields(a);
+}
+
+void ScenarioRun::fields(Archive& a) {
+  CheckpointProvenance prov{"scenario", original_seed_,
+                            a.saving() ? obs::current_git_sha() : "",
+                            restore_count_, a.saving() ? now() : 0};
+  a.section(kCkptMetaTag, "META", [&] { prov.fields(a); });
+  if (a.loading())
+    adopt(prov, "scenario", original_seed_, restore_count_, restored_,
+          trace_provenance_);
+  a.section(kCkptScenConfigTag, "SCFG", [&] {
+    a.str("scheduler", spec_.scheduler);
+    a.str("workload", spec_.workload_text);
+    a.u64("horizon", spec_.config.horizon);
+    a.b("drain", spec_.config.drain);
+    a.u64("seed", spec_.config.seed);
+    a.u64("flit_bytes", spec_.config.flit_bytes);
+    a.i64("drr_quantum", spec_.config.sched.drr_quantum);
+    a.b("err_reset_on_idle", spec_.config.sched.err_reset_on_idle);
+    a.seq("perr_priorities", spec_.config.sched.perr_priorities,
+          [&a](std::uint32_t& p) { a.u32("", p); });
+    a.doubles("weights", spec_.config.weights);
+    const Archive::Scope s = a.scope("faults");
+    harness::fields(a, spec_.faults);
+  });
+  if (a.loading()) build();
+  a.section(kCkptScenStateTag, "SSTA", [&] { core_->fields(a); });
 }
 
 ScenarioRun::~ScenarioRun() = default;
@@ -462,30 +428,9 @@ void ScenarioRun::run_to_completion() { core_->run_to_completion(); }
 
 std::vector<std::uint8_t> ScenarioRun::checkpoint_payload() const {
   SnapshotWriter w;
-  w.begin_section(kCkptMetaTag);
-  w.str("scenario");
-  w.u64(original_seed_);
-  w.str(obs::current_git_sha());
-  w.u32(restore_count_);
-  w.u64(now());
-  w.end_section();
-  w.begin_section(kCkptScenConfigTag);
-  w.str(spec_.scheduler);
-  w.str(spec_.workload_text);
-  w.u64(spec_.config.horizon);
-  w.b(spec_.config.drain);
-  w.u64(spec_.config.seed);
-  w.u64(spec_.config.flit_bytes);
-  w.i64(spec_.config.sched.drr_quantum);
-  w.b(spec_.config.sched.err_reset_on_idle);
-  save_sequence(w, spec_.config.sched.perr_priorities,
-                [](SnapshotWriter& o, std::uint32_t p) { o.u32(p); });
-  save_doubles(w, spec_.config.weights);
-  save_fault_spec(w, spec_.faults);
-  w.end_section();
-  w.begin_section(kCkptScenStateTag);
-  core_->save_state(w);
-  w.end_section();
+  Archive a(w);
+  // A saving Archive writes no member.
+  const_cast<ScenarioRun*>(this)->fields(a);
   return w.take();
 }
 
@@ -510,5 +455,25 @@ void ScenarioRun::save_checkpoint(const std::string& path) const {
 }
 
 ScenarioResult ScenarioRun::finish() { return core_->finish(); }
+
+FieldMap describe_checkpoint(const SnapshotFile& file,
+                             const NetworkScenarioConfig& geometry) {
+  FieldMap map;
+  std::size_t sections = 3;  // META, SCFG, SSTA
+  if (read_checkpoint_provenance(file).kind == "network") {
+    const NetworkRun run(geometry, file, &map);
+    sections = 4;  // META, NCFG, NNET, NSRC
+  } else {
+    const ScenarioRun run(ScenarioSpec{}, file, &map);
+  }
+  SnapshotReader r(file.payload);
+  for (; sections > 0; --sections) r.skip_section();
+  if (r.peek_section() == kCkptSoakTag) {
+    Archive a(r, &map);
+    metrics::SteadyStateTracker tracker;
+    soak_section(a, tracker);
+  }
+  return map;
+}
 
 }  // namespace wormsched::harness

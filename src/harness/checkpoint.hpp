@@ -34,7 +34,7 @@
 #include <string>
 #include <vector>
 
-#include "common/snapshot.hpp"
+#include "common/archive.hpp"
 #include "common/types.hpp"
 #include "harness/network_sweep.hpp"
 #include "harness/scenario.hpp"
@@ -66,6 +66,9 @@ struct CheckpointProvenance {
   std::string saved_git_sha;       // build that wrote this snapshot
   std::uint32_t restore_count = 0;  // restores preceding this save
   Cycle saved_cycle = 0;
+
+  /// The META section; a restore rejects an unknown kind.
+  void fields(Archive& a);
 };
 
 /// Reads a checkpoint's META section (without restoring anything).
@@ -89,8 +92,10 @@ class NetworkRun {
   /// `config` supplies the fabric geometry (checked against the snapshot)
   /// and the run-local wiring — audit mode, trace request, shards and
   /// threads — which may legitimately differ from the saving run.
-  /// Throws SnapshotError on any mismatch or corruption.
-  NetworkRun(const NetworkScenarioConfig& config, const SnapshotFile& file);
+  /// Throws SnapshotError on any mismatch or corruption.  With `map`, the
+  /// restore also records every field it reads (describe_checkpoint).
+  NetworkRun(const NetworkScenarioConfig& config, const SnapshotFile& file,
+             FieldMap* map = nullptr);
 
   ~NetworkRun();
   NetworkRun(const NetworkRun&) = delete;
@@ -140,6 +145,8 @@ class NetworkRun {
  private:
   void build();
   void wire_observers();
+  /// The payload's one declaration: META, NCFG, NNET and NSRC.
+  void fields(Archive& a);
 
   NetworkScenarioConfig config_;  // effective (faults resolved, seed applied)
   std::optional<validate::ScheduledFaults> faults_;
@@ -187,8 +194,10 @@ class ScenarioRun {
 
   /// Restored run: the sim-defining parts of the spec (scheduler,
   /// workload, horizon, drain, seed, weights, faults) are read from the
-  /// checkpoint; `wiring` contributes only audit/trace attachments.
-  ScenarioRun(const ScenarioSpec& wiring, const SnapshotFile& file);
+  /// checkpoint; `wiring` contributes only audit/trace attachments.  With
+  /// `map`, the restore also records every field it reads.
+  ScenarioRun(const ScenarioSpec& wiring, const SnapshotFile& file,
+              FieldMap* map = nullptr);
 
   ~ScenarioRun();
   ScenarioRun(const ScenarioRun&) = delete;
@@ -215,6 +224,8 @@ class ScenarioRun {
 
  private:
   void build();
+  /// The payload's one declaration: META, SCFG and SSTA.
+  void fields(Archive& a);
 
   ScenarioSpec spec_;
   traffic::Trace trace_;
@@ -225,5 +236,13 @@ class ScenarioRun {
   bool restored_ = false;
   obs::TraceProvenance trace_provenance_;
 };
+
+/// The field map of a network or scenario checkpoint: `file` restored
+/// into a run built from `geometry` (network checkpoints; a scenario
+/// checkpoint carries all it needs) with recording on, then any trailing
+/// SOAK section into a steady-state tracker.  Throws what the restore
+/// throws.
+[[nodiscard]] FieldMap describe_checkpoint(
+    const SnapshotFile& file, const NetworkScenarioConfig& geometry = {});
 
 }  // namespace wormsched::harness

@@ -27,7 +27,7 @@ SweepResult sweep_network(const NetworkScenarioConfig& config,
   if (options.faults.enabled) effective.faults = options.faults;
   effective.audit = effective.audit || options.audit;
   std::vector<std::optional<NetworkScenarioResult>> per_seed(options.seeds);
-  ThreadPool pool(options.jobs);
+  ThreadPool pool(sweep_workers(options));
   pool.parallel_for(options.seeds, [&](std::size_t k) {
     NetworkScenarioConfig run_config = effective;
     if (run_config.trace.enabled() && options.seeds > 1) {

@@ -5,7 +5,7 @@
 #include <string>
 
 #include "common/assert.hpp"
-#include "common/snapshot.hpp"
+#include "common/archive.hpp"
 #include "core/err.hpp"
 #include "core/packet.hpp"
 #include "harness/scenario_core.hpp"
@@ -140,39 +140,43 @@ void ScenarioCore::step() {
   }
 }
 
-void ScenarioCore::save_state(SnapshotWriter& w) const {
-  w.u64(t_);
-  w.u64(next_arrival_);
-  w.u64(next_packet_id_);
-  w.b(done_);
-  w.u64(trace_round_);
-  scheduler_->save_state(w);
-  result_.service_log.save(w);
-  result_.activity.save(w);
-  result_.delays.save(w);
-  save_sequence(w, result_.service_starts,
-                [](SnapshotWriter& o, Cycle c) { o.u64(c); });
-  w.i64(result_.max_served_packet);
+void ScenarioCore::fields(Archive& a) {
+  a.u64("cycle", t_);
+  std::uint64_t next_arrival = next_arrival_;
+  a.u64("next_arrival", next_arrival,
+        at_most<std::uint64_t>(trace_.entries.size()));
+  if (a.loading()) next_arrival_ = static_cast<std::size_t>(next_arrival);
+  a.u64("next_packet_id", next_packet_id_);
+  a.b("done", done_);
+  a.size("trace_round", trace_round_);
+  {
+    const Archive::Scope s = a.scope("scheduler");
+    scheduler_->fields(a);
+  }
+  {
+    const Archive::Scope s = a.scope("service_log");
+    result_.service_log.fields(a);
+  }
+  {
+    const Archive::Scope s = a.scope("activity");
+    result_.activity.fields(a);
+  }
+  {
+    const Archive::Scope s = a.scope("delays");
+    result_.delays.fields(a);
+  }
+  // Service started before cycle t_, the next to run.
+  const Range<Cycle> before_now = below(t_);
+  a.seq("service_starts", result_.service_starts,
+        [&a, before_now](Cycle& c) { a.u64("", c, before_now); });
+  a.i64("max_served_packet", result_.max_served_packet);
+  if (a.loading()) check_restored();
 }
 
-void ScenarioCore::restore_state(SnapshotReader& r) {
-  t_ = r.u64();
-  next_arrival_ = r.u64();
-  if (next_arrival_ > trace_.entries.size())
-    throw SnapshotError("scenario checkpoint arrival cursor out of range");
-  next_packet_id_ = r.u64();
-  done_ = r.b();
-  trace_round_ = r.u64();
-  scheduler_->restore_state(r);
-  result_.service_log.restore(r);
-  result_.activity.restore(r);
-  result_.delays.restore(r);
-  restore_sequence(r, result_.service_starts,
-                   [](SnapshotReader& in) { return in.u64(); });
-  result_.max_served_packet = r.i64();
+void ScenarioCore::check_restored() const {
   // Everything logged happened before cycle t_, the next to run: a later
   // entry would put the next service or activity change out of order.
-  // O(flows that sent or were active, plus service starts).
+  // O(flows that sent or were active).
   const auto at_or_after_now = [this](std::optional<Cycle> c) {
     return c.has_value() && *c >= t_;
   };
@@ -182,11 +186,6 @@ void ScenarioCore::restore_state(SnapshotReader& r) {
   if (at_or_after_now(result_.activity.last_change()))
     throw SnapshotError(
         "scenario checkpoint has an activity window at or after its cycle");
-  if (std::any_of(result_.service_starts.begin(),
-                  result_.service_starts.end(),
-                  [this](Cycle c) { return c >= t_; }))
-    throw SnapshotError(
-        "scenario checkpoint has a service start at or after its cycle");
   // step() re-records only touched flows, so the restored activity bits
   // must already match the queues: checked once here, O(flows).
   if (result_.activity.finished())

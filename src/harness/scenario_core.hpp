@@ -23,8 +23,7 @@
 #include "validate/err_auditor.hpp"
 
 namespace wormsched {
-class SnapshotReader;
-class SnapshotWriter;
+class Archive;
 }  // namespace wormsched
 
 namespace wormsched::core {
@@ -56,12 +55,11 @@ class ScenarioCore final : private core::SchedulerObserver {
   [[nodiscard]] const core::Scheduler& scheduler() const { return *scheduler_; }
 
   /// Replay cursor, scheduler and metrics state: the body of a scenario
-  /// checkpoint's SSTA section.
-  void save_state(SnapshotWriter& w) const;
-  /// Inverse of save_state() on a freshly built core.  Throws
-  /// SnapshotError on corrupt input, including activity state that
-  /// disagrees with the restored queues.
-  void restore_state(SnapshotReader& r);
+  /// checkpoint's SSTA section.  Restore into a freshly built core; it
+  /// throws SnapshotError on corrupt input, including a logged cycle at
+  /// or after the saved one and activity state that disagrees with the
+  /// restored queues.
+  void fields(Archive& a);
 
   /// Closes the activity windows, fills the audit counters, detaches the
   /// observers and yields the result.  Call once.
@@ -74,6 +72,8 @@ class ScenarioCore final : private core::SchedulerObserver {
   void on_packet_arrival(Cycle now, const core::Packet& p) override;
   void on_flit(Cycle now, const core::FlitEvent& flit) override;
   void on_packet_departure(Cycle now, const core::Packet& p) override;
+  /// The cross-field rules of a restored core.
+  void check_restored() const;
 
   const ScenarioConfig& config_;
   const traffic::Trace& trace_;

@@ -20,9 +20,8 @@ SoakSummary drive_soak(NetworkRun& run, metrics::SteadyStateTracker& tracker,
   std::uint64_t checkpoints_written = 0;
   const auto save_with_tracker = [&](const std::string& path) {
     run.save_checkpoint(path, [&tracker](SnapshotWriter& w) {
-      w.begin_section(kCkptSoakTag);
-      tracker.save(w);
-      w.end_section();
+      Archive a(w);
+      soak_section(a, tracker);
     });
     ++checkpoints_written;
   };
@@ -91,16 +90,19 @@ SoakSummary resume_soak(const NetworkScenarioConfig& config,
   // deliberately leaves unread; a checkpoint written by `wormsched
   // network` (no SOAK section) resumes with a fresh tracker.
   SnapshotReader r(file.payload);
-  while (!r.exhausted() && r.peek_section() != 0) {
+  Archive a(r);
+  while (r.peek_section() != 0) {
     if (r.peek_section() == kCkptSoakTag) {
-      r.enter_section(kCkptSoakTag);
-      tracker.restore(r);
-      r.leave_section();
+      soak_section(a, tracker);
       break;
     }
     r.skip_section();
   }
   return drive_soak(run, tracker, options);
+}
+
+void soak_section(Archive& a, metrics::SteadyStateTracker& tracker) {
+  a.section(kCkptSoakTag, "SOAK", [&] { tracker.fields(a); });
 }
 
 }  // namespace wormsched::harness

@@ -18,7 +18,7 @@
 #include <cstdint>
 #include <string>
 
-#include "common/snapshot.hpp"
+#include "common/archive.hpp"
 #include "common/types.hpp"
 #include "harness/network_sweep.hpp"
 #include "metrics/windowed.hpp"
@@ -70,5 +70,9 @@ struct SoakSummary {
 [[nodiscard]] SoakSummary resume_soak(const NetworkScenarioConfig& config,
                                       const SnapshotFile& file,
                                       const SoakOptions& options);
+
+/// The trailing SOAK section of a soak checkpoint: the steady-state
+/// tracker, declared once for the save, the resume and the describer.
+void soak_section(Archive& a, metrics::SteadyStateTracker& tracker);
 
 }  // namespace wormsched::harness

@@ -1,5 +1,6 @@
 #include "harness/sweep.hpp"
 
+#include <algorithm>
 #include <optional>
 #include <sstream>
 #include <vector>
@@ -25,6 +26,12 @@ std::vector<std::string> SweepResult::metrics() const {
   return names;
 }
 
+std::size_t sweep_workers(const SweepOptions& options) {
+  const std::size_t jobs =
+      options.jobs == 0 ? ThreadPool::hardware_workers() : options.jobs;
+  return std::min(jobs, options.seeds);
+}
+
 SweepResult sweep_scenario(std::string_view scheduler_name,
                            const ScenarioConfig& config,
                            const traffic::WorkloadSpec& workload,
@@ -35,7 +42,7 @@ SweepResult sweep_scenario(std::string_view scheduler_name,
   // folded in seed order below, so the aggregate cannot depend on worker
   // scheduling.
   std::vector<std::optional<ScenarioResult>> per_seed(options.seeds);
-  ThreadPool pool(options.jobs);
+  ThreadPool pool(sweep_workers(options));
   pool.parallel_for(options.seeds, [&](std::size_t k) {
     ScenarioConfig seed_config = config;
     seed_config.seed = options.base_seed + k;

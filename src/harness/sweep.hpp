@@ -71,6 +71,11 @@ struct SweepOptions {
   bool audit = false;
 };
 
+/// The worker count a sweep's pool gets: `jobs` (0 resolved to one per
+/// hardware thread first), capped at the seed count, since a worker
+/// without a seed would only idle.
+[[nodiscard]] std::size_t sweep_workers(const SweepOptions& options);
+
 /// Runs `scheduler_name` over `options.seeds` independently generated
 /// instances of `workload` (seed k uses base_seed + k) and aggregates the
 /// extracted metrics.  The per-seed trace generation matches

@@ -4,7 +4,7 @@
 #include <utility>
 
 #include "common/assert.hpp"
-#include "common/snapshot.hpp"
+#include "common/archive.hpp"
 
 namespace wormsched::metrics {
 
@@ -64,49 +64,42 @@ std::optional<Cycle> ActivityTracker::last_change() const {
   return last;
 }
 
-void ActivityTracker::save(SnapshotWriter& w) const {
-  const std::vector<Window> none;
-  w.u64(windows_.num_flows());
-  for (std::size_t i = 0; i < windows_.num_flows(); ++i) {
-    const Row* row = windows_.find(FlowId(static_cast<FlowId::rep_type>(i)));
-    save_sequence(w, row == nullptr ? none : row->windows,
-                  [](SnapshotWriter& o, const Window& win) {
-                    o.u64(win.start);
-                    o.u64(win.end);
-                  });
+void ActivityTracker::fields(Archive& a) {
+  const auto flow = [](std::size_t f) {
+    return FlowId(static_cast<FlowId::rep_type>(f));
+  };
+  if (a.loading()) windows_.clear();
+  a.flow_table(
+      "windows", windows_.num_flows(), std::vector<Window>{},
+      [&](std::size_t f) -> const std::vector<Window>* {
+        const Row* row = windows_.find(flow(f));
+        return row == nullptr ? nullptr : &row->windows;
+      },
+      [&](std::size_t f, std::vector<Window>&& windows) {
+        Cycle prev_end = 0;
+        for (const Window& win : windows) {
+          if (win.start < prev_end || win.start >= win.end)
+            a.fail("", "has a malformed window");
+          prev_end = win.end;
+        }
+        windows_.row(flow(f), Row{flow(f), std::move(windows)});
+      },
+      [](Archive& ar, std::vector<Window>& windows, std::size_t) {
+        ar.seq("", windows, [&ar](Window& win) {
+          ar.u64("start", win.start);
+          ar.u64("end", win.end);
+        });
+      });
+  for (std::size_t i = 0; i < currently_active_.size(); ++i) {
+    const Archive::Scope s = a.scope("active", i);
+    bool active = currently_active_[i];
+    a.b("", active);
+    if (a.loading()) currently_active_[i] = active;
   }
-  for (const bool b : currently_active_) w.b(b);
-  w.b(finished_);
-}
-
-void ActivityTracker::restore(SnapshotReader& r) {
-  const std::uint64_t n = r.u64();
-  if (n != windows_.num_flows())
-    throw SnapshotError("activity tracker snapshot flow count mismatch");
-  windows_.clear();
-  std::vector<Window> windows;
-  for (std::size_t i = 0; i < n; ++i) {
-    restore_sequence(r, windows, [](SnapshotReader& in) {
-      Window win;
-      win.start = in.u64();
-      win.end = in.u64();
-      return win;
-    });
-    if (windows.empty()) continue;
-    Cycle prev_end = 0;
-    for (const Window& win : windows) {
-      if (win.start < prev_end || win.start >= win.end)
-        throw SnapshotError("activity tracker snapshot has a malformed window");
-      prev_end = win.end;
-    }
-    const FlowId flow(static_cast<FlowId::rep_type>(i));
-    windows_.row(flow, Row{flow, std::move(windows)});
-  }
-  for (std::size_t i = 0; i < currently_active_.size(); ++i)
-    currently_active_[i] = r.b();
-  finished_ = r.b();
-  for (std::size_t i = 0; i < n; ++i) {
-    const Row* row = windows_.find(FlowId(static_cast<FlowId::rep_type>(i)));
+  a.b("finished", finished_);
+  if (!a.loading()) return;
+  for (std::size_t i = 0; i < currently_active_.size(); ++i) {
+    const Row* row = windows_.find(flow(i));
     const bool open = row != nullptr && row->windows.back().end == kCycleMax;
     if (open != currently_active_[i] || (finished_ && open))
       throw SnapshotError(

@@ -17,8 +17,7 @@
 #include "common/flow_rows.hpp"
 
 namespace wormsched {
-class SnapshotReader;
-class SnapshotWriter;
+class Archive;
 }  // namespace wormsched
 
 namespace wormsched::metrics {
@@ -50,13 +49,12 @@ class ActivityTracker {
   /// was ever active); O(flows that were active).
   [[nodiscard]] std::optional<Cycle> last_change() const;
 
-  /// Checkpoint/restore (flow count must match; checked).  save() writes
-  /// every configured flow, no windows for a flow never active.  restore()
-  /// throws SnapshotError unless each flow's windows are ordered,
-  /// non-overlapping and non-empty, only the last is open, and it is
-  /// open exactly when the flow is active.
-  void save(SnapshotWriter& w) const;
-  void restore(SnapshotReader& r);
+  /// Checkpoint state: a per-flow record table of windows (flow count
+  /// checked; none for a flow never active), the active bits and the
+  /// finished flag.  A restore throws SnapshotError unless each flow's
+  /// windows are ordered, non-overlapping and non-empty, only the last is
+  /// open, and it is open exactly when the flow is active.
+  void fields(Archive& a);
 
  private:
   struct Window {

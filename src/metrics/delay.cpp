@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/assert.hpp"
-#include "common/snapshot.hpp"
+#include "common/archive.hpp"
 
 namespace wormsched::metrics {
 
@@ -53,42 +53,44 @@ double DelayStats::flow_quantile(FlowId flow, double q) const {
   return row != nullptr && row->quantiles ? row->quantiles->quantile(q) : 0.0;
 }
 
-void DelayStats::save(SnapshotWriter& w) const {
-  overall_.save(w);
-  w.u64(per_flow_.num_flows());
-  for (std::size_t i = 0; i < per_flow_.num_flows(); ++i)
-    flow(FlowId(static_cast<FlowId::rep_type>(i))).save(w);
-  quantiles_.save(w);
-  w.u64(flow_reservoir_capacity_);
+void DelayStats::fields(Archive& a) {
+  const auto flow = [](std::size_t f) {
+    return FlowId(static_cast<FlowId::rep_type>(f));
+  };
+  {
+    const Archive::Scope s = a.scope("overall");
+    overall_.fields(a);
+  }
+  if (a.loading()) per_flow_.clear();
+  a.flow_table(
+      "flows", per_flow_.num_flows(), RunningStat{},
+      [&](std::size_t f) -> const RunningStat* {
+        const Row* row = per_flow_.find(flow(f));
+        return row == nullptr ? nullptr : &row->stat;
+      },
+      [&](std::size_t f, RunningStat&& stat) {
+        per_flow_.row(flow(f)).stat = stat;
+      },
+      [](Archive& ar, RunningStat& stat, std::size_t) { stat.fields(ar); });
+  {
+    const Archive::Scope s = a.scope("quantiles");
+    quantiles_.fields(a);
+  }
+  std::uint64_t capacity = flow_reservoir_capacity_;
+  a.u64("flow_reservoir_capacity", capacity, at_least<std::uint64_t>(1));
+  if (a.loading())
+    flow_reservoir_capacity_ = static_cast<std::size_t>(capacity);
   for (std::size_t i = 0; i < per_flow_.num_flows(); ++i) {
-    const Row* row = per_flow_.find(FlowId(static_cast<FlowId::rep_type>(i)));
-    const bool sampled = row != nullptr && row->quantiles.has_value();
-    w.b(sampled);
-    if (sampled) row->quantiles->save(w);
-  }
-}
-
-void DelayStats::restore(SnapshotReader& r) {
-  overall_.restore(r);
-  const std::uint64_t n = r.u64();
-  if (n != per_flow_.num_flows())
-    throw SnapshotError("delay stats snapshot flow count mismatch");
-  per_flow_.clear();
-  for (std::size_t i = 0; i < n; ++i) {
-    RunningStat stat;
-    stat.restore(r);
-    if (!stat.is_initial())
-      per_flow_.row(FlowId(static_cast<FlowId::rep_type>(i))).stat = stat;
-  }
-  quantiles_.restore(r);
-  flow_reservoir_capacity_ = r.u64();
-  if (flow_reservoir_capacity_ == 0)
-    throw SnapshotError("per-flow delay reservoir has no capacity");
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!r.b()) continue;
-    Row& row = per_flow_.row(FlowId(static_cast<FlowId::rep_type>(i)));
-    row.quantiles.emplace(flow_reservoir_capacity_);
-    row.quantiles->restore(r);
+    const Archive::Scope s = a.scope("flow_quantiles", i);
+    Row* row = per_flow_.find(flow(i));
+    bool sampled = row != nullptr && row->quantiles.has_value();
+    a.b("sampled", sampled);
+    if (!sampled) continue;
+    if (a.loading()) {
+      row = &per_flow_.row(flow(i));
+      row->quantiles.emplace(flow_reservoir_capacity_);
+    }
+    row->quantiles->fields(a);
   }
 }
 

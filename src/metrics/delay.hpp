@@ -33,12 +33,12 @@ class DelayStats final : public core::SchedulerObserver {
   [[nodiscard]] double flow_quantile(FlowId flow, double q) const;
   [[nodiscard]] std::size_t packets() const { return overall_.count(); }
 
-  /// Checkpoint/restore (flow count must match; checked).  save() writes
-  /// every configured flow, an empty record for a flow with no
-  /// departures.  Reservoirs round-trip their RNG state, so a restored run
-  /// samples identically.
-  void save(SnapshotWriter& w) const;
-  void restore(SnapshotReader& r);
+  /// Checkpoint state: the overall stat, a per-flow record table of stats
+  /// (flow count checked; an empty record for a flow with no departures),
+  /// the overall reservoir, the per-flow reservoir capacity (at least 1)
+  /// and each sampled flow's reservoir.  Reservoirs round-trip their RNG
+  /// state, so a restored run samples identically.
+  void fields(Archive& a);
 
  private:
   // Built on a flow's first departure, reservoir included: a run with

@@ -5,7 +5,7 @@
 #include <utility>
 
 #include "common/assert.hpp"
-#include "common/snapshot.hpp"
+#include "common/archive.hpp"
 
 namespace wormsched::metrics {
 
@@ -44,34 +44,27 @@ std::optional<Cycle> ServiceLog::last_cycle() const {
   return last;
 }
 
-void ServiceLog::save(SnapshotWriter& w) const {
-  const std::vector<Cycle> none;
-  w.u64(cycles_.num_flows());
-  for (std::size_t i = 0; i < cycles_.num_flows(); ++i) {
-    const auto* cycles = cycles_.find(FlowId(static_cast<FlowId::rep_type>(i)));
-    save_sequence(w, cycles == nullptr ? none : *cycles,
-                  [](SnapshotWriter& o, Cycle c) { o.u64(c); });
+void ServiceLog::fields(Archive& a) {
+  const auto flow = [](std::size_t f) {
+    return FlowId(static_cast<FlowId::rep_type>(f));
+  };
+  if (a.loading()) {
+    cycles_.clear();
+    grand_total_ = 0;
   }
-  w.u64(flit_bytes_);
-}
-
-void ServiceLog::restore(SnapshotReader& r) {
-  const std::uint64_t n = r.u64();
-  if (n != cycles_.num_flows())
-    throw SnapshotError("service log snapshot flow count mismatch");
-  cycles_.clear();
-  grand_total_ = 0;
-  std::vector<Cycle> cycles;
-  for (std::size_t i = 0; i < n; ++i) {
-    restore_sequence(r, cycles, [](SnapshotReader& in) { return in.u64(); });
-    if (cycles.empty()) continue;
-    if (!std::is_sorted(cycles.begin(), cycles.end()))
-      throw SnapshotError("service log snapshot cycles of flow " +
-                          std::to_string(i) + " decrease");
-    grand_total_ += static_cast<Flits>(cycles.size());
-    cycles_.row(FlowId(static_cast<FlowId::rep_type>(i))) = std::move(cycles);
-  }
-  flit_bytes_ = static_cast<Bytes>(r.u64());
+  a.flow_table(
+      "cycles", cycles_.num_flows(), std::vector<Cycle>{},
+      [&](std::size_t f) { return cycles_.find(flow(f)); },
+      [&](std::size_t f, std::vector<Cycle>&& cycles) {
+        if (!std::is_sorted(cycles.begin(), cycles.end()))
+          a.fail("", "decreases");
+        grand_total_ += static_cast<Flits>(cycles.size());
+        cycles_.row(flow(f)) = std::move(cycles);
+      },
+      [](Archive& ar, std::vector<Cycle>& cycles, std::size_t) {
+        ar.seq("", cycles, [&ar](Cycle& t) { ar.u64("", t); });
+      });
+  a.u64("flit_bytes", flit_bytes_);
 }
 
 }  // namespace wormsched::metrics

@@ -17,8 +17,7 @@
 #include "common/flow_rows.hpp"
 
 namespace wormsched {
-class SnapshotReader;
-class SnapshotWriter;
+class Archive;
 }  // namespace wormsched
 
 namespace wormsched::metrics {
@@ -49,11 +48,10 @@ class ServiceLog final : public core::SchedulerObserver {
   /// sent).
   [[nodiscard]] std::optional<Cycle> last_cycle() const;
 
-  /// Checkpoint/restore (flow count must match; checked).  save() writes
-  /// every configured flow, an empty list for a flow that never sent;
-  /// restore() throws SnapshotError when a flow's cycles decrease.
-  void save(SnapshotWriter& w) const;
-  void restore(SnapshotReader& r);
+  /// Checkpoint state: a per-flow record table of served cycles (flow
+  /// count checked; an empty list for a flow that never sent).  A restore
+  /// throws SnapshotError when a flow's cycles decrease.
+  void fields(Archive& a);
 
  private:
   FlowRows<std::vector<Cycle>> cycles_;

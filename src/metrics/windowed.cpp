@@ -3,7 +3,7 @@
 #include <cmath>
 
 #include "common/assert.hpp"
-#include "common/snapshot.hpp"
+#include "common/archive.hpp"
 
 namespace wormsched::metrics {
 
@@ -79,48 +79,34 @@ double SteadyStateTracker::steady_throughput() const {
                             : 0.0;
 }
 
+void SteadyStateTracker::fields(Archive& a) {
+  a.u64("window", window_, at_least<Cycle>(1));
+  a.size("stable_windows", stable_windows_);
+  a.f64("rel_tol", rel_tol_);
+  a.u64("next_boundary", next_boundary_);
+  a.u64("windows_closed", windows_closed_);
+  a.u64("count_at_boundary", count_at_boundary_);
+  a.f64("sum_at_boundary", sum_at_boundary_);
+  a.u64("flits_at_boundary", flits_at_boundary_);
+  a.f64("prev_window_mean", prev_window_mean_);
+  a.b("have_prev_window", have_prev_window_);
+  a.size("stable_run", stable_run_);
+  a.b("warmed_up", warmed_up_);
+  a.u64("warmup_end", warmup_end_);
+  a.u64("steady_count", steady_count_);
+  a.f64("steady_sum", steady_sum_);
+  a.u64("steady_flits", steady_flits_);
+  a.u64("steady_cycles", steady_cycles_);
+  const Archive::Scope s = a.scope("window_means");
+  window_means_.fields(a);
+}
+
 void SteadyStateTracker::save(SnapshotWriter& w) const {
-  w.u64(window_);
-  w.u64(stable_windows_);
-  w.f64(rel_tol_);
-  w.u64(next_boundary_);
-  w.u64(windows_closed_);
-  w.u64(count_at_boundary_);
-  w.f64(sum_at_boundary_);
-  w.u64(flits_at_boundary_);
-  w.f64(prev_window_mean_);
-  w.b(have_prev_window_);
-  w.u64(stable_run_);
-  w.b(warmed_up_);
-  w.u64(warmup_end_);
-  w.u64(steady_count_);
-  w.f64(steady_sum_);
-  w.u64(steady_flits_);
-  w.u64(steady_cycles_);
-  window_means_.save(w);
+  save_fields(w, *this);
 }
 
 void SteadyStateTracker::restore(SnapshotReader& r) {
-  window_ = r.u64();
-  if (window_ == 0)
-    throw SnapshotError("steady-state tracker snapshot has zero window");
-  stable_windows_ = r.u64();
-  rel_tol_ = r.f64();
-  next_boundary_ = r.u64();
-  windows_closed_ = r.u64();
-  count_at_boundary_ = r.u64();
-  sum_at_boundary_ = r.f64();
-  flits_at_boundary_ = r.u64();
-  prev_window_mean_ = r.f64();
-  have_prev_window_ = r.b();
-  stable_run_ = r.u64();
-  warmed_up_ = r.b();
-  warmup_end_ = r.u64();
-  steady_count_ = r.u64();
-  steady_sum_ = r.f64();
-  steady_flits_ = r.u64();
-  steady_cycles_ = r.u64();
-  window_means_.restore(r);
+  restore_fields(r, *this);
 }
 
 }  // namespace wormsched::metrics

@@ -26,6 +26,11 @@
 #include "common/stats.hpp"
 #include "common/types.hpp"
 
+namespace wormsched {
+class SnapshotReader;
+class SnapshotWriter;
+}  // namespace wormsched
+
 namespace wormsched::metrics {
 
 struct WindowedConfig {
@@ -65,6 +70,9 @@ class SteadyStateTracker {
     return window_means_;
   }
 
+  /// Checkpoint state (a window of at least one cycle); save() and
+  /// restore() forward to it.
+  void fields(Archive& a);
   void save(SnapshotWriter& w) const;
   void restore(SnapshotReader& r);
 

@@ -303,23 +303,7 @@ void NetworkAuditor::check_active_set(Cycle now, const Network& net) {
 void NetworkAuditor::check_one_router_masks(Cycle now, const Network& net,
                                             std::uint32_t n) {
   const auto& router = net.router(NodeId(n));
-  std::uint64_t routable = 0;
-  std::uint64_t requesting = 0;
-  std::uint64_t bound = 0;
-  for (std::uint32_t d = 0; d < kNumDirections; ++d) {
-    const auto dir = static_cast<Direction>(d);
-    for (std::uint32_t cls = 0; cls < vcs_; ++cls) {
-      const std::uint64_t unit_bit = std::uint64_t{1}
-                                     << router.unit(dir, cls);
-      if (!router.input_routed(dir, cls) &&
-          router.input_buffer_size(dir, cls) > 0) {
-        routable |= unit_bit;
-      }
-      if (router.arbiter(dir, cls).pending_total() > 0)
-        requesting |= unit_bit;
-      if (router.output_bound(dir, cls)) bound |= unit_bit;
-    }
-  }
+  const wormhole::Router::UnitMasks implied = router.implied_masks();
   const auto report = [&](const char* which, std::uint64_t expected,
                           std::uint64_t actual) {
     if (expected == actual) return;
@@ -329,9 +313,10 @@ void NetworkAuditor::check_one_router_masks(Cycle now, const Network& net,
        << expected;
     log_.report("net.masks.stale", os.str());
   };
-  report("routable_inputs", routable, router.routable_inputs_mask());
-  report("requesting_outputs", requesting, router.requesting_outputs_mask());
-  report("bound_outputs", bound, router.bound_outputs_mask());
+  report("routable_inputs", implied.routable, router.routable_inputs_mask());
+  report("requesting_outputs", implied.requesting,
+         router.requesting_outputs_mask());
+  report("bound_outputs", implied.bound, router.bound_outputs_mask());
 }
 
 void NetworkAuditor::check_router_masks(Cycle now, const Network& net) {

@@ -3,7 +3,7 @@
 #include <string>
 
 #include "common/assert.hpp"
-#include "common/snapshot.hpp"
+#include "common/archive.hpp"
 
 namespace wormsched::wormhole {
 
@@ -33,29 +33,19 @@ void PortArbiter::release() {
   on_release(owner);
 }
 
-void PortArbiter::save_state(SnapshotWriter& w,
-                             std::uint64_t uncharged_cycles) const {
-  w.u64(pending_.size());
-  for (const std::uint32_t p : pending_) w.u32(p);
-  w.u32(owner_.value());
-  w.f64(charging_ == Charging::kCycles
-            ? held_ + static_cast<double>(uncharged_cycles)
-            : held_);
-  save_discipline(w);
-}
-
-void PortArbiter::restore_state(SnapshotReader& r) {
-  const std::uint64_t n = r.u64();
-  if (n != pending_.size())
-    throw SnapshotError("arbiter snapshot requester count mismatch");
-  pending_total_ = 0;
-  for (std::uint32_t& p : pending_) {
-    p = r.u32();
-    pending_total_ += p;
+void PortArbiter::fields(Archive& a, std::uint64_t uncharged_cycles) {
+  a.table("pending", pending_, [&a](std::uint32_t& p) { a.u32("", p); });
+  a.id("owner", owner_);
+  double held = charging_ == Charging::kCycles
+                    ? held_ + static_cast<double>(uncharged_cycles)
+                    : held_;
+  a.f64("held", held);
+  if (a.loading()) {
+    held_ = held;
+    pending_total_ = 0;
+    for (const std::uint32_t p : pending_) pending_total_ += p;
   }
-  owner_ = FlowId{r.u32()};
-  held_ = r.f64();
-  restore_discipline(r);
+  discipline_fields(a);
 }
 
 ErrArbiter::ErrArbiter(std::size_t num_requesters, Accounting accounting,
@@ -98,10 +88,9 @@ void ErrArbiter::on_release(FlowId owner) {
     policy_.end_opportunity(/*still_backlogged=*/more);
 }
 
-void ErrArbiter::save_discipline(SnapshotWriter& w) const { policy_.save(w); }
-
-void ErrArbiter::restore_discipline(SnapshotReader& r) {
-  policy_.restore(r);
+void ErrArbiter::discipline_fields(Archive& a) {
+  policy_.fields(a);
+  if (!a.loading()) return;
   // The owner is the flow in service; an opportunity left open between
   // packets must be one release() could leave open (see pick()).
   const bool serving = policy_.in_opportunity();
@@ -132,9 +121,7 @@ void RrArbiter::on_release(FlowId owner) {
   if (pending_[owner.index()] > 0) ring_.activate(owner);
 }
 
-void RrArbiter::save_discipline(SnapshotWriter& w) const { ring_.save(w); }
-
-void RrArbiter::restore_discipline(SnapshotReader& r) { ring_.restore(r); }
+void RrArbiter::discipline_fields(Archive& a) { ring_.fields(a); }
 
 FcfsArbiter::FcfsArbiter(std::size_t num_requesters)
     : PortArbiter(num_requesters) {}
@@ -150,14 +137,8 @@ std::optional<FlowId> FcfsArbiter::pick(Cycle) {
 
 void FcfsArbiter::on_release(FlowId) {}
 
-void FcfsArbiter::save_discipline(SnapshotWriter& w) const {
-  save_sequence(w, order_,
-                [](SnapshotWriter& o, FlowId f) { o.u32(f.value()); });
-}
-
-void FcfsArbiter::restore_discipline(SnapshotReader& r) {
-  restore_sequence(r, order_,
-                   [](SnapshotReader& i) { return FlowId{i.u32()}; });
+void FcfsArbiter::discipline_fields(Archive& a) {
+  a.seq("order", order_, [&a](FlowId& flow) { a.id("", flow); });
 }
 
 std::unique_ptr<PortArbiter> make_arbiter(std::string_view name,

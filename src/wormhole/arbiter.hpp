@@ -83,21 +83,19 @@ class PortArbiter {
   /// pending heads.
   [[nodiscard]] std::uint32_t pending_total() const { return pending_total_; }
 
-  /// Checkpoint/restore: pending counts, the current owner and its
-  /// accumulated cost, then the discipline's state via the
-  /// save_discipline/restore_discipline hooks.  pending_total_ is
-  /// recomputed from the restored counts.  Must be called on a freshly
-  /// constructed arbiter of the same discipline and requester count.
-  /// `uncharged_cycles` is occupancy the caller has accrued but not yet
-  /// passed to charge_cycles(); the saved cost includes it, so the bytes
-  /// match a save taken with every cycle already charged and the
-  /// restored arbiter starts with those cycles charged.
-  void save_state(SnapshotWriter& w, std::uint64_t uncharged_cycles = 0) const;
-  void restore_state(SnapshotReader& r);
+  /// Checkpoint state: pending counts (requester count checked), the
+  /// current owner and its accumulated cost, then the discipline's state
+  /// via discipline_fields().  pending_total_ is recomputed from the
+  /// restored counts.  Restore into a freshly constructed arbiter of the
+  /// same discipline.  `uncharged_cycles` is occupancy the caller has
+  /// accrued but not yet passed to charge_cycles(); the saved cost
+  /// includes it, so the bytes match a save taken with every cycle
+  /// already charged and the restored arbiter starts with those cycles
+  /// charged.
+  void fields(Archive& a, std::uint64_t uncharged_cycles = 0);
 
  protected:
-  virtual void save_discipline(SnapshotWriter& w) const { (void)w; }
-  virtual void restore_discipline(SnapshotReader& r) { (void)r; }
+  virtual void discipline_fields(Archive& a) { (void)a; }
 
   /// Discipline hooks, called with pending_ already updated.
   virtual void on_new_request(FlowId requester) = 0;
@@ -136,8 +134,7 @@ class ErrArbiter final : public PortArbiter {
   void on_new_request(FlowId requester) override;
   std::optional<FlowId> pick(Cycle now) override;
   void on_release(FlowId owner) override;
-  void save_discipline(SnapshotWriter& w) const override;
-  void restore_discipline(SnapshotReader& r) override;
+  void discipline_fields(Archive& a) override;
 
  private:
   core::ErrPolicy policy_;
@@ -155,8 +152,7 @@ class RrArbiter final : public PortArbiter {
   void on_new_request(FlowId requester) override;
   std::optional<FlowId> pick(Cycle now) override;
   void on_release(FlowId owner) override;
-  void save_discipline(SnapshotWriter& w) const override;
-  void restore_discipline(SnapshotReader& r) override;
+  void discipline_fields(Archive& a) override;
 
  private:
   core::ActiveFlowRing ring_;
@@ -173,8 +169,7 @@ class FcfsArbiter final : public PortArbiter {
   void on_new_request(FlowId requester) override;
   std::optional<FlowId> pick(Cycle now) override;
   void on_release(FlowId owner) override;
-  void save_discipline(SnapshotWriter& w) const override;
-  void restore_discipline(SnapshotReader& r) override;
+  void discipline_fields(Archive& a) override;
 
  private:
   RingBuffer<FlowId> order_;

@@ -26,6 +26,11 @@
 #include "wormhole/shard.hpp"
 #include "wormhole/topology.hpp"
 
+namespace wormsched {
+class SnapshotReader;
+class SnapshotWriter;
+}  // namespace wormsched
+
 namespace wormsched::wormhole {
 
 struct NetworkConfig {
@@ -239,7 +244,9 @@ class Network final : public sim::Component, private RouterEnv {
   /// counters are recomputed, so a serial checkpoint restores into a
   /// sharded network and vice versa, bit-identically.  The delivered log
   /// is not serialized (it is derived output, unbounded under soak);
-  /// restored runs continue the log from empty.
+  /// restored runs continue the log from empty.  save_state() and
+  /// restore_state() forward to fields().
+  void fields(Archive& a);
   void save_state(SnapshotWriter& w) const;
   void restore_state(SnapshotReader& r);
 
@@ -287,6 +294,9 @@ class Network final : public sim::Component, private RouterEnv {
     RingBuffer<PacketDescriptor> queue;
     Flits sent_of_current = 0;
   };
+
+  /// Recomputes the per-shard NIC and liveness counters after a restore.
+  void rebuild_shard_counters();
 
   /// Enrolls router `index` in the active set (idempotent).
   void mark_live(std::size_t index);

@@ -3,9 +3,24 @@
 #include <sstream>
 
 #include "common/assert.hpp"
-#include "common/snapshot.hpp"
+#include "common/archive.hpp"
 
 namespace wormsched::wormhole {
+
+namespace {
+
+/// A source's RNG state: four words, not all zero (an all-zero
+/// xoshiro state never leaves zero).
+void rng_fields(Archive& a, Rng& rng) {
+  Rng::State state = rng.state();
+  a.each("rng", state, [&a](std::uint64_t& word) { a.u64("", word); });
+  if (!a.loading()) return;
+  if ((state[0] | state[1] | state[2] | state[3]) == 0)
+    a.fail("rng", "is all zero");
+  rng.set_state(state);
+}
+
+}  // namespace
 
 std::string PatternSpec::describe() const {
   switch (kind) {
@@ -127,23 +142,20 @@ void NetworkTrafficSource::tick(Cycle now) {
   }
 }
 
+void NetworkTrafficSource::fields(Archive& a) {
+  rng_fields(a, rng_);
+  a.u64("next_id", next_id_);
+  a.u64("generated", generated_);
+  a.u64("next_cycle", next_cycle_);
+  if (a.loading()) injection_valid_ = false;
+}
+
 void NetworkTrafficSource::save_state(SnapshotWriter& w) const {
-  for (const std::uint64_t word : rng_.state()) w.u64(word);
-  w.u64(next_id_);
-  w.u64(generated_);
-  w.u64(next_cycle_);
+  save_fields(w, *this);
 }
 
 void NetworkTrafficSource::restore_state(SnapshotReader& r) {
-  Rng::State state;
-  for (std::uint64_t& word : state) word = r.u64();
-  if ((state[0] | state[1] | state[2] | state[3]) == 0)
-    throw SnapshotError("traffic source RNG state is all zero");
-  rng_.set_state(state);
-  next_id_ = r.u64();
-  generated_ = r.u64();
-  next_cycle_ = r.u64();
-  injection_valid_ = false;
+  restore_fields(r, *this);
 }
 
 TraceTrafficSource::TraceTrafficSource(Network& network, const Config& config)
@@ -170,24 +182,14 @@ void TraceTrafficSource::tick(Cycle now) {
   }
 }
 
-void TraceTrafficSource::save_state(SnapshotWriter& w) const {
-  for (const std::uint64_t word : rng_.state()) w.u64(word);
-  w.u64(cursor_);
-  w.u64(next_id_);
-  w.u64(generated_);
-}
-
-void TraceTrafficSource::restore_state(SnapshotReader& r) {
-  Rng::State state;
-  for (std::uint64_t& word : state) word = r.u64();
-  if ((state[0] | state[1] | state[2] | state[3]) == 0)
-    throw SnapshotError("trace source RNG state is all zero");
-  rng_.set_state(state);
-  cursor_ = r.u64();
-  if (cursor_ > config_.trace->entries.size())
-    throw SnapshotError("trace source cursor is past the end of the trace");
-  next_id_ = r.u64();
-  generated_ = r.u64();
+void TraceTrafficSource::fields(Archive& a) {
+  rng_fields(a, rng_);
+  std::uint64_t cursor = cursor_;
+  a.u64("cursor", cursor,
+        at_most<std::uint64_t>(config_.trace->entries.size()));
+  if (a.loading()) cursor_ = static_cast<std::size_t>(cursor);
+  a.u64("next_id", next_id_);
+  a.u64("generated", generated_);
 }
 
 }  // namespace wormsched::wormhole

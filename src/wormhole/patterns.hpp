@@ -67,11 +67,12 @@ class NetworkTrafficSource final : public sim::Component {
 
   [[nodiscard]] std::uint64_t generated() const { return generated_; }
 
-  /// Checkpoint/restore: the RNG state, packet-id cursor, generated count
-  /// and the next un-ticked cycle.  Restore on a source built with the
+  /// Checkpoint state: the RNG state, packet-id cursor, generated count
+  /// and the next un-ticked cycle.  Restore into a source built with the
   /// same Config (the config itself travels in the checkpoint container,
   /// not here) — the restored source continues the identical draw
-  /// sequence.
+  /// sequence.  save_state() and restore_state() forward to fields().
+  void fields(Archive& a);
   void save_state(SnapshotWriter& w) const;
   void restore_state(SnapshotReader& r);
 
@@ -133,10 +134,9 @@ class TraceTrafficSource final : public sim::Component {
                : config_.trace->entries.back().cycle + 1;
   }
 
-  /// Checkpoint/restore: the RNG state, replay cursor and counters.
-  /// Restore on a source built over the identical trace.
-  void save_state(SnapshotWriter& w) const;
-  void restore_state(SnapshotReader& r);
+  /// Checkpoint state: the RNG state, replay cursor (within the trace)
+  /// and counters.  Restore into a source built over the identical trace.
+  void fields(Archive& a);
 
  private:
   Network& network_;

@@ -113,13 +113,22 @@ TEST(CliParser, ParsesOptionsAndFlags) {
   cli.add_option("rate", "injection rate", "0.5");
   cli.add_flag("verbose", "chatty");
   const char* argv[] = {"prog", "--cycles", "5000", "--verbose",
-                        "--rate=0.25", "pos1"};
-  cli.parse(6, argv);
+                        "--rate=0.25"};
+  cli.parse(5, argv);
   EXPECT_EQ(cli.get_uint("cycles"), 5000u);
   EXPECT_DOUBLE_EQ(cli.get_double("rate"), 0.25);
   EXPECT_TRUE(cli.get_flag("verbose"));
-  ASSERT_EQ(cli.positional().size(), 1u);
-  EXPECT_EQ(cli.positional()[0], "pos1");
+}
+
+TEST(CliParser, StrayPositionalFails) {
+  // A token that is no option's value used to be kept and ignored, so
+  // `network --cycles 10 mesh8x8` ran the default topology.
+  CliParser cli("test");
+  cli.add_option("cycles", "run length", "1000");
+  cli.add_flag("verbose", "chatty");
+  const char* argv[] = {"prog", "--cycles", "10", "--verbose", "pos1"};
+  EXPECT_EXIT(cli.parse(5, argv), ::testing::ExitedWithCode(2),
+              "^unexpected argument 'pos1'\n$");
 }
 
 TEST(CliParser, DefaultsApplyWhenAbsent) {
@@ -262,17 +271,25 @@ TEST(CliParser, ItemsReturnsEffectiveValues) {
   EXPECT_EQ(items[2], (std::pair<std::string, std::string>{"rate", "0.5"}));
 }
 
-TEST(CliParserChoice, BareUsesBareValueAndKeepsNextTokenPositional) {
+TEST(CliParserChoice, BareTakesNextTokenOnlyWhenItIsAChoice) {
   CliParser cli("test");
   cli.add_choice_flag("audit", "audit mode", {"incremental", "full", "off"},
                       "incremental", "off");
-  // A choice flag must never eat the following token, so scripts that
-  // treated it as a boolean (`--audit run.json`) keep working.
-  const char* argv[] = {"prog", "--audit", "run.json"};
-  cli.parse(3, argv);
+  cli.add_flag("verbose", "chatty");
+  // `--audit off` reads the choice; before it kept `off` aside and
+  // audited incrementally.
+  const char* with_choice[] = {"prog", "--audit", "off"};
+  cli.parse(3, with_choice);
+  EXPECT_EQ(cli.get("audit"), "off");
+  // A following option is not a choice: the flag reads bare.
+  const char* with_option[] = {"prog", "--audit", "--verbose"};
+  cli.parse(3, with_option);
   EXPECT_EQ(cli.get("audit"), "incremental");
-  ASSERT_EQ(cli.positional().size(), 1u);
-  EXPECT_EQ(cli.positional()[0], "run.json");
+  EXPECT_TRUE(cli.get_flag("verbose"));
+  // Any other token is a stray positional.
+  const char* with_file[] = {"prog", "--audit", "run.json"};
+  EXPECT_EXIT(cli.parse(3, with_file), ::testing::ExitedWithCode(2),
+              "^unexpected argument 'run.json'\n$");
 }
 
 TEST(CliParserChoice, InlineValueValidatedAgainstChoices) {

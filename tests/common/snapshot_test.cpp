@@ -20,6 +20,8 @@
 
 #include <sys/stat.h>
 
+#include "common/archive.hpp"
+#include "common/ring_buffer.hpp"
 #include "common/snapshot.hpp"
 
 namespace wormsched {
@@ -222,24 +224,32 @@ TEST(SnapshotSections, SectionBoundsReads) {
   EXPECT_THROW((void)r.u64(), SnapshotError);  // would cross the boundary
 }
 
+// Sequences are declared through an Archive (common/archive.hpp): the
+// same declaration saves and restores them.
+void u32_seq(Archive& a, std::vector<std::uint32_t>& v) {
+  a.seq("ids", v, [&a](std::uint32_t& x) { a.u32("", x); });
+}
+
 TEST(SnapshotSequences, VectorAndDoublesRoundTrip) {
   SnapshotWriter w;
-  const std::vector<std::uint32_t> ids = {1, 5, 9};
-  save_sequence(w, ids, [](SnapshotWriter& o, std::uint32_t v) { o.u32(v); });
-  const std::vector<double> xs = {0.25, -1e300, 3.0};
-  save_doubles(w, xs);
+  std::vector<std::uint32_t> ids = {1, 5, 9};
+  std::vector<double> xs = {0.25, -1e300, 3.0};
+  Archive saving(w);
+  u32_seq(saving, ids);
+  saving.doubles("xs", xs);
 
   SnapshotReader r(w.bytes());
+  Archive a(r);
   std::vector<std::uint32_t> ids2;
-  restore_sequence(r, ids2, [](SnapshotReader& in) { return in.u32(); });
+  u32_seq(a, ids2);
   EXPECT_EQ(ids2, ids);
   std::vector<double> xs2;
-  restore_doubles(r, xs2);
+  a.doubles("xs", xs2);
   EXPECT_EQ(xs2, xs);
 }
 
 TEST(SnapshotSequences, DoublesRoundTripSpecialValuesBitForBit) {
-  const std::vector<double> xs = {
+  std::vector<double> xs = {
       std::bit_cast<double>(0x7FF8DEADBEEF1234ull),  // NaN with a payload
       std::bit_cast<double>(0xFFFC00000000ABCDull),  // negative NaN, payload
       -0.0,
@@ -248,10 +258,10 @@ TEST(SnapshotSequences, DoublesRoundTripSpecialValuesBitForBit) {
       -std::numeric_limits<double>::infinity(),
   };
   SnapshotWriter w;
-  save_doubles(w, xs);
+  Archive(w).doubles("xs", xs);
   SnapshotReader r(w.bytes());
   std::vector<double> back = {42.0};  // restore replaces, never appends
-  restore_doubles(r, back);
+  Archive(r).doubles("xs", back);
   EXPECT_TRUE(r.exhausted());
   ASSERT_EQ(back.size(), xs.size());
   for (std::size_t i = 0; i < xs.size(); ++i)
@@ -262,22 +272,35 @@ TEST(SnapshotSequences, DoublesRoundTripSpecialValuesBitForBit) {
 
 TEST(SnapshotSequences, BulkDoublesMatchThePerElementEncoding) {
   // The bulk codec is a faster path to the same bytes: a u64 count, then
-  // one f64 field per element.  Each side reads what the other wrote.
+  // one f64 field per element.  Each side reads what the other wrote, and
+  // the describer (a restore with a map) reads them element by element.
   std::vector<double> xs;
   for (int i = 0; i < 1000; ++i) xs.push_back(static_cast<double>(i) * 0.37);
   SnapshotWriter bulk;
   bulk.u8(7);  // misaligns the sequence
-  save_doubles(bulk, xs);
+  Archive(bulk).doubles("xs", xs);
   SnapshotWriter each;
   each.u8(7);
-  save_sequence(each, xs, [](SnapshotWriter& o, double x) { o.f64(x); });
+  Archive per_element(each);
+  per_element.seq("xs", xs, [&per_element](double& x) {
+    per_element.f64("", x);
+  });
   EXPECT_EQ(bulk.bytes(), each.bytes());
 
-  SnapshotReader r(each.bytes());
-  (void)r.u8();
-  std::vector<double> back;
-  restore_doubles(r, back);
-  EXPECT_EQ(back, xs);
+  for (const bool describe : {false, true}) {
+    FieldMap map;
+    SnapshotReader r(each.bytes());
+    (void)r.u8();
+    std::vector<double> back;
+    Archive(r, describe ? &map : nullptr).doubles("xs", back);
+    EXPECT_EQ(back, xs);
+    if (!describe) continue;
+    ASSERT_EQ(map.size(), xs.size() + 1);
+    EXPECT_EQ(map[0].path, "xs.count");
+    EXPECT_EQ(map[1].path, "xs[0]");
+    EXPECT_EQ(map[1].offset, 9u);
+    EXPECT_EQ(map.back().path, "xs[999]");
+  }
 }
 
 TEST(SnapshotSequences, DoubleCountAboveRemainingOverEightThrows) {
@@ -289,7 +312,7 @@ TEST(SnapshotSequences, DoubleCountAboveRemainingOverEightThrows) {
   w.f64(2.0);
   SnapshotReader r(w.bytes());
   std::vector<double> v;
-  EXPECT_THROW(restore_doubles(r, v), SnapshotError);
+  EXPECT_THROW(Archive(r).doubles("xs", v), SnapshotError);
   EXPECT_TRUE(v.empty());
 }
 
@@ -306,7 +329,7 @@ TEST(SnapshotSequences, DoubleCountThatWrapsTimesEightThrows) {
     w.f64(2.0);
     SnapshotReader r(w.bytes());
     std::vector<double> v;
-    EXPECT_THROW(restore_doubles(r, v), SnapshotError) << count;
+    EXPECT_THROW(Archive(r).doubles("xs", v), SnapshotError) << count;
   }
 }
 
@@ -318,13 +341,15 @@ TEST(SnapshotSequences, CountBeyondRemainingBytesThrowsBeforeAllocating) {
   w.u32(1);
   SnapshotReader r(w.bytes());
   std::vector<std::uint32_t> v;
-  EXPECT_THROW(restore_sequence(r, v,
-                                [](SnapshotReader& in) { return in.u32(); }),
-               SnapshotError);
+  Archive a(r);
+  EXPECT_THROW(u32_seq(a, v), SnapshotError);
   SnapshotReader ring_reader(w.bytes());
   RingBuffer<std::uint32_t> ring;
-  EXPECT_THROW(restore_sequence(ring_reader, ring,
-                                [](SnapshotReader& in) { return in.u32(); }),
+  Archive ring_archive(ring_reader);
+  EXPECT_THROW(ring_archive.seq("ids", ring,
+                                [&ring_archive](std::uint32_t& x) {
+                                  ring_archive.u32("", x);
+                                }),
                SnapshotError);
 
   // The bound is the enclosing section, not the whole stream.
@@ -336,10 +361,9 @@ TEST(SnapshotSequences, CountBeyondRemainingBytesThrowsBeforeAllocating) {
   s.u64(0);  // bytes after the section do not count
   SnapshotReader sr(s.bytes());
   sr.enter_section(0x81818181u);
-  std::vector<std::uint8_t> bytes;
-  EXPECT_THROW(restore_sequence(sr, bytes,
-                                [](SnapshotReader& in) { return in.u8(); }),
-               SnapshotError);
+  std::vector<std::uint32_t> ids;
+  Archive sa(sr);
+  EXPECT_THROW(u32_seq(sa, ids), SnapshotError);
 }
 
 TEST(SnapshotPrimitives, RemainingTracksTheCurrentScope) {

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "common/rng.hpp"
+#include "common/archive.hpp"
 #include "common/snapshot.hpp"
 
 namespace wormsched {
@@ -124,11 +125,11 @@ TEST(QuantileEstimator, RestoreRejectsZeroCapacity) {
   QuantileEstimator q;
   const std::vector<std::uint8_t> zero = saved_reservoir(0, 0, 0);
   SnapshotReader zero_reader(zero);
-  EXPECT_THROW(q.restore(zero_reader), SnapshotError);
+  EXPECT_THROW(restore_fields(zero_reader, q), SnapshotError);
   // Control: a one-sample reservoir restores and samples.
   const std::vector<std::uint8_t> one = saved_reservoir(1, 0, 0);
   SnapshotReader one_reader(one);
-  q.restore(one_reader);
+  restore_fields(one_reader, q);
   q.add(5.0);
   EXPECT_EQ(q.quantile(0.5), 5.0);
 }
@@ -139,14 +140,14 @@ TEST(QuantileEstimator, RestoreRejectsSeenCountThatWraps) {
     QuantileEstimator q;
     const std::vector<std::uint8_t> bytes = saved_reservoir(4, seen, 4);
     SnapshotReader r(bytes);
-    EXPECT_THROW(q.restore(r), SnapshotError) << seen;
+    EXPECT_THROW(restore_fields(r, q), SnapshotError) << seen;
   }
   // Control: the largest accepted count restores, and the full reservoir
   // keeps sampling.
   QuantileEstimator q;
   const std::vector<std::uint8_t> bytes = saved_reservoir(4, kLimit - 1, 4);
   SnapshotReader r(bytes);
-  q.restore(r);
+  restore_fields(r, q);
   for (int i = 0; i < 100; ++i) q.add(100.0);
   EXPECT_EQ(q.sample_count(), kLimit + 99);
 }

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/archive.hpp"
 #include "common/snapshot.hpp"
 #include "core/drr.hpp"
 #include "core/err.hpp"
@@ -521,7 +522,7 @@ class DenseModel {
 
 std::vector<std::uint8_t> saved(const Scheduler& s) {
   SnapshotWriter w;
-  s.save_state(w);
+  save_fields(w, s);
   return w.bytes();
 }
 
@@ -637,7 +638,7 @@ TEST_P(FlowRowsDifferential, RowsMatchDenseLayout) {
         expect_same_answers(*s, model, d.kind, tag);
         std::unique_ptr<Scheduler> restored = make_scheduler(d.name, params);
         SnapshotReader r(bytes);
-        restored->restore_state(r);
+        restore_fields(r, *restored);
         ASSERT_TRUE(same_bytes(saved(*restored), bytes))
             << d.name << " resave at " << c;
         expect_same_answers(*restored, model, d.kind, tag);

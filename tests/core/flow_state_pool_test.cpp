@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/archive.hpp"
 #include "common/snapshot.hpp"
 #include "core/flow_state_pool.hpp"
 
@@ -78,12 +79,12 @@ TEST(ActiveFifo, SaveRestoreRoundTripsOrder) {
   ActiveFifo fifo(16);
   for (const std::uint32_t f : {9u, 1u, 14u, 0u}) fifo.push_back(f);
   SnapshotWriter w;
-  fifo.save(w);
+  save_fields(w, fifo);
 
   ActiveFifo restored(16);
   restored.push_back(3);  // stale state the restore must discard
   SnapshotReader r(w.bytes().data(), w.bytes().size());
-  restored.restore(r, "test list");
+  restore_fields(r, restored);
   EXPECT_EQ(restored.size(), 4u);
   EXPECT_FALSE(restored.contains(3));
   for (const std::uint32_t f : {9u, 1u, 14u, 0u})
@@ -94,10 +95,10 @@ TEST(ActiveFifo, RestoreRejectsOutOfRangeFlow) {
   ActiveFifo fifo(32);
   fifo.push_back(31);
   SnapshotWriter w;
-  fifo.save(w);
+  save_fields(w, fifo);
   ActiveFifo small(8);
   SnapshotReader r(w.bytes().data(), w.bytes().size());
-  EXPECT_THROW(small.restore(r, "test list"), SnapshotError);
+  EXPECT_THROW(restore_fields(r, small), SnapshotError);
 }
 
 Packet make_packet(std::uint64_t id, std::uint32_t flow, Flits length,
@@ -185,17 +186,24 @@ TEST(PacketQueuePool, SaveRestoreRoundTripsQueues) {
   pool.push_back(queues[0], make_packet(2, 0, 3, 11));
   pool.push_back(queues[2], make_packet(3, 2, 9, 12));
   SnapshotWriter w;
+  Archive saving(w);
   for (std::uint32_t f = 0; f < 3; ++f)
-    pool.save_queue(w, queues[f], FlowId(f));
+    pool.fields(saving, queues[f], FlowId(f));
 
   PacketQueuePool restored;
   QueueRow restored_queues[3];
   // Stale contents the restore must replace.
   restored.push_back(restored_queues[1], make_packet(99, 1, 1, 0));
   SnapshotReader r(w.bytes().data(), w.bytes().size());
+  Archive a(r);
   std::vector<Flits> flits;
-  for (QueueRow& q : restored_queues)
-    flits.push_back(restored.restore_queue(r, q, r.u64()));
+  for (std::uint32_t f = 0; f < 3; ++f) {
+    restored.fields(a, restored_queues[f], FlowId(f));
+    Flits sum = 0;
+    restored.for_each_length(restored_queues[f],
+                             [&sum](Flits length) { sum += length; });
+    flits.push_back(sum);
+  }
   EXPECT_EQ(flits, (std::vector<Flits>{10, 0, 9}));
   EXPECT_EQ(restored_queues[0].len, 2u);
   EXPECT_EQ(restored_queues[1].len, 0u);
@@ -213,14 +221,12 @@ TEST(FlowStatePool, RowsRoundTripThroughLegacyLayout) {
   pool.active().push_back(3);
   pool.active().push_back(1);
   SnapshotWriter w;
-  pool.save_rows(w);
-  pool.active().save(w);
+  save_fields(w, pool);
 
   FlowStatePool restored(4, 1.0);
   restored.set_sc(0, 9.0);  // stale state the restore must overwrite
   SnapshotReader r(w.bytes().data(), w.bytes().size());
-  restored.restore_rows(r, "TEST");
-  restored.active().restore(r, "TEST ActiveList");
+  restore_fields(r, restored);
   EXPECT_EQ(restored.sc(0), 0.0);
   EXPECT_EQ(restored.sc(1), 2.5);
   EXPECT_EQ(restored.weight(3), 4.0);
@@ -231,10 +237,10 @@ TEST(FlowStatePool, RowsRoundTripThroughLegacyLayout) {
 TEST(FlowStatePool, RestoreRejectsFlowCountMismatch) {
   FlowStatePool pool(8, 1.0);
   SnapshotWriter w;
-  pool.save_rows(w);
+  save_fields(w, pool);
   FlowStatePool other(4, 1.0);
   SnapshotReader r(w.bytes().data(), w.bytes().size());
-  EXPECT_THROW(other.restore_rows(r, "TEST"), SnapshotError);
+  EXPECT_THROW(restore_fields(r, other), SnapshotError);
 }
 
 }  // namespace

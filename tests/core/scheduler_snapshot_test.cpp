@@ -3,8 +3,8 @@
 //
 // Methodology: one deterministic arrival script drives two executions of
 // the same discipline — straight through N cycles, and split at cycle k
-// by save_state() into a freshly constructed instance that continues via
-// restore_state().  The emitted flit streams (flow, packet, index,
+// by save_fields() into a freshly constructed instance that continues via
+// restore_fields().  The emitted flit streams (flow, packet, index,
 // head/tail flags, and the cycle of emission) must be identical, which
 // pins every piece of discipline-private state (ERR allowances and
 // surplus counts, DRR deficits, timestamp virtual clocks, round cursors)
@@ -17,11 +17,12 @@
 #include <string>
 #include <vector>
 
+#include "common/archive.hpp"
 #include "common/snapshot.hpp"
 #include "core/packet.hpp"
 #include "core/registry.hpp"
 #include "core/scheduler.hpp"
-#include "scheduler_craft.hpp"
+#include "../common/field_map.hpp"
 
 namespace wormsched::core {
 namespace {
@@ -122,14 +123,14 @@ TEST_P(SchedulerSnapshotTest, SplitRunMatchesStraightRun) {
     scheduler->set_weight(FlowId(1), 2.0);
     scheduler->set_weight(FlowId(3), 3.0);
     drive(*scheduler, script, 0, kSplit, split);
-    scheduler->save_state(w);
+    save_fields(w, *scheduler);
   }  // the saving instance is gone before the restore, like a real restart
   {
     auto scheduler = fresh(name);
     // Weights are deliberately NOT re-applied: they are part of the
     // snapshot and must survive the restore on their own.
     SnapshotReader r(w.bytes());
-    scheduler->restore_state(r);
+    restore_fields(r, *scheduler);
     drive(*scheduler, script, kSplit, kHorizon, split);
   }
 
@@ -156,20 +157,20 @@ TEST_P(SchedulerSnapshotTest, DoubleSplitAlsoMatches) {
   {
     auto scheduler = fresh(name);
     drive(*scheduler, script, 0, 200, chained);
-    scheduler->save_state(first);
+    save_fields(first, *scheduler);
   }
   SnapshotWriter second;
   {
     auto scheduler = fresh(name);
     SnapshotReader r(first.bytes());
-    scheduler->restore_state(r);
+    restore_fields(r, *scheduler);
     drive(*scheduler, script, 200, 500, chained);
-    scheduler->save_state(second);
+    save_fields(second, *scheduler);
   }
   {
     auto scheduler = fresh(name);
     SnapshotReader r(second.bytes());
-    scheduler->restore_state(r);
+    restore_fields(r, *scheduler);
     drive(*scheduler, script, 500, kHorizon, chained);
   }
 
@@ -183,7 +184,7 @@ TEST_P(SchedulerSnapshotTest, FlowCountMismatchThrows) {
   SnapshotWriter w;
   {
     auto scheduler = fresh(name);
-    scheduler->save_state(w);
+    save_fields(w, *scheduler);
   }
   SchedulerParams wrong = params_for(name);
   wrong.num_flows = kNumFlows + 1;
@@ -191,7 +192,7 @@ TEST_P(SchedulerSnapshotTest, FlowCountMismatchThrows) {
   auto scheduler = make_scheduler(name, wrong);
   ASSERT_NE(scheduler, nullptr);
   SnapshotReader r(w.bytes());
-  EXPECT_THROW(scheduler->restore_state(r), SnapshotError) << name;
+  EXPECT_THROW(restore_fields(r, *scheduler), SnapshotError) << name;
 }
 
 // --- Crafted checkpoints -------------------------------------------------
@@ -199,14 +200,24 @@ TEST_P(SchedulerSnapshotTest, FlowCountMismatchThrows) {
 // A CRC only guards accidental damage, so a restore must reject state a
 // run cannot reach with SnapshotError, before the next pull_flit() trips
 // over it.  Each case below aborted or crashed the parent at that pull.
+// Fields are patched by path through the describer's map.
 
-using test::ErrImage;
-using test::SchedulerImage;
-using test::get_le;
-using test::put_f64;
-using test::put_le;
+using test::get;
+using test::set;
+using test::set_f64;
 
 constexpr std::uint32_t kFarFlow = 0x7FFFFFF0;
+
+/// The field map of a saved `name` scheduler: the bytes restored into a
+/// fresh one with recording on.
+FieldMap describe(std::string_view name,
+                  const std::vector<std::uint8_t>& bytes) {
+  auto scheduler = fresh(name);
+  SnapshotReader r(bytes);
+  FieldMap map;
+  restore_fields(r, *scheduler, &map);
+  return map;
+}
 
 /// An ERR checkpoint from the first cycle where a packet is mid-flight,
 /// other flows wait in the ActiveList and some flow is idle.
@@ -218,28 +229,55 @@ struct ErrCheckpoint {
     for (at = 1; at < kHorizon; ++at) {
       drive(*scheduler, script, at - 1, at, out);
       SnapshotWriter w;
-      scheduler->save_state(w);
+      save_fields(w, *scheduler);
       bytes = w.bytes();
-      const SchedulerImage sched(bytes, 0);
-      const ErrImage err(bytes, sched.discipline_at);
-      latched =
-          static_cast<std::uint32_t>(get_le(bytes, sched.latched_at + 1, 4));
-      if (bytes[sched.latched_at] == 0 || err.list.empty()) continue;
+      map = describe("err", bytes);
+      latched = static_cast<std::uint32_t>(value("base.latched_flow"));
+      if (value("base.latched") == 0 || list().empty()) continue;
       for (std::uint32_t f = 0; f < kNumFlows; ++f)
-        if (sched.queue_length(bytes, f) == 0) idle = f;
+        if (value("base.queues[" + std::to_string(f) + "].packets.count") == 0)
+          idle = f;
       if (idle != kNumFlows) return;
     }
     ADD_FAILURE() << "the script never reaches the crafting state";
   }
 
-  [[nodiscard]] SchedulerImage sched() const { return {bytes, 0}; }
-  [[nodiscard]] ErrImage err() const { return {bytes, sched().discipline_at}; }
+  [[nodiscard]] std::uint64_t value(const std::string& path) const {
+    return get(bytes, map, path);
+  }
+  /// The ActiveList, head first.
+  [[nodiscard]] std::vector<std::uint32_t> list() const {
+    std::vector<std::uint32_t> flows;
+    for (std::uint64_t i = 0; i < value("discipline.active.count"); ++i)
+      flows.push_back(static_cast<std::uint32_t>(
+          value("discipline.active[" + std::to_string(i) + "]")));
+    return flows;
+  }
+  /// These bytes with the field at `path` set to `v`.
+  [[nodiscard]] std::vector<std::uint8_t> with(const std::string& path,
+                                               std::uint64_t v) const {
+    std::vector<std::uint8_t> p = bytes;
+    set(p, map, path, v);
+    return p;
+  }
+  [[nodiscard]] std::vector<std::uint8_t> with_f64(const std::string& path,
+                                                   double v) const {
+    std::vector<std::uint8_t> p = bytes;
+    set_f64(p, map, path, v);
+    return p;
+  }
 
   Cycle at = 0;  // the next cycle to run
   std::vector<std::uint8_t> bytes;
+  FieldMap map;
   std::uint32_t latched = 0;       // the flow with a packet in flight
   std::uint32_t idle = kNumFlows;  // a flow with an empty queue
 };
+
+std::string flow_path(const char* table, std::uint32_t flow,
+                      const char* field = "") {
+  return std::string(table) + "[" + std::to_string(flow) + "]" + field;
+}
 
 /// Restores `bytes` into a fresh `name` scheduler and serves the rest of
 /// the script; throws what the restore throws.
@@ -247,7 +285,7 @@ void restore_and_run(std::string_view name,
                      const std::vector<std::uint8_t>& bytes, Cycle from) {
   auto scheduler = fresh(name);
   SnapshotReader r(bytes);
-  scheduler->restore_state(r);
+  restore_fields(r, *scheduler);
   std::vector<EmittedFlit> out;
   drive(*scheduler, make_script(), from, kHorizon, out);
   EXPECT_FALSE(out.empty());
@@ -262,123 +300,119 @@ TEST(SchedulerRestoreCheck, RejectsLatchOnAFlowWithoutPackets) {
   // Before the check, latching flow 0x7FFFFFF0 crashed the next pull
   // (SIGSEGV).
   const ErrCheckpoint c;
-  for (const std::uint32_t flow : {kFarFlow, c.idle}) {
-    std::vector<std::uint8_t> p = c.bytes;
-    put_le(p, c.sched().latched_at + 1, 4, flow);
-    EXPECT_THROW(restore_and_run("err", p, c.at), SnapshotError) << flow;
-  }
+  for (const std::uint32_t flow : {kFarFlow, c.idle})
+    EXPECT_THROW(
+        restore_and_run("err", c.with("base.latched_flow", flow), c.at),
+        SnapshotError)
+        << flow;
 }
 
 TEST(SchedulerRestoreCheck, RejectsProgressPastTheHeadPacket) {
   const ErrCheckpoint c;
-  const SchedulerImage sched = c.sched();
   const auto head = static_cast<Flits>(
-      get_le(c.bytes, sched.packet_length_at(c.latched, 0), 8));
-  for (const Flits progress : {head, head + 5, Flits{-1}}) {
-    std::vector<std::uint8_t> p = c.bytes;
-    put_le(p, sched.progress_at + 8 * c.latched, 8,
-           static_cast<std::uint64_t>(progress));
-    EXPECT_THROW(restore_and_run("err", p, c.at), SnapshotError) << progress;
-  }
+      c.value(flow_path("base.queues", c.latched, ".packets[0].length")));
+  for (const Flits progress : {head, head + 5, Flits{-1}})
+    EXPECT_THROW(restore_and_run("err",
+                                 c.with(flow_path("base.progress", c.latched),
+                                        static_cast<std::uint64_t>(progress)),
+                                 c.at),
+                 SnapshotError)
+        << progress;
   // An idle flow has no head packet to be part-way through.
-  std::vector<std::uint8_t> p = c.bytes;
-  put_le(p, sched.progress_at + 8 * c.idle, 8, 1);
-  EXPECT_THROW(restore_and_run("err", p, c.at), SnapshotError);
+  EXPECT_THROW(
+      restore_and_run("err", c.with(flow_path("base.progress", c.idle), 1),
+                      c.at),
+      SnapshotError);
 }
 
 TEST(SchedulerRestoreCheck, RejectsPacketOfNoFlits) {
   const ErrCheckpoint c;
-  for (const Flits length : {Flits{0}, Flits{-3}}) {
-    std::vector<std::uint8_t> p = c.bytes;
-    put_le(p, c.sched().packet_length_at(c.latched, 0), 8,
-           static_cast<std::uint64_t>(length));
-    EXPECT_THROW(restore_and_run("err", p, c.at), SnapshotError) << length;
-  }
+  for (const Flits length : {Flits{0}, Flits{-3}})
+    EXPECT_THROW(
+        restore_and_run(
+            "err",
+            c.with(flow_path("base.queues", c.latched, ".packets[0].length"),
+                   static_cast<std::uint64_t>(length)),
+            c.at),
+        SnapshotError)
+        << length;
 }
 
 TEST(SchedulerRestoreCheck, RejectsBacklogThatDisagreesWithTheQueues) {
   const ErrCheckpoint c;
-  const std::size_t at = c.sched().backlog_at;
-  for (const std::uint64_t backlog :
-       {get_le(c.bytes, at, 8) + 1, get_le(c.bytes, at, 8) - 1}) {
-    std::vector<std::uint8_t> p = c.bytes;
-    put_le(p, at, 8, backlog);
-    EXPECT_THROW(restore_and_run("err", p, c.at), SnapshotError) << backlog;
-  }
+  const std::uint64_t backlog = c.value("base.backlog");
+  for (const std::uint64_t crafted : {backlog + 1, backlog - 1})
+    EXPECT_THROW(restore_and_run("err", c.with("base.backlog", crafted), c.at),
+                 SnapshotError)
+        << crafted;
 }
 
 TEST(SchedulerRestoreCheck, RejectsErrServiceOutOfRangeOrListed) {
   // Before the check, flow 0x7FFFFFF0 in service aborted the next pull
   // (err.cpp assertion, exit 134).
   const ErrCheckpoint c;
-  const ErrImage err = c.err();
-  for (const std::uint32_t flow : {kFarFlow, err.list.front()}) {
-    std::vector<std::uint8_t> p = c.bytes;
-    put_le(p, err.current_at, 4, flow);
-    EXPECT_THROW(restore_and_run("err", p, c.at), SnapshotError) << flow;
-  }
+  for (const std::uint32_t flow : {kFarFlow, c.list().front()})
+    EXPECT_THROW(
+        restore_and_run("err", c.with("discipline.current", flow), c.at),
+        SnapshotError)
+        << flow;
 }
 
 TEST(SchedulerRestoreCheck, RejectsErrActiveCountThatDisagreesWithTheList) {
   const ErrCheckpoint c;
-  const ErrImage err = c.err();
-  for (const std::uint64_t count :
-       {err.list.size(), err.list.size() + 2}) {  // in service: + 1
-    std::vector<std::uint8_t> p = c.bytes;
-    put_le(p, err.active_count_at, 8, count);
-    EXPECT_THROW(restore_and_run("err", p, c.at), SnapshotError) << count;
-  }
+  const std::size_t listed = c.list().size();
+  for (const std::uint64_t count : {listed, listed + 2})  // in service: + 1
+    EXPECT_THROW(
+        restore_and_run("err", c.with("discipline.active_count", count), c.at),
+        SnapshotError)
+        << count;
 }
 
 TEST(SchedulerRestoreCheck, RejectsOpenOpportunityWithNoVisitsLeft) {
   const ErrCheckpoint c;
-  std::vector<std::uint8_t> p = c.bytes;
-  put_le(p, c.err().visits_at, 8, 0);
-  EXPECT_THROW(restore_and_run("err", p, c.at), SnapshotError);
+  EXPECT_THROW(
+      restore_and_run(
+          "err", c.with("discipline.round_robin_visit_count", 0), c.at),
+      SnapshotError);
 }
 
 TEST(SchedulerRestoreCheck, RejectsErrWeightBelowOne) {
   // Before the check, ERR weight 0 on a queued flow aborted the next
   // opportunity ("ERR allowance must be positive (Lemma 1)", exit 134).
   const ErrCheckpoint c;
-  const std::uint32_t queued = c.err().list.front();
-  for (const double weight : {0.0, 0.5, -1.0}) {
-    std::vector<std::uint8_t> p = c.bytes;
-    put_f64(p, c.err().weight_at(queued), weight);
-    EXPECT_THROW(restore_and_run("err", p, c.at), SnapshotError) << weight;
-  }
+  const std::string weight =
+      flow_path("discipline.rows", c.list().front(), ".weight");
+  for (const double w : {0.0, 0.5, -1.0})
+    EXPECT_THROW(restore_and_run("err", c.with_f64(weight, w), c.at),
+                 SnapshotError)
+        << w;
   // Control: set_weight() accepts 1 and up, and so does the restore.
-  std::vector<std::uint8_t> p = c.bytes;
-  put_f64(p, c.err().weight_at(queued), 2.5);
-  EXPECT_NO_THROW(restore_and_run("err", p, c.at));
+  EXPECT_NO_THROW(restore_and_run("err", c.with_f64(weight, 2.5), c.at));
 }
 
 TEST(SchedulerRestoreCheck, RejectsSurplusBeyondTheNextAllowance) {
   // Before the check, a listed flow with SC 1e9 aborted its next
   // opportunity ("ERR allowance must be positive (Lemma 1)").
   const ErrCheckpoint c;
-  const ErrImage err = c.err();
-  const std::size_t sc_at = err.rows_at + 16 * err.list.back();
-  for (const double sc : {1e9, std::numeric_limits<double>::quiet_NaN()}) {
-    std::vector<std::uint8_t> p = c.bytes;
-    put_f64(p, sc_at, sc);
-    EXPECT_THROW(restore_and_run("err", p, c.at), SnapshotError) << sc;
-  }
+  const std::string sc = flow_path("discipline.rows", c.list().back(), ".sc");
+  for (const double v : {1e9, std::numeric_limits<double>::quiet_NaN()})
+    EXPECT_THROW(restore_and_run("err", c.with_f64(sc, v), c.at),
+                 SnapshotError)
+        << v;
 }
 
 TEST(SchedulerRestoreCheck, RejectsDrrAndSrrServiceOutOfRange) {
-  // Both disciplines' state ends with the in-opportunity bool and the u32
-  // flow in service, the last bytes of the image.
   for (const std::string_view name : {"drr", "srr"}) {
     auto scheduler = fresh(name);
     std::vector<EmittedFlit> out;
     drive(*scheduler, make_script(), 0, kSplit, out);
     SnapshotWriter w;
-    scheduler->save_state(w);
+    save_fields(w, *scheduler);
     std::vector<std::uint8_t> p = w.bytes();
     EXPECT_NO_THROW(restore_and_run(name, p, kSplit)) << name;
-    p[p.size() - 5] = 1;
-    put_le(p, p.size() - 4, 4, kFarFlow);
+    const FieldMap map = describe(name, p);
+    set(p, map, "discipline.in_opportunity", 1);
+    set(p, map, "discipline.current", kFarFlow);
     EXPECT_THROW(restore_and_run(name, p, kSplit), SnapshotError) << name;
   }
 }
@@ -388,15 +422,13 @@ TEST(SchedulerRestoreCheck, RejectsPerrClassWeightBelowOne) {
   std::vector<EmittedFlit> out;
   drive(*scheduler, make_script(), 0, kSplit, out);
   SnapshotWriter w;
-  scheduler->save_state(w);
+  save_fields(w, *scheduler);
   std::vector<std::uint8_t> p = w.bytes();
-  // SIDS: the priority map (u64 n, u32 per flow), the u64 class count,
-  // then one ErrPolicy image per class.  Flow 0 is in class 0.
-  const std::size_t classes_at =
-      SchedulerImage(p, 0).discipline_at + 8 + 4 * kNumFlows;
-  ASSERT_EQ(get_le(p, classes_at, 8), 2u);
+  const FieldMap map = describe("perr", p);
+  // Flow 0 is in class 0.
+  ASSERT_EQ(get(p, map, "discipline.classes.count"), 2u);
   EXPECT_NO_THROW(restore_and_run("perr", p, kSplit));
-  put_f64(p, ErrImage(p, classes_at + 8).weight_at(0), 0.0);
+  set_f64(p, map, "discipline.classes[0].rows[0].weight", 0.0);
   EXPECT_THROW(restore_and_run("perr", p, kSplit), SnapshotError);
 }
 

@@ -1,0 +1,213 @@
+// The describer's map of the committed goldens (common/archive.hpp).
+//
+// A checkpoint's layout is declared once, in each type's fields(); the
+// describer is the restore with a recording sink.  Its map of
+// golden_v2.wsnp (a network soak checkpoint) and golden_scenario_v2.wsnp
+// (a scenario checkpoint) must cover every payload byte exactly once
+// under distinct paths, or a field is missing from a declaration.  Every
+// field that declares a range must reject the value one step past it:
+// the golden with that one field patched throws a SnapshotError naming
+// the field's path, and for the first such field of each declaring type
+// `wormsched network|run --restore` exits 2 with one line.
+#include <gtest/gtest.h>
+#include <sys/wait.h>
+
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <limits>
+#include <optional>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "common/archive.hpp"
+#include "common/snapshot.hpp"
+#include "harness/checkpoint.hpp"
+#include "harness/soak.hpp"
+#include "../common/field_map.hpp"
+
+namespace wormsched::harness {
+namespace {
+
+struct Golden {
+  const char* name;
+  const char* path;
+  const char* restore;  // the CLI restore command, before the file
+};
+
+const Golden kNetwork{"Network", WS_GOLDEN_SNAPSHOT,
+                      " network --topo mesh3x3"};
+const Golden kScenario{"Scenario", WS_GOLDEN_SCENARIO, " run"};
+/// The trailing SOAK section is read by the soak harness alone.
+const char* const kSoakRestore = " soak --topo mesh3x3";
+
+/// The geometry golden_v2.wsnp was written with.
+NetworkScenarioConfig geometry() {
+  NetworkScenarioConfig config;
+  config.network.topo = wormhole::TopologySpec::mesh(3, 3);
+  return config;
+}
+
+/// The value one step past `f`'s declared range, as the field's bits;
+/// nullopt when the range reaches both ends of the field's width.
+std::optional<std::uint64_t> one_step_past(const FieldInfo& f) {
+  switch (f.kind) {
+    case FieldInfo::Kind::kDouble: {
+      const double lo = std::bit_cast<double>(f.lo);
+      const double hi = std::bit_cast<double>(f.hi);
+      const double inf = std::numeric_limits<double>::infinity();
+      if (hi != inf)
+        return std::bit_cast<std::uint64_t>(std::nextafter(hi, inf));
+      if (lo != -inf)
+        return std::bit_cast<std::uint64_t>(std::nextafter(lo, -inf));
+      return std::nullopt;
+    }
+    case FieldInfo::Kind::kSigned: {
+      const auto lo = static_cast<std::int64_t>(f.lo);
+      const auto hi = static_cast<std::int64_t>(f.hi);
+      if (hi != std::numeric_limits<std::int64_t>::max())
+        return static_cast<std::uint64_t>(hi + 1);
+      if (lo != std::numeric_limits<std::int64_t>::min())
+        return static_cast<std::uint64_t>(lo - 1);
+      return std::nullopt;
+    }
+    default: {
+      const std::uint64_t max = f.width >= 8
+                                    ? ~std::uint64_t{0}
+                                    : (std::uint64_t{1} << (8 * f.width)) - 1;
+      if (f.hi < max) return f.hi + 1;
+      if (f.lo > 0) return f.lo - 1;
+      return std::nullopt;
+    }
+  }
+}
+
+/// Restores `file` through the library's own readers: the soak harness
+/// for the network golden (the run, then its trailing SOAK tracker; a
+/// target of cycle 0 runs nothing), a ScenarioRun for the scenario one.
+void restore(const SnapshotFile& file) {
+  if (read_checkpoint_provenance(file).kind == "network") {
+    SoakOptions options;
+    options.cycles = 0;
+    (void)resume_soak(geometry(), file, options);
+  } else {
+    const ScenarioRun run(ScenarioSpec{}, file);
+  }
+}
+
+/// The declaring type of a field: its path without indices or its last
+/// component ("NNET.routers[2].sa_pointer[0]" -> "NNET.routers.sa_pointer").
+std::string declaring_type(const std::string& path) {
+  std::string out;
+  for (std::size_t i = 0; i < path.size(); ++i) {
+    if (path[i] == '[') {
+      i = path.find(']', i);
+      continue;
+    }
+    out += path[i];
+  }
+  const std::size_t dot = out.rfind('.');
+  return dot == std::string::npos ? out : out.substr(0, dot);
+}
+
+/// Exit status and stderr lines of `wormsched <restore> --restore <file>`,
+/// the file written under a name of its own (the cases run in parallel).
+struct CliOutcome {
+  int code = -1;
+  std::vector<std::string> err;
+};
+CliOutcome cli_restore(const char* restore, const SnapshotFile& file,
+                       const std::string& name) {
+  const std::string path =
+      testing::TempDir() + "checkpoint_map_" + name + ".wsnp";
+  const std::string err_path = path + ".stderr";
+  write_snapshot_file(path, file.manifest_json, file.payload);
+  const std::string command = std::string(WS_CLI) + restore +
+                              " --restore " + path + " > /dev/null 2> " +
+                              err_path;
+  const int status = std::system(command.c_str());
+  CliOutcome o;
+  o.code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  std::ifstream err(err_path);
+  for (std::string line; std::getline(err, line);) o.err.push_back(line);
+  std::remove(path.c_str());
+  std::remove(err_path.c_str());
+  return o;
+}
+
+class CheckpointMapTest : public testing::TestWithParam<Golden> {
+ protected:
+  void SetUp() override {
+    file_ = read_snapshot_file(GetParam().path);
+    map_ = describe_checkpoint(file_, geometry());
+  }
+
+  SnapshotFile file_;
+  FieldMap map_;
+};
+
+TEST_P(CheckpointMapTest, CoversEveryPayloadByteOnceUnderDistinctPaths) {
+  const std::vector<std::uint8_t>& payload = file_.payload;
+  std::vector<int> covered(payload.size(), 0);
+  std::set<std::string> paths;
+  for (const FieldInfo& f : map_) {
+    EXPECT_TRUE(paths.insert(f.path).second) << "repeated path " << f.path;
+    ASSERT_LE(f.offset + f.width, payload.size()) << f.path;
+    for (std::size_t i = f.offset; i < f.offset + f.width; ++i) ++covered[i];
+  }
+  std::size_t bad = 0;
+  for (std::size_t i = 0; i < payload.size(); ++i)
+    if (covered[i] != 1 && bad++ < 5)
+      ADD_FAILURE() << "payload byte " << i << " is covered " << covered[i]
+                    << " times";
+  EXPECT_EQ(bad, 0u);
+}
+
+TEST_P(CheckpointMapTest, EveryDeclaredRangeRejectsOneStepPast) {
+  // The unpatched golden restores, so each rejection below is the
+  // patched field's own.
+  ASSERT_NO_THROW(restore(file_));
+  std::set<std::string> types;
+  std::size_t ranged = 0;
+  for (const FieldInfo& f : map_) {
+    if (!f.ranged) continue;
+    const std::optional<std::uint64_t> past = one_step_past(f);
+    if (!past) continue;
+    ++ranged;
+    SnapshotFile patched = file_;
+    test::set(patched.payload, map_, f.path, *past);
+    try {
+      restore(patched);
+      ADD_FAILURE() << f.path << " accepted " << *past << " past "
+                    << f.range();
+    } catch (const SnapshotError& e) {
+      EXPECT_NE(std::string(e.what()).find(f.path), std::string::npos)
+          << e.what();
+    }
+    if (!types.insert(declaring_type(f.path)).second) continue;
+    const CliOutcome o =
+        cli_restore(f.path.starts_with("SOAK.") ? kSoakRestore
+                                                : GetParam().restore,
+                    patched, GetParam().name);
+    EXPECT_EQ(o.code, 2) << f.path;
+    ASSERT_EQ(o.err.size(), 1u) << f.path;
+    EXPECT_EQ(o.err[0].rfind("wormsched: ", 0), 0u) << o.err[0];
+  }
+  EXPECT_GT(ranged, 0u);
+  EXPECT_GT(types.size(), 1u);
+  RecordProperty("ranged_fields", static_cast<int>(ranged));
+  RecordProperty("declaring_types", static_cast<int>(types.size()));
+}
+
+INSTANTIATE_TEST_SUITE_P(Goldens, CheckpointMapTest,
+                         testing::Values(kNetwork, kScenario),
+                         [](const testing::TestParamInfo<Golden>& p) {
+                           return std::string(p.param.name);
+                         });
+
+}  // namespace
+}  // namespace wormsched::harness

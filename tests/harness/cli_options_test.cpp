@@ -188,6 +188,26 @@ TEST(CliOptions, ListedBadInputsExit2WithOneLine) {
   expect_rejected("replay --trace empty.wst", "option --trace: ");
 }
 
+// A choice flag reads its next token when that token is one of its
+// choices, and any other bare token exits 2 naming it.  Before, `--audit
+// off` still audited, `--audit full` ran (and recorded) incremental, and
+// a stray topology name ran the default one.
+TEST(CliOptions, ChoiceFlagsReadTheNextTokenAndStrayTokensExit2) {
+  expect_rejected("network --cycles 10 mesh8x8",
+                  "unexpected argument 'mesh8x8'");
+  const std::string net = "network --topo mesh2x2 --cycles 200 --rate 0.02 ";
+  const Outcome off = run_cli(net + "--audit off");
+  EXPECT_EQ(off.code, 0);
+  EXPECT_EQ(off.out.find("audit:"), std::string::npos) << off.out;
+  const Outcome full = run_cli(net + "--audit full --manifest full.json");
+  EXPECT_EQ(full.code, 0);
+  EXPECT_NE(full.out.find("audit:"), std::string::npos) << full.out;
+  std::ifstream manifest(scratch() + "full.json");
+  const std::string json((std::istreambuf_iterator<char>(manifest)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_NE(json.find("\"audit\": \"full\""), std::string::npos) << json;
+}
+
 // `network --trace-in` reads only the fabric options, --pattern and
 // --seed; any other option set with it is rejected by name instead of
 // silently ignored.

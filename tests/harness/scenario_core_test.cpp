@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "common/archive.hpp"
 #include "common/snapshot.hpp"
 #include "core/registry.hpp"
 #include "harness/checkpoint.hpp"
@@ -31,7 +32,7 @@ constexpr std::uint64_t kSeeds = 40;
 
 std::vector<std::uint8_t> tracker_bytes(const metrics::ActivityTracker& t) {
   SnapshotWriter w;
-  t.save(w);
+  save_fields(w, t);
   return w.bytes();
 }
 

@@ -1,17 +1,9 @@
 // Crafted scenario checkpoints: a CRC only guards accidental damage, so a
 // restore must reject a CRC-valid file whose contents cannot come from a
 // run — with SnapshotError in the library and exit 2 in the CLI, never an
-// assertion abort or an allocation failure.
-//
-// The crafted files start from a checkpoint saved before cycle 0 or 100,
-// or at the first cycle after 100 with a packet in flight.  Its
-// scenario-state (SSTA) section is the payload's last.  It starts with
-// the cycle, arrival cursor, next packet id, done flag and trace round,
-// then the ERR scheduler (laid out in core/scheduler_craft.hpp), and ends
-// with the service log, the activity tracker, the delay statistics, the
-// service starts and the largest served packet.  The delay statistics
-// hold the overall delay reservoir (capacity, seen count, RNG state,
-// sorted flag, samples) followed by the per-flow reservoir capacity.
+// assertion abort or an allocation failure.  The crafted files start from
+// a checkpoint saved before cycle 0 or 100, or at the first cycle after
+// 100 with a packet in flight, and patch its fields by path.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
@@ -22,13 +14,14 @@
 #include <utility>
 #include <vector>
 
+#include "common/archive.hpp"
 #include "common/snapshot.hpp"
 #include "common/stats.hpp"
 #include "harness/checkpoint.hpp"
 #include "metrics/activity.hpp"
 #include "metrics/delay.hpp"
 #include "metrics/service_log.hpp"
-#include "../core/scheduler_craft.hpp"
+#include "../common/field_map.hpp"
 
 namespace wormsched::harness {
 namespace {
@@ -43,109 +36,70 @@ ScenarioSpec spec() {
   return spec;
 }
 
-std::uint64_t get_u64(const std::vector<std::uint8_t>& p, std::size_t at) {
-  std::uint64_t v = 0;
-  for (std::size_t i = 0; i < 8; ++i)
-    v |= static_cast<std::uint64_t>(p[at + i]) << (8 * i);
-  return v;
-}
-
-void put_u64(std::vector<std::uint8_t>& p, std::size_t at, std::uint64_t v) {
-  for (std::size_t i = 0; i < 8; ++i)
-    p[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-
 template <typename T>
 std::vector<std::uint8_t> saved(const T& state) {
   SnapshotWriter w;
-  state.save(w);
+  save_fields(w, state);
   return w.bytes();
 }
 
-/// The checkpoint saved before cycle `at`, with the offsets the crafting
-/// needs.  Finishing the run changes no section's length, so the lengths
-/// come from its result.
+/// The checkpoint saved before cycle `at`, with its field map.
 struct Checkpoint {
   explicit Checkpoint(Cycle cycle = 0) : at(cycle) {
     ScenarioRun run(spec());
     run.advance_to(at);
     file = run.make_snapshot_file();
-    const ScenarioResult result = run.finish();
-    const std::vector<std::uint8_t>& p = file.payload;
-    starts_at = p.size() - 16 - 8 * result.service_starts.size();
-    tracker_len = saved(result.activity).size();
-    tracker_at = starts_at - saved(result.delays).size() - tracker_len;
-    log_len = saved(result.service_log).size();
-    log_at = tracker_at - log_len;
-    // Walk the delay statistics past the overall and per-flow running
-    // stats to the overall reservoir and the per-flow capacity after it.
-    const std::size_t delays_at = tracker_at + tracker_len;
-    SnapshotReader d(p.data() + delays_at, starts_at - delays_at);
-    RunningStat stat;
-    stat.restore(d);
-    for (std::uint64_t f = d.u64(); f > 0; --f) stat.restore(d);
-    reservoir_at = starts_at - d.remaining();
-    QuantileEstimator reservoir;
-    reservoir.restore(d);
-    flow_capacity_at = starts_at - d.remaining();
-    SnapshotReader r(p);
-    r.enter_section(kCkptMetaTag);
-    r.leave_section();
-    r.enter_section(kCkptScenConfigTag);
-    r.leave_section();
-    ssta_length_at = p.size() - r.remaining() + 4;  // after the u32 tag
+    map = describe_checkpoint(file);
+  }
+
+  [[nodiscard]] std::uint64_t value(const std::string& path) const {
+    return test::get(file.payload, map, path);
   }
 
   /// The saved activity tracker, as the restore reads it.
   [[nodiscard]] metrics::ActivityTracker tracker() const {
     metrics::ActivityTracker t(kFlows);
-    SnapshotReader r(file.payload.data() + tracker_at, tracker_len);
-    t.restore(r);
+    const std::vector<std::uint8_t> bytes =
+        test::span_bytes(file.payload, map, "SSTA.activity");
+    SnapshotReader r(bytes);
+    restore_fields(r, t);
     return t;
   }
 
-  /// This checkpoint with `len` payload bytes at `offset` replaced by
-  /// `bytes`.
-  [[nodiscard]] SnapshotFile spliced(
-      std::size_t offset, std::size_t len,
-      const std::vector<std::uint8_t>& bytes) const {
+  /// This checkpoint with the field at `path` set to `v`.
+  [[nodiscard]] SnapshotFile with(const std::string& path,
+                                  std::uint64_t v) const {
     SnapshotFile out = file;
-    std::vector<std::uint8_t>& p = out.payload;
-    const auto begin = p.begin() + static_cast<std::ptrdiff_t>(offset);
-    p.erase(begin, begin + static_cast<std::ptrdiff_t>(len));
-    p.insert(p.begin() + static_cast<std::ptrdiff_t>(offset), bytes.begin(),
-             bytes.end());
-    put_u64(p, ssta_length_at, get_u64(p, ssta_length_at) + bytes.size() - len);
+    test::set(out.payload, map, path, v);
+    return out;
+  }
+  /// This checkpoint with the object under `prefix` replaced by `bytes`.
+  [[nodiscard]] SnapshotFile spliced(
+      const std::string& prefix, const std::vector<std::uint8_t>& bytes) const {
+    SnapshotFile out = file;
+    out.payload = test::spliced(file.payload, map, prefix, bytes);
     return out;
   }
   [[nodiscard]] SnapshotFile with_tracker(
       const std::vector<std::uint8_t>& tracker) const {
-    return spliced(tracker_at, tracker_len, tracker);
+    return spliced("SSTA.activity", tracker);
   }
   [[nodiscard]] SnapshotFile with_log(
       const std::vector<std::uint8_t>& log) const {
-    return spliced(log_at, log_len, log);
-  }
-
-  /// The saved scheduler and its ERR policy.
-  [[nodiscard]] test::SchedulerImage scheduler() const {
-    return {file.payload, ssta_length_at + 8 + 8 + 8 + 8 + 1 + 8};
-  }
-  [[nodiscard]] test::ErrImage err() const {
-    return {file.payload, scheduler().discipline_at};
+    return spliced("SSTA.service_log", log);
   }
 
   Cycle at;
   SnapshotFile file;
-  std::size_t log_at = 0;
-  std::size_t log_len = 0;
-  std::size_t tracker_at = 0;
-  std::size_t tracker_len = 0;
-  std::size_t starts_at = 0;  // the service-start count
-  std::size_t ssta_length_at = 0;
-  std::size_t reservoir_at = 0;      // the overall delay reservoir
-  std::size_t flow_capacity_at = 0;  // the per-flow reservoir capacity
+  FieldMap map;
 };
+
+constexpr const char* kLatched = "SSTA.scheduler.base.latched";
+constexpr const char* kLatchedFlow = "SSTA.scheduler.base.latched_flow";
+constexpr const char* kErr = "SSTA.scheduler.discipline.";
+constexpr const char* kReservoir = "SSTA.delays.quantiles.";
+constexpr const char* kFlowCapacity = "SSTA.delays.flow_reservoir_capacity";
+constexpr const char* kStarts = "SSTA.service_starts";
 
 /// A tracker claiming flow 0 is active with no window open for it.
 std::vector<std::uint8_t> active_without_window() {
@@ -166,9 +120,7 @@ std::vector<std::uint8_t> active_with_empty_queue() {
 
 /// The checkpoint with its service-start count set huge.
 SnapshotFile huge_sequence_count(const Checkpoint& c) {
-  SnapshotFile out = c.file;
-  put_u64(out.payload, c.starts_at, ~std::uint64_t{0});
-  return out;
+  return c.with(std::string(kStarts) + ".count", ~std::uint64_t{0});
 }
 
 /// The checkpoint with a service log that serves flow 0 at `cycles` and
@@ -219,26 +171,24 @@ SnapshotFile with_window(const Checkpoint& c, Cycle start, Cycle end) {
 
 /// The checkpoint with its last service start moved to `cycle`.
 SnapshotFile with_last_service_start(const Checkpoint& c, Cycle cycle) {
-  SnapshotFile out = c.file;
-  put_u64(out.payload, out.payload.size() - 16, cycle);
-  return out;
-}
-
-/// The checkpoint with the u64 at payload offset `at` set to `v`.
-SnapshotFile with_u64(const Checkpoint& c, std::size_t at, std::uint64_t v) {
-  SnapshotFile out = c.file;
-  put_u64(out.payload, at, v);
-  return out;
+  const std::uint64_t n = c.value(std::string(kStarts) + ".count");
+  return c.with(std::string(kStarts) + "[" + std::to_string(n - 1) + "]",
+                cycle);
 }
 
 /// The checkpoint with its overall delay reservoir full (capacity equal
 /// to the samples held) and `seen` samples seen.
 SnapshotFile full_reservoir(const Checkpoint& c, std::uint64_t seen) {
-  SnapshotFile out = c.file;
-  const std::uint64_t held = get_u64(out.payload, c.reservoir_at + 25);
-  put_u64(out.payload, c.reservoir_at, held);
-  put_u64(out.payload, c.reservoir_at + 8, seen);
+  const std::string reservoir = kReservoir;
+  SnapshotFile out =
+      c.with(reservoir + "capacity", c.value(reservoir + "samples.count"));
+  test::set(out.payload, c.map, reservoir + "seen", seen);
   return out;
+}
+
+/// The ERR flow first in the ActiveList.
+std::uint64_t first_listed(const Checkpoint& c) {
+  return c.value(std::string(kErr) + "active[0]");
 }
 
 /// The first checkpoint after cycle 100 with a packet in flight and
@@ -246,25 +196,21 @@ SnapshotFile full_reservoir(const Checkpoint& c, std::uint64_t seen) {
 Checkpoint in_flight() {
   for (Cycle at = 100; at < spec().config.horizon; ++at) {
     Checkpoint c(at);
-    if (c.file.payload[c.scheduler().latched_at] != 0 && !c.err().list.empty())
+    if (c.value(kLatched) != 0 &&
+        c.value(std::string(kErr) + "active.count") != 0)
       return c;
   }
   ADD_FAILURE() << "no packet in flight after cycle 100";
   return Checkpoint(100);
 }
 
-/// The checkpoint with `bytes` little-endian bytes at `at` set to `v`.
-SnapshotFile with_field(const Checkpoint& c, std::size_t at,
-                        std::size_t bytes, std::uint64_t v) {
-  SnapshotFile out = c.file;
-  test::put_le(out.payload, at, bytes, v);
-  return out;
-}
-
 /// The checkpoint with ERR's weight of its first listed flow set to `w`.
 SnapshotFile with_listed_weight(const Checkpoint& c, double w) {
   SnapshotFile out = c.file;
-  test::put_f64(out.payload, c.err().weight_at(c.err().list.front()), w);
+  test::set_f64(out.payload, c.map,
+                std::string(kErr) + "rows[" + std::to_string(first_listed(c)) +
+                    "].weight",
+                w);
   return out;
 }
 
@@ -276,10 +222,9 @@ std::vector<std::pair<std::string, SnapshotFile>> crafted_files() {
   const Checkpoint c100(100);
   const Checkpoint busy = in_flight();
   return {
-      {"latch_out_of_range",
-       with_field(busy, busy.scheduler().latched_at + 1, 4, kFarFlow)},
+      {"latch_out_of_range", busy.with(kLatchedFlow, kFarFlow)},
       {"err_service_out_of_range",
-       with_field(busy, busy.err().current_at, 4, kFarFlow)},
+       busy.with(std::string(kErr) + "current", kFarFlow)},
       {"err_zero_weight_on_queued_flow", with_listed_weight(busy, 0.0)},
       {"active_without_window", c0.with_tracker(active_without_window())},
       {"active_with_empty_queue", c0.with_tracker(active_with_empty_queue())},
@@ -290,10 +235,10 @@ std::vector<std::pair<std::string, SnapshotFile>> crafted_files() {
       {"window_closing_after_save",
        with_window(c100, idle_flow(c100).since, 150)},
       {"future_service_start", with_last_service_start(c100, 100)},
-      {"zero_reservoir_capacity", with_u64(c0, c0.reservoir_at, 0)},
-      {"zero_flow_reservoir_capacity", with_u64(c0, c0.flow_capacity_at, 0)},
-      {"zero_flow_reservoir_capacity_sampled",
-       with_u64(c100, c100.flow_capacity_at, 0)},
+      {"zero_reservoir_capacity",
+       c0.with(std::string(kReservoir) + "capacity", 0)},
+      {"zero_flow_reservoir_capacity", c0.with(kFlowCapacity, 0)},
+      {"zero_flow_reservoir_capacity_sampled", c100.with(kFlowCapacity, 0)},
       {"wrapping_seen_count", full_reservoir(c100, ~std::uint64_t{0})},
   };
 }
@@ -306,61 +251,56 @@ std::vector<std::pair<std::string, SnapshotFile>> control_files() {
   return {
       {"in_flight", busy.file},
       {"err_weight_2_on_queued_flow", with_listed_weight(busy, 2.0)},
-      {"reservoir_capacity_1", with_u64(c0, c0.reservoir_at, 1)},
-      {"flow_reservoir_capacity_1", with_u64(c0, c0.flow_capacity_at, 1)},
-      {"flow_reservoir_capacity_1_sampled",
-       with_u64(c100, c100.flow_capacity_at, 1)},
+      {"reservoir_capacity_1",
+       c0.with(std::string(kReservoir) + "capacity", 1)},
+      {"flow_reservoir_capacity_1", c0.with(kFlowCapacity, 1)},
+      {"flow_reservoir_capacity_1_sampled", c100.with(kFlowCapacity, 1)},
       {"largest_seen_count",
        full_reservoir(c100, (std::uint64_t{1} << 63) - 1)},
   };
 }
 
 TEST(ScenarioRestoreCheck, CraftingOffsetsMatchTheCheckpoint) {
+  // The map's spans hold what the objects save, so splicing works on them.
   for (const Cycle at : {Cycle{0}, Cycle{100}}) {
     const Checkpoint c(at);
     const std::vector<std::uint8_t>& p = c.file.payload;
-    const auto bytes_at = [&p](std::size_t begin, std::size_t len) {
-      return std::vector<std::uint8_t>(
-          p.begin() + static_cast<std::ptrdiff_t>(begin),
-          p.begin() + static_cast<std::ptrdiff_t>(begin + len));
+    const auto bytes_of = [&c, &p](const char* prefix) {
+      return test::span_bytes(p, c.map, prefix);
     };
-    EXPECT_EQ(get_u64(p, c.log_at), kFlows) << at;
-    EXPECT_EQ(get_u64(p, c.tracker_at), kFlows) << at;
-    EXPECT_EQ(saved(c.tracker()), bytes_at(c.tracker_at, c.tracker_len)) << at;
-    EXPECT_EQ(c.starts_at + 8 + 8 * get_u64(p, c.starts_at) + 8, p.size())
+    EXPECT_EQ(c.value("SSTA.service_log.cycles.count"), kFlows) << at;
+    EXPECT_EQ(c.value("SSTA.activity.windows.count"), kFlows) << at;
+    EXPECT_EQ(saved(c.tracker()), bytes_of("SSTA.activity")) << at;
+    EXPECT_EQ(c.value(std::string(kReservoir) + "capacity"),
+              std::uint64_t{1} << 20)
         << at;
-    EXPECT_EQ(get_u64(p, c.ssta_length_at) + c.ssta_length_at + 8, p.size())
-        << at;
-    EXPECT_EQ(get_u64(p, c.reservoir_at), std::uint64_t{1} << 20) << at;
-    EXPECT_EQ(get_u64(p, c.flow_capacity_at), std::uint64_t{1} << 18) << at;
+    EXPECT_EQ(c.value(kFlowCapacity), std::uint64_t{1} << 18) << at;
+    EXPECT_EQ(test::span(c.map, "SSTA").end, p.size()) << at;
     if (at == 0) {
-      EXPECT_EQ(bytes_at(c.log_at, c.log_len),
+      EXPECT_EQ(bytes_of("SSTA.service_log"),
                 saved(metrics::ServiceLog(kFlows)));
-      EXPECT_EQ(bytes_at(c.tracker_at, c.tracker_len),
+      EXPECT_EQ(bytes_of("SSTA.activity"),
                 saved(metrics::ActivityTracker(kFlows)));
     } else {
-      EXPECT_GT(get_u64(p, c.starts_at), 0u) << "no service start to move";
+      EXPECT_GT(c.value(std::string(kStarts) + ".count"), 0u)
+          << "no service start to move";
     }
     // Splicing the same log or re-encoded tracker back in changes nothing.
-    EXPECT_EQ(c.with_log(bytes_at(c.log_at, c.log_len)).payload, p) << at;
+    EXPECT_EQ(c.with_log(bytes_of("SSTA.service_log")).payload, p) << at;
     EXPECT_EQ(c.with_tracker(saved(c.tracker())).payload, p) << at;
   }
 }
 
 TEST(ScenarioRestoreCheck, SchedulerOffsetsMatchTheCheckpoint) {
   const Checkpoint c = in_flight();
-  const std::vector<std::uint8_t>& p = c.file.payload;
-  const test::SchedulerImage sched = c.scheduler();
-  EXPECT_EQ(test::get_le(p, sched.queue_at[0] - 20, 4), 0x53424153u);  // SABS
-  EXPECT_EQ(sched.flows, kFlows);
-  EXPECT_EQ(test::get_le(p, sched.discipline_at - 12, 4),
-            0x53444953u);  // SIDS
-  const test::ErrImage err = c.err();
-  EXPECT_EQ(err.flows, kFlows);
-  EXPECT_EQ(p[err.in_opportunity_at], 1u);
-  EXPECT_EQ(test::get_le(p, err.current_at, 4),
-            test::get_le(p, sched.latched_at + 1, 4));
-  EXPECT_EQ(test::get_le(p, err.active_count_at, 8), err.list.size() + 1);
+  EXPECT_EQ(c.value("SSTA.scheduler.base.tag"), 0x53424153u);  // SABS
+  EXPECT_EQ(c.value("SSTA.scheduler.base.queues.count"), kFlows);
+  EXPECT_EQ(c.value(std::string(kErr) + "tag"), 0x53444953u);  // SIDS
+  EXPECT_EQ(c.value(std::string(kErr) + "rows.count"), kFlows);
+  EXPECT_EQ(c.value(std::string(kErr) + "in_opportunity"), 1u);
+  EXPECT_EQ(c.value(std::string(kErr) + "current"), c.value(kLatchedFlow));
+  EXPECT_EQ(c.value(std::string(kErr) + "active_count"),
+            c.value(std::string(kErr) + "active.count") + 1);
 }
 
 TEST(ScenarioRestoreCheck, RejectsActiveFlowWithoutWindow) {
@@ -430,18 +370,17 @@ TEST(ScenarioRestoreCheck, RejectsZeroReservoirCapacity) {
   // first departure of an unsampled flow otherwise.
   const Checkpoint c0;
   const Checkpoint c100(100);
-  ASSERT_GT(get_u64(c100.file.payload, c100.reservoir_at + 8), 0u)
+  const std::string capacity = std::string(kReservoir) + "capacity";
+  ASSERT_GT(c100.value(std::string(kReservoir) + "seen"), 0u)
       << "no flow sampled before the save";
-  EXPECT_THROW(ScenarioRun(spec(), with_u64(c0, c0.reservoir_at, 0)),
-               SnapshotError);
-  EXPECT_THROW(ScenarioRun(spec(), with_u64(c0, c0.flow_capacity_at, 0)),
-               SnapshotError);
-  EXPECT_THROW(ScenarioRun(spec(), with_u64(c100, c100.flow_capacity_at, 0)),
+  EXPECT_THROW(ScenarioRun(spec(), c0.with(capacity, 0)), SnapshotError);
+  EXPECT_THROW(ScenarioRun(spec(), c0.with(kFlowCapacity, 0)), SnapshotError);
+  EXPECT_THROW(ScenarioRun(spec(), c100.with(kFlowCapacity, 0)),
                SnapshotError);
   // Controls: a one-sample capacity restores and runs.
-  for (const SnapshotFile& file : {with_u64(c0, c0.reservoir_at, 1),
-                                   with_u64(c0, c0.flow_capacity_at, 1),
-                                   with_u64(c100, c100.flow_capacity_at, 1)}) {
+  for (const SnapshotFile& file : {c0.with(capacity, 1),
+                                   c0.with(kFlowCapacity, 1),
+                                   c100.with(kFlowCapacity, 1)}) {
     ScenarioRun run(spec(), file);
     run.run_to_completion();
     EXPECT_GT(run.finish().delays.packets(), 0u);
@@ -452,7 +391,7 @@ TEST(ScenarioRestoreCheck, RejectsReservoirSeenCountThatWraps) {
   // Before the check the next departure wrapped the full reservoir's seen
   // count to 0 and divided by it (SIGFPE).
   const Checkpoint c(100);
-  const std::uint64_t seen = get_u64(c.file.payload, c.reservoir_at + 8);
+  const std::uint64_t seen = c.value(std::string(kReservoir) + "seen");
   ASSERT_GT(seen, 0u) << "no delay sampled before the save";
   EXPECT_THROW(ScenarioRun(spec(), full_reservoir(c, ~std::uint64_t{0})),
                SnapshotError);

@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <string>
 
+#include "common/archive.hpp"
 #include "common/snapshot.hpp"
 #include "harness/checkpoint.hpp"
 #include "harness/network_sweep.hpp"
@@ -166,10 +167,10 @@ TEST(Soak, TrackerStateRoundTripsBitExactly) {
   }
 
   SnapshotWriter w;
-  a.save(w);
+  save_fields(w, a);
   metrics::SteadyStateTracker b(wconfig);
   SnapshotReader r(w.bytes());
-  b.restore(r);
+  restore_fields(r, b);
   EXPECT_EQ(a.warmed_up(), b.warmed_up());
   EXPECT_EQ(a.warmup_end(), b.warmup_end());
   EXPECT_EQ(a.windows_closed(), b.windows_closed());

@@ -97,6 +97,24 @@ NetworkMetricExtractor network_extractor() {
   };
 }
 
+TEST(SweepParallel, PoolIsNoLargerThanTheSeedCount) {
+  // `network --seeds 2 --jobs 6` used to start six workers for two seeds.
+  const auto workers = [](std::size_t seeds, std::size_t jobs) {
+    SweepOptions options;
+    options.seeds = seeds;
+    options.jobs = jobs;
+    return sweep_workers(options);
+  };
+  EXPECT_EQ(workers(2, 6), 2u);
+  EXPECT_EQ(workers(6, 2), 2u);
+  EXPECT_EQ(workers(3, 3), 3u);
+  EXPECT_EQ(workers(1, 4), 1u);
+  // 0 means one worker per hardware thread, resolved before the cap.
+  EXPECT_EQ(workers(1, 0), 1u);
+  EXPECT_GE(workers(1000, 0), 1u);
+  EXPECT_LE(workers(1000, 0), 1000u);
+}
+
 TEST(SweepParallel, NetworkJobs4MatchesJobs1Exactly) {
   SweepOptions serial;
   serial.base_seed = 21;

@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/archive.hpp"
 #include "common/snapshot.hpp"
 
 namespace wormsched::metrics {
@@ -77,10 +78,10 @@ TEST(Activity, SnapshotRoundTripsOpenAndClosedWindows) {
   tracker.record(5, FlowId(0), false);
   tracker.record(7, FlowId(0), true);
   SnapshotWriter w;
-  tracker.save(w);
+  save_fields(w, tracker);
   ActivityTracker restored(2);
   SnapshotReader r(w.bytes());
-  restored.restore(r);
+  restore_fields(r, restored);
   EXPECT_TRUE(restored.active(FlowId(0)));
   EXPECT_FALSE(restored.active(FlowId(1)));
   restored.finish(9);
@@ -108,7 +109,7 @@ bool restores(const std::vector<std::uint8_t>& bytes) {
   ActivityTracker tracker(1);
   SnapshotReader r(bytes);
   try {
-    tracker.restore(r);
+    restore_fields(r, tracker);
   } catch (const SnapshotError&) {
     return false;
   }

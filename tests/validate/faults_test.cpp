@@ -10,6 +10,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/archive.hpp"
 #include "common/snapshot.hpp"
 #include "traffic/workload.hpp"
 #include "validate/faults.hpp"
@@ -323,8 +324,8 @@ std::vector<std::uint8_t> source_stream(const wormhole::FaultModel* faults,
   for (Cycle t = 0; t < cycles; ++t) source.tick(t);
   EXPECT_GT(source.generated(), 0u);
   SnapshotWriter w;
-  net.save_state(w);
-  source.save_state(w);
+  save_fields(w, net);
+  save_fields(w, source);
   return w.bytes();
 }
 

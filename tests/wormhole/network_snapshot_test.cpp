@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/archive.hpp"
 #include "common/snapshot.hpp"
 #include "harness/checkpoint.hpp"
 #include "harness/network_sweep.hpp"
@@ -155,7 +156,7 @@ TEST(NetworkSnapshot, TopologyMismatchThrows) {
   wormhole::Network net(bigger);
   SnapshotReader r(payload);
   seek_network_section(r);
-  EXPECT_THROW(net.restore_state(r), SnapshotError);
+  EXPECT_THROW(restore_fields(r, net), SnapshotError);
 }
 
 TEST(NetworkSnapshot, RouterConfigMismatchThrows) {
@@ -169,7 +170,7 @@ TEST(NetworkSnapshot, RouterConfigMismatchThrows) {
   wormhole::Network net(more_vcs);
   SnapshotReader r(payload);
   seek_network_section(r);
-  EXPECT_THROW(net.restore_state(r), SnapshotError);
+  EXPECT_THROW(restore_fields(r, net), SnapshotError);
 }
 
 TEST(NetworkSnapshot, RunRestoreRejectsMismatchedGeometry) {
@@ -211,7 +212,7 @@ TEST(NetworkSnapshot, CorruptedSectionPayloadNeverMisreads) {
   SnapshotReader r(payload);
   try {
     seek_network_section(r);
-    net.restore_state(r);
+    restore_fields(r, net);
   } catch (const SnapshotError&) {
     // Expected for most mutation sites; acceptable for all.
   }

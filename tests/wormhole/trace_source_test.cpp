@@ -10,6 +10,7 @@
 
 #include <vector>
 
+#include "common/archive.hpp"
 #include "common/snapshot.hpp"
 #include "sim/engine.hpp"
 #include "traffic/trace_synth.hpp"
@@ -108,15 +109,15 @@ TEST(TraceTrafficSource, MidRunRestoreFinishesIdentically) {
   engine_a.run_until(mid);
   ASSERT_FALSE(source_a.idle()) << "cut point must leave entries pending";
   SnapshotWriter w;
-  source_a.save_state(w);
-  net_a.save_state(w);
+  save_fields(w, source_a);
+  save_fields(w, net_a);
 
   // Fresh objects restored from the snapshot finish the run.
   Network net_b(mesh4x4());
   TraceTrafficSource source_b(net_b, config);
   SnapshotReader r(w.bytes().data(), w.bytes().size());
-  source_b.restore_state(r);
-  net_b.restore_state(r);
+  restore_fields(r, source_b);
+  restore_fields(r, net_b);
   sim::Engine engine_b;
   engine_b.add_component(source_b);
   engine_b.add_component(net_b);
@@ -139,7 +140,7 @@ TEST(TraceTrafficSource, RestoreRejectsCursorPastTheTrace) {
   config.trace = &trace;
   TraceTrafficSource source(net, config);
   SnapshotWriter w;
-  source.save_state(w);
+  save_fields(w, source);
 
   // Restoring over a shorter trace must fail the cursor bound check.
   traffic::Trace shorter = trace;
@@ -150,14 +151,14 @@ TEST(TraceTrafficSource, RestoreRejectsCursorPastTheTrace) {
   engine.add_component(net);
   engine.run_until_idle(200'000);
   SnapshotWriter done;
-  source.save_state(done);
+  save_fields(done, source);
 
   TraceTrafficSource::Config short_config;
   short_config.trace = &shorter;
   Network net2(mesh4x4());
   TraceTrafficSource source2(net2, short_config);
   SnapshotReader r(done.bytes().data(), done.bytes().size());
-  EXPECT_THROW(source2.restore_state(r), SnapshotError);
+  EXPECT_THROW(restore_fields(r, source2), SnapshotError);
 }
 
 TEST(TraceTrafficSource, StreamingPerFlowTotalsMatchDeliveredLogScan) {

@@ -26,7 +26,6 @@
 #include "cli_options.hpp"
 #include "common/snapshot.hpp"
 #include "common/table.hpp"
-#include "common/thread_pool.hpp"
 #include "harness/checkpoint.hpp"
 #include "harness/network_sweep.hpp"
 #include "harness/scenario.hpp"
@@ -133,7 +132,7 @@ int cmd_compare(const CliParser& cli) {
               "%zu seeds x %llu cycles, %zu worker(s)\n\n",
               workload.spec.flows.size(), workload.spec.offered_load(),
               seeds, static_cast<unsigned long long>(cycles),
-              sweep.jobs == 0 ? ThreadPool::hardware_workers() : sweep.jobs);
+              harness::sweep_workers(sweep));
   for (const auto& name : names) {
     const auto result = harness::sweep_scenario(
         name, config, workload.spec, sweep,
@@ -461,7 +460,7 @@ int cmd_network(const CliParser& cli) {
         out.add("p99_latency", run.p99_latency);
       });
   std::printf("%s: %zu seeds, %zu worker(s)\n", fabric.c_str(), seeds,
-              sweep.jobs == 0 ? ThreadPool::hardware_workers() : sweep.jobs);
+              harness::sweep_workers(sweep));
   std::printf("delivered packets: %s\n", r.summary("delivered", 0).c_str());
   std::printf("drain cycle:       %s\n", r.summary("drain_cycle", 0).c_str());
   std::printf("latency cycles:    mean %s  p99 %s\n",
