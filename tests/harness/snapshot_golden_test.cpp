@@ -177,6 +177,34 @@ TEST(SnapshotGolden, ResumesAsSoakWithTrackerState) {
   EXPECT_EQ(summary.windows_closed, 8u);  // 3 restored + 5 new
 }
 
+TEST(SnapshotGoldenDeathTest, OtherGeometryExits2NamingBothValues) {
+  // Restoring under another --topo is the commonest restore mistake: the
+  // one line names the mismatched field, the saved value and this run's.
+  const std::string reason =
+      "snapshot field NNET.width = 3 does not match this run's 4";
+  NetworkScenarioConfig other = golden_geometry();
+  other.network.topo = wormhole::TopologySpec::mesh(4, 4);
+  try {
+    const NetworkRun run(other, read_snapshot_file(golden_path()));
+    ADD_FAILURE() << "a mesh4x4 run restored the mesh3x3 golden";
+  } catch (const SnapshotError& e) {
+    EXPECT_EQ(std::string(e.what()), reason);
+  }
+  const std::string err_path = testing::TempDir() + "golden_other_topo.err";
+  const std::string command = std::string(WS_CLI) +
+                              " network --topo mesh4x4 --restore " +
+                              golden_path() + " > /dev/null 2> " + err_path;
+  const int status = std::system(command.c_str());
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 2);
+  std::ifstream err(err_path);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(err, line);) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_EQ(lines[0], "wormsched: " + reason);
+  std::remove(err_path.c_str());
+}
+
 TEST(SnapshotGoldenDeathTest, WrongVersionExits2WithClearMessage) {
   auto bytes = golden_bytes();
   bytes[8] = 0x7F;  // u32 format version follows the 8-byte magic

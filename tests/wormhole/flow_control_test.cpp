@@ -43,6 +43,10 @@ class OnOffEnv final : public RouterEnv {
   int credits = 0;
 };
 
+/// The fabric the router under test sits in: its flits run from node 1
+/// to node 0.
+constexpr std::uint32_t kNodes = 2;
+
 Flit make_flit(std::uint64_t packet, Flits index, Flits length) {
   Flit f;
   f.packet = PacketId(packet);
@@ -72,7 +76,7 @@ RouterConfig onoff_config() {
 
 TEST(OnOffRouter, RaisesOffAtHighWatermarkRestoresAtLow) {
   OnOffEnv env;
-  Router r(NodeId(0), onoff_config());
+  Router r(NodeId(0), onoff_config(), kNodes);
   // Downstream parks our east output so the input backs up.
   r.accept_signal(Direction::kEast, 0, false);
   for (Flits i = 0; i < 3; ++i)
@@ -102,7 +106,7 @@ TEST(OnOffRouter, RaisesOffAtHighWatermarkRestoresAtLow) {
 
 TEST(OnOffRouter, ParkedOutputHoldsEvenWithBufferSpace) {
   OnOffEnv env;
-  Router r(NodeId(0), onoff_config());
+  Router r(NodeId(0), onoff_config(), kNodes);
   r.accept_signal(Direction::kEast, 0, false);
   r.accept_flit(Direction::kWest, 0, make_flit(2, 0, 1));
   for (Cycle t = 0; t < 4; ++t) r.tick(t, env);
@@ -121,7 +125,7 @@ TEST(OnOffRouter, InfiniteBuffersAcceptBeyondDepthWithoutBackpressure) {
   config.buffer_model = BufferModel::kInfinite;
   config.flow_control = FlowControl::kCredit;  // irrelevant when infinite
   config.on_high = config.on_low = 0;
-  Router r(NodeId(0), config);
+  Router r(NodeId(0), config, kNodes);
   // 10 flits into a depth-4 buffer: legal, the model is unbounded.
   for (Flits i = 0; i < 10; ++i)
     r.accept_flit(Direction::kWest, 0, make_flit(3, i, 10));
@@ -148,7 +152,7 @@ using FlowControlDeathTest = ::testing::Test;
 TEST(FlowControlDeathTest, BufferDepthZeroAbortsRouter) {
   RouterConfig config = onoff_config();
   config.buffer_depth = 0;
-  EXPECT_DEATH(Router(NodeId(0), config),
+  EXPECT_DEATH(Router(NodeId(0), config, kNodes),
                "buffer_depth 0 deadlocks every flow-control scheme");
 }
 
@@ -163,11 +167,11 @@ TEST(FlowControlDeathTest, MalformedWatermarksAbort) {
   RouterConfig config = onoff_config();
   config.on_low = 3;
   config.on_high = 2;  // low > high
-  EXPECT_DEATH(Router(NodeId(0), config),
+  EXPECT_DEATH(Router(NodeId(0), config, kNodes),
                "1 <= on_low <= on_high <= buffer_depth");
   config.on_low = 1;
   config.on_high = 5;  // high > depth (4)
-  EXPECT_DEATH(Router(NodeId(0), config),
+  EXPECT_DEATH(Router(NodeId(0), config, kNodes),
                "1 <= on_low <= on_high <= buffer_depth");
 }
 
@@ -185,7 +189,7 @@ TEST(FlowControlDeathTest, CreditOnlyEnvRejectsSignals) {
     }
   };
   CreditOnlyEnv env;
-  Router r(NodeId(0), onoff_config());
+  Router r(NodeId(0), onoff_config(), kNodes);
   r.accept_signal(Direction::kEast, 0, false);
   for (Flits i = 0; i < 3; ++i)
     r.accept_flit(Direction::kWest, 0, make_flit(4, i, 3));
@@ -195,7 +199,7 @@ TEST(FlowControlDeathTest, CreditOnlyEnvRejectsSignals) {
 TEST(FlowControlDeathTest, SignalsOutsideOnOffModeAbort) {
   RouterConfig config = onoff_config();
   config.flow_control = FlowControl::kCredit;
-  Router r(NodeId(0), config);
+  Router r(NodeId(0), config, kNodes);
   EXPECT_DEATH(r.accept_signal(Direction::kEast, 0, false),
                "on/off signal outside on/off flow control");
 }

@@ -73,6 +73,10 @@ class CountingEnv final : public RouterEnv {
   std::uint64_t credits = 0;
 };
 
+/// The fabric the router under test sits in: its flits run from node 1
+/// to node 0.
+constexpr std::uint32_t kNodes = 2;
+
 Flit make_flit(std::uint64_t packet, Flits index, Flits length) {
   Flit f;
   f.packet = PacketId(packet);
@@ -94,7 +98,7 @@ std::uint64_t measure_steady_state() {
   config.num_vcs = 2;
   config.buffer_depth = 8;
   config.arbiter = "err-cycles";
-  Router r(NodeId(0), config);
+  Router r(NodeId(0), config, kNodes);
   CountingEnv env;
 
   // Warm-up: fill the input VC to full depth once (the ring buffer grows
