@@ -1,10 +1,8 @@
 // Simulator performance baseline: the numbers future PRs are held to.
 //
-// Three canonical scenarios, chosen to cover the three hot paths the
-// performance layer owns:
-//   1. fig4-standalone — the scenario runner replaying the paper's Fig. 4
-//      workload through ERR (scheduler + metrics hot loop);
-//   2. mesh8x8-hotspot — the wormhole substrate with the hot ejection
+// Three canonical scenarios, one per hot path the performance layer
+// owns, each read by a CI gate:
+//   1. mesh8x8-hotspot — the wormhole substrate with the hot ejection
 //      port driven just past saturation (0.5 * rate * 64 nodes * 6.5
 //      mean flits ~ 1.25 flits/cycle at the default --hotspot-rate),
 //      unaudited and under two auditors — the full-rescan auditor (the
@@ -17,15 +15,10 @@
 //      and yields the stage breakdown, the observer share and the
 //      tick fraction (router ticks / (cycles * routers): the share of
 //      router-cycles the active set actually ticks);
-//   3. sweep-50seed — wall time of a 50-seed standalone sweep, serial vs
-//      --jobs workers.  Both legs always run: on a single-hardware-thread
-//      machine the parallel leg is forced to 2 jobs and flagged
-//      parallel_forced (an oversubscription measurement, but the speedup
-//      column must never be absent — CI guards read it unconditionally);
-//   4. threads-scaling — the sharded network tick on mesh16x16 and
+//   2. threads-scaling — the sharded network tick on mesh16x16 and
 //      mesh32x32 uniform traffic at 1/2/4/8 threads (shards = threads),
 //      every leg checked flit-for-flit identical to the serial run;
-//   5. flow-scaling — the SoA scheduler core driven bare (no scenario
+//   3. flow-scaling — the SoA scheduler core driven bare (no scenario
 //      runner: its per-cycle activity scan is O(num_flows)) over a
 //      synthesized multi-tenant trace whose backlogged-flow population
 //      scales with the flow count, at 10k/100k/1M flows for ERR vs DRR
@@ -34,13 +27,8 @@
 //      the backlog; a paper-scale ERR run is additionally checked
 //      packet-for-packet against an AoS deque transcription of Fig. 1
 //      (the pre-pool state layout) and recorded as results_identical.
-//   6. flow-control — the same 8x8 hotspot point under credit vs on/off
-//      (threshold) backpressure, reported as ns/flit per scheme.  The
-//      schemes legitimately time flits differently, so the cross-check
-//      is packet-set equality (same delivered packets and flits), not
-//      cycle identity.
 // Prints an ASCII table and writes the machine-readable BENCH_perf.json
-// (schema wormsched-perf-v7) that reproduce.sh copies to the repo root.
+// (schema wormsched-perf-v9) that reproduce.sh copies to the repo root.
 // v2 added a provenance block — jobs, compiler, build type, git SHA; v3
 // added the pipeline split, the stage breakdown and the sweep skip flag;
 // v4 added the audited legs (audited/unaudited cycles_per_sec,
@@ -54,7 +42,9 @@
 // v8 drops the two legacy-kernel hotspot legs and their speedup ratios
 // (the kernels are gone), adds tick_fraction, and makes audit_overhead
 // the median of paired ratios (audit_overhead_pairs, audit_overhead_q1,
-// audit_overhead_q3).
+// audit_overhead_q3); v9 drops the fig4_standalone, sweep_50seed and
+// flow_control blocks, which no gate read, the provenance's jobs and
+// perf_counters_compiled (the counters are always compiled in).
 #include <algorithm>
 #include <array>
 #include <chrono>
@@ -78,9 +68,6 @@
 #include "core/err.hpp"
 #include "core/registry.hpp"
 #include "harness/network_sweep.hpp"
-#include "harness/paper_workloads.hpp"
-#include "harness/scenario.hpp"
-#include "harness/sweep.hpp"
 #include "metrics/perf_counters.hpp"
 #include "obs/manifest.hpp"
 #include "traffic/trace_synth.hpp"
@@ -93,26 +80,6 @@ namespace {
 double seconds_since(std::chrono::steady_clock::time_point start) {
   const auto elapsed = std::chrono::steady_clock::now() - start;
   return std::chrono::duration<double>(elapsed).count();
-}
-
-struct StandaloneRun {
-  double wall_seconds = 0.0;
-  Cycle cycles = 0;
-  std::uint64_t flits = 0;
-};
-
-StandaloneRun run_fig4_standalone(Cycle horizon) {
-  ScenarioConfig config;
-  config.horizon = horizon;
-  config.flit_bytes = kPaperFlitBytes;
-  const traffic::WorkloadSpec workload = fig4_workload();
-  const auto start = std::chrono::steady_clock::now();
-  const ScenarioResult result = run_scenario("err", config, workload);
-  StandaloneRun run;
-  run.wall_seconds = seconds_since(start);
-  run.cycles = result.end_cycle;
-  run.flits = static_cast<std::uint64_t>(result.service_log.grand_total());
-  return run;
 }
 
 struct NetworkRun {
@@ -128,7 +95,6 @@ struct HotspotMode {
   bool audit = false;
   validate::AuditMode audit_mode = validate::AuditMode::kIncremental;
   bool audit_err = true;
-  wormhole::FlowControl flow_control = wormhole::FlowControl::kCredit;
 };
 
 constexpr std::uint32_t kHotspotDim = 8;
@@ -137,7 +103,6 @@ NetworkRun run_hotspot(Cycle inject_cycles, double rate,
                        const HotspotMode& mode, int reps = 3) {
   NetworkScenarioConfig config;
   config.network.topo = wormhole::TopologySpec::mesh(kHotspotDim, kHotspotDim);
-  config.network.router.flow_control = mode.flow_control;
   config.traffic.packets_per_node_per_cycle = rate;
   config.traffic.inject_until = inject_cycles;
   config.traffic.lengths = traffic::LengthSpec::uniform(1, 12);
@@ -167,26 +132,6 @@ NetworkRun run_hotspot(Cycle inject_cycles, double rate,
     run.audit_violations = result.audit_violations;
   }
   return run;
-}
-
-double run_sweep(std::size_t seeds, std::size_t jobs, Cycle horizon) {
-  ScenarioConfig config;
-  config.horizon = horizon;
-  config.drain = true;
-  SweepOptions options;
-  options.base_seed = 1;
-  options.seeds = seeds;
-  options.jobs = jobs;
-  const traffic::WorkloadSpec workload = fig4_workload();
-  const auto start = std::chrono::steady_clock::now();
-  const SweepResult result = sweep_scenario(
-      "err", config, workload, options,
-      [](const ScenarioResult& r, SweepResult& out) {
-        out.add("mean_delay", r.delays.overall().mean());
-        out.add("served", static_cast<double>(r.service_log.grand_total()));
-      });
-  (void)result;
-  return seconds_since(start);
 }
 
 // One leg of the threads-scaling sweep: a dim x dim mesh under uniform
@@ -469,13 +414,11 @@ std::string compiler_id() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  CliParser cli("simulator perf baseline: kernel + sweep throughput");
-  cli.add_option("fig4-cycles", "standalone scenario horizon", "400000");
+  CliParser cli(
+      "simulator perf baseline: hotspot fabric, threads and flow scaling");
   cli.add_option("hotspot-cycles", "8x8 hotspot injection cycles", "60000");
   cli.add_option("hotspot-rate", "packets/node/cycle into the hotspot run",
                  "0.006");
-  cli.add_option("sweep-seeds", "seeds in the sweep scenario", "50");
-  cli.add_option("sweep-cycles", "per-seed horizon in the sweep", "20000");
   cli.add_option("scaling-cycles",
                  "injection cycles per threads-scaling leg (CI shrinks this)",
                  "8000");
@@ -486,18 +429,11 @@ int main(int argc, char** argv) {
                  "synthesized-trace horizon per flow-scaling leg",
                  "100000");
   cli.add_option("out", "output JSON path", "BENCH_perf.json");
-  add_jobs_option(cli, /*default_value=*/"0");
   cli.parse(argc, argv);
 
-  const Cycle fig4_cycles = cli.get_uint("fig4-cycles");
   const Cycle hotspot_cycles = cli.get_uint("hotspot-cycles");
-  const std::size_t sweep_seeds = cli.get_uint("sweep-seeds");
-  const Cycle sweep_cycles = cli.get_uint("sweep-cycles");
   const Cycle scaling_cycles = cli.get_uint("scaling-cycles");
-  const std::size_t jobs = resolve_jobs(cli);
   const std::size_t hardware_threads = ThreadPool::hardware_workers();
-
-  const StandaloneRun fig4 = run_fig4_standalone(fig4_cycles);
 
   const double hotspot_rate = cli.get_double("hotspot-rate");
   const auto same = [](const NetworkRun& a, const NetworkRun& b) {
@@ -597,46 +533,6 @@ int main(int argc, char** argv) {
                             static_cast<double>(grand_ticks)
                       : 0.0;
 
-  // Flow-control comparison: the production kernel's hotspot point under
-  // on/off backpressure (the credit leg is `active`, already timed).
-  // Cycle counts legitimately differ between schemes — the cross-check
-  // is that the same packets (and therefore flits) were delivered.
-  const NetworkRun onoff = run_hotspot(
-      hotspot_cycles, hotspot_rate,
-      HotspotMode{nullptr, /*audit=*/false, validate::AuditMode::kIncremental,
-                  /*audit_err=*/true, wormhole::FlowControl::kOnOff});
-  const bool flow_control_identical =
-      onoff.delivered_packets == active.delivered_packets &&
-      onoff.flits == active.flits;
-  if (!flow_control_identical) {
-    std::fprintf(stderr,
-                 "FATAL: on/off run delivered a different packet set than "
-                 "the credit run\n");
-    return 1;
-  }
-  const auto net_ns_per_flit = [](const NetworkRun& run) {
-    return run.flits > 0
-               ? run.wall_seconds * 1e9 / static_cast<double>(run.flits)
-               : 0.0;
-  };
-  const double onoff_vs_credit =
-      net_ns_per_flit(active) > 0.0
-          ? net_ns_per_flit(onoff) / net_ns_per_flit(active)
-          : 0.0;
-
-  // The parallel sweep always runs.  On a single hardware thread a real
-  // speedup is impossible, so the leg is forced to 2 jobs and flagged:
-  // the number then measures oversubscription overhead, which is itself
-  // worth tracking — and the speedup column is never absent, so CI
-  // guards can read it unconditionally.
-  const bool parallel_forced = hardware_threads < 2 || jobs < 2;
-  const std::size_t parallel_jobs = std::max<std::size_t>(jobs, 2);
-  const double sweep_serial = run_sweep(sweep_seeds, 1, sweep_cycles);
-  const double sweep_parallel =
-      run_sweep(sweep_seeds, parallel_jobs, sweep_cycles);
-  const double sweep_speedup =
-      sweep_parallel > 0.0 ? sweep_serial / sweep_parallel : 0.0;
-
   // Threads-scaling sweep for the sharded network tick.  The 1-thread
   // leg is the serial kernel; every sharded leg must reproduce it
   // flit for flit (the bench double-checks what the 200-seed fuzz suite
@@ -716,12 +612,6 @@ int main(int argc, char** argv) {
 
   AsciiTable table("simulator perf baseline (wall-clock)");
   table.set_header({"scenario", "wall s", "cycles/s", "flits/s", "speedup"});
-  table.add_row("fig4 standalone (ERR)", fixed(fig4.wall_seconds, 3),
-                fixed(per_sec(static_cast<double>(fig4.cycles),
-                              fig4.wall_seconds), 0),
-                fixed(per_sec(static_cast<double>(fig4.flits),
-                              fig4.wall_seconds), 0),
-                "-");
   table.add_row("8x8 hotspot", fixed(active.wall_seconds, 3),
                 fixed(per_sec(static_cast<double>(active.cycles),
                               active.wall_seconds), 0),
@@ -742,22 +632,6 @@ int main(int argc, char** argv) {
                 fixed(per_sec(static_cast<double>(audited_incremental.flits),
                               audited_incremental.wall_seconds), 0),
                 fixed(audited_speedup, 2));
-  table.add_row("8x8 hotspot, on/off flow control",
-                fixed(onoff.wall_seconds, 3),
-                fixed(per_sec(static_cast<double>(onoff.cycles),
-                              onoff.wall_seconds), 0),
-                fixed(per_sec(static_cast<double>(onoff.flits),
-                              onoff.wall_seconds), 0),
-                fixed(onoff.wall_seconds > 0.0
-                          ? active.wall_seconds / onoff.wall_seconds
-                          : 0.0,
-                      2));
-  table.add_row("sweep " + std::to_string(sweep_seeds) + " seeds, jobs=1",
-                fixed(sweep_serial, 3), "-", "-", "1.00 (baseline)");
-  table.add_row("sweep " + std::to_string(sweep_seeds) +
-                    " seeds, jobs=" + std::to_string(parallel_jobs) +
-                    (parallel_forced ? " (forced)" : ""),
-                fixed(sweep_parallel, 3), "-", "-", fixed(sweep_speedup, 2));
   for (std::size_t d = 0; d < 2; ++d) {
     const std::string mesh = "mesh" + std::to_string(kScalingDims[d]) + "x" +
                              std::to_string(kScalingDims[d]);
@@ -825,10 +699,6 @@ int main(int argc, char** argv) {
               growth(0), growth(1), growth(2));
 
   stage_table.print(std::cout);
-  if (!metrics::kPerfCountersCompiled) {
-    std::printf("(perf counters compiled out: stage breakdown is empty; "
-                "configure with -DWORMSCHED_PERF_COUNTERS=ON)\n");
-  }
 
   FILE* out = std::fopen(cli.get("out").c_str(), "w");
   if (out == nullptr) {
@@ -836,25 +706,14 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::fprintf(out, "{\n");
-  std::fprintf(out, "  \"schema\": \"wormsched-perf-v8\",\n");
+  std::fprintf(out, "  \"schema\": \"wormsched-perf-v9\",\n");
   std::fprintf(out, "  \"hardware_threads\": %zu,\n", hardware_threads);
-  std::fprintf(out, "  \"perf_counters_compiled\": %s,\n",
-               metrics::kPerfCountersCompiled ? "true" : "false");
   std::fprintf(out,
-               "  \"provenance\": {\"jobs\": %zu, \"compiler\": \"%s\", "
+               "  \"provenance\": {\"compiler\": \"%s\", "
                "\"build_type\": \"%s\", \"git_sha\": \"%s\"},\n",
-               jobs, compiler_id().c_str(), WORMSCHED_BUILD_TYPE,
+               compiler_id().c_str(), WORMSCHED_BUILD_TYPE,
                obs::current_git_sha().c_str());
   std::fprintf(out, "  \"scenarios\": {\n");
-  std::fprintf(out,
-               "    \"fig4_standalone\": {\"wall_seconds\": %.6f, "
-               "\"sim_cycles\": %llu, \"served_flits\": %llu, "
-               "\"cycles_per_sec\": %.0f, \"flits_per_sec\": %.0f},\n",
-               fig4.wall_seconds,
-               static_cast<unsigned long long>(fig4.cycles),
-               static_cast<unsigned long long>(fig4.flits),
-               per_sec(static_cast<double>(fig4.cycles), fig4.wall_seconds),
-               per_sec(static_cast<double>(fig4.flits), fig4.wall_seconds));
   std::fprintf(out,
                "    \"mesh8x8_hotspot\": {\"sim_cycles\": %llu, "
                "\"delivered_flits\": %llu, \"results_identical\": %s,\n"
@@ -886,10 +745,7 @@ int main(int argc, char** argv) {
                audit_overhead_q1, audit_overhead_q3, observer_share,
                static_cast<unsigned long long>(
                    instrumented.audit_violations));
-  // Without compiled counters there is no tick count to report, and the
-  // gate that reads tick_fraction fails on the missing key.
-  if (metrics::kPerfCountersCompiled)
-    std::fprintf(out, "      \"tick_fraction\": %.4f,\n", tick_fraction);
+  std::fprintf(out, "      \"tick_fraction\": %.4f,\n", tick_fraction);
   std::fprintf(out, "      \"stage_breakdown\": {\"total_ticks\": %llu",
                static_cast<unsigned long long>(grand));
   for (std::size_t s = 0; s < metrics::kNumStages; ++s) {
@@ -901,34 +757,6 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(total.calls));
   }
   std::fprintf(out, "}},\n");
-  // Credit vs on/off on the same hotspot point: ns/flit per scheme plus
-  // the packet-set cross-check (cycle identity is not expected).
-  std::fprintf(out,
-               "    \"flow_control\": {\"packets_identical\": %s,\n"
-               "      \"credit\": {\"wall_seconds\": %.6f, \"sim_cycles\": "
-               "%llu, \"delivered_flits\": %llu, \"ns_per_flit\": %.3f},\n"
-               "      \"onoff\": {\"wall_seconds\": %.6f, \"sim_cycles\": "
-               "%llu, \"delivered_flits\": %llu, \"ns_per_flit\": %.3f},\n"
-               "      \"onoff_vs_credit_ns_per_flit\": %.3f},\n",
-               flow_control_identical ? "true" : "false",
-               active.wall_seconds,
-               static_cast<unsigned long long>(active.cycles),
-               static_cast<unsigned long long>(active.flits),
-               net_ns_per_flit(active), onoff.wall_seconds,
-               static_cast<unsigned long long>(onoff.cycles),
-               static_cast<unsigned long long>(onoff.flits),
-               net_ns_per_flit(onoff), onoff_vs_credit);
-  // Both sweep legs always run and are always recorded; parallel_forced
-  // marks the oversubscribed single-hardware-thread measurement.
-  std::fprintf(out,
-               "    \"sweep_50seed\": {\"seeds\": %zu, \"jobs\": %zu, "
-               "\"hardware_threads\": %zu, \"serial_seconds\": %.6f, "
-               "\"parallel_forced\": %s, "
-               "\"parallel_seconds\": %.6f, "
-               "\"parallel_speedup\": %.3f},\n",
-               sweep_seeds, parallel_jobs, hardware_threads, sweep_serial,
-               parallel_forced ? "true" : "false", sweep_parallel,
-               sweep_speedup);
   std::fprintf(out,
                "    \"threads_scaling\": {\"scaling_cycles\": %llu, "
                "\"pattern\": \"uniform\", \"hardware_threads\": %zu, "
@@ -1002,7 +830,6 @@ int main(int argc, char** argv) {
   manifest.add_counter("audited_speedup", audited_speedup);
   manifest.add_counter("audit_overhead", audit_overhead);
   manifest.add_counter("observer_share", observer_share);
-  manifest.add_counter("sweep_speedup", sweep_speedup);
   manifest.add_counter(
       "threads8_speedup_mesh32x32",
       scaling[1][3].wall_seconds > 0.0
@@ -1015,7 +842,6 @@ int main(int argc, char** argv) {
   manifest.add_counter("flow_scale_scfq_growth", growth(2));
   manifest.add_counter("flow_scale_err_ns_per_flit",
                        ns_per_flit(flow_scale.back()[0]));
-  manifest.add_counter("onoff_vs_credit_ns_per_flit", onoff_vs_credit);
   manifest.violations = instrumented.audit_violations;
   const std::string manifest_path = cli.get("out") + ".manifest.json";
   manifest.write_file(manifest_path);

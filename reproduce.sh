@@ -35,11 +35,10 @@ for b in ../build/bench/*; do
 done
 # bench_perf_kernel writes BENCH_perf.json into results/; the repo-root
 # copy is the machine-readable baseline future changes are held to.
-# On single-hardware-thread machines the 50-seed parallel sweep and the
-# sharded threads-scaling legs still run (recorded with
-# "parallel_forced": true) — speedups near 1.0x are expected there and
-# the CI gates compare ratios against the committed baseline, never
-# absolute wall clock.
+# On single-hardware-thread machines the sharded threads-scaling legs
+# still run (recorded with "forced": true) — speedups near 1.0x are
+# expected there and the CI gates compare ratios against the committed
+# baseline, never absolute wall clock.
 if [ -f BENCH_perf.json ]; then
   cp BENCH_perf.json ../BENCH_perf.json
 fi

@@ -99,6 +99,10 @@ constexpr Range<T> at_least(T lo) {
 constexpr Range<double> positive() {
   return at_least(std::numeric_limits<double>::denorm_min());
 }
+/// A finite double >= 0.
+constexpr Range<double> non_negative() {
+  return {0.0, std::numeric_limits<double>::max()};
+}
 
 class Archive {
  public:
@@ -138,6 +142,10 @@ class Archive {
   void f64(std::string_view name, double& v) { scalar(name, v, nullptr); }
   void f64(std::string_view name, double& v, Range<double> range) {
     scalar(name, v, &range);
+  }
+  /// Unranged when `range` is null.
+  void f64(std::string_view name, double& v, const Range<double>* range) {
+    scalar(name, v, range);
   }
   /// A u64-sized field held in a std::size_t member.
   void size(std::string_view name, std::size_t& v) {

@@ -109,19 +109,23 @@ void ErrPolicy::end_opportunity(bool still_backlogged) {
 }
 
 void ErrPolicy::fields(Archive& a) {
+  // Lemma 1 keeps every SC and MaxSC >= 0 (an idle flow's SC is reset to
+  // 0) and every allowance > 0; an opportunity's sent and largest charge
+  // start at 0 and only grow.
+  const Range<double> counter = non_negative();
   const Range<double> weight = at_least(1.0);
-  pool_.fields(a, &weight);
+  pool_.fields(a, &counter, &weight);
   a.size("active_count", active_count_);
   a.size("round_robin_visit_count", round_robin_visit_count_);
-  a.f64("max_sc", max_sc_);
-  a.f64("previous_max_sc", previous_max_sc_);
+  a.f64("max_sc", max_sc_, counter);
+  a.f64("previous_max_sc", previous_max_sc_, counter);
   a.size("round", round_);
   a.b("reset_on_idle", reset_on_idle_);
   a.b("in_opportunity", in_opportunity_);
   a.id("current", current_);
-  a.f64("allowance", allowance_);
-  a.f64("sent", sent_);
-  a.f64("max_charge", max_charge_);
+  a.f64("allowance", allowance_, counter);
+  a.f64("sent", sent_, counter);
+  a.f64("max_charge", max_charge_, counter);
   if (a.loading()) check_restored();
 }
 

@@ -67,18 +67,16 @@ void PacketQueuePool::fields(Archive& a, QueueRow& q, FlowId flow) {
   }
 }
 
-void FlowStatePool::fields(Archive& a, const Range<double>* weight) {
+void FlowStatePool::fields(Archive& a, const Range<double>* sc,
+                           const Range<double>* weight) {
   if (a.loading()) rows_.clear();
   a.flow_table(
       "rows", num_flows(), Row{0.0, initial_weight_},
       [this](std::size_t f) { return rows_.find(id(f)); },
       [this](std::size_t f, Row&& r) { rows_.row(id(f), r.sc, r.weight); },
-      [weight](Archive& ar, Row& r, std::size_t) {
-        ar.f64("sc", r.sc);
-        if (weight != nullptr)
-          ar.f64("weight", r.weight, *weight);
-        else
-          ar.f64("weight", r.weight);
+      [sc, weight](Archive& ar, Row& r, std::size_t) {
+        ar.f64("sc", r.sc, sc);
+        ar.f64("weight", r.weight, weight);
       });
   active_.fields(a);
 }

@@ -307,9 +307,10 @@ class FlowStatePool {
   [[nodiscard]] const ActiveFifo& active() const { return active_; }
 
   /// Checkpoint state: the accounting rows as a per-flow record table of
-  /// (sc, weight), each weight within `weight` when given, then the
+  /// (sc, weight), each within `sc` and `weight` when given, then the
   /// activation FIFO.
-  void fields(Archive& a, const Range<double>* weight = nullptr);
+  void fields(Archive& a, const Range<double>* sc = nullptr,
+              const Range<double>* weight = nullptr);
 
  private:
   static FlowId id(std::size_t flow) {

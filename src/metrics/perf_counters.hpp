@@ -5,11 +5,9 @@
 // occupancy charging, SA/ST) and the cycle-end observer each accumulate
 // timestamp-counter ticks while a PerfCounters sink is attached.
 //
-// Cost model, in order of decreasing certainty:
-//   * compiled out (WORMSCHED_PERF_COUNTERS undefined) — the scoped
-//     timers are empty classes; zero code on the hot path;
-//   * compiled in, no sink attached (the default at runtime) — one
-//     pointer test per stage;
+// Cost model:
+//   * no sink attached (the default at runtime) — one pointer test per
+//     stage;
 //   * sink attached — two timestamp reads per stage, paid only by the
 //     instrumented run bench_perf_kernel uses for the stage breakdown,
 //     never by the timed comparison runs.
@@ -25,12 +23,6 @@
 #include <cstdint>
 
 namespace wormsched::metrics {
-
-#if defined(WORMSCHED_PERF_COUNTERS)
-inline constexpr bool kPerfCountersCompiled = true;
-#else
-inline constexpr bool kPerfCountersCompiled = false;
-#endif
 
 enum class Stage : std::uint8_t {
   kWireDelivery = 0,  // flit + credit delivery (incl. quarantine release)
@@ -96,32 +88,23 @@ class PerfCounters {
   std::array<StageTotal, kNumStages> totals_{};
 };
 
-/// RAII stage timer.  All members are compiled away when the layer is
-/// off, so call sites stay unconditional.
+/// RAII stage timer: times its scope into `counters` when one is attached.
 class ScopedStageTimer {
  public:
-  ScopedStageTimer([[maybe_unused]] PerfCounters* counters,
-                   [[maybe_unused]] Stage stage) {
-#if defined(WORMSCHED_PERF_COUNTERS)
-    counters_ = counters;
-    stage_ = stage;
+  ScopedStageTimer(PerfCounters* counters, Stage stage)
+      : counters_(counters), stage_(stage) {
     if (counters_ != nullptr) start_ = now_ticks();
-#endif
   }
   ~ScopedStageTimer() {
-#if defined(WORMSCHED_PERF_COUNTERS)
     if (counters_ != nullptr) counters_->add(stage_, now_ticks() - start_);
-#endif
   }
   ScopedStageTimer(const ScopedStageTimer&) = delete;
   ScopedStageTimer& operator=(const ScopedStageTimer&) = delete;
 
  private:
-#if defined(WORMSCHED_PERF_COUNTERS)
-  PerfCounters* counters_ = nullptr;
-  Stage stage_ = Stage::kWireDelivery;
+  PerfCounters* counters_;
+  Stage stage_;
   std::uint64_t start_ = 0;
-#endif
 };
 
 }  // namespace wormsched::metrics

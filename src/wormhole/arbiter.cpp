@@ -39,7 +39,7 @@ void PortArbiter::fields(Archive& a, std::uint64_t uncharged_cycles) {
   double held = charging_ == Charging::kCycles
                     ? held_ + static_cast<double>(uncharged_cycles)
                     : held_;
-  a.f64("held", held);
+  a.f64("held", held, non_negative());
   if (a.loading()) {
     held_ = held;
     pending_total_ = 0;

@@ -84,14 +84,14 @@ class PortArbiter {
   [[nodiscard]] std::uint32_t pending_total() const { return pending_total_; }
 
   /// Checkpoint state: pending counts (requester count checked), the
-  /// current owner and its accumulated cost, then the discipline's state
-  /// via discipline_fields().  pending_total_ is recomputed from the
-  /// restored counts.  Restore into a freshly constructed arbiter of the
-  /// same discipline.  `uncharged_cycles` is occupancy the caller has
-  /// accrued but not yet passed to charge_cycles(); the saved cost
-  /// includes it, so the bytes match a save taken with every cycle
-  /// already charged and the restored arbiter starts with those cycles
-  /// charged.
+  /// current owner and its accumulated cost (finite, >= 0), then the
+  /// discipline's state via discipline_fields().  pending_total_ is
+  /// recomputed from the restored counts.  Restore into a freshly
+  /// constructed arbiter of the same discipline.  `uncharged_cycles` is
+  /// occupancy the caller has accrued but not yet passed to
+  /// charge_cycles(); the saved cost includes it, so the bytes match a
+  /// save taken with every cycle already charged and the restored arbiter
+  /// starts with those cycles charged.
   void fields(Archive& a, std::uint64_t uncharged_cycles = 0);
 
  protected:

@@ -8,7 +8,8 @@
 // field that declares a range must reject the value one step past it:
 // the golden with that one field patched throws a SnapshotError naming
 // the field's path, and for the first such field of each declaring type
-// `wormsched network|run --restore` exits 2 with one line.
+// `wormsched network|run --restore` exits 2 with one line.  A NaN fails
+// every double range, so a NaN in a ranged field is rejected the same way.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
@@ -208,6 +209,30 @@ INSTANTIATE_TEST_SUITE_P(Goldens, CheckpointMapTest,
                          [](const testing::TestParamInfo<Golden>& p) {
                            return std::string(p.param.name);
                          });
+
+TEST(CheckpointNanProbe, ErrArbiterDoublesExit2) {
+  // Before these fields declared their ranges, a NaN in either restored
+  // unchecked and aborted the resumed soak within 300 cycles (exit 134).
+  const SnapshotFile golden = read_snapshot_file(WS_GOLDEN_SNAPSHOT);
+  const FieldMap map = describe_checkpoint(golden, geometry());
+  const std::string arbiter = "NNET.routers[0].outputs[0].arbiter.";
+  for (const char* leaf : {"held", "max_sc"}) {
+    const std::string path = arbiter + leaf;
+    SnapshotFile patched = golden;
+    test::set(patched.payload, map, path, ~std::uint64_t{0});  // a NaN
+    try {
+      restore(patched);
+      ADD_FAILURE() << path << " accepted a NaN";
+    } catch (const SnapshotError& e) {
+      EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+          << e.what();
+    }
+    const CliOutcome o = cli_restore(kSoakRestore, patched, "nan_probe");
+    EXPECT_EQ(o.code, 2) << path;
+    ASSERT_EQ(o.err.size(), 1u) << path;
+    EXPECT_EQ(o.err[0].rfind("wormsched: ", 0), 0u) << o.err[0];
+  }
+}
 
 }  // namespace
 }  // namespace wormsched::harness

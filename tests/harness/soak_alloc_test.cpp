@@ -11,8 +11,8 @@
 // nothing and hold RSS flat.
 //
 // The default horizon keeps the sanitizer CI legs tolerable; the
-// soak-smoke CI job reruns this binary with WS_SOAK_CYCLES=5000000 for
-// the full five-million-cycle claim.
+// release CI job reruns this binary with WS_SOAK_CYCLES=5000000 for the
+// full five-million-cycle claim.
 #include <gtest/gtest.h>
 
 #include <unistd.h>

@@ -7,8 +7,8 @@
 // switches on CycleDelta collection, so this suite doubles as the
 // regression net proving collection never perturbs the simulation.
 //
-// The suite name contains "FuzzAuditTest" so CI's fuzz block
-// (-R 'FuzzAuditTest|...') picks these up alongside the ERR fuzz audits.
+// The suite name contains "FuzzAuditTest", so `ctest -R FuzzAuditTest`
+// runs it alongside the ERR fuzz audits.
 #include <gtest/gtest.h>
 
 #include <algorithm>

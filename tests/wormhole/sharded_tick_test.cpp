@@ -317,9 +317,7 @@ obs::TraceSink expect_caller_thread_matches(TopologySpec topo,
     EXPECT_EQ(serial_perf.total(stage).calls, perf.total(stage).calls)
         << metrics::stage_name(stage);
   }
-  if (metrics::kPerfCountersCompiled) {
-    EXPECT_GT(perf.total(metrics::Stage::kNicInject).calls, 0u);
-  }
+  EXPECT_GT(perf.total(metrics::Stage::kNicInject).calls, 0u);
   return sharded_trace;
 }
 
