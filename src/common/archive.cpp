@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 
 namespace wormsched {
 
@@ -41,56 +42,24 @@ std::string FieldInfo::range() const {
 }
 
 template <typename T>
-void Archive::scalar(std::string_view name, T& v,
-                     const Range<std::type_identity_t<T>>* range,
-                     bool exact) {
-  if (saving()) {
-    if constexpr (sizeof(T) == 1)
-      w_->u8(static_cast<std::uint8_t>(v));
-    else if constexpr (std::is_same_v<T, double>)
-      w_->f64(v);
-    else if constexpr (sizeof(T) == 4)
-      w_->u32(static_cast<std::uint32_t>(v));
-    else
-      w_->u64(static_cast<std::uint64_t>(v));
-    return;
-  }
-  if (map_ != nullptr) record<T>(name, sizeof(T), kind_of<T>(), range);
-  T x;
-  if constexpr (sizeof(T) == 1)
-    x = static_cast<T>(r_->u8());
-  else if constexpr (std::is_same_v<T, double>)
-    x = r_->f64();
-  else if constexpr (sizeof(T) == 4)
-    x = static_cast<T>(r_->u32());
-  else
-    x = static_cast<T>(r_->u64());
-  if (range != nullptr && !(x >= range->lo && x <= range->hi)) {
-    if (exact)
-      mismatch(name, text(kind_of<T>(), bits(x)),
-               text(kind_of<T>(), bits(range->lo)));
-    out_of_range(name, kind_of<T>(), bits(x), bits(range->lo),
-                 bits(range->hi));
-  }
-  v = x;
+void Archive::reject(std::string_view name, T x, Range<T> range,
+                     bool exact) const {
+  if (exact)
+    mismatch(name, text(kind_of<T>(), bits(x)),
+             text(kind_of<T>(), bits(range.lo)));
+  out_of_range(name, kind_of<T>(), bits(x), bits(range.lo), bits(range.hi));
 }
 
-template void Archive::scalar(std::string_view, std::uint8_t&,
-                              const Range<std::uint8_t>*, bool);
-template void Archive::scalar(std::string_view, std::uint32_t&,
-                              const Range<std::uint32_t>*, bool);
-template void Archive::scalar(std::string_view, std::uint64_t&,
-                              const Range<std::uint64_t>*, bool);
-template void Archive::scalar(std::string_view, std::int64_t&,
-                              const Range<std::int64_t>*, bool);
-template void Archive::scalar(std::string_view, double&,
-                              const Range<double>*, bool);
-
-void Archive::b(std::string_view name, bool& v) {
-  std::uint8_t x = v ? 1 : 0;
-  scalar(name, x, nullptr);
-  if (loading()) v = x != 0;
-}
+template void Archive::reject(std::string_view, std::uint8_t,
+                              Range<std::uint8_t>, bool) const;
+template void Archive::reject(std::string_view, std::uint32_t,
+                              Range<std::uint32_t>, bool) const;
+template void Archive::reject(std::string_view, std::uint64_t,
+                              Range<std::uint64_t>, bool) const;
+template void Archive::reject(std::string_view, std::int64_t,
+                              Range<std::int64_t>, bool) const;
+template void Archive::reject(std::string_view, double, Range<double>,
+                              bool) const;
 
 void Archive::str(std::string_view name, std::string& v) {
   if (saving()) {
@@ -149,9 +118,14 @@ void Archive::doubles(std::string_view name, std::vector<double>& v,
     }
   }
   const std::uint8_t* in = r_->raw(n * sizeof(double));
-  for (double& x : v) {
-    x = std::bit_cast<double>(load_le<std::uint64_t>(in));
-    in += sizeof(double);
+  if constexpr (std::endian::native == std::endian::little) {
+    // The file's byte order is the host's: one copy.
+    if (n != 0) std::memcpy(v.data(), in, n * sizeof(double));
+  } else {
+    for (double& x : v) {
+      x = std::bit_cast<double>(load_le<std::uint64_t>(in));
+      in += sizeof(double);
+    }
   }
 }
 

@@ -17,8 +17,9 @@
 //
 // Rules that tie several fields together stay in the type, checked once
 // after its fields are read.  With no map attached, save and restore build
-// no path strings and allocate nothing per field: a path is assembled only
-// for an error message or a map entry.
+// no path strings and allocate nothing per field: a field is an inline,
+// bounds-checked write or read plus its range test, and a path is
+// assembled only for an error message or a map entry.
 #pragma once
 
 #include <array>
@@ -116,7 +117,11 @@ class Archive {
   [[nodiscard]] bool loading() const { return r_ != nullptr; }
 
   /// --- Scalars ------------------------------------------------------------
-  void b(std::string_view name, bool& v);
+  void b(std::string_view name, bool& v) {
+    std::uint8_t x = v ? 1 : 0;
+    scalar(name, x, nullptr);
+    if (loading()) v = x != 0;
+  }
   void u32(std::string_view name, std::uint32_t& v) {
     scalar(name, v, nullptr);
   }
@@ -386,14 +391,46 @@ class Archive {
 
   /// One fixed-width field: written, or read, range-checked and (with a
   /// map) recorded.  An `exact` range is a fingerprint, reported as a
-  /// mismatch with this run's value.  Out of line (archive.cpp,
-  /// instantiated for every field type): a field costs its call site one
-  /// call, which keeps the many fields() bodies small.
+  /// mismatch with this run's value.  Saving and restoring with no map
+  /// attached are inline; a map entry and an error message are built out
+  /// of line (archive.cpp, instantiated for every field type).
   template <typename T>
   void scalar(std::string_view name, T& v,
               const Range<std::type_identity_t<T>>* range,
-              bool exact = false);
+              bool exact = false) {
+    if (w_ != nullptr) {
+      if constexpr (sizeof(T) == 1)
+        w_->u8(static_cast<std::uint8_t>(v));
+      else if constexpr (std::is_same_v<T, double>)
+        w_->f64(v);
+      else if constexpr (sizeof(T) == 4)
+        w_->u32(static_cast<std::uint32_t>(v));
+      else
+        w_->u64(static_cast<std::uint64_t>(v));
+      return;
+    }
+    if (map_ != nullptr)
+      record<T>(name, sizeof(T), kind_of<T>(), range);
+    T x;
+    if constexpr (sizeof(T) == 1)
+      x = static_cast<T>(r_->u8());
+    else if constexpr (std::is_same_v<T, double>)
+      x = r_->f64();
+    else if constexpr (sizeof(T) == 4)
+      x = static_cast<T>(r_->u32());
+    else
+      x = static_cast<T>(r_->u64());
+    if (range != nullptr && !(x >= range->lo && x <= range->hi))
+      reject(name, x, *range, exact);
+    v = x;
+  }
+  /// Throws the SnapshotError for `x` outside `range`.
+  template <typename T>
+  [[noreturn]] void reject(std::string_view name, T x, Range<T> range,
+                           bool exact) const;
 
+  /// With a map attached, records the field about to be read (the entry
+  /// is built out of line, in begin_record).
   template <typename T>
   void record(std::string_view name, std::size_t width, FieldInfo::Kind kind,
               const Range<std::type_identity_t<T>>* range) {

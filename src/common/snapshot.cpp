@@ -115,9 +115,14 @@ void SnapshotReader::skip_section() {
 void save_doubles(SnapshotWriter& w, const std::vector<double>& v) {
   w.u64(v.size());
   std::uint8_t* out = w.grow(v.size() * sizeof(double));
-  for (const double x : v) {
-    store_le(out, std::bit_cast<std::uint64_t>(x));
-    out += sizeof(double);
+  if constexpr (std::endian::native == std::endian::little) {
+    // The host's byte order is the file's: one copy.
+    if (!v.empty()) std::memcpy(out, v.data(), v.size() * sizeof(double));
+  } else {
+    for (const double x : v) {
+      store_le(out, std::bit_cast<std::uint64_t>(x));
+      out += sizeof(double);
+    }
   }
 }
 

@@ -55,7 +55,9 @@ class SnapshotError : public std::runtime_error {
 /// The one place byte order is handled: every u32/u64/f64 field, section
 /// length and CRC trailer goes through these.  On a little-endian host
 /// each is a plain copy; elsewhere the bytes are reversed, so files stay
-/// little-endian on every host.
+/// little-endian on every host.  (A bulk run of doubles, save_doubles and
+/// Archive::doubles, is one copy on a little-endian host and these per
+/// element elsewhere.)
 
 static_assert(std::endian::native == std::endian::little ||
                   std::endian::native == std::endian::big,

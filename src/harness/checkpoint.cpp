@@ -59,6 +59,10 @@ void fields(Archive& a, wormhole::NetworkTrafficSource::Config& c) {
   {
     const Archive::Scope s = a.scope("lengths");
     fields(a, c.lengths);
+    // A fabric flit indexes its packet in 32 bits.
+    if (a.loading() && c.lengths.hi > wormhole::kMaxPacketFlits)
+      a.fail("hi", "= " + std::to_string(c.lengths.hi) +
+                       " is longer than a fabric packet can be");
   }
   a.enumeration<std::uint8_t>("pattern", c.pattern.kind,
                               wormhole::PatternSpec::Kind::kNeighbor);

@@ -1,6 +1,7 @@
 #include "wormhole/network.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/assert.hpp"
 #include "common/archive.hpp"
@@ -77,7 +78,6 @@ Network::Network(const NetworkConfig& config)
     routers_.emplace_back(NodeId(n), config_.router,  // resolved watermarks
                           topo_.num_nodes());
   nics_.resize(topo_.num_nodes());
-  router_live_.resize(topo_.num_nodes(), 0);
   touched_flag_.resize(topo_.num_nodes(), 0);
   latency_by_source_.resize(topo_.num_nodes());
 
@@ -91,10 +91,19 @@ Network::Network(const NetworkConfig& config)
   shard_nonempty_nics_.assign(num_shards, 0);
   shard_nic_backlog_.assign(num_shards, 0);
   shard_of_.resize(topo_.num_nodes());
-  for (std::uint32_t s = 0; s < num_shards; ++s)
-    for (std::uint32_t n = shard_ranges_[s].begin; n < shard_ranges_[s].end;
-         ++n)
+  live_bit_.resize(topo_.num_nodes());
+  shard_words_.resize(num_shards);
+  std::uint32_t words = 0;
+  for (std::uint32_t s = 0; s < num_shards; ++s) {
+    const ShardRange& range = shard_ranges_[s];
+    shard_words_[s] = words;
+    for (std::uint32_t n = range.begin; n < range.end; ++n) {
       shard_of_[n] = s;
+      live_bit_[n] = words * 64 + (n - range.begin);
+    }
+    words += (range.end - range.begin + 63) / 64;
+  }
+  live_words_.assign(words, 0);
   lanes_ = std::vector<ShardLane>(num_shards);
   for (ShardLane& lane : lanes_) lane.net_ = this;
   if (num_shards > 1)
@@ -102,14 +111,14 @@ Network::Network(const NetworkConfig& config)
 }
 
 void Network::inject(Cycle, const PacketDescriptor& packet) {
-  WS_CHECK(packet.length > 0);
+  WS_CHECK(packet.length > 0 && packet.length <= kMaxPacketFlits);
   WS_CHECK_MSG(packet.source.value() < topo_.num_endpoints() &&
                    packet.dest.value() < topo_.num_endpoints(),
                "packet source/dest must be fabric endpoints");
   Nic& nic = nics_[packet.source.index()];
   const std::uint32_t s = shard_of_[packet.source.index()];
   if (nic.queue.empty()) ++shard_nonempty_nics_[s];
-  nic.queue.push_back(packet);
+  nic.queue.push_back(packets_.add(packet));
   shard_nic_backlog_[s] += packet.length;
   injected_flits_ += packet.length;
   ++injected_;
@@ -127,18 +136,12 @@ void Network::refresh_delta_collection() {
   collect_delta_ = want;
 }
 
-void Network::mark_live(std::size_t index) {
-  if (router_live_[index]) return;
-  router_live_[index] = 1;
-  ++shard_live_[shard_of_[index]];
-}
-
 template <class Wire>
 void Network::put_flit(Wire& wire, CycleDelta& delta, NodeId from,
                        Direction out, const Flit& flit) {
   const NodeId to = topo_.neighbor(from, out);
   WS_CHECK_MSG(to.is_valid(), "flit sent off the edge of the fabric");
-  const auto cls = static_cast<std::uint32_t>(flit.vc_class.value());
+  const std::uint32_t cls = flit.vc_class;
   wire.emplace_back(now_ + config_.link_latency, to,
                     topo_.peer_port(from, out), cls, flit);
   if (collect_delta_) note(delta, delta.flits_to_wire, from, out, cls);
@@ -165,29 +168,31 @@ void Network::eject(NodeId node, const Flit& flit, Cycle now) {
     touch_into(delta_, node.index());
     delta_.ejections.push_back(node.value());
   }
-  WS_CHECK_MSG(flit.dest == node, "flit ejected at the wrong node");
+  const PacketDescriptor& p = packets_[flit.slot];
+  WS_CHECK_MSG(p.dest == node, "flit ejected at the wrong node");
   const bool tail = is_tail(flit.type);
   double latency = 0.0;
   if (tail) {
+    const Flits length = Flits{flit.index} + 1;
     if (config_.record_delivered)
-      delivered_.push_back(DeliveredPacket{flit.packet, flit.flow, flit.source,
-                                           flit.dest, flit.index + 1,
-                                           flit.created, now});
-    const std::size_t fi = flit.flow.index();
+      delivered_.push_back(DeliveredPacket{p.id, p.flow, p.source, p.dest,
+                                           length, p.created, now});
+    const std::size_t fi = p.flow.index();
     if (fi >= flow_delivered_flits_.size())
       flow_delivered_flits_.resize(fi + 1, 0);
-    flow_delivered_flits_[fi] += flit.index + 1;
+    flow_delivered_flits_[fi] += length;
     ++delivered_packets_;
-    latency = static_cast<double>(now - flit.created);
-    latency_by_source_[flit.source.index()].add(latency);
+    latency = static_cast<double>(now - p.created);
+    latency_by_source_[p.source.index()].add(latency);
     latency_overall_.add(latency);
     latency_quantiles_.add(latency);
   }
   if (trace_ != nullptr)
     trace_->record(obs::TraceEvent::flit_eject(now, node.value(),
-                                               flit.flow.value(),
-                                               flit.packet.value(), flit.index,
-                                               tail, latency));
+                                               p.flow.value(), p.id.value(),
+                                               flit.index, tail, latency));
+  // The tail is the packet's last flit anywhere: its slot is free again.
+  if (tail) packets_.release(flit.slot);
 }
 
 void Network::send_credit(NodeId node, Direction in, std::uint32_t cls) {
@@ -202,18 +207,19 @@ void Network::send_signal(NodeId node, Direction in, std::uint32_t cls,
 
 RouteDecision Network::route(NodeId node, const Flit& flit, Direction in_from,
                              std::uint32_t in_class) {
-  return topo_.route(node, flit.dest, in_from, in_class);
+  return topo_.route(node, packets_[flit.slot].dest, in_from, in_class);
 }
 
 void Network::route_candidates(NodeId node, const Flit& flit,
                                Direction in_from, std::uint32_t in_class,
                                RouteCandidates& out) {
+  const NodeId dest = packets_[flit.slot].dest;
   if (config_.routing == NetworkConfig::Routing::kWestFirst) {
-    topo_.west_first_candidates(node, flit.dest, in_from, in_class, out);
+    topo_.west_first_candidates(node, dest, in_from, in_class, out);
     return;
   }
   if (config_.routing == NetworkConfig::Routing::kUpDownAdaptive) {
-    topo_.updown_candidates(node, flit.dest, in_from, in_class, out);
+    topo_.updown_candidates(node, dest, in_from, in_class, out);
     return;
   }
   out.push_back(route(node, flit, in_from, in_class));
@@ -233,15 +239,11 @@ void Network::nic_inject_one(Cycle now, std::uint32_t n, CycleDelta& delta) {
   Nic& nic = nics_[n];
   Router& r = routers_[n];
   if (!r.can_accept_local(0)) return;
-  const PacketDescriptor& pkt = nic.queue.front();
+  const PacketDescriptor& pkt = packets_[nic.queue.front()];
   Flit flit;
-  flit.packet = pkt.id;
-  flit.flow = pkt.flow;
-  flit.source = pkt.source;
-  flit.dest = pkt.dest;
-  flit.vc_class = VcId(0);
-  flit.index = nic.sent_of_current;
-  flit.created = pkt.created;
+  flit.slot = nic.queue.front();
+  flit.index = static_cast<std::uint32_t>(nic.sent_of_current);
+  flit.vc_class = 0;
   const bool head = nic.sent_of_current == 0;
   const bool tail = nic.sent_of_current + 1 == pkt.length;
   flit.type = head && tail  ? FlitType::kHeadTail
@@ -250,8 +252,8 @@ void Network::nic_inject_one(Cycle now, std::uint32_t n, CycleDelta& delta) {
                             : FlitType::kBody;
   r.accept_flit(Direction::kLocal, 0, flit);
   if (trace_ != nullptr)
-    trace_->record(obs::TraceEvent::flit_inject(
-        now, n, flit.flow.value(), flit.packet.value(), flit.index));
+    trace_->record(obs::TraceEvent::flit_inject(now, n, pkt.flow.value(),
+                                                pkt.id.value(), flit.index));
   mark_live(n);
   if (collect_delta_) {
     touch_into(delta, n);
@@ -415,8 +417,9 @@ void Network::tick(Cycle now) {
   }
 }
 
+template <class Env>
 void Network::step(Cycle now, bool frozen, std::uint32_t first,
-                   std::uint32_t last, RouterEnv& env, CycleDelta& delta) {
+                   std::uint32_t last, Env& env, CycleDelta& delta) {
   // Arrivals staged for these shards, in the pop loop's sub-order:
   // quarantine releases, then flits, then wire credits.  Per-router
   // arrival order is all bit-identity needs (routers interact only via
@@ -452,28 +455,35 @@ void Network::step(Cycle now, bool frozen, std::uint32_t first,
 
   // Router pipelines.  A drained router's tick is a no-op (nothing to
   // route, grant, charge or forward), so only active routers tick, in
-  // ascending order.  New work can only arrive through the wires (link
-  // latency >= 1), never mid-scan, and router ticks never enroll *other*
-  // routers, so the live count at loop entry bounds the routers left to
-  // visit.
-  std::uint32_t live = 0;
-  for (std::uint32_t s = first; s < last; ++s) live += shard_live_[s];
-  for (std::uint32_t n = begin; live != 0 && n < end; ++n) {
-    if (!router_live_[n]) continue;
-    --live;
-    routers_[n].tick(now, env);
-    if (routers_[n].drained()) {
-      router_live_[n] = 0;
-      --shard_live_[shard_of_[n]];
-      // The one liveness change with no event of its own: a credit can
-      // wake an already-drained router, whose next tick is a no-op that
-      // idles it again.  The drain itself enrolls it in the touched set.
-      if (collect_delta_) touch_into(delta, n);
+  // ascending order: the set bits of each shard's live words.  New work
+  // can only arrive through the wires (link latency >= 1), never
+  // mid-scan, and router ticks never enroll *other* routers, so a word
+  // read once covers its routers for the cycle.
+  for (std::uint32_t s = first; s < last; ++s) {
+    if (shard_live_[s] == 0) continue;
+    const std::uint32_t shard_begin = shard_ranges_[s].begin;
+    const std::uint32_t words =
+        (shard_ranges_[s].end - shard_begin + 63) / 64;
+    for (std::uint32_t w = 0; w < words; ++w) {
+      std::uint64_t& word = live_words_[shard_words_[s] + w];
+      for (std::uint64_t m = word; m != 0; m &= m - 1) {
+        const auto b = static_cast<std::uint32_t>(std::countr_zero(m));
+        const std::uint32_t n = shard_begin + w * 64 + b;
+        Router& r = routers_[n];
+        r.tick(now, env);
+        if (!r.drained()) continue;
+        word &= ~(std::uint64_t{1} << b);
+        --shard_live_[s];
+        // The one liveness change with no event of its own: a credit can
+        // wake an already-drained router, whose next tick is a no-op that
+        // idles it again.  The drain itself enrolls it in the touched set.
+        if (collect_delta_) touch_into(delta, n);
+      }
     }
   }
 }
 
-// ShardLane: the RouterEnv a shard's routers tick against on the lanes.
+// ShardLane: the env a shard's routers tick against on the lanes.
 // Sends stage through the network's own wire-record helpers; routing is
 // const and stateless, so the network's oracle serves every lane.
 
@@ -555,21 +565,31 @@ void Network::fields(Archive& a) {
   a.u64("delivered_flits", delivered_flits_);
   a.i64("injected_flits", injected_flits_);
 
+  // Packets are written where the v2 format has them, field by field: in
+  // the NIC queues and in every flit record.  A restore files them in the
+  // packet table again (PacketTable::restore_flit).
   const auto nodes = below(topo_.num_nodes());
-  a.table("nics", nics_, [&a, nodes](Nic& nic) {
-    a.seq("queue", nic.queue,
-          [&a, nodes](PacketDescriptor& p) { packet_fields(a, p, nodes); });
+  if (a.loading()) packets_.clear();
+  a.table("nics", nics_, [this, &a, nodes](Nic& nic) {
+    a.seq("queue", nic.queue, [this, &a, nodes](PacketSlot& slot) {
+      PacketDescriptor p = a.saving() ? packets_[slot] : PacketDescriptor{};
+      packet_fields(a, p, nodes);
+      if (a.loading()) slot = packets_.add(p);
+    });
     a.i64("sent_of_current", nic.sent_of_current);
+    if (!a.loading()) return;
     // Part-way through the head packet, or 0 with nothing queued.
-    if (a.loading() &&
-        (nic.queue.empty() ? nic.sent_of_current != 0
-                           : nic.sent_of_current < 0 ||
-                                 nic.sent_of_current >=
-                                     nic.queue.front().length))
+    if (nic.queue.empty() ? nic.sent_of_current != 0
+                          : nic.sent_of_current < 0 ||
+                                nic.sent_of_current >=
+                                    packets_[nic.queue.front()].length)
       a.fail("sent_of_current", "is outside its packet");
+    if (nic.sent_of_current > 0)
+      packets_.restore_sending(a, nic.queue.front(), nic.sent_of_current);
   });
 
   const auto vcs = below(config_.router.num_vcs);
+  const FlitContext flits{packets_, nodes, vcs};
   const auto last_direction = static_cast<Direction>(kNumDirections - 1);
   a.seq("flit_wire", flit_wire_, [&](WireFlit& wf) {
     a.u64("arrive", wf.arrive);
@@ -577,7 +597,7 @@ void Network::fields(Archive& a) {
     a.enumeration<std::uint8_t>("in", wf.in, last_direction);
     a.u32("cls", wf.cls, vcs);
     const Archive::Scope s = a.scope("flit");
-    flit_fields(a, wf.flit, nodes);
+    flit_fields(a, wf.flit, flits);
   });
   const auto credit = [&](WireCredit& wc) {
     a.u64("arrive", wc.arrive);
@@ -599,13 +619,28 @@ void Network::fields(Archive& a) {
     const Archive::Scope s = a.scope("latency_quantiles");
     latency_quantiles_.fields(a);
   }
-  a.table("router_live", router_live_, [&a](std::uint8_t& live) {
-    bool b = live != 0;
-    a.b("", b);
-    if (a.loading()) live = b ? 1 : 0;
-  });
-  a.each("routers", routers_, [&a](Router& router) { router.fields(a); });
-  if (a.loading()) rebuild_shard_counters();
+  // The live set, one bool per router (what Archive::table writes).
+  {
+    const Archive::Scope s = a.scope("router_live");
+    a.fingerprint<std::uint64_t>("count", routers_.size());
+  }
+  for (std::uint32_t n = 0; n < routers_.size(); ++n) {
+    const Archive::Scope s = a.scope("router_live", n);
+    bool live = router_live(NodeId(n));
+    a.b("", live);
+    if (!a.loading()) continue;
+    const std::uint32_t at = live_bit_[n];
+    const std::uint64_t b = std::uint64_t{1} << (at & 63);
+    if (live)
+      live_words_[at >> 6] |= b;
+    else
+      live_words_[at >> 6] &= ~b;
+  }
+  a.each("routers", routers_,
+         [this, &a](Router& router) { router.fields(a, packets_); });
+  if (!a.loading()) return;
+  packets_.finish_restore();
+  rebuild_shard_counters();
 }
 
 void Network::rebuild_shard_counters() {
@@ -622,9 +657,9 @@ void Network::rebuild_shard_counters() {
     if (!nic.queue.empty()) ++shard_nonempty_nics_[s];
     Flits backlog = -nic.sent_of_current;
     for (std::size_t i = 0; i < nic.queue.size(); ++i)
-      backlog += nic.queue[i].length;
+      backlog += packets_[nic.queue[i]].length;
     shard_nic_backlog_[s] += backlog;
-    if (router_live_[n] != 0) ++shard_live_[s];
+    if (router_live(NodeId(static_cast<std::uint32_t>(n)))) ++shard_live_[s];
   }
 }
 

@@ -88,7 +88,7 @@ struct DeliveredPacket {
   Cycle delivered = 0;
 };
 
-class Network final : public sim::Component, private RouterEnv {
+class Network final : public sim::Component {
  public:
   // Wire records live at namespace scope (shard.hpp) so the shard lanes
   // can stage them; the nested names remain for the audit accessors.
@@ -97,9 +97,10 @@ class Network final : public sim::Component, private RouterEnv {
 
   explicit Network(const NetworkConfig& config);
 
-  /// Queues a packet at its source NIC.  Unbounded NIC queue — sources are
-  /// modelled as having their own memory; fairness pressure happens inside
-  /// the fabric.
+  /// Queues a packet at its source NIC and files it in the packet table,
+  /// where it stays until its tail is ejected.  Unbounded NIC queue —
+  /// sources are modelled as having their own memory; fairness pressure
+  /// happens inside the fabric.  Call between ticks.
   void inject(Cycle now, const PacketDescriptor& packet);
 
   /// One network cycle: deliver in-flight flits/credits, inject from NICs
@@ -218,8 +219,14 @@ class Network final : public sim::Component, private RouterEnv {
   }
   /// Whether router `node` is enrolled in the active set this cycle.
   [[nodiscard]] bool router_live(NodeId node) const {
-    return router_live_[node.index()] != 0;
+    const std::uint32_t at = live_bit_[node.index()];
+    return ((live_words_[at >> 6] >> (at & 63)) & 1) != 0;
   }
+  /// The packets the fabric holds, each from inject() to its tail's
+  /// ejection; every flit names its packet by slot.  Mutable for tests
+  /// that plant a flit past inject(): its packet is filed here first.
+  [[nodiscard]] const PacketTable& packets() const { return packets_; }
+  [[nodiscard]] PacketTable& packets() { return packets_; }
   [[nodiscard]] std::uint32_t live_router_count() const {
     std::uint32_t total = 0;
     for (const std::uint32_t c : shard_live_) total += c;
@@ -252,18 +259,17 @@ class Network final : public sim::Component, private RouterEnv {
 
  private:
   friend class ShardLane;
+  friend class Router;  // ticks against the network as its env
 
-  // RouterEnv:
-  void send_flit(NodeId from, Direction out, const Flit& flit) override;
-  void eject(NodeId node, const Flit& flit, Cycle now) override;
-  void send_credit(NodeId node, Direction in, std::uint32_t cls) override;
-  void send_signal(NodeId node, Direction in, std::uint32_t cls,
-                   bool on) override;
+  // The router env of the caller-thread tick (see RouterEnv).
+  void send_flit(NodeId from, Direction out, const Flit& flit);
+  void eject(NodeId node, const Flit& flit, Cycle now);
+  void send_credit(NodeId node, Direction in, std::uint32_t cls);
+  void send_signal(NodeId node, Direction in, std::uint32_t cls, bool on);
   RouteDecision route(NodeId node, const Flit& flit, Direction in_from,
-                      std::uint32_t in_class) override;
+                      std::uint32_t in_class);
   void route_candidates(NodeId node, const Flit& flit, Direction in_from,
-                        std::uint32_t in_class,
-                        RouteCandidates& out) override;
+                        std::uint32_t in_class, RouteCandidates& out);
 
   /// Files a due wire entry into its router — a credit-wire entry by
   /// kind, to accept_credit or accept_signal — and enrolls the router in
@@ -291,7 +297,7 @@ class Network final : public sim::Component, private RouterEnv {
                   std::uint32_t cls, WireCredit::Kind kind);
 
   struct Nic {
-    RingBuffer<PacketDescriptor> queue;
+    RingBuffer<PacketSlot> queue;  // slots in packets_
     Flits sent_of_current = 0;
   };
 
@@ -299,14 +305,22 @@ class Network final : public sim::Component, private RouterEnv {
   void rebuild_shard_counters();
 
   /// Enrolls router `index` in the active set (idempotent).
-  void mark_live(std::size_t index);
+  void mark_live(std::size_t index) {
+    const std::uint32_t at = live_bit_[index];
+    std::uint64_t& word = live_words_[at >> 6];
+    const std::uint64_t b = std::uint64_t{1} << (at & 63);
+    if ((word & b) != 0) return;
+    word |= b;
+    ++shard_live_[shard_of_[index]];
+  }
 
   /// The per-range step of tick(): shards [first, last) deliver the
   /// arrivals staged on their lanes, inject from their NICs (unless
-  /// `frozen`) and tick their routers against `env`, recording delta
-  /// events into `delta`.
+  /// `frozen`) and tick their routers against `env` (the network itself
+  /// or the shard's lane), recording delta events into `delta`.
+  template <class Env>
   void step(Cycle now, bool frozen, std::uint32_t first, std::uint32_t last,
-            RouterEnv& env, CycleDelta& delta);
+            Env& env, CycleDelta& delta);
   /// Moves one flit of NIC `n`'s front packet into the router if the
   /// local VC has room; delta events go to `delta` (the global delta on
   /// the caller thread, the owning lane's on the lanes).
@@ -346,6 +360,7 @@ class Network final : public sim::Component, private RouterEnv {
   NetworkConfig config_;
   Topology topo_;
   std::vector<Router> routers_;
+  PacketTable packets_;
   std::vector<Nic> nics_;
   // Constant latency means launch order == arrival order: plain FIFOs.
   RingBuffer<WireFlit> flit_wire_;
@@ -380,13 +395,18 @@ class Network final : public sim::Component, private RouterEnv {
   // once so the tick hot path tests a bool.
   bool freeze_on_stall_ = false;
   Cycle now_ = 0;  // cached for send_flit latency stamping
-  // Active-set bookkeeping.  router_live_[n] means router n must tick
-  // this cycle (it holds work or just received a flit/credit); the
-  // per-shard counters make idle() O(shards).  Counters are split per
-  // shard domain so each lane writes only its own shards' counters; the
-  // caller thread uses the same arrays (one shard when config.shards ==
-  // 1).
-  std::vector<std::uint8_t> router_live_;
+  // Active-set bookkeeping.  Router n's live bit means it must tick this
+  // cycle (it holds work or just received a flit/credit); step() walks
+  // the set bits.  Each shard's bits start a fresh word, so a lane never
+  // writes a word another lane writes; live_bit_[n] is router n's bit
+  // position (word * 64 + bit), shard_words_[s] the first word of shard
+  // s.  The per-shard counters make idle() O(shards).  Counters are split
+  // per shard domain so each lane writes only its own shards' counters;
+  // the caller thread uses the same arrays (one shard when config.shards
+  // == 1).
+  std::vector<std::uint64_t> live_words_;
+  std::vector<std::uint32_t> live_bit_;
+  std::vector<std::uint32_t> shard_words_;
   std::vector<std::uint32_t> shard_live_;          // live routers per shard
   std::vector<std::uint32_t> shard_nonempty_nics_;  // NICs with backlog
   std::vector<Flits> shard_nic_backlog_;            // queued flits per shard

@@ -1,6 +1,8 @@
 #include "wormhole/patterns.hpp"
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "common/assert.hpp"
 #include "common/archive.hpp"
@@ -161,6 +163,12 @@ void NetworkTrafficSource::restore_state(SnapshotReader& r) {
 TraceTrafficSource::TraceTrafficSource(Network& network, const Config& config)
     : network_(network), config_(config), rng_(config.seed) {
   WS_CHECK_MSG(config_.trace != nullptr, "trace source needs a trace");
+  const Flits longest = config_.trace->max_observed_length();
+  if (longest > kMaxPacketFlits)
+    throw std::invalid_argument(
+        "trace holds a packet of " + std::to_string(longest) +
+        " flits; a fabric packet has at most " +
+        std::to_string(kMaxPacketFlits));
 }
 
 void TraceTrafficSource::tick(Cycle now) {

@@ -15,7 +15,7 @@
 //
 //   Per-shard step (lanes): each lane delivers its shard's credits and
 //   flits, injects from its shard's NICs, and ticks its shard's routers
-//   with the ShardLane as the RouterEnv.  Sends and ejections are staged
+//   with the ShardLane as the router env.  Sends and ejections are staged
 //   into per-shard queues; nothing global is written.  Router ticks are
 //   mutually independent within a cycle (all inter-router interaction
 //   travels over wires with link_latency >= 1), so any lane interleaving
@@ -30,6 +30,10 @@
 //   for byte.  Ejections replay in the same order, keeping the delivered
 //   log and the latency RunningStats (floating-point summation order
 //   included) bit-identical.
+//
+//   The packet table is read-only on the lanes: its slots are taken in
+//   Network::inject(), between ticks, and released in Network::eject(),
+//   which the commit replays on the caller thread.
 //
 // Each lane also accumulates its own CycleDelta; the commit merges the
 // lane deltas into the global delta handed to ObserverMux, so incremental
@@ -59,6 +63,7 @@ struct WireFlit {
   std::uint32_t cls;
   Flit flit;
 };
+static_assert(sizeof(WireFlit) <= 32, "a wire entry fits half a cache line");
 /// One credit — or, in on/off flow control, one threshold signal — in
 /// flight back to `to`'s output (`out`, `cls`).  Signals share the
 /// credit wire (same latency, same FIFO order) so the sharded tick's
@@ -72,37 +77,38 @@ struct WireCredit {
   Kind kind = Kind::kCredit;
 };
 
-/// Per-shard staging state + the RouterEnv its routers tick against on
-/// the lanes.  Owned by the Network, one per shard domain; every vector
-/// is cleared — never shrunk — each cycle, so the sharded tick allocates
-/// nothing in steady state.  Sends go through the network's own
-/// wire-record helpers and routing through its oracle (defined in
-/// network.cpp).
-class ShardLane final : public RouterEnv {
+/// Per-shard staging state + the env its routers tick against on the
+/// lanes (see RouterEnv).  Owned by the Network, one per shard domain;
+/// every vector is cleared — never shrunk — each cycle, so the sharded
+/// tick allocates nothing in steady state.  Sends go through the
+/// network's own wire-record helpers and routing through its oracle
+/// (defined in network.cpp, where Router::tick is instantiated for this
+/// env).
+class ShardLane final {
  public:
   ShardLane() = default;
 
  private:
   friend class Network;
+  friend class Router;  // ticks against the lane as its env
+
+  // The env: stage instead of mutating the global fabric.  Only this
+  // lane's thread runs these during the per-shard step, and they touch
+  // only this lane's vectors, this lane's routers' touched flags, and
+  // read-only network state (the packet table included).
+  void send_flit(NodeId from, Direction out, const Flit& flit);
+  void eject(NodeId node, const Flit& flit, Cycle now);
+  void send_credit(NodeId node, Direction in, std::uint32_t cls);
+  void send_signal(NodeId node, Direction in, std::uint32_t cls, bool on);
+  RouteDecision route(NodeId node, const Flit& flit, Direction in_from,
+                      std::uint32_t in_class);
+  void route_candidates(NodeId node, const Flit& flit, Direction in_from,
+                        std::uint32_t in_class, RouteCandidates& out);
 
   struct StagedEjection {
     NodeId node;
     Flit flit;
   };
-
-  // RouterEnv: stage instead of mutating the global fabric.  Only this
-  // lane's thread runs these during the per-shard step, and they touch
-  // only this lane's vectors, this lane's routers' touched flags, and
-  // read-only network state.
-  void send_flit(NodeId from, Direction out, const Flit& flit) override;
-  void eject(NodeId node, const Flit& flit, Cycle now) override;
-  void send_credit(NodeId node, Direction in, std::uint32_t cls) override;
-  void send_signal(NodeId node, Direction in, std::uint32_t cls,
-                   bool on) override;
-  RouteDecision route(NodeId node, const Flit& flit, Direction in_from,
-                      std::uint32_t in_class) override;
-  void route_candidates(NodeId node, const Flit& flit, Direction in_from,
-                        std::uint32_t in_class, RouteCandidates& out) override;
 
   /// Clears every per-cycle vector (capacity retained).
   void clear_cycle();

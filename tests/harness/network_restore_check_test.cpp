@@ -1,15 +1,19 @@
 // Crafted network checkpoints: a CRC only guards accidental damage, so a
 // router restore must re-derive its pending masks and counters from the
-// restored units, and reject a CRC-valid file whose router state a run
+// restored units, a packet-table rebuild must find every flit of a packet
+// in agreement, and both must reject a CRC-valid file whose state a run
 // cannot produce — with SnapshotError in the library and exit 2 in the
-// CLI, never an out-of-bounds walk in the sparse pipeline.  The crafted
-// files patch fields of a mid-run checkpoint by path.
+// CLI, never an out-of-bounds walk in the sparse pipeline or an abort at
+// ejection.  The crafted files patch fields of a mid-run checkpoint by
+// path.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <string>
 #include <string_view>
 #include <tuple>
@@ -77,6 +81,42 @@ struct MidRunCheckpoint {
       if (f.path.find(within) != std::string::npos && f.path.ends_with(leaf))
         return f.path;
     return {};
+  }
+  /// Every packet record, keyed by packet id: the path prefix of each
+  /// queued NIC packet (before ".id") and each flit in flight (before
+  /// ".packet"), in payload order.
+  [[nodiscard]] std::map<std::uint64_t, std::vector<std::string>> records()
+      const {
+    std::map<std::uint64_t, std::vector<std::string>> out;
+    for (const FieldInfo& f : map) {
+      const bool queued = f.path.find(".queue[") != std::string::npos &&
+                          f.path.ends_with(".id");
+      const bool flit = (f.path.find("flit_wire[") != std::string::npos ||
+                         f.path.find(".buffer[") != std::string::npos) &&
+                        f.path.ends_with(".packet");
+      if (!queued && !flit) continue;
+      const std::size_t leaf = f.path.rfind('.');
+      out[value(f.path)].push_back(f.path.substr(0, leaf));
+    }
+    return out;
+  }
+  /// The checkpoint with `leaf` set to `v` in every record of the packet
+  /// whose record holds `path`: the packet stays one consistent worm.
+  [[nodiscard]] SnapshotFile with_packet(const std::string& path,
+                                         std::string_view leaf,
+                                         std::uint64_t v) const {
+    const std::string record = path.substr(0, path.size() - leaf.size());
+    for (const auto& [id, prefixes] : records()) {
+      if (std::find(prefixes.begin(), prefixes.end(), record) ==
+          prefixes.end())
+        continue;
+      SnapshotFile out = file;
+      for (const std::string& prefix : prefixes)
+        test::set(out.payload, map, prefix + std::string(leaf), v);
+      return out;
+    }
+    ADD_FAILURE() << "no packet record at " << record;
+    return file;
   }
 
   SnapshotFile file;
@@ -248,10 +288,103 @@ TEST(NetworkRestoreCheck, RejectsFlitsAndPacketsOfNodesOutsideTheFabric) {
           << path;
       EXPECT_THROW(NetworkRun(config(), c.with(path, 16)), SnapshotError)
           << path;
-      // Control: the last node restores.
-      EXPECT_NO_THROW(NetworkRun(config(), c.with(path, 15))) << path;
+      // Control: the last node restores, set in every record of the
+      // packet (one record alone would disagree with the rest of its
+      // worm; see RejectsFlitsThatDisagreeWithTheirWorm).
+      EXPECT_NO_THROW(NetworkRun(config(), c.with_packet(path, leaf, 15)))
+          << path;
     }
   }
+}
+
+/// The first packet with at least two flits in flight and no NIC record
+/// (its tail has left its NIC): the prefixes of its first two flits.
+std::pair<std::string, std::string> worm_in_flight(const MidRunCheckpoint& c) {
+  for (const auto& [id, prefixes] : c.records()) {
+    if (prefixes.size() < 2 || prefixes[0].find(".queue[") != std::string::npos)
+      continue;
+    return {prefixes[0], prefixes[1]};
+  }
+  ADD_FAILURE() << "no packet has two flits in flight";
+  return {};
+}
+
+/// Expects restoring `file` to throw a SnapshotError naming `path`.
+void expect_rejected_at(const SnapshotFile& file, const std::string& path) {
+  try {
+    NetworkRun run(config(), file);
+    ADD_FAILURE() << path << " was accepted";
+  } catch (const SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+        << e.what();
+  }
+}
+
+/// A flit of the worm worm_in_flight() finds with its dest moved to
+/// another in-range node.
+SnapshotFile flit_off_its_worm(const MidRunCheckpoint& c) {
+  const std::string dest = worm_in_flight(c).second + ".dest";
+  return c.with(dest, (c.value(dest) + 1) % 16);
+}
+
+TEST(NetworkRestoreCheck, RejectsFlitsThatDisagreeWithTheirWorm) {
+  // Before the packet table each flit carried its packet's fields, and a
+  // body flit whose in-range dest differed from its head's passed the
+  // restore and aborted the run at ejection ("flit ejected at the wrong
+  // node", exit 134).  The table files a packet once; a flit that
+  // disagrees with the others of its id is rejected at its field.
+  const MidRunCheckpoint c;
+  const std::string second = worm_in_flight(c).second;
+  ASSERT_FALSE(second.empty());
+  for (const char* leaf : {".flow", ".source", ".dest", ".created"}) {
+    const std::string path = second + leaf;
+    const std::uint64_t v = c.value(path);
+    expect_rejected_at(c.with(path, leaf == std::string(".created") ||
+                                            leaf == std::string(".flow")
+                                        ? v + 1
+                                        : (v + 1) % 16),
+                       path);
+  }
+  expect_rejected_at(flit_off_its_worm(c), second + ".dest");
+}
+
+TEST(NetworkRestoreCheck, RejectsTwoFlitsOfOnePacketWithOneIndex) {
+  const MidRunCheckpoint c;
+  const auto [first, second] = worm_in_flight(c);
+  ASSERT_FALSE(second.empty());
+  SnapshotFile out = c.with(second + ".index", c.value(first + ".index"));
+  test::set(out.payload, c.map, second + ".type", c.value(first + ".type"));
+  expect_rejected_at(out, second + ".index");
+}
+
+TEST(NetworkRestoreCheck, RejectsFlitsThatContradictTheirNicFront) {
+  // A NIC part-way through its front packet has sent that packet's first
+  // sent_of_current flits; the flits of its id in flight must agree with
+  // the queued record and lie among those flits.
+  const MidRunCheckpoint c;
+  std::string nic;
+  std::string flit;
+  for (const auto& [id, prefixes] : c.records()) {
+    if (prefixes.size() < 2 || prefixes[0].find(".queue[0]") ==
+                                   std::string::npos)
+      continue;
+    const std::string owner =
+        prefixes[0].substr(0, prefixes[0].find(".queue[0]"));
+    if (c.value(owner + ".sent_of_current") == 0) continue;
+    nic = owner;
+    flit = prefixes[1];
+    break;
+  }
+  ASSERT_FALSE(nic.empty()) << "no NIC part-way through a packet in flight";
+  const std::string front = nic + ".queue[0]";
+  expect_rejected_at(c.with(front + ".dest", (c.value(front + ".dest") + 1) %
+                                                 16),
+                     flit + ".dest");
+  expect_rejected_at(c.with(front + ".created", c.value(front + ".created") + 1),
+                     flit + ".created");
+  // Its NIC had sent none of the flit's index yet.
+  expect_rejected_at(c.with(nic + ".sent_of_current", c.value(flit + ".index")),
+                     flit + ".index");
 }
 
 TEST(NetworkRestoreCheck, CliRestoreOfCraftedFilesExits2) {
@@ -275,6 +408,7 @@ TEST(NetworkRestoreCheck, CliRestoreOfCraftedFilesExits2) {
        c.with(c.first("flit_wire[", ".source"), kFarNode), 2},
       {"packet_to_outside_the_fabric",
        c.with(c.first(".queue[", ".dest"), kFarNode), 2},
+      {"flit_off_its_worm", flit_off_its_worm(c), 2},
   };
   for (const auto& [name, file, expected] : cases) {
     const std::string path =

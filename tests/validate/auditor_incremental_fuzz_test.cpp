@@ -189,13 +189,11 @@ std::set<std::string> run_with_planted_flit(AuditMode mode) {
   // phantom cannot interleave with a real packet's flit stream — the
   // simulation itself keeps running on valid state.
   wormhole::Flit phantom;
-  phantom.packet = PacketId(1'000'000);
-  phantom.flow = FlowId(0);
-  phantom.source = NodeId(5);
-  phantom.dest = NodeId(5);
+  phantom.slot = net.packets().add(wormhole::PacketDescriptor{
+      .id = PacketId(1'000'000), .flow = FlowId(0), .source = NodeId(5),
+      .dest = NodeId(5), .length = 1, .created = 200});
   phantom.type = wormhole::FlitType::kHeadTail;
   phantom.index = 0;
-  phantom.created = 200;
   net.router(NodeId(5)).accept_flit(Direction::kLocal, 1, phantom);
   engine.run_until(traffic.inject_until);
   const Cycle end = engine.run_until_idle(200'000);

@@ -94,10 +94,9 @@ TEST(NetworkAuditorTest, FinishFlushesTailWindow) {
   // from here on, but cycles 97-98 fall between samples.
   wormhole::Flit phantom;
   phantom.type = wormhole::FlitType::kHeadTail;
-  phantom.packet = PacketId(1'000'000);
-  phantom.flow = FlowId(0);
-  phantom.source = NodeId(3);
-  phantom.dest = NodeId(3);
+  phantom.slot = net.packets().add(wormhole::PacketDescriptor{
+      .id = PacketId(1'000'000), .flow = FlowId(0), .source = NodeId(3),
+      .dest = NodeId(3)});
   net.router(NodeId(3)).accept_flit(wormhole::Direction::kLocal, 0, phantom);
   engine.run_until(99);
   ASSERT_TRUE(log.clean()) << "tail cycles must not have been sampled yet";

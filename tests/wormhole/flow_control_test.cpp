@@ -1,11 +1,16 @@
-// On/off (threshold) flow control at the router level, the infinite
-// buffer model, and the config-validation death tests (buffer_depth 0,
+// On/off (threshold) flow control at the router level, the hysteresis
+// walk over changed units against a full rescan, the infinite buffer
+// model, and the config-validation death tests (buffer_depth 0,
 // malformed watermarks, signals into a credit-only environment).
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <memory>
 #include <vector>
 
+#include "common/archive.hpp"
+#include "common/rng.hpp"
+#include "common/snapshot.hpp"
 #include "wormhole/network.hpp"
 #include "wormhole/router.hpp"
 
@@ -22,18 +27,16 @@ struct SentSignal {
 /// class's aborting send_signal (see the death test).
 class OnOffEnv final : public RouterEnv {
  public:
-  void send_flit(NodeId, Direction out, const Flit& flit) override {
+  void send_flit(NodeId, Direction out, const Flit& flit) {
     sent.push_back(out);
     (void)flit;
   }
-  void eject(NodeId, const Flit&, Cycle) override { ++ejected; }
-  void send_credit(NodeId, Direction, std::uint32_t) override { ++credits; }
-  void send_signal(NodeId, Direction in, std::uint32_t cls,
-                   bool on) override {
+  void eject(NodeId, const Flit&, Cycle) { ++ejected; }
+  void send_credit(NodeId, Direction, std::uint32_t) { ++credits; }
+  void send_signal(NodeId, Direction in, std::uint32_t cls, bool on) {
     signals.push_back(SentSignal{in, cls, on});
   }
-  RouteDecision route(NodeId, const Flit&, Direction,
-                      std::uint32_t) override {
+  RouteDecision route(NodeId, const Flit&, Direction, std::uint32_t) {
     return RouteDecision{Direction::kEast, 0, false};
   }
 
@@ -47,13 +50,11 @@ class OnOffEnv final : public RouterEnv {
 /// to node 0.
 constexpr std::uint32_t kNodes = 2;
 
+/// A flit of packet slot `packet` (no test here reads the packet table).
 Flit make_flit(std::uint64_t packet, Flits index, Flits length) {
   Flit f;
-  f.packet = PacketId(packet);
-  f.flow = FlowId(0);
-  f.source = NodeId(1);
-  f.dest = NodeId(0);
-  f.index = index;
+  f.slot = static_cast<PacketSlot>(packet);
+  f.index = static_cast<std::uint32_t>(index);
   const bool head = index == 0;
   const bool tail = index + 1 == length;
   f.type = head && tail ? FlitType::kHeadTail
@@ -147,6 +148,115 @@ TEST(OnOffNetwork, AutoWatermarksResolveFromLinkLatency) {
   EXPECT_EQ(net.config().router.on_low, 4u);
 }
 
+// --- Hysteresis over changed units -----------------------------------------
+
+/// Drives one on/off router with `config` through random arrivals on five
+/// non-local input units, departures through the east output (parked and
+/// released at random), frozen cycles (arrivals land, the router does not
+/// tick) and two save/restore round trips, and checks every tick's
+/// signals against a scan of every unit that the test computes itself.
+/// Returns the ticks whose signals were re-fired with no flit moving.
+int check_hysteresis_against_rescan(const RouterConfig& config) {
+  struct Unit {
+    Direction in;
+    std::uint32_t cls;
+    Flits next_index = 0;
+    std::uint64_t packet = 0;
+  };
+  std::vector<Unit> units = {{Direction::kNorth, 0}, {Direction::kNorth, 1},
+                             {Direction::kWest, 0},  {Direction::kWest, 1},
+                             {Direction::kSouth, 0}};
+  constexpr Flits kLength = 3;
+  PacketTable packets;
+  OnOffEnv env;
+  auto r = std::make_unique<Router>(NodeId(0), config, kNodes);
+  Rng rng(11);
+  // The scan the router's mask walk must reproduce: per non-local unit,
+  // in ascending unit order, off at >= on_high, on at <= on_low.
+  std::vector<bool> off(r->num_units(), false);
+  int refires = 0;
+  std::size_t signals_seen = 0;
+  std::uint64_t next_id = 0;
+  for (Cycle t = 0; t < 600; ++t) {
+    bool moved = false;
+    for (Unit& u : units) {
+      if (!rng.bernoulli(0.35) ||
+          r->input_buffer_size(u.in, u.cls) >= config.buffer_depth)
+        continue;
+      if (u.next_index == 0)
+        u.packet = packets.add(PacketDescriptor{
+            PacketId(next_id++), FlowId(0), NodeId(1), NodeId(0), kLength,
+            t});
+      Flit f = make_flit(u.packet, u.next_index, kLength);
+      f.vc_class = static_cast<std::uint8_t>(u.cls);
+      r->accept_flit(u.in, u.cls, f);
+      u.next_index = (u.next_index + 1) % kLength;
+      moved = true;
+    }
+    if (rng.bernoulli(0.2))
+      r->accept_signal(Direction::kEast, 0, rng.bernoulli(0.5));
+    if (t == 200 || t == 400) {
+      SnapshotWriter w;
+      Archive save(w);
+      r->fields(save, packets);
+      auto restored = std::make_unique<Router>(NodeId(0), config, kNodes);
+      SnapshotReader in(w.bytes());
+      Archive load(in);
+      restored->fields(load, packets);
+      packets.finish_restore();
+      r = std::move(restored);
+    }
+    if (rng.bernoulli(0.1)) continue;  // a frozen cycle
+    const std::size_t sent_before = env.sent.size();
+    r->tick(t, env);
+    moved |= env.sent.size() != sent_before;
+    std::vector<SentSignal> expected;
+    for (std::uint32_t g = config.num_vcs; g < r->num_units(); ++g) {
+      const Direction d = r->unit_direction(g);
+      const std::uint32_t cls = r->unit_class(g);
+      const std::size_t occ = r->input_buffer_size(d, cls);
+      if (!off[g] && occ >= config.on_high) {
+        off[g] = true;
+        expected.push_back(SentSignal{d, cls, false});
+      } else if (off[g] && occ <= config.on_low) {
+        off[g] = false;
+        expected.push_back(SentSignal{d, cls, true});
+      }
+    }
+    EXPECT_EQ(env.signals.size() - signals_seen, expected.size()) << t;
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      if (signals_seen + i >= env.signals.size()) break;
+      const SentSignal& got = env.signals[signals_seen + i];
+      EXPECT_EQ(got.in, expected[i].in) << t;
+      EXPECT_EQ(got.cls, expected[i].cls) << t;
+      EXPECT_EQ(got.on, expected[i].on) << t;
+    }
+    if (!moved && !expected.empty()) ++refires;
+    signals_seen = env.signals.size();
+  }
+  EXPECT_GT(signals_seen, 20u);
+  return refires;
+}
+
+TEST(OnOffHysteresis, EqualWatermarksMatchAFullRescan) {
+  // on_low == on_high: a unit sitting at the watermark fires every tick,
+  // off and on in turn, even when no flit moves.
+  RouterConfig config = onoff_config();
+  config.buffer_depth = 8;
+  config.on_low = config.on_high = 3;
+  EXPECT_GT(check_hysteresis_against_rescan(config), 0);
+}
+
+TEST(OnOffHysteresis, AutoWatermarksMatchAFullRescan) {
+  NetworkConfig fabric;
+  fabric.router = onoff_config();
+  fabric.router.buffer_depth = 8;
+  fabric.router.on_high = fabric.router.on_low = 0;  // auto
+  const RouterConfig config = Network(fabric).config().router;
+  ASSERT_LT(config.on_low, config.on_high);
+  check_hysteresis_against_rescan(config);
+}
+
 using FlowControlDeathTest = ::testing::Test;
 
 TEST(FlowControlDeathTest, BufferDepthZeroAbortsRouter) {
@@ -176,15 +286,14 @@ TEST(FlowControlDeathTest, MalformedWatermarksAbort) {
 }
 
 TEST(FlowControlDeathTest, CreditOnlyEnvRejectsSignals) {
-  // An env that never overrides send_signal (the credit-era interface)
+  // An env that never defines send_signal (the credit-era interface)
   // must abort loudly if an on/off router tries to signal through it.
   class CreditOnlyEnv final : public RouterEnv {
    public:
-    void send_flit(NodeId, Direction, const Flit&) override {}
-    void eject(NodeId, const Flit&, Cycle) override {}
-    void send_credit(NodeId, Direction, std::uint32_t) override {}
-    RouteDecision route(NodeId, const Flit&, Direction,
-                        std::uint32_t) override {
+    void send_flit(NodeId, Direction, const Flit&) {}
+    void eject(NodeId, const Flit&, Cycle) {}
+    void send_credit(NodeId, Direction, std::uint32_t) {}
+    RouteDecision route(NodeId, const Flit&, Direction, std::uint32_t) {
       return RouteDecision{Direction::kEast, 0, false};
     }
   };

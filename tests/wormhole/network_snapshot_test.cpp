@@ -95,6 +95,52 @@ TEST(NetworkSnapshot, SerialRestoreOfShardedCheckpointIsIdentical) {
   expect_identical(a, b);
 }
 
+/// The fabric's checkpoint bytes.
+std::vector<std::uint8_t> fabric_bytes(const wormhole::Network& net) {
+  SnapshotWriter w;
+  net.save_state(w);
+  return w.take();
+}
+
+/// Saves `config` mid-flight at `split`, restores the checkpoint and
+/// saves the restored fabric again: the restore rebuilds the packet table
+/// from the flit records, and the second save must reproduce the first
+/// byte for byte.  Fails the test unless flits are in flight at the save.
+void expect_resave_identical(const NetworkScenarioConfig& config,
+                             std::uint64_t seed, Cycle split) {
+  NetworkRun run(config, seed);
+  run.advance_to(split);
+  ASSERT_GT(run.network().flit_wire().size(), 0u);
+  ASSERT_GT(run.network().packets().size(), 0u);
+  const NetworkRun restored(config, run.make_snapshot_file());
+  EXPECT_EQ(restored.network().packets().size(),
+            run.network().packets().size());
+  EXPECT_TRUE(fabric_bytes(restored.network()) ==
+              fabric_bytes(run.network()));
+}
+
+TEST(NetworkSnapshot, MidFlightMeshResavesByteIdentically) {
+  NetworkScenarioConfig config = base_config();
+  config.network.topo = wormhole::TopologySpec::mesh(4, 4);
+  config.traffic.packets_per_node_per_cycle = 0.08;
+  config.faults.enabled = true;
+  config.faults.link_stall_rate = 0.1;
+  config.faults.link_stall_cycles = 4;
+  config.faults.credit_stall_rate = 0.05;
+  config.faults.credit_stall_cycles = 16;
+  expect_resave_identical(config, 3, 500);
+}
+
+TEST(NetworkSnapshot, MidFlightFatTreeResavesByteIdentically) {
+  NetworkScenarioConfig config = base_config();
+  config.network.topo = wormhole::TopologySpec::fat_tree(4);
+  config.network.router.flow_control = wormhole::FlowControl::kOnOff;
+  config.network.routing =
+      wormhole::NetworkConfig::Routing::kUpDownAdaptive;
+  config.traffic.packets_per_node_per_cycle = 0.1;
+  expect_resave_identical(config, 7, 600);
+}
+
 TEST(NetworkSnapshot, SourceRngContinuesAcrossRestore) {
   // The generated-packet count at every later cycle pins the Bernoulli
   // draw stream: one skipped or repeated draw after restore shifts it.

@@ -8,6 +8,11 @@
 namespace wormsched::wormhole {
 namespace {
 
+// What a flit-hop moves: a flit names its packet by slot (flit.hpp and
+// shard.hpp assert the 16- and 32-byte bounds).
+static_assert(sizeof(Flit) == 12);
+static_assert(sizeof(Network::WireFlit) == 32);
+
 PacketDescriptor make_packet(std::uint64_t id, std::uint32_t src,
                              std::uint32_t dest, Flits len, Cycle created) {
   PacketDescriptor p;
@@ -24,6 +29,29 @@ Cycle run_to_idle(Network& net, Cycle cap = 200000) {
   sim::Engine engine;
   engine.add_component(net);
   return engine.run_until_idle(cap);
+}
+
+TEST(Network, PacketTableHoldsOnlyPacketsInTheFabric) {
+  // Every packet is filed at inject() and released at its tail's
+  // ejection, so a drained fabric holds none, and the table grows only to
+  // the packets held at once.
+  NetworkConfig config;
+  config.topo = TopologySpec::mesh(4, 4);
+  Network net(config);
+  sim::Engine engine;
+  engine.add_component(net);
+  std::uint64_t id = 0;
+  for (Cycle t = 0; t < 2'000; t += 20) {
+    for (std::uint32_t n = 0; n < 16; ++n)
+      net.inject(t, make_packet(id++, n, 15 - n, 4, t));
+    EXPECT_EQ(net.packets().size(), net.injected_packets() -
+                                        net.delivered_packets());
+    engine.run_until(t + 20);
+  }
+  engine.run_until_idle(100'000);
+  EXPECT_EQ(net.delivered_packets(), id);
+  EXPECT_EQ(net.packets().size(), 0u);
+  EXPECT_LT(net.packets().capacity(), id / 4);
 }
 
 TEST(Network, DeliversSinglePacketAcrossMesh) {

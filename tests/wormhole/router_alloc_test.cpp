@@ -1,6 +1,6 @@
 // Allocation audit for the router hot path: after warm-up, Router::tick
-// (including route computation via RouterEnv::route_candidates) must
-// execute without touching the heap.
+// (including route computation) must execute without touching the heap,
+// and the packet table must file a new packet in a released slot.
 //
 // The hook is a counting override of the global allocation functions —
 // all four shapes the library uses (plain and aligned, scalar and array)
@@ -11,7 +11,9 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
+#include "wormhole/flit.hpp"
 #include "wormhole/router.hpp"
 
 namespace {
@@ -56,15 +58,14 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 namespace wormsched::wormhole {
 namespace {
 
-/// Heap-free RouterEnv: every callback folds into plain counters, so any
+/// Heap-free env: every callback folds into plain counters, so any
 /// allocation the audit catches belongs to the router itself.
 class CountingEnv final : public RouterEnv {
  public:
-  void send_flit(NodeId, Direction, const Flit&) override { ++sent; }
-  void eject(NodeId, const Flit&, Cycle) override { ++ejected; }
-  void send_credit(NodeId, Direction, std::uint32_t) override { ++credits; }
-  RouteDecision route(NodeId, const Flit&, Direction,
-                      std::uint32_t) override {
+  void send_flit(NodeId, Direction, const Flit&) { ++sent; }
+  void eject(NodeId, const Flit&, Cycle) { ++ejected; }
+  void send_credit(NodeId, Direction, std::uint32_t) { ++credits; }
+  RouteDecision route(NodeId, const Flit&, Direction, std::uint32_t) {
     return RouteDecision{Direction::kLocal, 0, false};
   }
 
@@ -77,13 +78,11 @@ class CountingEnv final : public RouterEnv {
 /// to node 0.
 constexpr std::uint32_t kNodes = 2;
 
+/// A flit of packet slot `packet` (no test here reads the packet table).
 Flit make_flit(std::uint64_t packet, Flits index, Flits length) {
   Flit f;
-  f.packet = PacketId(packet);
-  f.flow = FlowId(0);
-  f.source = NodeId(1);
-  f.dest = NodeId(0);
-  f.index = index;
+  f.slot = static_cast<PacketSlot>(packet);
+  f.index = static_cast<std::uint32_t>(index);
   const bool head = index == 0;
   const bool tail = index + 1 == length;
   f.type = head && tail ? FlitType::kHeadTail
@@ -136,6 +135,42 @@ std::uint64_t measure_steady_state() {
 
 TEST(RouterAlloc, SparsePipelineSteadyStateIsAllocationFree) {
   EXPECT_EQ(measure_steady_state(), 0u);
+}
+
+TEST(PacketTableAlloc, MillionPacketsReuseSlotsWithoutAllocating) {
+  // 64 packets held at once and released oldest first, as a fabric
+  // ejects them: once the table and its free list have grown, a million
+  // more packets pass through the same 64 slots.
+  constexpr std::size_t kHeld = 64;
+  constexpr std::uint64_t kPackets = 1'000'000;
+  PacketTable table;
+  std::vector<PacketSlot> held;
+  PacketDescriptor p;
+  p.source = NodeId(1);
+  p.dest = NodeId(0);
+  std::uint64_t id = 0;
+  for (; id < kHeld; ++id) {
+    p.id = PacketId(id);
+    held.push_back(table.add(p));
+  }
+  std::size_t oldest = 0;
+  const auto pass_one = [&] {
+    table.release(held[oldest]);
+    p.id = PacketId(id++);
+    held[oldest] = table.add(p);
+    oldest = (oldest + 1) % kHeld;
+  };
+  pass_one();  // the free list's first growth
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  while (id < kHeld + 1 + kPackets) pass_one();
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0u);
+  EXPECT_EQ(table.capacity(), kHeld);
+  EXPECT_EQ(table.size(), kHeld);
+  // Each slot holds the last packet filed in it.
+  for (std::size_t i = 0; i < kHeld; ++i) {
+    const std::size_t age = (oldest + kHeld - 1 - i) % kHeld;
+    EXPECT_EQ(table[held[age]].id, PacketId(id - 1 - i));
+  }
 }
 
 TEST(RouterAlloc, CounterObservesHeapTraffic) {

@@ -1,4 +1,4 @@
-// Router pipeline unit tests with a scripted RouterEnv: credit handling,
+// Router pipeline unit tests with a scripted env: credit handling,
 // output-queue contiguity, worm bubbles, VC-class stamping and credit
 // returns, independent of the Network plumbing.
 #include <gtest/gtest.h>
@@ -31,17 +31,15 @@ struct SentCredit {
 
 class ScriptedEnv final : public RouterEnv {
  public:
-  void send_flit(NodeId, Direction out, const Flit& flit) override {
+  void send_flit(NodeId, Direction out, const Flit& flit) {
     sent.push_back(SentFlit{out, flit});
   }
-  void eject(NodeId, const Flit& flit, Cycle) override {
-    ejected.push_back(flit);
-  }
-  void send_credit(NodeId, Direction in, std::uint32_t cls) override {
+  void eject(NodeId, const Flit& flit, Cycle) { ejected.push_back(flit); }
+  void send_credit(NodeId, Direction in, std::uint32_t cls) {
     credits.push_back(SentCredit{in, cls});
   }
-  RouteDecision route(NodeId, const Flit& flit, Direction, //
-                      std::uint32_t in_class) override {
+  RouteDecision route(NodeId, const Flit& flit, Direction,
+                      std::uint32_t in_class) {
     RouteDecision d = route_for(flit);
     if (keep_class) d.out_class = in_class;
     return d;
@@ -60,14 +58,28 @@ class ScriptedEnv final : public RouterEnv {
 /// to node 0.
 constexpr std::uint32_t kNodes = 2;
 
-Flit make_flit(std::uint64_t packet, Flits index, Flits length,
-               std::uint32_t dest = 0) {
+/// The packets of the tests' flits, filed as a network files them.
+/// Packet p sits in slot p (the table is filled up to it on first use),
+/// except in a router restored from bytes, whose flits name the slots the
+/// restore filed.
+PacketTable& packets() {
+  static PacketTable table;
+  return table;
+}
+
+/// The id of the packet `flit` belongs to.
+PacketId packet_of(const Flit& flit) { return packets()[flit.slot].id; }
+
+Flit make_flit(std::uint32_t packet, Flits index, Flits length) {
+  PacketTable& table = packets();
+  while (table.capacity() <= packet) {
+    const auto slot = static_cast<std::uint32_t>(table.capacity());
+    table.add(PacketDescriptor{PacketId(slot), FlowId(0), NodeId(1),
+                               NodeId(0), 1, 0});
+  }
   Flit f;
-  f.packet = PacketId(packet);
-  f.flow = FlowId(0);
-  f.source = NodeId(1);
-  f.dest = NodeId(dest);
-  f.index = index;
+  f.slot = packet;
+  f.index = static_cast<std::uint32_t>(index);
   const bool head = index == 0;
   const bool tail = index + 1 == length;
   f.type = head && tail ? FlitType::kHeadTail
@@ -94,7 +106,7 @@ TEST(Router, ForwardsWholePacketInOrder) {
   ASSERT_EQ(env.sent.size(), 3u);
   for (Flits i = 0; i < 3; ++i) {
     EXPECT_EQ(env.sent[static_cast<std::size_t>(i)].out, Direction::kEast);
-    EXPECT_EQ(env.sent[static_cast<std::size_t>(i)].flit.index, i);
+    EXPECT_EQ(Flits{env.sent[static_cast<std::size_t>(i)].flit.index}, i);
   }
   EXPECT_TRUE(r.drained());
   EXPECT_EQ(r.forwarded_flits(), 3u);
@@ -165,9 +177,9 @@ TEST(Router, OutputQueuePacketsNeverInterleave) {
     r.accept_flit(Direction::kNorth, 0, make_flit(11, i, 4));
   for (Cycle t = 0; t < 12; ++t) r.tick(t, env);
   ASSERT_EQ(env.sent.size(), 8u);
-  EXPECT_EQ(env.sent[0].flit.packet, env.sent[3].flit.packet);
-  EXPECT_EQ(env.sent[4].flit.packet, env.sent[7].flit.packet);
-  EXPECT_NE(env.sent[0].flit.packet, env.sent[4].flit.packet);
+  EXPECT_EQ(packet_of(env.sent[0].flit), packet_of(env.sent[3].flit));
+  EXPECT_EQ(packet_of(env.sent[4].flit), packet_of(env.sent[7].flit));
+  EXPECT_NE(packet_of(env.sent[0].flit), packet_of(env.sent[4].flit));
 }
 
 TEST(Router, WormBubbleDoesNotLeakOtherPackets) {
@@ -182,14 +194,14 @@ TEST(Router, WormBubbleDoesNotLeakOtherPackets) {
   for (Cycle t = 0; t < 3; ++t) r.tick(t, env);
   // Head forwarded; bubble; competitor waits.
   ASSERT_EQ(env.sent.size(), 1u);
-  EXPECT_EQ(env.sent[0].flit.packet, PacketId(20));
+  EXPECT_EQ(packet_of(env.sent[0].flit), PacketId(20));
   // Body + tail arrive; worm completes; then the competitor runs.
   r.accept_flit(Direction::kWest, 0, make_flit(20, 1, 3));
   r.accept_flit(Direction::kWest, 0, make_flit(20, 2, 3));
   for (Cycle t = 3; t < 10; ++t) r.tick(t, env);
   ASSERT_EQ(env.sent.size(), 5u);
-  EXPECT_EQ(env.sent[2].flit.packet, PacketId(20));
-  EXPECT_EQ(env.sent[3].flit.packet, PacketId(21));
+  EXPECT_EQ(packet_of(env.sent[2].flit), PacketId(20));
+  EXPECT_EQ(packet_of(env.sent[3].flit), PacketId(21));
 }
 
 TEST(Router, StampsOutputVcClass) {
@@ -204,8 +216,8 @@ TEST(Router, StampsOutputVcClass) {
     r.accept_flit(Direction::kWest, 0, make_flit(30, i, 2));
   for (Cycle t = 0; t < 4; ++t) r.tick(t, env);
   ASSERT_EQ(env.sent.size(), 2u);
-  EXPECT_EQ(env.sent[0].flit.vc_class, VcId(1));
-  EXPECT_EQ(env.sent[1].flit.vc_class, VcId(1));
+  EXPECT_EQ(env.sent[0].flit.vc_class, 1u);
+  EXPECT_EQ(env.sent[1].flit.vc_class, 1u);
 }
 
 TEST(Router, TwoVcClassesShareOnePortOneFlitPerCycle) {
@@ -222,8 +234,8 @@ TEST(Router, TwoVcClassesShareOnePortOneFlitPerCycle) {
   bool saw40 = false;
   bool saw41 = false;
   for (std::size_t i = 0; i < 4; ++i) {
-    saw40 |= env.sent[i].flit.packet == PacketId(40);
-    saw41 |= env.sent[i].flit.packet == PacketId(41);
+    saw40 |= packet_of(env.sent[i].flit) == PacketId(40);
+    saw41 |= packet_of(env.sent[i].flit) == PacketId(41);
   }
   EXPECT_TRUE(saw40);
   EXPECT_TRUE(saw41);
@@ -330,8 +342,8 @@ TEST(Router, TailHandlingReRequestsNextHeadBeforeRelease) {
     if (env.sent.size() == 3 && sent3_at == 0) sent3_at = t;
   }
   ASSERT_EQ(env.sent.size(), 4u);
-  EXPECT_EQ(env.sent[1].flit.packet, PacketId(80));
-  EXPECT_EQ(env.sent[2].flit.packet, PacketId(81));
+  EXPECT_EQ(packet_of(env.sent[1].flit), PacketId(80));
+  EXPECT_EQ(packet_of(env.sent[2].flit), PacketId(81));
   // Head of packet 81 moves on the cycle right after packet 80's tail:
   // tick 1 sends the tail (flit 2 of the run), tick 2 the next head.
   EXPECT_EQ(sent3_at, 2u);
@@ -348,13 +360,30 @@ void record_charges(Router& r, std::vector<double>& log) {
       [&log](const core::ErrOpportunity& o) { log.push_back(o.sent); });
 }
 
-/// Saves `r` and returns a fresh router restored from the bytes.
-std::unique_ptr<Router> save_and_restore(const Router& r) {
+/// The checkpoint bytes of `r`.
+std::vector<std::uint8_t> save_router(Router& r) {
   SnapshotWriter w;
-  save_fields(w, r);
+  Archive a(w);
+  r.fields(a, packets());
+  return w.take();
+}
+
+/// Restores `r` from `bytes`, filing its flits' packets (and, with `map`,
+/// recording every field read).  A restore that threw leaves its id
+/// index behind, so each one starts by dropping it.
+void restore_router(const std::vector<std::uint8_t>& bytes, Router& r,
+                    FieldMap* map = nullptr) {
+  packets().finish_restore();
+  SnapshotReader in(bytes);
+  Archive a(in, map);
+  r.fields(a, packets());
+  packets().finish_restore();
+}
+
+/// Saves `r` and returns a fresh router restored from the bytes.
+std::unique_ptr<Router> save_and_restore(Router& r) {
   auto restored = std::make_unique<Router>(r.id(), r.config(), kNodes);
-  SnapshotReader in(w.bytes());
-  restore_fields(in, *restored);
+  restore_router(save_router(r), *restored);
   return restored;
 }
 
@@ -452,12 +481,9 @@ struct BusyRouterBytes {
     EXPECT_NE(r.bound_outputs_mask(), 0u);
     EXPECT_NE(r.requesting_outputs_mask(), 0u);
     units = r.num_units();
-    SnapshotWriter w;
-    save_fields(w, r);
-    bytes = w.bytes();
+    bytes = save_router(r);
     Router described(NodeId(0), small_config(4), kNodes);
-    SnapshotReader in(bytes);
-    restore_fields(in, described, &map);
+    restore_router(bytes, described, &map);
     // The east SA pointer advanced past class 0.
     EXPECT_EQ(value(east_sa_pointer()), 1u);
   }
@@ -480,8 +506,7 @@ struct BusyRouterBytes {
 
 void restore_bytes(const std::vector<std::uint8_t>& bytes) {
   Router r(NodeId(0), small_config(4), kNodes);
-  SnapshotReader in(bytes);
-  restore_fields(in, r);
+  restore_router(bytes, r);
 }
 
 TEST(RouterRestoreCheck, UnmodifiedBytesRestore) {

@@ -8,6 +8,7 @@
 // the delivered log.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "common/archive.hpp"
@@ -73,6 +74,19 @@ TEST(TraceTrafficSource, InjectsEveryEntryAndConservesFlits) {
   EXPECT_EQ(r.delivered_flits,
             static_cast<std::uint64_t>(trace.total_flits()));
   EXPECT_TRUE(source.idle());
+}
+
+TEST(TraceTrafficSource, RejectsPacketsLongerThanAFlitIndexAddresses) {
+  // A flit indexes its packet in 32 bits: a longer packet is bad input
+  // (exit 2 from the CLI), not an abort at injection.
+  traffic::Trace trace;
+  trace.entries.push_back({0, FlowId(0), kMaxPacketFlits + 1});
+  Network net(mesh4x4());
+  TraceTrafficSource::Config config;
+  config.trace = &trace;
+  EXPECT_THROW(TraceTrafficSource(net, config), std::invalid_argument);
+  trace.entries[0].length = kMaxPacketFlits;
+  EXPECT_NO_THROW(TraceTrafficSource(net, config));
 }
 
 TEST(TraceTrafficSource, ReplayIsDeterministic) {
