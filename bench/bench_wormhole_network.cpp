@@ -20,7 +20,6 @@
 #include "common/csv.hpp"
 #include "common/table.hpp"
 #include "metrics/jain.hpp"
-#include "sim/engine.hpp"
 #include "wormhole/network.hpp"
 #include "wormhole/switch.hpp"
 
@@ -69,8 +68,6 @@ void mesh_panel(Cycle cycles, AsciiTable& table, CsvWriter& csv) {
     config.router.buffer_depth = 8;
     Network net(config);
     Rng rng(13);
-    sim::Engine engine;
-    engine.add_component(net);
     PacketId::rep_type id = 0;
     const Cycle inject_until = cycles * 3 / 4;
     for (Cycle t = 0; t < cycles; ++t) {
@@ -89,7 +86,7 @@ void mesh_panel(Cycle cycles, AsciiTable& table, CsvWriter& csv) {
           net.inject(t, pkt);
         }
       }
-      engine.step();
+      net.tick(t);
     }
     const auto flits = net.delivered_flits_by_flow(16);
     std::vector<double> shares;

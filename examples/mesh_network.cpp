@@ -15,7 +15,7 @@
 
 #include "common/cli.hpp"
 #include "common/table.hpp"
-#include "sim/engine.hpp"
+#include "harness/checkpoint.hpp"
 #include "wormhole/network.hpp"
 #include "wormhole/patterns.hpp"
 
@@ -32,13 +32,13 @@ int main(int argc, char** argv) {
   cli.add_option("torus", "1 = torus instead of mesh", "0");
   cli.parse(argc, argv);
 
-  NetworkConfig config;
+  harness::NetworkScenarioConfig point;
+  NetworkConfig& config = point.network;
   config.topo = cli.get_int("torus") != 0 ? TopologySpec::torus(4, 4)
                                           : TopologySpec::mesh(4, 4);
   config.router.arbiter = cli.get("arbiter");
-  Network net(config);
 
-  NetworkTrafficSource::Config traffic_config;
+  NetworkTrafficSource::Config& traffic_config = point.traffic;
   traffic_config.packets_per_node_per_cycle = cli.get_double("rate");
   traffic_config.lengths = traffic::LengthSpec::uniform(1, 16);
   traffic_config.inject_until = cli.get_uint("cycles");
@@ -56,13 +56,12 @@ int main(int argc, char** argv) {
     traffic_config.pattern.hotspot = NodeId(5);
     traffic_config.pattern.hotspot_fraction = 0.5;
   }
-  NetworkTrafficSource source(net, traffic_config);
-
-  sim::Engine engine;
-  engine.add_component(source);
-  engine.add_component(net);
-  engine.run_until(cli.get_uint("cycles"));
-  const Cycle end = engine.run_until_idle(cli.get_uint("cycles") * 20);
+  // Injection, then a drain of up to 20x the injection window.
+  point.drain_factor = 20;
+  harness::NetworkRun run(point, traffic_config.seed);
+  run.run_to_completion();
+  const Cycle end = run.finish().end_cycle;
+  const Network& net = run.network();
 
   std::printf("%s, %s arbitration, %s pattern\n",
               config.topo.describe().c_str(), cli.get("arbiter").c_str(),

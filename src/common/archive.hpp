@@ -320,6 +320,10 @@ class Archive {
     body();
     r_->leave_section();
   }
+  /// Restore only: the tag of the next section (0 when none is left).
+  [[nodiscard]] std::uint32_t peek_section() const {
+    return r_->peek_section();
+  }
 
   /// Names the fields declared while it lives: `name` or `name[index]`
   /// joins their path.  Free when saving.

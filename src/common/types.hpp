@@ -57,8 +57,6 @@ class StrongId {
 struct FlowIdTag {};
 struct PacketIdTag {};
 struct NodeIdTag {};
-struct PortIdTag {};
-struct VcIdTag {};
 
 /// Identifies one traffic flow (paper Sec. 1: e.g. an input queue of a
 /// wormhole switch, a virtual channel, or an Internet source-destination
@@ -68,10 +66,6 @@ using FlowId = StrongId<FlowIdTag>;
 using PacketId = StrongId<PacketIdTag, std::uint64_t>;
 /// Identifies one switch/end-node in a network topology.
 using NodeId = StrongId<NodeIdTag>;
-/// Identifies one port of a router.
-using PortId = StrongId<PortIdTag>;
-/// Identifies one virtual channel on a link/port.
-using VcId = StrongId<VcIdTag>;
 
 }  // namespace wormsched
 

@@ -104,7 +104,6 @@ class ErrPolicy {
   [[nodiscard]] double max_sc() const { return max_sc_; }
   [[nodiscard]] double previous_max_sc() const { return previous_max_sc_; }
   [[nodiscard]] std::size_t round() const { return round_; }
-  [[nodiscard]] std::size_t active_flow_count() const { return active_count_; }
   [[nodiscard]] std::size_t round_robin_visit_count() const {
     return round_robin_visit_count_;
   }

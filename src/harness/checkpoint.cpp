@@ -1,6 +1,6 @@
 #include "harness/checkpoint.hpp"
 
-#include <algorithm>
+#include <filesystem>
 #include <sstream>
 #include <utility>
 
@@ -73,13 +73,50 @@ void fields(Archive& a, wormhole::NetworkTrafficSource::Config& c) {
   a.u64("seed", c.seed);
 }
 
+/// NCFG, and NTRC for a trace-driven run.  A restore takes the trace from
+/// `c.trace_in` when set, else from the recorded path, and requires its
+/// arrival count and CRC to match.
+void input_fields(Archive& a, NetworkScenarioConfig& c) {
+  a.section(kCkptNetConfigTag, "NCFG", [&] {
+    a.u64("drain_factor", c.drain_factor);
+    {
+      const Archive::Scope s = a.scope("traffic");
+      fields(a, c.traffic);
+    }
+    const Archive::Scope s = a.scope("faults");
+    fields(a, c.faults);
+  });
+  if (a.saving() ? c.trace_in == nullptr
+                 : a.peek_section() != kCkptTraceTag) {
+    if (c.trace_in != nullptr)
+      throw SnapshotError("trace " + c.trace_in->path +
+                          " was given, but the checkpoint's run replays none");
+    return;
+  }
+  a.section(kCkptTraceTag, "NTRC", [&] {
+    std::string path = a.saving() ? c.trace_in->path : std::string();
+    a.str("path", path);
+    if (a.loading() && c.trace_in == nullptr) {
+      if (!std::filesystem::is_regular_file(path))  // no FIFO or device
+        a.fail("path", "'" + path + "' is missing or not a regular file");
+      c.trace_in = load_replay_trace(path);
+    }
+    a.fingerprint<std::uint64_t>("arrivals", c.trace_in->trace.entries.size());
+    a.fingerprint<std::uint32_t>("crc", c.trace_in->crc);
+  });
+}
+
+void expect_kind(const CheckpointProvenance& prov, std::string_view kind) {
+  if (prov.kind != kind)
+    throw SnapshotError("expected a " + std::string(kind) +
+                        " checkpoint, found kind \"" + prov.kind + "\"");
+}
+
 /// Takes over the provenance of the checkpoint being restored.
 void adopt(const CheckpointProvenance& prov, std::string_view kind,
            std::uint64_t& original_seed, std::uint32_t& restore_count,
            bool& restored, obs::TraceProvenance& trace) {
-  if (prov.kind != kind)
-    throw SnapshotError("expected a " + std::string(kind) +
-                        " checkpoint, found kind \"" + prov.kind + "\"");
+  expect_kind(prov, kind);
   original_seed = prov.original_seed;
   restore_count = prov.restore_count + 1;
   restored = true;
@@ -120,9 +157,20 @@ CheckpointProvenance read_checkpoint_provenance(const SnapshotFile& file) {
 
 /// --- NetworkRun -----------------------------------------------------------
 
+NetworkScenarioConfig read_network_inputs(const SnapshotFile& file,
+                                          NetworkScenarioConfig config) {
+  expect_kind(read_checkpoint_provenance(file), "network");
+  SnapshotReader r(file.payload);
+  r.skip_section();  // META
+  Archive a(r);
+  input_fields(a, config);
+  return config;
+}
+
 NetworkRun::NetworkRun(const NetworkScenarioConfig& config, std::uint64_t seed)
     : config_(config), original_seed_(seed) {
-  WS_CHECK_MSG(config_.traffic.inject_until < kCycleMax,
+  WS_CHECK_MSG(config_.trace_in != nullptr ||
+                   config_.traffic.inject_until < kCycleMax,
                "network run needs a finite injection window");
   if (config_.faults.enabled) {
     // An independent fault schedule per run seed, sized to the topology.
@@ -136,8 +184,8 @@ NetworkRun::NetworkRun(const NetworkScenarioConfig& config, std::uint64_t seed)
 
 NetworkRun::NetworkRun(const NetworkScenarioConfig& config,
                        const SnapshotFile& file, FieldMap* map)
-    : config_(config),
-      engine_(read_checkpoint_provenance(file).saved_cycle) {
+    : config_(config) {
+  (void)read_checkpoint_provenance(file);  // the version gate
   SnapshotReader r(file.payload);
   Archive a(r, map);
   fields(a);
@@ -147,28 +195,23 @@ NetworkRun::NetworkRun(const NetworkScenarioConfig& config,
 void NetworkRun::fields(Archive& a) {
   CheckpointProvenance prov{"network", original_seed_,
                             a.saving() ? obs::current_git_sha() : "",
-                            restore_count_, engine_.now()};
+                            restore_count_, now_};
   a.section(kCkptMetaTag, "META", [&] { prov.fields(a); });
   if (a.loading()) {
     adopt(prov, "network", original_seed_, restore_count_, restored_,
           trace_provenance_);
-    end_cycle_ = prov.saved_cycle;
+    now_ = end_cycle_ = prov.saved_cycle;
   }
-  a.section(kCkptNetConfigTag, "NCFG", [&] {
-    a.u64("drain_factor", config_.drain_factor);
-    {
-      const Archive::Scope s = a.scope("traffic");
-      harness::fields(a, config_.traffic);
-    }
-    const Archive::Scope s = a.scope("faults");
-    harness::fields(a, config_.faults);
-  });
+  input_fields(a, config_);
   if (a.loading()) {
     build();
     wire_observers();
   }
   a.section(kCkptNetworkTag, "NNET", [&] { net_->fields(a); });
-  a.section(kCkptSourceTag, "NSRC", [&] { source_->fields(a); });
+  a.section(kCkptSourceTag, "NSRC", [&] {
+    if (source_) source_->fields(a);
+    else trace_source_->fields(a);
+  });
 }
 
 NetworkRun::~NetworkRun() = default;
@@ -189,13 +232,24 @@ void NetworkRun::build() {
     trace_sink_.emplace(sink_options);
     net_->set_trace_sink(&*trace_sink_);
   }
-  wormhole::NetworkTrafficSource::Config traffic = config_.traffic;
-  traffic.faults = net_config.faults;
-  source_ = std::make_unique<wormhole::NetworkTrafficSource>(*net_, traffic);
+  if (config_.trace_in != nullptr) {
+    const traffic::Trace* trace = &config_.trace_in->trace;
+    if (config_.faults.enabled) {
+      faulted_trace_ = validate::apply_trace_faults(config_.faults, *trace);
+      trace = &faulted_trace_;
+    }
+    trace_source_ = std::make_unique<wormhole::TraceTrafficSource>(
+        *net_, wormhole::TraceTrafficSource::Config{
+                   trace, config_.traffic.pattern, config_.traffic.seed});
+    config_.traffic.inject_until = trace_source_->inject_until();
+  } else {
+    wormhole::NetworkTrafficSource::Config traffic = config_.traffic;
+    traffic.faults = net_config.faults;
+    source_ =
+        std::make_unique<wormhole::NetworkTrafficSource>(*net_, traffic);
+  }
   audit_log_ =
       config_.audit_log != nullptr ? config_.audit_log : &private_log_;
-  engine_.add_component(*source_);
-  engine_.add_component(*net_);
 }
 
 void NetworkRun::wire_observers() {
@@ -269,19 +323,24 @@ void NetworkRun::wire_observers() {
 }
 
 bool NetworkRun::done() const {
+  // Injection runs every cycle; the drain stops once the source and the
+  // fabric are idle, or at the cap (which keeps the 1,000 cycles of slack
+  // a trace-driven run always had).
   const Cycle inject_end = config_.traffic.inject_until;
-  if (engine_.now() < inject_end) return false;
-  if (engine_.now() >= inject_end * config_.drain_factor) return true;
-  return source_->idle() && net_->idle() && engine_.pending_events() == 0;
+  if (now_ < inject_end) return false;
+  const Cycle cap =
+      inject_end * config_.drain_factor + (trace_source_ ? 1000 : 0);
+  const bool source_idle = source_ ? source_->idle() : trace_source_->idle();
+  return now_ >= cap || (source_idle && net_->idle());
 }
 
 void NetworkRun::advance_to(Cycle target) {
-  const Cycle inject_end = config_.traffic.inject_until;
-  const Cycle drain_cap = inject_end * config_.drain_factor;
-  if (engine_.now() < inject_end)
-    engine_.run_until(std::min(target, inject_end));
-  if (engine_.now() >= inject_end)
-    end_cycle_ = engine_.run_until_idle(std::min(target, drain_cap));
+  for (; now_ < target && !done(); ++now_) {
+    if (source_) source_->tick(now_);
+    else trace_source_->tick(now_);
+    net_->tick(now_);
+  }
+  if (now_ >= config_.traffic.inject_until) end_cycle_ = now_;
 }
 
 void NetworkRun::run_to_completion() { advance_to(kCycleMax); }
@@ -303,10 +362,12 @@ SnapshotFile NetworkRun::make_snapshot_file(const ExtraSections& extra) const {
   manifest.add_config("kind", "network");
   manifest.add_config("restore_count", std::to_string(restore_count_));
   manifest.add_config("traffic", config_.traffic.pattern.describe());
+  if (config_.trace_in) manifest.add_config("trace_in", config_.trace_in->path);
   manifest.add_config("faults", config_.faults.describe());
-  manifest.add_counter("saved_cycle", static_cast<double>(engine_.now()));
-  manifest.add_counter("generated_packets",
-                       static_cast<double>(source_->generated()));
+  manifest.add_counter("saved_cycle", static_cast<double>(now_));
+  const std::uint64_t generated =
+      source_ ? source_->generated() : trace_source_->generated();
+  manifest.add_counter("generated_packets", static_cast<double>(generated));
   manifest.add_counter("delivered_packets",
                        static_cast<double>(net_->delivered_packets()));
   manifest.violations = audit_log_->count();
@@ -327,7 +388,8 @@ NetworkScenarioResult NetworkRun::finish() {
   finished_ = true;
   NetworkScenarioResult result;
   result.end_cycle = end_cycle_;
-  result.generated_packets = source_->generated();
+  result.generated_packets =
+      source_ ? source_->generated() : trace_source_->generated();
   result.delivered_packets = net_->delivered_packets();
   result.delivered_flits = net_->delivered_flits();
   result.latency = net_->latency_overall();
@@ -463,20 +525,13 @@ ScenarioResult ScenarioRun::finish() { return core_->finish(); }
 FieldMap describe_checkpoint(const SnapshotFile& file,
                              const NetworkScenarioConfig& geometry) {
   FieldMap map;
-  std::size_t sections = 3;  // META, SCFG, SSTA
   if (read_checkpoint_provenance(file).kind == "network") {
     const NetworkRun run(geometry, file, &map);
-    sections = 4;  // META, NCFG, NNET, NSRC
   } else {
     const ScenarioRun run(ScenarioSpec{}, file, &map);
   }
-  SnapshotReader r(file.payload);
-  for (; sections > 0; --sections) r.skip_section();
-  if (r.peek_section() == kCkptSoakTag) {
-    Archive a(r, &map);
-    metrics::SteadyStateTracker tracker;
-    soak_section(a, tracker);
-  }
+  metrics::SteadyStateTracker tracker;
+  read_soak_section(file, tracker, &map);
   return map;
 }
 

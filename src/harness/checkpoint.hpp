@@ -8,6 +8,8 @@
 //   NCFG / SCFG — the generative run configuration (traffic law, fault
 //          spec, horizon, workload text, ...), so a restored run rebuilds
 //          its inputs without re-supplying them on the command line;
+//   NTRC (trace-driven network runs only) — the replayed trace's path,
+//          arrival count and file CRC-32, checked when a restore reloads it;
 //   NNET + NSRC (network runs) — the full fabric and traffic-source
 //          state; SSTA (scenario runs) — scheduler + metrics + replay
 //          cursor state;
@@ -35,12 +37,12 @@
 #include <vector>
 
 #include "common/archive.hpp"
+#include "common/assert.hpp"
 #include "common/types.hpp"
 #include "harness/network_sweep.hpp"
 #include "harness/scenario.hpp"
 #include "obs/trace_export.hpp"
 #include "obs/trace_sink.hpp"
-#include "sim/engine.hpp"
 #include "validate/err_auditor.hpp"
 #include "validate/faults.hpp"
 #include "validate/network_auditor.hpp"
@@ -53,6 +55,7 @@ namespace wormsched::harness {
 /// Checkpoint payload section tags (ASCII, little-endian).
 inline constexpr std::uint32_t kCkptMetaTag = 0x4154454Du;     // "META"
 inline constexpr std::uint32_t kCkptNetConfigTag = 0x4746434Eu;  // "NCFG"
+inline constexpr std::uint32_t kCkptTraceTag = 0x4352544Eu;    // "NTRC"
 inline constexpr std::uint32_t kCkptNetworkTag = 0x54454E4Eu;  // "NNET"
 inline constexpr std::uint32_t kCkptSourceTag = 0x4352534Eu;   // "NSRC"
 inline constexpr std::uint32_t kCkptScenConfigTag = 0x47464353u;  // "SCFG"
@@ -77,6 +80,13 @@ struct CheckpointProvenance {
 
 /// --- Network runs ---------------------------------------------------------
 
+/// `config` with the inputs a network checkpoint fixes in place of its
+/// own (`traffic`, `faults` with the run seed added to its seed,
+/// `drain_factor`, `trace_in`), read without restoring any state; the
+/// trace is found and checked as a restore does.
+[[nodiscard]] NetworkScenarioConfig read_network_inputs(
+    const SnapshotFile& file, NetworkScenarioConfig config);
+
 /// Resumable whole-fabric run.  Owns the network, traffic source, fault
 /// model, auditors and trace sink for one (config, seed) scenario and
 /// advances them in segments; run_network_scenario() is the single-segment
@@ -88,10 +98,10 @@ class NetworkRun {
   NetworkRun(const NetworkScenarioConfig& config, std::uint64_t seed);
 
   /// Restored run.  Sim-defining inputs (traffic law and seed, fault
-  /// spec, injection horizon, drain factor) come from the checkpoint;
-  /// `config` supplies the fabric geometry (checked against the snapshot)
-  /// and the run-local wiring — audit mode, trace request, shards and
-  /// threads — which may legitimately differ from the saving run.
+  /// spec, injection horizon, drain factor, trace) come from the
+  /// checkpoint; `config` supplies the fabric geometry (checked against
+  /// the snapshot), the run-local wiring — audit mode, trace request,
+  /// shards and threads — and optionally the trace's file (`trace_in`).
   /// Throws SnapshotError on any mismatch or corruption.  With `map`, the
   /// restore also records every field it reads (describe_checkpoint).
   NetworkRun(const NetworkScenarioConfig& config, const SnapshotFile& file,
@@ -101,7 +111,7 @@ class NetworkRun {
   NetworkRun(const NetworkRun&) = delete;
   NetworkRun& operator=(const NetworkRun&) = delete;
 
-  [[nodiscard]] Cycle now() const { return engine_.now(); }
+  [[nodiscard]] Cycle now() const { return now_; }
   [[nodiscard]] bool done() const;
 
   /// Advances the run to cycle `target` (or to completion, whichever is
@@ -110,9 +120,9 @@ class NetworkRun {
   void advance_to(Cycle target);
   void run_to_completion();
 
-  /// Serializes the full run (META + NCFG + NNET + NSRC) as a checkpoint
-  /// payload; `extra`, when set, appends caller-owned trailing sections
-  /// (the soak harness stores its steady-state tracker this way).
+  /// Serializes the full run as a checkpoint payload; `extra`, when set,
+  /// appends caller-owned trailing sections (the soak harness stores its
+  /// steady-state tracker this way).
   using ExtraSections = std::function<void(SnapshotWriter&)>;
   [[nodiscard]] std::vector<std::uint8_t> checkpoint_payload(
       const ExtraSections& extra = {}) const;
@@ -130,9 +140,12 @@ class NetworkRun {
 
   [[nodiscard]] wormhole::Network& network() { return *net_; }
   [[nodiscard]] const wormhole::Network& network() const { return *net_; }
+  /// The law-driven source; a trace-driven run has none.
   [[nodiscard]] const wormhole::NetworkTrafficSource& source() const {
+    WS_CHECK_MSG(source_ != nullptr, "a trace-driven run has no law source");
     return *source_;
   }
+  [[nodiscard]] const NetworkScenarioConfig& config() const { return config_; }
   [[nodiscard]] validate::AuditLog& audit_log() { return *audit_log_; }
   /// Whether this run was restored from a checkpoint, and from where.
   [[nodiscard]] bool restored() const { return restored_; }
@@ -145,20 +158,23 @@ class NetworkRun {
  private:
   void build();
   void wire_observers();
-  /// The payload's one declaration: META, NCFG, NNET and NSRC.
+  /// The payload's one declaration: META, NCFG, NTRC, NNET and NSRC.
   void fields(Archive& a);
 
   NetworkScenarioConfig config_;  // effective (faults resolved, seed applied)
   std::optional<validate::ScheduledFaults> faults_;
   std::unique_ptr<wormhole::Network> net_;
+  // The law's source, or a replay of config_.trace_in (or faulted_trace_).
   std::unique_ptr<wormhole::NetworkTrafficSource> source_;
+  traffic::Trace faulted_trace_;
+  std::unique_ptr<wormhole::TraceTrafficSource> trace_source_;
   std::optional<obs::TraceSink> trace_sink_;
   validate::AuditLog private_log_;
   validate::AuditLog* audit_log_ = nullptr;
   std::optional<validate::NetworkAuditor> net_auditor_;
   std::vector<std::unique_ptr<validate::ErrAuditor>> err_auditors_;
   bool violation_window_dumped_ = false;
-  sim::Engine engine_;
+  Cycle now_ = 0;  // the next cycle to run
   Cycle end_cycle_ = 0;
   bool finished_ = false;
 

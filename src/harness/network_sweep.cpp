@@ -1,13 +1,31 @@
 #include "harness/network_sweep.hpp"
 
 #include <optional>
+#include <sstream>
 #include <vector>
 
 #include "common/assert.hpp"
+#include "common/snapshot.hpp"
 #include "common/thread_pool.hpp"
 #include "harness/checkpoint.hpp"
+#include "traffic/binary_trace.hpp"
+#include "traffic/trace_io.hpp"
 
 namespace wormsched::harness {
+
+std::shared_ptr<const ReplayTrace> load_replay_trace(const std::string& path) {
+  auto replay = std::make_shared<ReplayTrace>();
+  replay->path = path;
+  const std::vector<std::uint8_t> bytes = read_file_bytes(path, "trace");
+  replay->crc = snapshot_crc32(bytes.data(), bytes.size());
+  if (traffic::is_binary_trace(bytes.data(), bytes.size())) {
+    replay->trace = traffic::decode_binary_trace(bytes);
+  } else {
+    std::istringstream csv(std::string(bytes.begin(), bytes.end()));
+    replay->trace = traffic::load_trace(csv);
+  }
+  return replay;
+}
 
 NetworkScenarioResult run_network_scenario(const NetworkScenarioConfig& config,
                                            std::uint64_t seed) {
@@ -23,13 +41,10 @@ SweepResult sweep_network(const NetworkScenarioConfig& config,
                           const SweepOptions& options,
                           const NetworkMetricExtractor& extract) {
   WS_CHECK(options.seeds > 0);
-  NetworkScenarioConfig effective = config;
-  if (options.faults.enabled) effective.faults = options.faults;
-  effective.audit = effective.audit || options.audit;
   std::vector<std::optional<NetworkScenarioResult>> per_seed(options.seeds);
   ThreadPool pool(sweep_workers(options));
   pool.parallel_for(options.seeds, [&](std::size_t k) {
-    NetworkScenarioConfig run_config = effective;
+    NetworkScenarioConfig run_config = config;
     if (run_config.trace.enabled() && options.seeds > 1) {
       // One private trace file set per seed: parallel workers must never
       // share an output path (or a sink).
@@ -46,7 +61,7 @@ SweepResult sweep_network(const NetworkScenarioConfig& config,
   SweepResult aggregate;
   for (const auto& result : per_seed) {
     extract(*result, aggregate);
-    if (effective.audit)
+    if (config.audit)
       aggregate.add("audit_violations",
                     static_cast<double>(result->audit_violations));
   }

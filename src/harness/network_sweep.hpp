@@ -10,12 +10,15 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <string>
 
 #include "common/stats.hpp"
 #include "common/types.hpp"
 #include "harness/sweep.hpp"
 #include "metrics/perf_counters.hpp"
 #include "obs/trace_export.hpp"
+#include "traffic/workload.hpp"
 #include "validate/faults.hpp"
 #include "validate/network_auditor.hpp"
 #include "wormhole/network.hpp"
@@ -23,13 +26,31 @@
 
 namespace wormsched::harness {
 
+/// An arrival trace and the file it came from: a checkpoint records the
+/// path and CRC, so that a restore can reload the trace and check it.
+struct ReplayTrace {
+  std::string path;
+  traffic::Trace trace;
+  std::uint32_t crc = 0;  // CRC-32 of the file's bytes
+};
+
+/// Reads the trace at `path`, binary or CSV (told apart by the binary
+/// magic).  Throws on an unreadable or malformed file.
+[[nodiscard]] std::shared_ptr<const ReplayTrace> load_replay_trace(
+    const std::string& path);
+
 struct NetworkScenarioConfig {
   wormhole::NetworkConfig network;
   /// Traffic for the run; `traffic.seed` is overridden per seed and
   /// `traffic.inject_until` must be finite (it bounds the run).
   wormhole::NetworkTrafficSource::Config traffic;
+  /// When set, a TraceTrafficSource replays this trace in place of the
+  /// law (with `traffic`'s pattern and seed) until its last arrival, and
+  /// `faults` also perturbs the trace as a standalone run's do.
+  std::shared_ptr<const ReplayTrace> trace_in;
   /// Drain cap: after injection the run continues until the fabric is
-  /// idle or `inject_until * drain_factor` cycles have elapsed.
+  /// idle or `inject_until * drain_factor` cycles (plus 1,000 for a
+  /// trace) have elapsed.
   Cycle drain_factor = 50;
   /// Fault injection: a ScheduledFaults model (seeded with faults.seed +
   /// run seed, sized to the topology) is plugged into the network and the

@@ -85,24 +85,25 @@ SoakSummary run_soak(const NetworkScenarioConfig& config, std::uint64_t seed,
 SoakSummary resume_soak(const NetworkScenarioConfig& config,
                         const SnapshotFile& file, const SoakOptions& options) {
   NetworkRun run(soak_config(config), file);
-  metrics::SteadyStateTracker tracker(options.window);
   // The tracker travels as a trailing SOAK section the NetworkRun restore
   // deliberately leaves unread; a checkpoint written by `wormsched
   // network` (no SOAK section) resumes with a fresh tracker.
-  SnapshotReader r(file.payload);
-  Archive a(r);
-  while (r.peek_section() != 0) {
-    if (r.peek_section() == kCkptSoakTag) {
-      soak_section(a, tracker);
-      break;
-    }
-    r.skip_section();
-  }
+  metrics::SteadyStateTracker tracker(options.window);
+  read_soak_section(file, tracker);
   return drive_soak(run, tracker, options);
 }
 
 void soak_section(Archive& a, metrics::SteadyStateTracker& tracker) {
   a.section(kCkptSoakTag, "SOAK", [&] { tracker.fields(a); });
+}
+
+void read_soak_section(const SnapshotFile& file,
+                       metrics::SteadyStateTracker& tracker, FieldMap* map) {
+  SnapshotReader r(file.payload);
+  while (r.peek_section() != 0 && r.peek_section() != kCkptSoakTag)
+    r.skip_section();
+  Archive a(r, map);
+  if (r.peek_section() == kCkptSoakTag) soak_section(a, tracker);
 }
 
 }  // namespace wormsched::harness

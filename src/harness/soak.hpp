@@ -74,5 +74,9 @@ struct SoakSummary {
 /// The trailing SOAK section of a soak checkpoint: the steady-state
 /// tracker, declared once for the save, the resume and the describer.
 void soak_section(Archive& a, metrics::SteadyStateTracker& tracker);
+/// Reads `file`'s SOAK section, when it has one, into `tracker`.
+void read_soak_section(const SnapshotFile& file,
+                       metrics::SteadyStateTracker& tracker,
+                       FieldMap* map = nullptr);
 
 }  // namespace wormsched::harness

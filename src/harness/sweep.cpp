@@ -46,23 +46,12 @@ SweepResult sweep_scenario(std::string_view scheduler_name,
   pool.parallel_for(options.seeds, [&](std::size_t k) {
     ScenarioConfig seed_config = config;
     seed_config.seed = options.base_seed + k;
-    seed_config.audit = seed_config.audit || options.audit;
-    traffic::Trace trace = traffic::generate_trace(
+    const traffic::Trace trace = traffic::generate_trace(
         workload, seed_config.horizon, seed_config.seed);
-    if (options.faults.enabled) {
-      validate::FaultSpec spec = options.faults;
-      spec.seed += k;  // an independent fault schedule per seed
-      trace = validate::apply_trace_faults(spec, trace);
-    }
     per_seed[k].emplace(run_scenario(scheduler_name, seed_config, trace));
   });
   SweepResult aggregate;
-  for (const auto& result : per_seed) {
-    extract(*result, aggregate);
-    if (options.audit)
-      aggregate.add("audit_violations",
-                    static_cast<double>(result->audit_violations));
-  }
+  for (const auto& result : per_seed) extract(*result, aggregate);
   return aggregate;
 }
 

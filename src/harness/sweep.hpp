@@ -15,7 +15,6 @@
 
 #include "common/stats.hpp"
 #include "harness/scenario.hpp"
-#include "validate/faults.hpp"
 
 namespace wormsched::harness {
 
@@ -61,14 +60,6 @@ struct SweepOptions {
   std::uint64_t base_seed = 1;
   std::size_t seeds = 1;
   std::size_t jobs = 1;  // worker threads; 0 = one per hardware thread
-  /// Fault injection: when enabled, each seed's trace (standalone sweeps)
-  /// or fabric (network sweeps) is perturbed by a deterministic fault
-  /// schedule derived from faults.seed + k, so fault patterns vary across
-  /// seeds but reproduce exactly for a given (base_seed, faults.seed).
-  validate::FaultSpec faults;
-  /// Run the runtime invariant auditor on every seed.  Violations abort
-  /// in Debug; in Release the sweep folds an "audit_violations" metric.
-  bool audit = false;
 };
 
 /// The worker count a sweep's pool gets: `jobs` (0 resolved to one per

@@ -199,13 +199,4 @@ bool is_binary_trace(const std::uint8_t* data, std::size_t size) {
          std::memcmp(data, kMagic, sizeof(kMagic)) == 0;
 }
 
-bool is_binary_trace_file(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  std::uint8_t head[sizeof(kMagic)];
-  const std::size_t got = std::fread(head, 1, sizeof(head), f);
-  std::fclose(f);
-  return got == sizeof(head) && is_binary_trace(head, sizeof(head));
-}
-
 }  // namespace wormsched::traffic

@@ -123,6 +123,5 @@ void write_binary_trace_bytes(const std::string& path,
 /// Magic sniff, so front ends can accept binary and CSV traces through
 /// one flag.  False for short or non-matching prefixes; never throws.
 [[nodiscard]] bool is_binary_trace(const std::uint8_t* data, std::size_t size);
-[[nodiscard]] bool is_binary_trace_file(const std::string& path);
 
 }  // namespace wormsched::traffic

@@ -56,11 +56,9 @@ class NetworkTrafficSource final : public sim::Component {
   NetworkTrafficSource(Network& network, const Config& config);
 
   void tick(Cycle now) override;
-  /// Idle once every injection cycle has been ticked through.  Honest
-  /// idling is what lets Engine::run_until_idle skip drained stretches
-  /// without losing Bernoulli draws; a source with `inject_until` left at
-  /// kCycleMax never reports idle, so bound such runs with run_until()
-  /// or run_until_idle's max_cycle.
+  /// Idle once every injection cycle has been ticked through: a run may
+  /// stop ticking it then without losing a Bernoulli draw.  A source with
+  /// `inject_until` left at kCycleMax never reports idle.
   [[nodiscard]] bool idle() const override {
     return next_cycle_ >= config_.inject_until;
   }

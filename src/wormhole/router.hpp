@@ -245,10 +245,6 @@ class alignas(64) Router {
                                               std::uint32_t cls) const {
     return inputs_[unit(in, cls)].size;
   }
-  /// Whether input VC (`in`, `cls`)'s front packet holds a route.
-  [[nodiscard]] bool input_routed(Direction in, std::uint32_t cls) const {
-    return inputs_[unit(in, cls)].routed;
-  }
   /// Credits currently held for output VC (`out`, `cls`).
   [[nodiscard]] std::uint32_t output_credits(Direction out,
                                              std::uint32_t cls) const {

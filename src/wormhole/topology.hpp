@@ -41,12 +41,6 @@ enum class Direction : std::uint8_t {
 };
 inline constexpr std::uint32_t kNumDirections = 5;
 
-[[nodiscard]] constexpr PortId port_of(Direction d) {
-  return PortId(static_cast<std::uint32_t>(d));
-}
-[[nodiscard]] constexpr Direction direction_of(PortId p) {
-  return static_cast<Direction>(p.value());
-}
 [[nodiscard]] const char* direction_name(Direction d);
 
 struct Coord {

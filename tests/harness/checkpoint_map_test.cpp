@@ -2,9 +2,10 @@
 //
 // A checkpoint's layout is declared once, in each type's fields(); the
 // describer is the restore with a recording sink.  Its map of
-// golden_v2.wsnp (a network soak checkpoint) and golden_scenario_v2.wsnp
-// (a scenario checkpoint) must cover every payload byte exactly once
-// under distinct paths, or a field is missing from a declaration.  Every
+// golden_v2.wsnp (a network soak checkpoint), golden_scenario_v2.wsnp (a
+// scenario checkpoint) and a trace-driven network checkpoint written by
+// the test must cover every payload byte exactly once under distinct
+// paths, or a field is missing from a declaration.  Every
 // field that declares a range must reject the value one step past it:
 // the golden with that one field patched throws a SnapshotError naming
 // the field's path, and for the first such field of each declaring type
@@ -12,6 +13,7 @@
 // every double range, so a NaN in a ranged field is rejected the same way.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <bit>
 #include <cmath>
@@ -29,6 +31,8 @@
 #include "common/snapshot.hpp"
 #include "harness/checkpoint.hpp"
 #include "harness/soak.hpp"
+#include "traffic/binary_trace.hpp"
+#include "traffic/trace_synth.hpp"
 #include "../common/field_map.hpp"
 
 namespace wormsched::harness {
@@ -36,15 +40,9 @@ namespace {
 
 struct Golden {
   const char* name;
-  const char* path;
+  SnapshotFile (*file)();
   const char* restore;  // the CLI restore command, before the file
 };
-
-const Golden kNetwork{"Network", WS_GOLDEN_SNAPSHOT,
-                      " network --topo mesh3x3"};
-const Golden kScenario{"Scenario", WS_GOLDEN_SCENARIO, " run"};
-/// The trailing SOAK section is read by the soak harness alone.
-const char* const kSoakRestore = " soak --topo mesh3x3";
 
 /// The geometry golden_v2.wsnp was written with.
 NetworkScenarioConfig geometry() {
@@ -52,6 +50,43 @@ NetworkScenarioConfig geometry() {
   config.network.topo = wormhole::TopologySpec::mesh(3, 3);
   return config;
 }
+
+/// This process's trace file: a restore of the trace checkpoint below
+/// reloads it from there.
+std::string trace_path() {
+  return testing::TempDir() + "checkpoint_map_" + std::to_string(::getpid()) +
+         ".wst";
+}
+
+/// A faulted, audited run on golden_v2.wsnp's geometry replaying a trace,
+/// checkpointed mid-run.
+SnapshotFile trace_checkpoint() {
+  traffic::SynthSpec spec;
+  spec.num_flows = 16;
+  spec.horizon = 600;
+  spec.load = 1.5;
+  spec.incast_every = 200;
+  spec.incast_fanin = 6;
+  traffic::save_binary_trace_file(trace_path(),
+                                  traffic::synthesize_trace(spec, 7));
+  NetworkScenarioConfig config = geometry();
+  config.trace_in = load_replay_trace(trace_path());
+  config.faults = validate::FaultSpec::chaos(3);
+  config.audit = true;
+  NetworkRun run(config, /*seed=*/5);
+  run.advance_to(300);
+  return run.make_snapshot_file();
+}
+
+const Golden kNetwork{
+    "Network", [] { return read_snapshot_file(WS_GOLDEN_SNAPSHOT); },
+    " network --topo mesh3x3"};
+const Golden kScenario{
+    "Scenario", [] { return read_snapshot_file(WS_GOLDEN_SCENARIO); },
+    " run"};
+const Golden kTrace{"Trace", trace_checkpoint, " network --topo mesh3x3"};
+/// The trailing SOAK section is read by the soak harness alone.
+const char* const kSoakRestore = " soak --topo mesh3x3";
 
 /// The value one step past `f`'s declared range, as the field's bits;
 /// nullopt when the range reaches both ends of the field's width.
@@ -142,8 +177,9 @@ CliOutcome cli_restore(const char* restore, const SnapshotFile& file,
 
 class CheckpointMapTest : public testing::TestWithParam<Golden> {
  protected:
+  void TearDown() override { std::remove(trace_path().c_str()); }
   void SetUp() override {
-    file_ = read_snapshot_file(GetParam().path);
+    file_ = GetParam().file();
     map_ = describe_checkpoint(file_, geometry());
   }
 
@@ -205,10 +241,24 @@ TEST_P(CheckpointMapTest, EveryDeclaredRangeRejectsOneStepPast) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Goldens, CheckpointMapTest,
-                         testing::Values(kNetwork, kScenario),
+                         testing::Values(kNetwork, kScenario, kTrace),
                          [](const testing::TestParamInfo<Golden>& p) {
                            return std::string(p.param.name);
                          });
+
+TEST(CheckpointMapTrace, TraceSectionPinsTheFile) {
+  // The trace section's count and CRC are ranged to the one trace that
+  // matches, so the range sweep above patches both.
+  const SnapshotFile file = trace_checkpoint();
+  const FieldMap map = describe_checkpoint(file, geometry());
+  for (const char* path : {"NTRC.arrivals", "NTRC.crc"}) {
+    const FieldInfo& f = test::field_at(map, path);
+    EXPECT_TRUE(f.ranged && f.lo == f.hi) << path;
+  }
+  EXPECT_EQ(test::field_at(map, "NTRC.crc").lo,
+            load_replay_trace(trace_path())->crc);
+  std::remove(trace_path().c_str());
+}
 
 TEST(CheckpointNanProbe, ErrArbiterDoublesExit2) {
   // Before these fields declared their ranges, a NaN in either restored

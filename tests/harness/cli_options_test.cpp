@@ -25,6 +25,7 @@
 #include <iterator>
 #include <limits>
 #include <ostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -162,7 +163,6 @@ TEST(CliOptions, ListedBadInputsExit2WithOneLine) {
       {net + "--seeds 2 --restore x.wsnp", "option --restore: "},
       {net + "--seeds 2 --checkpoint c.wsnp", "option --checkpoint: "},
       {net + "--seeds 2 --checkpoint-every 10", "option --checkpoint-every: "},
-      {"network --trace-in x --seeds 2", "option --seeds: "},
       {"frobnicate", "wormsched: "},
       {"", "wormsched: "},
       {"replay --trace replay.csv --scheduler nope", "option --scheduler: "},
@@ -186,6 +186,7 @@ TEST(CliOptions, ListedBadInputsExit2WithOneLine) {
   for (const Row& r : rows) expect_rejected(r.args, r.prefix);
   expect_runs("trace-gen --flows 2 --cycles 0 --out empty.wst");
   expect_rejected("replay --trace empty.wst", "option --trace: ");
+  expect_rejected("network --trace-in empty.wst", "option --trace-in: ");
 }
 
 // A choice flag reads its next token when that token is one of its
@@ -208,31 +209,115 @@ TEST(CliOptions, ChoiceFlagsReadTheNextTokenAndStrayTokensExit2) {
   EXPECT_NE(json.find("\"audit\": \"full\""), std::string::npos) << json;
 }
 
-// `network --trace-in` reads only the fabric options, --pattern and
-// --seed; any other option set with it is rejected by name instead of
-// silently ignored.
+/// The line of `out` that starts with `prefix` (empty when none does).
+std::string line_starting(const std::string& out, const std::string& prefix) {
+  std::istringstream lines(out);
+  for (std::string line; std::getline(lines, line);)
+    if (line.rfind(prefix, 0) == 0) return line;
+  return "";
+}
+
+// `network --trace-in` replaces the traffic law, so --rate and --cycles
+// exit 2 naming themselves.  Every other option takes effect as in a
+// law-driven run: the audit line prints, the manifest, trace and
+// checkpoint are written, the checkpoint restores (under `soak` too,
+// whose --rate and --horizon it then rejects), and --seeds sweeps.
 TEST(CliOptions, TraceInRejectsOptionsItIgnores) {
   expect_runs("trace-gen --flows 8 --cycles 300 --load 0.3 --out in.wst");
   const std::string base = "network --topo mesh2x2 --trace-in in.wst ";
-  expect_runs(base + "--pattern hotspot --seed 3 --vcs 3 --threads 2");
-  const std::vector<std::string> ignored = {
-      "--faults",          "--fault-seed 2",      "--fault-window 8",
-      "--fault-link-rate 0.2", "--fault-link-cycles 2",
-      "--fault-credit-rate 0.2", "--fault-credit-cycles 2",
-      "--fault-churn-rate 0.2", "--fault-burst-rate 0.2",
-      "--fault-burst-mult 2", "--audit",           "--audit=full",
-      "--trace tr.json",   "--trace-csv tr.csv",  "--trace-events packet",
-      "--trace-capacity 64", "--manifest m.json", "--checkpoint c.wsnp",
-      "--checkpoint-every 10", "--restore c.wsnp", "--seeds 2",
-      "--jobs 2",          "--rate 0.5",          "--cycles 10"};
-  for (const std::string& option : ignored) {
-    const std::string name = option.substr(2, option.find_first_of(" =") - 2);
-    expect_rejected(base + option, "option --" + name + ": ");
-  }
-  expect_rejected("network --topo mesh4x4 --trace-in in.wst --faults --audit "
-                  "--manifest m.json --trace tr.json --checkpoint c.wsnp",
-                  "option --");
-  EXPECT_FALSE(std::filesystem::exists(scratch() + "m.json"));
+  expect_rejected(base + "--rate 0.5", "option --rate: ");
+  expect_rejected(base + "--cycles 10", "option --cycles: ");
+  const Outcome run =
+      run_cli(base + "--pattern hotspot --seed 3 --vcs 3 --threads 2 "
+                     "--faults --fault-seed 2 --audit=full --trace tr.json "
+                     "--trace-csv tr.csv --manifest m.json "
+                     "--checkpoint-every 100 --checkpoint c.wsnp");
+  EXPECT_EQ(run.code, 0) << (run.err.empty() ? "" : run.err[0]);
+  EXPECT_NE(run.out.find("faults(seed=2"), std::string::npos) << run.out;
+  EXPECT_NE(run.out.find("audit: "), std::string::npos) << run.out;
+  for (const char* file : {"tr.json", "tr.csv", "m.json", "c.wsnp"})
+    EXPECT_TRUE(std::filesystem::exists(scratch() + file)) << file;
+  const std::string summary =
+      line_starting(run.out, "mesh 2x2, err-cycles, trace in.wst: ");
+  EXPECT_FALSE(summary.empty()) << run.out;
+  const Outcome restored =
+      run_cli("network --topo mesh2x2 --vcs 3 --restore c.wsnp");
+  EXPECT_EQ(restored.code, 0)
+      << (restored.err.empty() ? "" : restored.err[0]);
+  EXPECT_NE(restored.out.find("restored from c.wsnp"), std::string::npos);
+  EXPECT_EQ(line_starting(restored.out, "mesh 2x2"), summary);
+  const std::string soak = "soak --topo mesh2x2 --vcs 3 --restore c.wsnp ";
+  const Outcome soaked = run_cli(soak + "--window 50");
+  EXPECT_EQ(soaked.code, 0) << (soaked.err.empty() ? "" : soaked.err[0]);
+  EXPECT_NE(soaked.out.find("mesh 2x2, err-cycles, trace in.wst: soaked"),
+            std::string::npos)
+      << soaked.out;
+  const Outcome rate = run_cli(soak + "--rate 0.5");
+  EXPECT_EQ(rate.code, 2);
+  ASSERT_EQ(rate.err.size(), 1u);
+  EXPECT_EQ(rate.err[0], "option --rate: '0.5' differs from the checkpoint's "
+                         "replay of trace in.wst");
+  expect_rejected(soak + "--horizon 10", "option --horizon: ");
+  const Outcome sweep = run_cli(base + "--seeds 2 --jobs 2 --audit");
+  EXPECT_EQ(sweep.code, 0) << (sweep.err.empty() ? "" : sweep.err[0]);
+  EXPECT_NE(sweep.out.find("trace in.wst: 2 seeds"), std::string::npos)
+      << sweep.out;
+}
+
+// A restore takes its traffic law, seed, faults and trace from the
+// checkpoint and prints them.  An option fixing one of them that is given
+// with --restore must carry the checkpoint's value, or exit 2 naming the
+// option and both values.
+TEST(CliOptions, RestoreRequiresTheCheckpointsValues) {
+  expect_runs("network --topo mesh2x2 --cycles 200 --rate 0.05 --pattern "
+              "hotspot --seed 4 --faults --fault-seed 6 --checkpoint h.wsnp");
+  expect_runs("soak --topo mesh2x2 --cycles 200 --window 50 --rate 0.05 "
+              "--seed 4 --checkpoint s.wsnp");
+  const Outcome same = run_cli(
+      "network --topo mesh2x2 --restore h.wsnp --cycles 200 --rate 0.05 "
+      "--pattern hotspot --seed 4 --faults --fault-seed 6");
+  EXPECT_EQ(same.code, 0) << (same.err.empty() ? "" : same.err[0]);
+  EXPECT_NE(same.out.find("mesh 2x2, err-cycles, hotspot("),
+            std::string::npos)
+      << same.out;
+  const Outcome soak = run_cli("soak --topo mesh2x2 --window 50 --cycles 300 "
+                               "--restore h.wsnp");
+  EXPECT_EQ(soak.code, 0) << (soak.err.empty() ? "" : soak.err[0]);
+  EXPECT_NE(soak.out.find("mesh 2x2, err-cycles, hotspot("),
+            std::string::npos)
+      << soak.out;
+  const std::string net = "network --topo mesh2x2 --restore h.wsnp ";
+  const std::string resume = "soak --topo mesh2x2 --restore s.wsnp ";
+  struct Row {
+    std::string args;
+    std::string line;  // the stderr line, or its start
+  };
+  const std::vector<Row> rows = {
+      {net + "--pattern transpose",
+       "option --pattern: 'transpose' differs from the checkpoint's hotspot"},
+      {net + "--rate 0.5",
+       "option --rate: '0.5' differs from the checkpoint's 0.05"},
+      {net + "--seed 5", "option --seed: '5' differs from the checkpoint's 4"},
+      {net + "--cycles 100",
+       "option --cycles: '100' differs from the checkpoint's 200"},
+      {net + "--faults=false",
+       "option --faults: 'false' differs from the checkpoint's true"},
+      {net + "--fault-seed 7",
+       "option --fault-seed: '7' differs from the checkpoint's 6"},
+      {net + "--fault-window 8", "option --fault-window: "},
+      {net + "--fault-churn-rate 0.5", "option --fault-churn-rate: "},
+      {net + "--trace-in replay.csv",
+       "wormsched: trace replay.csv was given, but the checkpoint's run "
+       "replays none"},
+      {resume + "--rate 0.02",
+       "option --rate: '0.02' differs from the checkpoint's 0.05"},
+      {resume + "--seed 11", "option --seed: "},
+      {resume + "--pattern neighbor", "option --pattern: "},
+      {resume + "--horizon 100",
+       "option --horizon: '100' differs from the checkpoint's 200"},
+      {resume + "--faults", "option --faults: "},
+  };
+  for (const Row& r : rows) expect_rejected(r.args, r.line);
 }
 
 TEST(CliOptions, TopLevelHelpExits0) {
@@ -403,20 +488,20 @@ TEST(NetworkParallelismDeathTest, TrailingJunkShardsExits) {
 }
 
 TEST(NetworkParallelism, DefaultsAreSerial) {
-  const auto point = fabric_config(parse(kNetwork, {}), 100);
+  const auto point = fabric_config(parse(kNetwork, {}), kNetwork);
   EXPECT_EQ(point.network.threads, 1u);
   EXPECT_EQ(point.network.shards, 1u);
 }
 
 TEST(NetworkParallelism, UnsetShardsFollowThreads) {
-  const auto point = fabric_config(parse(kSoak, {"--threads=6"}), 100);
+  const auto point = fabric_config(parse(kSoak, {"--threads=6"}), kSoak);
   EXPECT_EQ(point.network.threads, 6u);
   EXPECT_EQ(point.network.shards, 6u);
 }
 
 TEST(NetworkParallelism, ExplicitShardsOverride) {
   const auto point =
-      fabric_config(parse(kNetwork, {"--threads=2", "--shards=8"}), 100);
+      fabric_config(parse(kNetwork, {"--threads=2", "--shards=8"}), kNetwork);
   EXPECT_EQ(point.network.threads, 2u);
   EXPECT_EQ(point.network.shards, 8u);
 }

@@ -8,11 +8,13 @@
 // path.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <map>
 #include <string>
 #include <string_view>
@@ -23,6 +25,9 @@
 #include "common/archive.hpp"
 #include "common/snapshot.hpp"
 #include "harness/checkpoint.hpp"
+#include "traffic/binary_trace.hpp"
+#include "traffic/trace_io.hpp"
+#include "traffic/trace_synth.hpp"
 #include "../common/field_map.hpp"
 
 namespace wormsched::harness {
@@ -422,6 +427,98 @@ TEST(NetworkRestoreCheck, CliRestoreOfCraftedFilesExits2) {
     EXPECT_EQ(WEXITSTATUS(status), expected) << name;
     std::remove(path.c_str());
   }
+}
+
+/// Exit status and stderr lines of `wormsched network --restore <path>`.
+struct CliOutcome {
+  int code = -1;
+  std::vector<std::string> err;
+};
+CliOutcome cli_restore(const std::string& path) {
+  const std::string err_path = path + ".stderr";
+  const std::string command = std::string(WS_CLI) + " network" +
+                              kCliGeometry + " --restore " + path +
+                              " > /dev/null 2> " + err_path;
+  const int status = std::system(command.c_str());
+  CliOutcome o;
+  o.code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  std::ifstream err(err_path);
+  for (std::string line; std::getline(err, line);) o.err.push_back(line);
+  std::remove(err_path.c_str());
+  return o;
+}
+
+// A trace-driven checkpoint records its trace's path, arrival count and
+// CRC.  A restore reloads the trace from that path, so a trace changed by
+// one byte or deleted since must fail as a bad checkpoint does: with
+// SnapshotError, and with one `wormsched:` line and exit 2 in the CLI.
+TEST(NetworkRestoreCheck, TraceChangedOrDeletedExits2) {
+  traffic::SynthSpec spec;
+  spec.num_flows = 16;
+  spec.horizon = 600;
+  spec.load = 1.0;
+  const traffic::Trace trace = traffic::synthesize_trace(spec, 3);
+  for (const bool binary : {false, true}) {
+    const std::string base = testing::TempDir() + "network_restore_trace_" +
+                             std::to_string(::getpid()) +
+                             (binary ? "_bin" : "_csv");
+    const std::string trace_path = base + (binary ? ".wst" : ".csv");
+    const std::string ckpt_path = base + ".wsnp";
+    if (binary)
+      traffic::save_binary_trace_file(trace_path, trace);
+    else
+      traffic::save_trace_file(trace_path, trace);
+    NetworkScenarioConfig point = config();
+    point.trace_in = load_replay_trace(trace_path);
+    {
+      NetworkRun run(point, /*seed=*/4);
+      run.advance_to(300);
+      run.save_checkpoint(ckpt_path);
+    }
+    const CliOutcome intact = cli_restore(ckpt_path);
+    EXPECT_EQ(intact.code, 0) << trace_path;
+    EXPECT_TRUE(intact.err.empty()) << trace_path;
+
+    // One byte changed: the last character before the final newline of a
+    // CSV (a length digit, so the trace still parses), a payload byte of
+    // the binary container.
+    std::vector<std::uint8_t> bytes = read_file_bytes(trace_path, "trace");
+    std::uint8_t& byte = bytes[bytes.size() - (binary ? 8 : 2)];
+    byte = binary ? static_cast<std::uint8_t>(byte ^ 1)
+                  : static_cast<std::uint8_t>(byte == '9' ? '8' : byte + 1);
+    std::ofstream(trace_path, std::ios::binary)
+        .write(reinterpret_cast<const char*>(bytes.data()),
+               static_cast<std::streamsize>(bytes.size()));
+    if (!binary) {
+      try {
+        const NetworkRun run(config(), read_snapshot_file(ckpt_path));
+        ADD_FAILURE() << "a changed trace restored";
+      } catch (const SnapshotError& e) {
+        EXPECT_NE(std::string(e.what()).find("NTRC.crc"), std::string::npos)
+            << e.what();
+      }
+    }
+    for (const char* state : {"changed", "deleted"}) {
+      if (std::string(state) == "deleted") std::remove(trace_path.c_str());
+      const CliOutcome o = cli_restore(ckpt_path);
+      EXPECT_EQ(o.code, 2) << state << " " << trace_path;
+      ASSERT_EQ(o.err.size(), 1u) << state << " " << trace_path;
+      EXPECT_EQ(o.err[0].rfind("wormsched: ", 0), 0u) << o.err[0];
+    }
+    std::remove(ckpt_path.c_str());
+  }
+}
+
+// A trace given for a checkpoint that replays none is a mismatch too.
+TEST(NetworkRestoreCheck, TraceGivenForLawDrivenCheckpointThrows) {
+  const MidRunCheckpoint c;
+  const std::string path = testing::TempDir() + "network_restore_given_" +
+                           std::to_string(::getpid()) + ".csv";
+  std::ofstream(path) << "cycle,flow,length\n0,0,2\n";
+  NetworkScenarioConfig point = config();
+  point.trace_in = load_replay_trace(path);
+  EXPECT_THROW({ const NetworkRun run(point, c.file); }, SnapshotError);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -14,14 +14,19 @@
 // arbitrary points of injection and drain, plus a standalone-scheduler
 // corpus over weighted and fault-perturbed workloads.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/snapshot.hpp"
 #include "harness/checkpoint.hpp"
 #include "harness/network_sweep.hpp"
+#include "traffic/binary_trace.hpp"
+#include "traffic/trace_synth.hpp"
 #include "validate/violation.hpp"
 #include "wormhole/network.hpp"
 
@@ -205,6 +210,115 @@ TEST(RestoreDifferential, CheckpointChainMatchesStraight) {
     last.run_to_completion();
     expect_identical(a, last.finish(), "chain seed " + std::to_string(seed));
   }
+}
+
+/// --- Trace-driven corpus ---------------------------------------------------
+
+/// A multi-tenant trace with incast bursts, written to a file of this
+/// process's own (a restore reloads it from the recorded path).
+std::shared_ptr<const ReplayTrace> incast_trace() {
+  static const std::shared_ptr<const ReplayTrace> trace = [] {
+    traffic::SynthSpec spec;
+    spec.num_flows = 48;
+    spec.horizon = 1200;
+    spec.load = 2.0;
+    spec.incast_every = 300;
+    spec.incast_fanin = 12;
+    traffic::BinaryTraceWriter writer(spec.num_flows);
+    traffic::synthesize_trace(
+        spec, 5, [&](const traffic::TraceEntry& e) { writer.append(e); });
+    const std::string path = testing::TempDir() + "restore_differential_" +
+                             std::to_string(::getpid()) + ".wst";
+    traffic::write_binary_trace_bytes(path, writer.finish());
+    return load_replay_trace(path);
+  }();
+  return trace;
+}
+
+/// One run's outputs the trace differential compares: its result with
+/// the audit counts of every segment summed, and its delivered log.
+struct TraceRunRecord {
+  NetworkScenarioResult result;
+  std::vector<wormhole::DeliveredPacket> delivered;
+  std::uint64_t audit_checks = 0;
+  std::uint64_t audit_opportunities = 0;
+
+  void add_segment(NetworkRun& run) {
+    const auto& log = run.network().delivered();
+    delivered.insert(delivered.end(), log.begin(), log.end());
+    result = run.finish();
+    audit_checks += result.audit_checks;
+    audit_opportunities += result.audit_opportunities;
+  }
+};
+
+void expect_identical(const TraceRunRecord& a, const TraceRunRecord& b,
+                      const std::string& label) {
+  expect_identical(a.result, b.result, label);
+  ASSERT_EQ(a.delivered.size(), b.delivered.size()) << label;
+  for (std::size_t i = 0; i < a.delivered.size(); ++i) {
+    const wormhole::DeliveredPacket& x = a.delivered[i];
+    const wormhole::DeliveredPacket& y = b.delivered[i];
+    EXPECT_TRUE(x.id == y.id && x.flow == y.flow && x.source == y.source &&
+                x.dest == y.dest && x.length == y.length &&
+                x.created == y.created && x.delivered == y.delivered)
+        << label << " delivered[" << i << "]";
+  }
+  EXPECT_EQ(a.audit_opportunities, b.audit_opportunities) << label;
+}
+
+TEST(RestoreDifferentialTrace, FaultedAuditedSplitsMatchStraight) {
+  // Checkpoints mid-injection, at the last arrival and mid-drain, serial
+  // and at two threads; each restore reloads the trace from its recorded
+  // path and must continue flit for flit as the straight run did.
+  for (const std::uint32_t threads : {1u, 2u}) {
+    NetworkScenarioConfig config = faulted_audited_config();
+    config.trace_in = incast_trace();
+    config.network.threads = threads;
+    config.network.shards = threads;
+    const std::string label = "threads " + std::to_string(threads);
+    constexpr std::uint64_t kSeed = 8;
+
+    TraceRunRecord straight;
+    Cycle last_arrival = 0;
+    {
+      NetworkRun run(config, kSeed);
+      last_arrival = run.config().traffic.inject_until - 1;
+      run.run_to_completion();
+      straight.add_segment(run);
+    }
+    const Cycle end = straight.result.end_cycle;
+    ASSERT_GT(end, last_arrival + 2) << label;
+    EXPECT_GT(straight.result.generated_packets, 150u) << label;
+    EXPECT_GT(straight.audit_opportunities, 0u) << label;
+
+    NetworkScenarioConfig restore_config = config;
+    restore_config.trace_in = nullptr;
+    for (const Cycle k : {last_arrival / 2, last_arrival,
+                          last_arrival + (end - last_arrival) / 2}) {
+      TraceRunRecord split;
+      SnapshotFile file;
+      {
+        NetworkRun run(config, kSeed);
+        run.advance_to(k);
+        ASSERT_EQ(run.now(), k) << label;
+        file = run.make_snapshot_file();
+        split.add_segment(run);
+      }
+      NetworkRun resumed(restore_config, file);
+      ASSERT_NE(resumed.config().trace_in, nullptr);
+      EXPECT_EQ(resumed.config().trace_in->crc, config.trace_in->crc);
+      resumed.run_to_completion();
+      split.add_segment(resumed);
+      // Each segment's auditor checks its own cycles, and each finish()
+      // adds the closing check.
+      EXPECT_EQ(split.audit_checks, straight.audit_checks + 1)
+          << label << " split at " << k;
+      expect_identical(straight, split,
+                       label + " split at " + std::to_string(k));
+    }
+  }
+  std::remove(incast_trace()->path.c_str());
 }
 
 /// --- Standalone-scheduler (ScenarioRun) corpus ---------------------------

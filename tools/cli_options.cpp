@@ -5,9 +5,11 @@
 #include <cstdio>
 #include <iterator>
 #include <sstream>
+#include <type_traits>
 #include <utility>
 
 #include "core/registry.hpp"
+#include "harness/checkpoint.hpp"
 #include "obs/trace_export.hpp"
 #include "wormhole/network.hpp"
 #include "wormhole/patterns.hpp"
@@ -156,7 +158,7 @@ obs::RunManifest manifest(const std::string& tool, const CliParser& cli,
 }
 
 harness::NetworkScenarioConfig fabric_config(const CliParser& cli,
-                                             Cycle inject_until) {
+                                             unsigned command) {
   harness::NetworkScenarioConfig point;
   wormhole::NetworkConfig& net = point.network;
   std::string error;
@@ -188,7 +190,18 @@ harness::NetworkScenarioConfig fabric_config(const CliParser& cli,
     CliParser::option_error(bad->option, bad->message);
 
   point.traffic.packets_per_node_per_cycle = cli.get_double("rate");
-  point.traffic.inject_until = inject_until;
+  point.traffic.inject_until = cli.get_uint("cycles");
+  if (command == kSoak && cli.get_uint("horizon") > 0)
+    point.traffic.inject_until = cli.get_uint("horizon");
+  if (command == kNetwork && !cli.get("trace-in").empty()) {
+    const std::string path = cli.get("trace-in");
+    for (const char* name : {"rate", "cycles"})
+      if (cli.given(name))
+        CliParser::option_error(name, "is not used with --trace-in");
+    point.trace_in = harness::load_replay_trace(path);
+    if (point.trace_in->trace.entries.empty())
+      CliParser::option_error("trace-in", "'" + path + "' holds no arrivals");
+  }
   using Pattern = wormhole::PatternSpec::Kind;
   constexpr std::pair<const char*, Pattern> kPatterns[] = {
       {"uniform", Pattern::kUniform},       {"transpose", Pattern::kTranspose},
@@ -211,6 +224,61 @@ harness::NetworkScenarioConfig fabric_config(const CliParser& cli,
                                             : validate::AuditMode::kIncremental;
   point.trace = trace_request(cli);
   return point;
+}
+
+std::optional<SnapshotFile> restore_inputs(
+    const CliParser& cli, unsigned command,
+    harness::NetworkScenarioConfig& point) {
+  const std::string path = cli.get("restore");
+  if (path.empty()) return std::nullopt;
+  SnapshotFile file = read_snapshot_file(path);
+  const harness::NetworkScenarioConfig saved =
+      harness::read_network_inputs(file, point);
+  const wormhole::NetworkTrafficSource::Config& law = saved.traffic;
+  const validate::FaultSpec& f = saved.faults;
+  const validate::FaultSpec& g = point.faults;
+  // Each fixed option's checkpoint value, or empty when the given agrees.
+  const auto differ = [](auto given, auto value) -> std::string {
+    if (given == value) return "";
+    if constexpr (std::is_floating_point_v<decltype(value)>)
+      return number(value);
+    else
+      return std::to_string(value);
+  };
+  const char* window = command == kSoak ? "horizon" : "cycles";
+  // A trace-driven run has no law for --rate or the injection window.
+  const auto law_differ = [&](auto given, auto value) {
+    return saved.trace_in ? "replay of trace " + saved.trace_in->path
+                          : differ(given, value);
+  };
+  const std::pair<const char*, std::string> fixed[] = {
+      {"seed", differ(cli.get_uint("seed"), law.seed)},
+      {"rate", law_differ(point.traffic.packets_per_node_per_cycle,
+                          law.packets_per_node_per_cycle)},
+      {window, law_differ(cli.get_uint(window), law.inject_until)},
+      {"pattern", point.traffic.pattern.kind == law.pattern.kind
+                      ? ""
+                      : law.pattern.describe()},
+      {"faults", g.enabled == f.enabled ? "" : f.enabled ? "true" : "false"},
+      // A faulted run seeds its schedule with --fault-seed plus its seed.
+      {"fault-seed", differ(g.seed, f.seed - (f.enabled ? law.seed : 0))},
+      {"fault-window", differ(g.window, f.window)},
+      {"fault-link-rate", differ(g.link_stall_rate, f.link_stall_rate)},
+      {"fault-link-cycles", differ(g.link_stall_cycles, f.link_stall_cycles)},
+      {"fault-credit-rate", differ(g.credit_stall_rate, f.credit_stall_rate)},
+      {"fault-credit-cycles",
+       differ(g.credit_stall_cycles, f.credit_stall_cycles)},
+      {"fault-churn-rate", differ(g.churn_rate, f.churn_rate)},
+      {"fault-burst-rate", differ(g.burst_rate, f.burst_rate)},
+      {"fault-burst-mult", differ(g.burst_multiplier, f.burst_multiplier)},
+  };
+  for (const auto& [name, value] : fixed)
+    if (cli.given(name) && !value.empty())
+      CliParser::option_error(  // appended: GCC 12 -O3 false -Wrestrict
+          name, std::string(1, '\'').append(cli.get(name)).append(
+                    "' differs from the checkpoint's " + value));
+  point = saved;
+  return file;
 }
 
 }  // namespace wormsched::cli

@@ -11,10 +11,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/cli.hpp"
+#include "common/snapshot.hpp"
 #include "common/types.hpp"
 #include "harness/network_sweep.hpp"
 #include "harness/workload_parse.hpp"
@@ -25,9 +27,7 @@
 
 namespace wormsched::cli {
 
-/// Subcommand bits: a row's `commands` is the set of subcommands taking
-/// it.  kTraceIn marks the network rows a `--trace-in` run reads; it
-/// rejects every other network option it is given.
+/// Subcommand bits: a row's `commands` is the set of subcommands taking it.
 enum Command : unsigned {
   kCompare = 1u << 0,
   kRun = 1u << 1,
@@ -36,7 +36,6 @@ enum Command : unsigned {
   kReplay = 1u << 4,
   kNetwork = 1u << 5,
   kSoak = 1u << 6,
-  kTraceIn = 1u << 7,
 };
 
 enum class Kind { kText, kFlag, kChoice, kUint, kDouble };
@@ -80,7 +79,7 @@ constexpr Option real(const char* name, unsigned commands, const char* value,
   return {name, commands, Kind::kDouble, value, help, 0, 0, lo, hi};
 }
 
-inline constexpr unsigned kFabric = kNetwork | kSoak | kTraceIn;
+inline constexpr unsigned kFabric = kNetwork | kSoak;
 inline constexpr unsigned kTraced = kRun | kNetwork | kSoak;
 inline constexpr std::uint64_t kU32Max =
     std::numeric_limits<std::uint32_t>::max();
@@ -146,7 +145,7 @@ inline constexpr Option kOptions[] = {
     text("trace", kReplay, "trace.csv", "input trace (CSV or binary)"),
 
     // --- Fabric -------------------------------------------------------
-    text("topo", kNetwork | kTraceIn, "mesh4x4",
+    text("topo", kNetwork, "mesh4x4",
          "mesh<W>x<H>, torus<W>x<H> or fattree:<K>"),
     text("topo", kSoak, "mesh8x8", "mesh<W>x<H>, torus<W>x<H> or fattree:<K>"),
     text("arbiter", kFabric, "err-cycles", "err-cycles|err-flits|rr|fcfs"),
@@ -176,9 +175,9 @@ inline constexpr Option kOptions[] = {
     integer("shards", kFabric, "",
             "shard domains for the network tick (default: --threads)", 1,
             kU32Max),
-    text("trace-in", kNetwork | kTraceIn, "",
-         "replay an arrival trace (binary or CSV) instead of the synthetic "
-         "source: flow -> source node, destinations from --pattern"),
+    text("trace-in", kNetwork, "",
+         "replay an arrival trace (binary or CSV) in place of --rate and "
+         "--cycles: flow -> source node, destinations from --pattern"),
     integer("horizon", kSoak, "0",
             "injection horizon (0 = --cycles); the first segment fixes it",
             0, kInjectMax),
@@ -243,10 +242,18 @@ inline constexpr Option kOptions[] = {
 [[nodiscard]] obs::RunManifest manifest(const std::string& tool,
                                         const CliParser& cli,
                                         std::uint64_t seed);
-/// The run `network` and `soak` share: the fabric (judged by
-/// wormhole::check_config), traffic injecting until `inject_until`,
-/// faults, audit mode and trace request.
+/// The run `network` and `soak` (`command`) share: the fabric (judged by
+/// wormhole::check_config), traffic injecting for the injection window
+/// (network's --cycles, soak's --horizon or else --cycles) or replaying
+/// network's --trace-in (which rejects --rate, --cycles and an empty
+/// trace), faults, audit mode and trace request.
 [[nodiscard]] harness::NetworkScenarioConfig fabric_config(
-    const CliParser& cli, Cycle inject_until);
+    const CliParser& cli, unsigned command);
+/// --restore: the checkpoint, with the run inputs it fixes put into
+/// `point`.  --seed, --rate, --pattern, the injection window, --faults and
+/// each --fault-* given with another value than the checkpoint's exit 2.
+[[nodiscard]] std::optional<SnapshotFile> restore_inputs(
+    const CliParser& cli, unsigned command,
+    harness::NetworkScenarioConfig& point);
 
 }  // namespace wormsched::cli

@@ -34,12 +34,9 @@
 #include "metrics/fairness.hpp"
 #include "obs/trace_export.hpp"
 #include "obs/trace_sink.hpp"
-#include "sim/engine.hpp"
 #include "traffic/binary_trace.hpp"
 #include "traffic/trace_io.hpp"
 #include "traffic/trace_synth.hpp"
-#include "wormhole/network.hpp"
-#include "wormhole/patterns.hpp"
 
 using namespace wormsched;
 
@@ -310,19 +307,11 @@ int cmd_trace_gen(const CliParser& cli) {
   return 0;
 }
 
-/// Loads a trace by magic sniff: binary container or CSV.  Both loaders
-/// throw on malformed, header-only and unreadable traces with a message
-/// naming the problem.
-traffic::Trace load_trace_any(const std::string& path) {
-  if (traffic::is_binary_trace_file(path))
-    return traffic::load_binary_trace_file(path);
-  return traffic::load_trace_file(path);
-}
-
 int cmd_replay(const CliParser& cli) {
   const std::string scheduler = cli::scheduler(cli);
   const std::string path = cli.get("trace");
-  const traffic::Trace trace = load_trace_any(path);
+  const auto replay = harness::load_replay_trace(path);
+  const traffic::Trace& trace = replay->trace;
   if (trace.entries.empty())
     CliParser::option_error("trace", "'" + path + "' holds no arrivals");
   harness::ScenarioConfig config;
@@ -333,66 +322,33 @@ int cmd_replay(const CliParser& cli) {
   return 0;
 }
 
-/// `network --trace-in`: replays an arrival trace through the fabric,
-/// flow -> source node, destinations from --pattern.  It reads the rows
-/// marked kTraceIn; any other network option given would be silently
-/// ignored, so it is an error.
-int run_trace_in(const CliParser& cli) {
-  for (const cli::Option& o : cli::kOptions)
-    if ((o.commands & cli::kNetwork) != 0 &&
-        (o.commands & cli::kTraceIn) == 0 && cli.given(o.name))
-      CliParser::option_error(o.name, "is not used with --trace-in");
-  const harness::NetworkScenarioConfig point = cli::fabric_config(cli, 0);
-  const std::string trace_in = cli.get("trace-in");
-  const traffic::Trace trace = load_trace_any(trace_in);
-  wormhole::Network net(point.network);
-  wormhole::TraceTrafficSource::Config src_config;
-  src_config.trace = &trace;
-  src_config.pattern = point.traffic.pattern;
-  src_config.seed = cli.get_uint("seed");
-  wormhole::TraceTrafficSource source(net, src_config);
-  sim::Engine engine;
-  engine.add_component(source);
-  engine.add_component(net);
-  // Same drain discipline as the scenario runner: injection window
-  // times the drain factor bounds a fabric that never goes idle.
-  const Cycle cap = source.inject_until() * 50 + 1000;
-  const Cycle end = engine.run_until_idle(cap);
-  std::printf("%s, %s, trace %s: injected %llu packets, delivered %llu, "
-              "drained at cycle %llu\n",
-              point.network.topo.describe().c_str(),
-              cli.get("arbiter").c_str(), trace_in.c_str(),
-              static_cast<unsigned long long>(source.generated()),
-              static_cast<unsigned long long>(net.delivered_packets()),
-              static_cast<unsigned long long>(end));
-  std::printf("latency cycles: mean %.1f  min %.0f  max %.0f  p99 %.0f\n",
-              net.latency_overall().mean(), net.latency_overall().min(),
-              net.latency_overall().max(),
-              net.latency_quantiles().quantile(0.99));
-  return 0;
+/// "mesh 4x4, err-cycles, uniform", or "..., trace s.wst" for a replay.
+std::string describe_fabric(const CliParser& cli,
+                            const harness::NetworkScenarioConfig& point) {
+  return point.network.topo.describe() + ", " + cli.get("arbiter") + ", " +
+         (point.trace_in ? "trace " + point.trace_in->path
+                         : point.traffic.pattern.describe());
 }
 
 int cmd_network(const CliParser& cli) {
-  if (!cli.get("trace-in").empty()) return run_trace_in(cli);
-  const harness::NetworkScenarioConfig point =
-      cli::fabric_config(cli, cli.get_uint("cycles"));
-  const std::string fabric = point.network.topo.describe() + ", " +
-                             cli.get("arbiter") + ", " +
-                             point.traffic.pattern.describe();
+  harness::NetworkScenarioConfig point = cli::fabric_config(cli, cli::kNetwork);
   const std::size_t seeds = cli.get_uint("seeds");
   // A multi-seed sweep neither restores nor writes a snapshot.
   for (const char* name : {"restore", "checkpoint", "checkpoint-every"})
     if (seeds > 1 && cli.given(name))
       CliParser::option_error(name, "needs --seeds 1");
   const std::string restore_path = cli.get("restore");
-  if (point.faults.enabled)
+  const std::optional<SnapshotFile> restore =
+      cli::restore_inputs(cli, cli::kNetwork, point);
+  if (point.faults.enabled && !restore)
     std::printf("%s\n", point.faults.describe().c_str());
+  const std::string fabric = describe_fabric(cli, point);
 
   const std::string manifest_path = cli.get("manifest");
   if (seeds == 1) {
     std::optional<harness::NetworkRun> run;
-    if (!restore_path.empty())
-      run.emplace(point, read_snapshot_file(restore_path));
+    if (restore)
+      run.emplace(point, *restore);
     else
       run.emplace(point, cli.get_uint("seed"));
     const obs::TraceProvenance prov = announce_restore(*run, restore_path);
@@ -405,9 +361,11 @@ int cmd_network(const CliParser& cli) {
                 static_cast<unsigned long long>(result.generated_packets),
                 static_cast<std::size_t>(result.delivered_packets),
                 static_cast<unsigned long long>(result.end_cycle));
-    std::printf("latency cycles: mean %.1f  min %.0f  max %.0f\n",
+    std::printf("latency cycles: mean %.1f  min %.0f  max %.0f",
                 result.latency.mean(), result.latency.min(),
                 result.latency.max());
+    if (point.trace_in) std::printf("  p99 %.0f", result.p99_latency);
+    std::printf("\n");
     if (!manifest_path.empty()) {
       obs::RunManifest manifest =
           cli::manifest("wormsched network", cli, cli.get_uint("seed"));
@@ -490,32 +448,27 @@ int cmd_network(const CliParser& cli) {
 }
 
 int cmd_soak(const CliParser& cli) {
-  const Cycle cycles = cli.get_uint("cycles");
-  const Cycle horizon = cli.get_uint("horizon");
-  const harness::NetworkScenarioConfig point =
-      cli::fabric_config(cli, horizon > 0 ? horizon : cycles);
-  if (point.faults.enabled)
+  harness::NetworkScenarioConfig point = cli::fabric_config(cli, cli::kSoak);
+  const std::string restore_path = cli.get("restore");
+  const std::optional<SnapshotFile> restore =
+      cli::restore_inputs(cli, cli::kSoak, point);
+  if (point.faults.enabled && !restore)
     std::printf("%s\n", point.faults.describe().c_str());
 
   harness::SoakOptions options;
-  options.cycles = cycles;
+  options.cycles = cli.get_uint("cycles");
   options.checkpoint_every = cli.get_uint("checkpoint-every");
   options.checkpoint_path = cli.get("checkpoint");
   options.window.window = cli.get_uint("window");
   options.window.stable_windows = cli.get_uint("stable-windows");
   options.window.rel_tol = cli.get_double("rel-tol");
 
-  const std::string restore_path = cli.get("restore");
   const harness::SoakSummary summary =
-      restore_path.empty()
-          ? harness::run_soak(point, cli.get_uint("seed"), options)
-          : harness::resume_soak(point, read_snapshot_file(restore_path),
-                                 options);
+      restore ? harness::resume_soak(point, *restore, options)
+              : harness::run_soak(point, cli.get_uint("seed"), options);
 
-  std::printf("%s, %s, %s: soaked to cycle %llu%s\n",
-              point.network.topo.describe().c_str(),
-              cli.get("arbiter").c_str(),
-              point.traffic.pattern.describe().c_str(),
+  std::printf("%s: soaked to cycle %llu%s\n",
+              describe_fabric(cli, point).c_str(),
               static_cast<unsigned long long>(summary.end_cycle),
               summary.restore_count > 0 ? " (resumed)" : "");
   std::printf("delivered %llu packets / %llu flits over %llu window(s)\n",
