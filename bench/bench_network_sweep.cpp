@@ -28,14 +28,14 @@ int main(int argc, char** argv) {
   cli.add_option("cycles", "injection cycles per point", "30000");
   cli.add_option("seeds", "independent seeds per point", "1");
   cli.add_option("csv", "output CSV path", "network_sweep.csv");
-  add_jobs_option(cli);
+  cli.add_option("jobs", "worker threads for the seeds (0 = all cores)", "1");
   cli.parse(argc, argv);
 
   const Cycle cycles = cli.get_uint("cycles");
   SweepOptions sweep;
   sweep.base_seed = 5;
   sweep.seeds = cli.get_uint("seeds");
-  sweep.jobs = resolve_jobs(cli);
+  sweep.jobs = cli.get_uint("jobs");
 
   CsvWriter csv(cli.get("csv"));
   csv.header({"config", "rate", "flits_per_cycle", "mean_latency",

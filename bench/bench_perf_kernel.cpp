@@ -64,10 +64,10 @@
 #include "common/cli.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
-#include "common/thread_pool.hpp"
 #include "core/err.hpp"
 #include "core/registry.hpp"
 #include "harness/network_sweep.hpp"
+#include "harness/sweep.hpp"
 #include "metrics/perf_counters.hpp"
 #include "obs/manifest.hpp"
 #include "traffic/trace_synth.hpp"
@@ -433,7 +433,7 @@ int main(int argc, char** argv) {
 
   const Cycle hotspot_cycles = cli.get_uint("hotspot-cycles");
   const Cycle scaling_cycles = cli.get_uint("scaling-cycles");
-  const std::size_t hardware_threads = ThreadPool::hardware_workers();
+  const std::size_t hardware_threads = harness::hardware_workers();
 
   const double hotspot_rate = cli.get_double("hotspot-rate");
   const auto same = [](const NetworkRun& a, const NetworkRun& b) {

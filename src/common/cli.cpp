@@ -6,7 +6,6 @@
 #include <system_error>
 
 #include "common/assert.hpp"
-#include "common/thread_pool.hpp"
 
 namespace wormsched {
 namespace {
@@ -193,17 +192,6 @@ std::vector<std::pair<std::string, std::string>> CliParser::items() const {
   for (const auto& [name, opt] : options_)
     out.emplace_back(name, opt.value.value_or(opt.default_value));
   return out;
-}
-
-void add_jobs_option(CliParser& cli, const std::string& default_value) {
-  cli.add_option("jobs", "worker threads for multi-seed sweeps (0 = all cores)",
-                 default_value);
-}
-
-std::size_t resolve_jobs(const CliParser& cli) {
-  const std::uint64_t jobs = cli.get_uint("jobs");
-  if (jobs == 0) return ThreadPool::hardware_workers();
-  return static_cast<std::size_t>(jobs);
 }
 
 std::string CliParser::usage(const std::string& program) const {

@@ -88,13 +88,4 @@ class CliParser {
   std::map<std::string, Option> options_;
 };
 
-/// Declares the shared `--jobs` option (worker threads for sweeps;
-/// 0 = one per hardware thread).  Every sweep-capable bench and the CLI
-/// declare it through this helper so the flag reads identically everywhere.
-void add_jobs_option(CliParser& cli, const std::string& default_value = "1");
-
-/// Resolves `--jobs` to an effective worker count: 0 expands to the
-/// hardware thread count, anything else is used as given (minimum 1).
-[[nodiscard]] std::size_t resolve_jobs(const CliParser& cli);
-
 }  // namespace wormsched

@@ -1,8 +1,8 @@
-// Persistent worker team for per-cycle fork/join parallelism.
+// Persistent worker team for fork/join parallelism.
 //
-// ThreadPool is built for coarse tasks (per-seed simulations, milliseconds
-// each); its mutex + condvar queue and per-submit std::function allocation
-// are far too heavy for a fork/join that fires every simulated cycle.
+// It runs both fork/joins in the tree: the sharded network tick, which
+// fires every simulated cycle, and harness::for_each_seed, whose lanes
+// each run whole per-seed simulations (milliseconds to seconds apiece).
 // TickTeam keeps `lanes - 1` workers parked on a barrier and runs one
 // callable across all lanes per run() call: two barrier crossings and zero
 // allocations per tick, which is what preserves the kernel's

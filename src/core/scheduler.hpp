@@ -10,10 +10,10 @@
 // The length of the packet in flight becomes visible to the discipline
 // only when its tail flit is transmitted (`on_packet_complete`).
 // Disciplines that fundamentally need lengths up front — DRR, the
-// timestamp schedulers — must declare `requires_apriori_length()` and use
-// the protected `head_packet_length()` oracle; the wormhole switch model
-// refuses to instantiate such disciplines, which operationalizes the
-// paper's claim that "DRR is not suitable for wormhole networks".
+// timestamp schedulers — must declare `requires_apriori_length()` to use
+// the protected `head_packet_length()` oracle, whose check aborts any other
+// caller and so operationalizes the paper's claim that "DRR is not suitable
+// for wormhole networks".  Fabric PortArbiters never see a packet length.
 #pragma once
 
 #include <cstddef>

@@ -6,7 +6,6 @@
 
 #include "common/assert.hpp"
 #include "common/snapshot.hpp"
-#include "common/thread_pool.hpp"
 #include "harness/checkpoint.hpp"
 #include "traffic/binary_trace.hpp"
 #include "traffic/trace_io.hpp"
@@ -42,8 +41,7 @@ SweepResult sweep_network(const NetworkScenarioConfig& config,
                           const NetworkMetricExtractor& extract) {
   WS_CHECK(options.seeds > 0);
   std::vector<std::optional<NetworkScenarioResult>> per_seed(options.seeds);
-  ThreadPool pool(sweep_workers(options));
-  pool.parallel_for(options.seeds, [&](std::size_t k) {
+  for_each_seed(options, [&](std::size_t k) {
     NetworkScenarioConfig run_config = config;
     if (run_config.trace.enabled() && options.seeds > 1) {
       // One private trace file set per seed: parallel workers must never

@@ -1,13 +1,16 @@
 #include "harness/sweep.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <limits>
 #include <optional>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "common/assert.hpp"
 #include "common/table.hpp"
-#include "common/thread_pool.hpp"
+#include "common/tick_team.hpp"
 
 namespace wormsched::harness {
 
@@ -26,10 +29,35 @@ std::vector<std::string> SweepResult::metrics() const {
   return names;
 }
 
+std::size_t hardware_workers() {
+  const unsigned n = std::thread::hardware_concurrency();
+  return n == 0 ? 1 : n;
+}
+
 std::size_t sweep_workers(const SweepOptions& options) {
   const std::size_t jobs =
-      options.jobs == 0 ? ThreadPool::hardware_workers() : options.jobs;
+      options.jobs == 0 ? hardware_workers() : options.jobs;
   return std::min(jobs, options.seeds);
+}
+
+void for_each_seed(const SweepOptions& options,
+                   const std::function<void(std::size_t)>& run_seed) {
+  const std::size_t lanes = sweep_workers(options);
+  WS_CHECK_MSG(lanes <= std::numeric_limits<std::uint32_t>::max(),
+               "a sweep's lane count must fit a TickTeam");
+  // Seeds cost unevenly, so lanes pull indices instead of owning slices.
+  // A failing lane pushes the counter past the end: the sweep is lost,
+  // and no lane should start another seed for it.
+  std::atomic<std::size_t> next{0};
+  TickTeam team(static_cast<std::uint32_t>(lanes));
+  team.run([&](std::uint32_t /*lane*/) {
+    try {
+      for (std::size_t k = next++; k < options.seeds; k = next++) run_seed(k);
+    } catch (...) {
+      next = options.seeds;
+      throw;
+    }
+  });
 }
 
 SweepResult sweep_scenario(std::string_view scheduler_name,
@@ -42,8 +70,7 @@ SweepResult sweep_scenario(std::string_view scheduler_name,
   // folded in seed order below, so the aggregate cannot depend on worker
   // scheduling.
   std::vector<std::optional<ScenarioResult>> per_seed(options.seeds);
-  ThreadPool pool(sweep_workers(options));
-  pool.parallel_for(options.seeds, [&](std::size_t k) {
+  for_each_seed(options, [&](std::size_t k) {
     ScenarioConfig seed_config = config;
     seed_config.seed = options.base_seed + k;
     const traffic::Trace trace = traffic::generate_trace(
@@ -53,17 +80,6 @@ SweepResult sweep_scenario(std::string_view scheduler_name,
   SweepResult aggregate;
   for (const auto& result : per_seed) extract(*result, aggregate);
   return aggregate;
-}
-
-SweepResult sweep_scenario(std::string_view scheduler_name,
-                           ScenarioConfig config,
-                           const traffic::WorkloadSpec& workload,
-                           std::uint64_t base_seed, std::size_t seeds,
-                           const MetricExtractor& extract) {
-  SweepOptions options;
-  options.base_seed = base_seed;
-  options.seeds = seeds;
-  return sweep_scenario(scheduler_name, config, workload, options, extract);
 }
 
 }  // namespace wormsched::harness

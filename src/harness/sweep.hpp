@@ -62,10 +62,21 @@ struct SweepOptions {
   std::size_t jobs = 1;  // worker threads; 0 = one per hardware thread
 };
 
-/// The worker count a sweep's pool gets: `jobs` (0 resolved to one per
-/// hardware thread first), capped at the seed count, since a worker
-/// without a seed would only idle.
+/// The machine's hardware thread count (>= 1).
+[[nodiscard]] std::size_t hardware_workers();
+
+/// The worker count a sweep gets: `jobs` (0 resolved to one per hardware
+/// thread first), capped at the seed count, since a worker without a
+/// seed would only idle.
 [[nodiscard]] std::size_t sweep_workers(const SweepOptions& options);
+
+/// Calls run_seed(k) once for every k in [0, options.seeds), on a
+/// TickTeam of sweep_workers(options) lanes that take indices from one
+/// shared counter; one lane runs inline on the caller.  A seed that
+/// throws stops every lane from starting another, and the first error is
+/// rethrown here once all lanes have stopped.
+void for_each_seed(const SweepOptions& options,
+                   const std::function<void(std::size_t)>& run_seed);
 
 /// Runs `scheduler_name` over `options.seeds` independently generated
 /// instances of `workload` (seed k uses base_seed + k) and aggregates the
@@ -76,14 +87,6 @@ struct SweepOptions {
                                          const ScenarioConfig& config,
                                          const traffic::WorkloadSpec& workload,
                                          const SweepOptions& options,
-                                         const MetricExtractor& extract);
-
-/// Serial convenience overload (jobs = 1), kept for the existing callers.
-[[nodiscard]] SweepResult sweep_scenario(std::string_view scheduler_name,
-                                         ScenarioConfig config,
-                                         const traffic::WorkloadSpec& workload,
-                                         std::uint64_t base_seed,
-                                         std::size_t seeds,
                                          const MetricExtractor& extract);
 
 }  // namespace wormsched::harness

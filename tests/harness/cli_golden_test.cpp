@@ -124,7 +124,7 @@ const std::vector<GoldenCase>& cases() {
         {"k.wsnp", 0x22487dfe38c33a5bull},
         {"k1.json", 0x88cb8ace706077c0ull},
         {"k2.wsnp", 0xdea2f18872f51cc2ull},
-        {"k2.json", 0x631bfd6d14a91878ull}}},
+        {"k2.json", 0x5915ec75dcb7571dull}}},
       {"soak_traced",
        {"soak --topo mesh3x3 --cycles 2000 --window 500 --stable-windows 2 "
         "--rel-tol 0.5 --audit --faults --fault-window 32 --trace k.json "

@@ -264,15 +264,23 @@ TEST(CliOptions, TraceInRejectsOptionsItIgnores) {
       << sweep.out;
 }
 
-// A restore takes its traffic law, seed, faults and trace from the
-// checkpoint and prints them.  An option fixing one of them that is given
-// with --restore must carry the checkpoint's value, or exit 2 naming the
-// option and both values.
+// A restore takes its traffic law (a run's workload, scheduler, horizon
+// and drain), seed, faults and trace from the checkpoint.  An option
+// fixing one of them that is given with --restore must carry the
+// checkpoint's value, or exit 2 naming the option and both values.
 TEST(CliOptions, RestoreRequiresTheCheckpointsValues) {
   expect_runs("network --topo mesh2x2 --cycles 200 --rate 0.05 --pattern "
               "hotspot --seed 4 --faults --fault-seed 6 --checkpoint h.wsnp");
   expect_runs("soak --topo mesh2x2 --cycles 200 --window 50 --rate 0.05 "
               "--seed 4 --checkpoint s.wsnp");
+  expect_runs("run --workload bern:0.05:u1-4*2 --cycles 200 --seed 4 "
+              "--faults --fault-seed 6 --checkpoint r.wsnp");
+  const Outcome rerun = run_cli(
+      "run --restore r.wsnp --workload bern:0.05:u1-4*2 --scheduler ERR "
+      "--cycles 200 --seed 4 --drain=false --faults --fault-seed 6");
+  EXPECT_EQ(rerun.code, 0) << (rerun.err.empty() ? "" : rerun.err[0]);
+  EXPECT_NE(rerun.out.find("per-flow results (ERR)"), std::string::npos)
+      << rerun.out;
   const Outcome same = run_cli(
       "network --topo mesh2x2 --restore h.wsnp --cycles 200 --rate 0.05 "
       "--pattern hotspot --seed 4 --faults --fault-seed 6");
@@ -288,6 +296,7 @@ TEST(CliOptions, RestoreRequiresTheCheckpointsValues) {
       << soak.out;
   const std::string net = "network --topo mesh2x2 --restore h.wsnp ";
   const std::string resume = "soak --topo mesh2x2 --restore s.wsnp ";
+  const std::string run = "run --restore r.wsnp ";
   struct Row {
     std::string args;
     std::string line;  // the stderr line, or its start
@@ -316,8 +325,45 @@ TEST(CliOptions, RestoreRequiresTheCheckpointsValues) {
       {resume + "--horizon 100",
        "option --horizon: '100' differs from the checkpoint's 200"},
       {resume + "--faults", "option --faults: "},
+      {run + "--workload 'bern:0.5:c1*9'",
+       "option --workload: 'bern:0.5:c1*9' differs from the checkpoint's "
+       "bern:0.05:u1-4*2"},
+      {run + "--scheduler drr",
+       "option --scheduler: 'drr' differs from the checkpoint's ERR"},
+      {run + "--cycles 10",
+       "option --cycles: '10' differs from the checkpoint's 200"},
+      {run + "--seed 5", "option --seed: '5' differs from the checkpoint's 4"},
+      {run + "--drain",
+       "option --drain: 'true' differs from the checkpoint's false"},
+      {run + "--faults=false",
+       "option --faults: 'false' differs from the checkpoint's true"},
+      {run + "--fault-seed 7",
+       "option --fault-seed: '7' differs from the checkpoint's 6"},
+      {run + "--fault-burst-mult 2", "option --fault-burst-mult: "},
   };
   for (const Row& r : rows) expect_rejected(r.args, r.line);
+}
+
+// A restored run's manifest records the seed of the checkpoint's run, not
+// the default of the --seed it was not given.
+TEST(CliOptions, RestoredManifestRecordsTheCheckpointsSeed) {
+  expect_runs("network --topo mesh2x2 --cycles 200 --rate 0.05 --seed 4 "
+              "--checkpoint seed_n.wsnp");
+  expect_runs("soak --topo mesh2x2 --cycles 200 --window 50 --rate 0.05 "
+              "--seed 4 --checkpoint seed_s.wsnp");
+  expect_runs("run --workload bern:0.05:u1-4*2 --cycles 200 --seed 4 "
+              "--checkpoint seed_r.wsnp");
+  for (const std::string restore :
+       {"network --topo mesh2x2 --restore seed_n.wsnp",
+        "soak --topo mesh2x2 --window 50 --cycles 300 --restore seed_s.wsnp",
+        "run --restore seed_r.wsnp"}) {
+    expect_runs(restore + " --manifest seed.json");
+    std::ifstream in(scratch() + "seed.json");
+    const std::string manifest((std::istreambuf_iterator<char>(in)),
+                               std::istreambuf_iterator<char>());
+    EXPECT_NE(manifest.find("\n  \"seed\": 4,\n"), std::string::npos)
+        << restore << " -> " << manifest;
+  }
 }
 
 TEST(CliOptions, TopLevelHelpExits0) {

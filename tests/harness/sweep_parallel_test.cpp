@@ -2,8 +2,15 @@
 // fan across workers but fold in seed order, so every aggregate is
 // byte-identical for any --jobs value.  These tests pin exact equality —
 // EXPECT_EQ on doubles, not near — between jobs=1 and jobs=4 for both
-// the standalone and the network sweep paths.
+// the standalone and the network sweep paths, and the fan-out itself:
+// for_each_seed runs every seed once and hands a seed's error back.
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <chrono>
+#include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "harness/network_sweep.hpp"
 #include "harness/sweep.hpp"
@@ -62,20 +69,56 @@ TEST(SweepParallel, StandaloneJobs4MatchesJobs1Exactly) {
   expect_identical(a, b);
 }
 
-TEST(SweepParallel, LegacyOverloadMatchesOptionsOverload) {
-  ScenarioConfig config;
-  config.horizon = 4000;
-  config.drain = true;
+TEST(SweepParallel, ForEachSeedRunsEverySeedExactlyOnce) {
   SweepOptions options;
-  options.base_seed = 3;
-  options.seeds = 4;
-  options.jobs = 1;
-  const SweepResult a = sweep_scenario("drr", config, light_workload(),
-                                       options, standalone_extractor());
-  const SweepResult b = sweep_scenario("drr", config, light_workload(),
-                                       /*base_seed=*/3, /*seeds=*/4,
-                                       standalone_extractor());
-  expect_identical(a, b);
+  options.seeds = 37;
+  options.jobs = 4;
+  std::vector<std::atomic<int>> calls(options.seeds);
+  for_each_seed(options, [&](std::size_t k) { ++calls[k]; });
+  for (std::size_t k = 0; k < calls.size(); ++k)
+    EXPECT_EQ(calls[k].load(), 1) << "seed " << k;
+  options.seeds = 0;
+  for_each_seed(options, [](std::size_t) { ADD_FAILURE(); });
+}
+
+// A seed's exception reaches the caller as itself, and only once every
+// lane has stopped: the seeds after it outlast the failure, so a caller
+// that did not wait for them would still see them running.  The failure
+// also stops the lanes from starting the rest: draining them would take
+// the other three lanes 50 ms of sleeps.
+TEST(SweepParallel, ASeedsErrorReachesTheCallerOnceEveryLaneStops) {
+  for (const std::size_t jobs : {1u, 4u}) {
+    SweepOptions options;
+    options.seeds = 37;
+    options.jobs = jobs;
+    std::atomic<int> running{0};
+    std::atomic<std::size_t> started{0};
+    std::atomic<bool> thrown{false};
+    try {
+      for_each_seed(options, [&](std::size_t k) {
+        ++started;
+        if (k == 5) {
+          thrown = true;
+          throw std::runtime_error("seed 5");
+        }
+        ++running;
+        if (k > 5) {
+          while (!thrown) std::this_thread::yield();
+          std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        }
+        --running;
+      });
+      ADD_FAILURE() << "jobs " << jobs << ": no error reached the caller";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "seed 5") << "jobs " << jobs;
+      EXPECT_EQ(running.load(), 0) << "jobs " << jobs;
+    }
+    EXPECT_LT(started.load(), options.seeds) << "jobs " << jobs;
+    // Serially, no seed after the failing one starts.
+    if (jobs == 1) {
+      EXPECT_EQ(started.load(), 6u);
+    }
+  }
 }
 
 NetworkScenarioConfig small_network_point() {
@@ -110,6 +153,7 @@ TEST(SweepParallel, PoolIsNoLargerThanTheSeedCount) {
   EXPECT_EQ(workers(3, 3), 3u);
   EXPECT_EQ(workers(1, 4), 1u);
   // 0 means one worker per hardware thread, resolved before the cap.
+  EXPECT_GE(hardware_workers(), 1u);
   EXPECT_EQ(workers(1, 0), 1u);
   EXPECT_GE(workers(1000, 0), 1u);
   EXPECT_LE(workers(1000, 0), 1000u);

@@ -21,13 +21,19 @@ MetricExtractor delay_extractor() {
   };
 }
 
+SweepOptions seeds(std::uint64_t base_seed, std::size_t count) {
+  SweepOptions options;
+  options.base_seed = base_seed;
+  options.seeds = count;
+  return options;
+}
+
 TEST(Sweep, AggregatesAcrossSeeds) {
   ScenarioConfig config;
   config.horizon = 5000;
   config.drain = true;
   const SweepResult result = sweep_scenario("err", config, light_workload(),
-                                            /*base_seed=*/1, /*seeds=*/4,
-                                            delay_extractor());
+                                            seeds(1, 4), delay_extractor());
   ASSERT_TRUE(result.has("mean_delay"));
   EXPECT_EQ(result.stat("mean_delay").count(), 4u);
   EXPECT_GT(result.mean("mean_delay"), 0.0);
@@ -39,7 +45,7 @@ TEST(Sweep, DifferentSeedsProduceVariance) {
   config.horizon = 5000;
   config.drain = true;
   const SweepResult result = sweep_scenario("err", config, light_workload(),
-                                            1, 6, delay_extractor());
+                                            seeds(1, 6), delay_extractor());
   EXPECT_GT(result.stddev("packets"), 0.0);
 }
 
@@ -47,10 +53,10 @@ TEST(Sweep, SameBaseSeedReproduces) {
   ScenarioConfig config;
   config.horizon = 5000;
   config.drain = true;
-  const SweepResult a = sweep_scenario("drr", config, light_workload(), 9, 3,
-                                       delay_extractor());
-  const SweepResult b = sweep_scenario("drr", config, light_workload(), 9, 3,
-                                       delay_extractor());
+  const SweepResult a = sweep_scenario("drr", config, light_workload(),
+                                       seeds(9, 3), delay_extractor());
+  const SweepResult b = sweep_scenario("drr", config, light_workload(),
+                                       seeds(9, 3), delay_extractor());
   EXPECT_DOUBLE_EQ(a.mean("mean_delay"), b.mean("mean_delay"));
   EXPECT_DOUBLE_EQ(a.stddev("mean_delay"), b.stddev("mean_delay"));
 }

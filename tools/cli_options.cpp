@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <iterator>
 #include <sstream>
-#include <type_traits>
 #include <utility>
 
 #include "core/registry.hpp"
@@ -53,6 +52,44 @@ std::string range_text(const Option& o) {
   if (o.kind != Kind::kDouble) return "";
   if (o.hi == std::numeric_limits<double>::max()) return ">= " + number(o.lo);
   return "in [" + number(o.lo) + ", " + number(o.hi) + "]";
+}
+
+/// One option a checkpoint fixes: its name, and the checkpoint's value or
+/// "" when the value given agrees.
+using Fixed = std::pair<const char*, std::string>;
+
+template <typename Given, typename Saved>
+std::string differ(const Given& given, const Saved& value) {
+  if (given == value) return "";
+  std::ostringstream text;  // a double prints as number() does: %g
+  text << std::boolalpha << value;
+  return text.str();
+}
+
+/// Exits 2 on the first of `rows`, or of the fault rows of `f` (the
+/// checkpoint's fault spec, its seed raised by `seed_offset`), that was
+/// given with another value than the checkpoint's.
+void reject_changed(const CliParser& cli, std::vector<Fixed> rows,
+                    const validate::FaultSpec& f, std::uint64_t seed_offset) {
+  const validate::FaultSpec g = fault_spec(cli);
+  rows.insert(
+      rows.end(),
+      {{"faults", differ(g.enabled, f.enabled)},
+       {"fault-seed", differ(g.seed, f.seed - seed_offset)},
+       {"fault-window", differ(g.window, f.window)},
+       {"fault-link-rate", differ(g.link_stall_rate, f.link_stall_rate)},
+       {"fault-link-cycles", differ(g.link_stall_cycles, f.link_stall_cycles)},
+       {"fault-credit-rate", differ(g.credit_stall_rate, f.credit_stall_rate)},
+       {"fault-credit-cycles",
+        differ(g.credit_stall_cycles, f.credit_stall_cycles)},
+       {"fault-churn-rate", differ(g.churn_rate, f.churn_rate)},
+       {"fault-burst-rate", differ(g.burst_rate, f.burst_rate)},
+       {"fault-burst-mult", differ(g.burst_multiplier, f.burst_multiplier)}});
+  for (const auto& [name, value] : rows)
+    if (cli.given(name) && !value.empty())
+      CliParser::option_error(  // appended: GCC 12 -O3 false -Wrestrict
+          name, std::string(1, '\'').append(cli.get(name)).append(
+                    "' differs from the checkpoint's " + value));
 }
 
 void check_scheduler(const char* option, const std::string& name) {
@@ -235,50 +272,42 @@ std::optional<SnapshotFile> restore_inputs(
   const harness::NetworkScenarioConfig saved =
       harness::read_network_inputs(file, point);
   const wormhole::NetworkTrafficSource::Config& law = saved.traffic;
-  const validate::FaultSpec& f = saved.faults;
-  const validate::FaultSpec& g = point.faults;
-  // Each fixed option's checkpoint value, or empty when the given agrees.
-  const auto differ = [](auto given, auto value) -> std::string {
-    if (given == value) return "";
-    if constexpr (std::is_floating_point_v<decltype(value)>)
-      return number(value);
-    else
-      return std::to_string(value);
-  };
   const char* window = command == kSoak ? "horizon" : "cycles";
   // A trace-driven run has no law for --rate or the injection window.
   const auto law_differ = [&](auto given, auto value) {
     return saved.trace_in ? "replay of trace " + saved.trace_in->path
                           : differ(given, value);
   };
-  const std::pair<const char*, std::string> fixed[] = {
-      {"seed", differ(cli.get_uint("seed"), law.seed)},
-      {"rate", law_differ(point.traffic.packets_per_node_per_cycle,
-                          law.packets_per_node_per_cycle)},
-      {window, law_differ(cli.get_uint(window), law.inject_until)},
-      {"pattern", point.traffic.pattern.kind == law.pattern.kind
-                      ? ""
-                      : law.pattern.describe()},
-      {"faults", g.enabled == f.enabled ? "" : f.enabled ? "true" : "false"},
-      // A faulted run seeds its schedule with --fault-seed plus its seed.
-      {"fault-seed", differ(g.seed, f.seed - (f.enabled ? law.seed : 0))},
-      {"fault-window", differ(g.window, f.window)},
-      {"fault-link-rate", differ(g.link_stall_rate, f.link_stall_rate)},
-      {"fault-link-cycles", differ(g.link_stall_cycles, f.link_stall_cycles)},
-      {"fault-credit-rate", differ(g.credit_stall_rate, f.credit_stall_rate)},
-      {"fault-credit-cycles",
-       differ(g.credit_stall_cycles, f.credit_stall_cycles)},
-      {"fault-churn-rate", differ(g.churn_rate, f.churn_rate)},
-      {"fault-burst-rate", differ(g.burst_rate, f.burst_rate)},
-      {"fault-burst-mult", differ(g.burst_multiplier, f.burst_multiplier)},
-  };
-  for (const auto& [name, value] : fixed)
-    if (cli.given(name) && !value.empty())
-      CliParser::option_error(  // appended: GCC 12 -O3 false -Wrestrict
-          name, std::string(1, '\'').append(cli.get(name)).append(
-                    "' differs from the checkpoint's " + value));
+  // A faulted run seeds its schedule with --fault-seed plus its seed.
+  reject_changed(
+      cli,
+      {{"seed", differ(cli.get_uint("seed"), law.seed)},
+       {"rate", law_differ(point.traffic.packets_per_node_per_cycle,
+                           law.packets_per_node_per_cycle)},
+       {window, law_differ(cli.get_uint(window), law.inject_until)},
+       {"pattern", point.traffic.pattern.kind == law.pattern.kind
+                       ? ""
+                       : law.pattern.describe()}},
+      saved.faults, saved.faults.enabled ? law.seed : 0);
   point = saved;
   return file;
+}
+
+void check_restored_spec(const CliParser& cli,
+                         const harness::ScenarioSpec& saved) {
+  // Scheduler names are case-blind and have aliases: compare disciplines.
+  const auto discipline = [](const std::string& name) {
+    return std::string(core::make_scheduler(name, {})->name());
+  };
+  reject_changed(
+      cli,
+      {{"workload", differ(cli.get("workload"), saved.workload_text)},
+       {"scheduler",
+        differ(discipline(cli.get("scheduler")), discipline(saved.scheduler))},
+       {"cycles", differ(cli.get_uint("cycles"), saved.config.horizon)},
+       {"seed", differ(cli.get_uint("seed"), saved.config.seed)},
+       {"drain", differ(cli.get_flag("drain"), saved.config.drain)}},
+      saved.faults, 0);
 }
 
 }  // namespace wormsched::cli

@@ -18,6 +18,7 @@
 #include "common/cli.hpp"
 #include "common/snapshot.hpp"
 #include "common/types.hpp"
+#include "harness/checkpoint.hpp"
 #include "harness/network_sweep.hpp"
 #include "harness/workload_parse.hpp"
 #include "obs/manifest.hpp"
@@ -106,8 +107,10 @@ inline constexpr Option kOptions[] = {
     // WS_CHECK(seeds > 0) in both sweeps.
     integer("seeds", kCompare | kNetwork, "1",
             "seeds to average over (1 = single run)", 1),
+    // A sweep's workers are TickTeam lanes, a 32-bit count.
     integer("jobs", kCompare | kNetwork, "1",
-            "worker threads for multi-seed sweeps (0 = all cores)"),
+            "worker threads for multi-seed sweeps (0 = all cores)", 0,
+            kU32Max),
     text("schedulers", kCompare, "all", "comma-separated list, or all"),
     flag("drain", kCompare | kRun, "serve out all queues after the horizon"),
     text("scheduler", kRun | kReplay, "err", "scheduler name"),
@@ -255,5 +258,10 @@ inline constexpr Option kOptions[] = {
 [[nodiscard]] std::optional<SnapshotFile> restore_inputs(
     const CliParser& cli, unsigned command,
     harness::NetworkScenarioConfig& point);
+/// `run --restore`: --workload, --scheduler, --cycles, --seed, --drain,
+/// --faults and each --fault-* given with another value than the one in
+/// `saved`, the restored run's spec, exit 2 as restore_inputs' options do.
+void check_restored_spec(const CliParser& cli,
+                         const harness::ScenarioSpec& saved);
 
 }  // namespace wormsched::cli

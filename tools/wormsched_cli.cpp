@@ -124,7 +124,7 @@ int cmd_compare(const CliParser& cli) {
   harness::SweepOptions sweep;
   sweep.base_seed = cli.get_uint("seed");
   sweep.seeds = seeds;
-  sweep.jobs = resolve_jobs(cli);
+  sweep.jobs = cli.get_uint("jobs");
   std::printf("workload: %zu flows, offered load %.3f flits/cycle, "
               "%zu seeds x %llu cycles, %zu worker(s)\n\n",
               workload.spec.flows.size(), workload.spec.offered_load(),
@@ -197,6 +197,7 @@ int cmd_run(const CliParser& cli) {
   std::optional<harness::ScenarioRun> run;
   if (!restore_path.empty()) {
     run.emplace(spec, read_snapshot_file(restore_path));
+    cli::check_restored_spec(cli, run->spec());
   } else {
     if (spec.faults.enabled)
       std::printf("%s\n", spec.faults.describe().c_str());
@@ -212,7 +213,7 @@ int cmd_run(const CliParser& cli) {
   const std::string manifest_path = cli.get("manifest");
   if (!manifest_path.empty()) {
     obs::RunManifest manifest =
-        cli::manifest("wormsched run", cli, config.seed);
+        cli::manifest("wormsched run", cli, run->spec().config.seed);
     if (provenance.restored) {
       manifest.add_config("restored_from", restore_path);
       manifest.add_config("restored_from_sha", provenance.restored_from_sha);
@@ -368,7 +369,7 @@ int cmd_network(const CliParser& cli) {
     std::printf("\n");
     if (!manifest_path.empty()) {
       obs::RunManifest manifest =
-          cli::manifest("wormsched network", cli, cli.get_uint("seed"));
+          cli::manifest("wormsched network", cli, run->original_seed());
       if (prov.restored) {
         manifest.add_config("restored_from", restore_path);
         manifest.add_config("restored_from_sha", prov.restored_from_sha);
@@ -407,7 +408,7 @@ int cmd_network(const CliParser& cli) {
   harness::SweepOptions sweep;
   sweep.base_seed = cli.get_uint("seed");
   sweep.seeds = seeds;
-  sweep.jobs = resolve_jobs(cli);
+  sweep.jobs = cli.get_uint("jobs");
   const auto r = harness::sweep_network(
       point, sweep,
       [](const harness::NetworkScenarioResult& run,
@@ -492,8 +493,9 @@ int cmd_soak(const CliParser& cli) {
 
   const std::string manifest_path = cli.get("manifest");
   if (!manifest_path.empty()) {
-    obs::RunManifest manifest =
-        cli::manifest("wormsched soak", cli, cli.get_uint("seed"));
+    obs::RunManifest manifest = cli::manifest(
+        "wormsched soak", cli,
+        restore ? point.traffic.seed : cli.get_uint("seed"));
     if (!restore_path.empty())
       manifest.add_config("restored_from", restore_path);
     manifest.add_counter("end_cycle", static_cast<double>(summary.end_cycle));
