@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
+#include <cstdio>
 #include <string>
 
 #include "core/drr.hpp"
@@ -46,6 +48,27 @@ std::unique_ptr<Scheduler> make_scheduler(std::string_view name,
   if (lower == "wf2q+" || lower == "wf2q")
     return std::make_unique<Wf2qPlusScheduler>(params.num_flows);
   return nullptr;
+}
+
+std::optional<std::string> weight_error(std::string_view name,
+                                        const std::vector<double>& weights) {
+  std::string lower(name);
+  std::transform(lower.begin(), lower.end(), lower.begin(),
+                 [](unsigned char c) { return std::tolower(c); });
+  const char* floor_of = lower == "err"    ? "ERR"
+                         : lower == "perr" ? "PERR"
+                                           : nullptr;
+  for (std::size_t f = 0; f < weights.size(); ++f) {
+    const double w = weights[f];
+    const bool positive = std::isfinite(w) && w > 0.0;
+    if (positive && (floor_of == nullptr || w >= 1.0)) continue;
+    char text[64];
+    std::snprintf(text, sizeof text, "flow %zu's weight %.15g is ", f, w);
+    return text + (positive ? "below 1, the least " + std::string(floor_of) +
+                                  " takes"
+                            : std::string("not a finite number > 0"));
+  }
+  return std::nullopt;
 }
 
 const std::vector<std::string_view>& scheduler_names() {

@@ -4,6 +4,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -29,6 +31,15 @@ struct SchedulerParams {
 /// Returns nullptr for an unknown name.
 [[nodiscard]] std::unique_ptr<Scheduler> make_scheduler(
     std::string_view name, const SchedulerParams& params);
+
+/// Why discipline `name` cannot take `weights` (flow i's is weights[i]),
+/// naming the first flow whose weight it refuses; nullopt when it takes
+/// them all.  Every discipline takes finite weights > 0, and ERR and PERR
+/// need every weight >= 1, which keeps each allowance positive.
+/// set_weight() aborts on a weight refused here, so weights read from
+/// outside (a workload, a checkpoint) are checked here first.
+[[nodiscard]] std::optional<std::string> weight_error(
+    std::string_view name, const std::vector<double>& weights);
 
 /// All names make_scheduler accepts, in canonical (paper) spelling.
 [[nodiscard]] const std::vector<std::string_view>& scheduler_names();

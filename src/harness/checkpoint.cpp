@@ -6,6 +6,7 @@
 
 #include "common/assert.hpp"
 #include "core/err.hpp"
+#include "core/registry.hpp"
 #include "harness/scenario_core.hpp"
 #include "harness/workload_parse.hpp"
 #include "harness/soak.hpp"
@@ -474,7 +475,18 @@ void ScenarioRun::build() {
   if (!parsed)
     throw SnapshotError("checkpoint workload \"" + spec_.workload_text +
                         "\" failed to parse: " + error);
+  if (core::make_scheduler(spec_.scheduler, {}) == nullptr)
+    throw SnapshotError("snapshot field SCFG.scheduler = \"" +
+                        spec_.scheduler + "\" names no scheduler");
   if (spec_.config.weights.empty()) spec_.config.weights = parsed->weights;
+  if (spec_.config.weights.size() != parsed->weights.size())
+    throw SnapshotError("snapshot field SCFG.weights holds " +
+                        std::to_string(spec_.config.weights.size()) +
+                        " weights for a workload of " +
+                        std::to_string(parsed->weights.size()) + " flows");
+  if (const auto bad = core::weight_error(spec_.scheduler,
+                                          spec_.config.weights))
+    throw SnapshotError("snapshot field SCFG.weights: " + *bad);
 
   trace_ = traffic::generate_trace(parsed->spec, spec_.config.horizon,
                                    spec_.config.seed);

@@ -48,13 +48,12 @@ void PortArbiter::fields(Archive& a, std::uint64_t uncharged_cycles) {
   discipline_fields(a);
 }
 
-ErrArbiter::ErrArbiter(std::size_t num_requesters, Accounting accounting,
+ErrArbiter::ErrArbiter(std::size_t num_requesters, Charging charging,
                        bool reset_on_idle)
-    : PortArbiter(num_requesters, accounting == Accounting::kCycles
-                                      ? Charging::kCycles
-                                      : Charging::kFlits),
-      policy_(core::ErrConfig{num_requesters, reset_on_idle}),
-      accounting_(accounting) {}
+    : PortArbiter(num_requesters, charging),
+      policy_(core::ErrConfig{num_requesters, reset_on_idle}) {
+  WS_CHECK_MSG(charging != Charging::kNone, "ERR arbiter charges no cost");
+}
 
 void ErrArbiter::on_new_request(FlowId requester) {
   // A requester with exactly one pending head just went busy — unless the
@@ -146,10 +145,10 @@ std::unique_ptr<PortArbiter> make_arbiter(std::string_view name,
   const std::string lower(name);
   if (lower == "err" || lower == "err-cycles")
     return std::make_unique<ErrArbiter>(num_requesters,
-                                        ErrArbiter::Accounting::kCycles);
+                                        PortArbiter::Charging::kCycles);
   if (lower == "err-flits")
     return std::make_unique<ErrArbiter>(num_requesters,
-                                        ErrArbiter::Accounting::kFlits);
+                                        PortArbiter::Charging::kFlits);
   if (lower == "rr") return std::make_unique<RrArbiter>(num_requesters);
   if (lower == "fcfs") return std::make_unique<FcfsArbiter>(num_requesters);
   return nullptr;

@@ -4,7 +4,7 @@
 // output resource next.  Ownership is packet-granular — wormhole switching
 // forbids interleaving flits of different packets in one output queue —
 // and the arbiter is never told packet lengths: it learns a packet's cost
-// only through charge_cycle()/charge_flit() calls while the packet drains.
+// only through charge_cycles()/charge_flit() calls while the packet drains.
 //
 // This is exactly the environment the paper designs ERR for: under
 // downstream congestion a granted packet can hold the output far longer
@@ -61,7 +61,6 @@ class PortArbiter {
   void charge_cycles(std::uint64_t cycles) {
     if (charging_ == Charging::kCycles) held_ += static_cast<double>(cycles);
   }
-  void charge_cycle() { charge_cycles(1); }
 
   /// The current owner forwarded one flit.
   void charge_flit() {
@@ -115,16 +114,12 @@ class PortArbiter {
 /// ERR arbitration (the paper's algorithm in its native habitat).
 class ErrArbiter final : public PortArbiter {
  public:
-  enum class Accounting {
-    kCycles,  // charge output-occupancy time (the paper's wormhole mode)
-    kFlits,   // charge transmitted flits (the paper's abstract model)
-  };
-
-  ErrArbiter(std::size_t num_requesters, Accounting accounting,
+  /// `charging` is kCycles or kFlits: ERR needs a cost to charge.
+  ErrArbiter(std::size_t num_requesters, Charging charging,
              bool reset_on_idle = false);
 
   [[nodiscard]] std::string_view name() const override {
-    return accounting_ == Accounting::kCycles ? "ERR-cycles" : "ERR-flits";
+    return charging() == Charging::kCycles ? "ERR-cycles" : "ERR-flits";
   }
 
   [[nodiscard]] core::ErrPolicy& policy() { return policy_; }
@@ -138,7 +133,6 @@ class ErrArbiter final : public PortArbiter {
 
  private:
   core::ErrPolicy policy_;
-  Accounting accounting_;
 };
 
 /// Packet-based round-robin arbitration (what many real switches do).

@@ -106,7 +106,7 @@ class NetworkTrafficSource final : public sim::Component {
 /// destination is drawn from `pattern` with the source's RNG — traces
 /// carry *when/who/how much*, the pattern supplies *where to*, so one
 /// trace can drive many topologies.
-class TraceTrafficSource final : public sim::Component {
+class TraceTrafficSource final {
  public:
   struct Config {
     /// Not owned; must outlive the source.  Entries must be time-ordered
@@ -118,9 +118,9 @@ class TraceTrafficSource final : public sim::Component {
 
   TraceTrafficSource(Network& network, const Config& config);
 
-  void tick(Cycle now) override;
+  void tick(Cycle now);
   /// Idle once the replay cursor is past the last entry.
-  [[nodiscard]] bool idle() const override {
+  [[nodiscard]] bool idle() const {
     return cursor_ >= config_.trace->entries.size();
   }
 

@@ -150,6 +150,16 @@ TEST(CliOptions, ListedBadInputsExit2WithOneLine) {
       {soak + "--horizon 18446744073709551615", "option --horizon: "},
       {"run --cycles 100 --workload 'bern:nan:u1-8'", "option --workload: "},
       {"network --topo mesh65536x65536 --cycles 1", "option --topo: "},
+      // Weights the workload grammar takes but ERR and PERR do not.
+      {"run --cycles 100 --workload 'bern:0.05:u1-4:0.5*2' --scheduler err",
+       "option --workload: "},
+      {"run --cycles 100 --workload 'bern:0.05:u1-4:0.5*2' --scheduler PERR",
+       "option --workload: "},
+      {"compare --cycles 100 --workload 'bern:0.05:u1-4:0.5*2'",
+       "option --workload: "},
+      {"compare --cycles 100 --workload 'bern:0.05:u1-4:0.5*2' "
+       "--schedulers drr,perr",
+       "option --workload: "},
       // Bad input that used to exit 1.
       {"run --cycles 100 --workload bogus", "option --workload: "},
       {"compare --cycles 100 --workload bogus", "option --workload: "},
@@ -184,6 +194,11 @@ TEST(CliOptions, ListedBadInputsExit2WithOneLine) {
       {"network --topo mesh3x3 --restore no_such.wsnp", "wormsched: "},
   };
   for (const Row& r : rows) expect_rejected(r.args, r.prefix);
+  // Disciplines that take any weight > 0 run the same workload.
+  expect_runs("run --cycles 100 --workload 'bern:0.05:u1-4:0.5*2' "
+              "--scheduler drr");
+  expect_runs("compare --cycles 100 --workload 'bern:0.05:u1-4:0.5*2' "
+              "--schedulers drr,wfq");
   expect_runs("trace-gen --flows 2 --cycles 0 --out empty.wst");
   expect_rejected("replay --trace empty.wst", "option --trace: ");
   expect_rejected("network --trace-in empty.wst", "option --trace-in: ");

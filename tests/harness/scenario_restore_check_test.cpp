@@ -7,9 +7,13 @@
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -214,6 +218,42 @@ SnapshotFile with_listed_weight(const Checkpoint& c, double w) {
   return out;
 }
 
+/// The checkpoint with the string field at `path` (SCFG.scheduler or
+/// SCFG.workload) ending in `tail` instead: a same-length edit.
+SnapshotFile with_text_tail(const Checkpoint& c, const std::string& path,
+                            const std::string& tail) {
+  SnapshotFile out = c.file;
+  const FieldInfo& bytes = test::field_at(c.map, path + ".bytes");
+  EXPECT_GE(bytes.width, tail.size()) << path;
+  std::copy(tail.begin(), tail.end(),
+            out.payload.begin() +
+                static_cast<std::ptrdiff_t>(bytes.offset + bytes.width -
+                                            tail.size()));
+  return out;
+}
+
+/// The checkpoint with SCFG's weight of flow 0 set to `w`.
+SnapshotFile with_config_weight(const Checkpoint& c, double w) {
+  SnapshotFile out = c.file;
+  test::set_f64(out.payload, c.map, "SCFG.weights[0]", w);
+  return out;
+}
+
+/// SCFG fields a run cannot use, each with the field its error names:
+/// before the check each aborted the restore (exit 134).
+std::vector<std::pair<SnapshotFile, std::string>> unusable_configs(
+    const Checkpoint& c) {
+  return {
+      // The scheduler names no discipline (spec() runs ERR).
+      {with_text_tail(c, "SCFG.scheduler", "zzz"), "SCFG.scheduler"},
+      // A weight ERR cannot take, and one no discipline can.
+      {with_config_weight(c, 0.5), "SCFG.weights"},
+      {with_config_weight(c, std::nan("")), "SCFG.weights"},
+      // The workload gains a flow (*3 -> *4); the weights do not.
+      {with_text_tail(c, "SCFG.workload", "4"), "SCFG.weights"},
+  };
+}
+
 constexpr std::uint64_t kFarFlow = 0x7FFFFFF0;
 
 /// The crafted files the CLI must reject, by name.
@@ -240,6 +280,10 @@ std::vector<std::pair<std::string, SnapshotFile>> crafted_files() {
       {"zero_flow_reservoir_capacity", c0.with(kFlowCapacity, 0)},
       {"zero_flow_reservoir_capacity_sampled", c100.with(kFlowCapacity, 0)},
       {"wrapping_seen_count", full_reservoir(c100, ~std::uint64_t{0})},
+      {"scheduler_naming_no_discipline", unusable_configs(c0)[0].first},
+      {"err_config_weight_below_1", unusable_configs(c0)[1].first},
+      {"config_weight_nan", unusable_configs(c0)[2].first},
+      {"workload_gaining_a_flow", unusable_configs(c0)[3].first},
   };
 }
 
@@ -257,6 +301,8 @@ std::vector<std::pair<std::string, SnapshotFile>> control_files() {
       {"flow_reservoir_capacity_1_sampled", c100.with(kFlowCapacity, 1)},
       {"largest_seen_count",
        full_reservoir(c100, (std::uint64_t{1} << 63) - 1)},
+      {"err_config_weight_1", with_config_weight(c0, 1.0)},
+      {"workload_same_flows", with_text_tail(c0, "SCFG.workload", "3")},
   };
 }
 
@@ -403,21 +449,50 @@ TEST(ScenarioRestoreCheck, RejectsReservoirSeenCountThatWraps) {
   EXPECT_GT(run.finish().delays.packets(), seen);
 }
 
+TEST(ScenarioRestoreCheck, RejectsConfigTheRunCannotUse) {
+  const Checkpoint c;
+  for (const auto& [file, field] : unusable_configs(c)) {
+    try {
+      ScenarioRun run(spec(), file);
+      ADD_FAILURE() << "restored a checkpoint with a bad " << field;
+    } catch (const SnapshotError& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  }
+  // Controls: the same edits with values a run can hold.
+  EXPECT_NO_THROW(ScenarioRun(spec(), with_config_weight(c, 1.0)));
+  EXPECT_NO_THROW(
+      ScenarioRun(spec(), with_text_tail(c, "SCFG.workload", "3")));
+}
+
 TEST(ScenarioRestoreCheck, CliRestoreOfCraftedFilesExits2) {
   // The controls restore (exit 0), so the crafted files fail on the
-  // field they change.
+  // field they change, each with one `wormsched:` line.
   for (const auto& [files, expected] :
        {std::pair{crafted_files(), 2}, std::pair{control_files(), 0}}) {
     for (const auto& [name, file] : files) {
       const std::string path =
           testing::TempDir() + "scenario_restore_check_" + name + ".wsnp";
       write_snapshot_file(path, file.manifest_json, file.payload);
+      const std::string err_path = path + ".stderr";
       const std::string command = std::string(WS_CLI) + " run --restore " +
-                                  path + " > /dev/null 2>&1";
+                                  path + " > /dev/null 2> " + err_path;
       const int status = std::system(command.c_str());
       ASSERT_TRUE(WIFEXITED(status)) << name;
       EXPECT_EQ(WEXITSTATUS(status), expected) << name;
+      std::vector<std::string> err;
+      std::ifstream in(err_path);
+      for (std::string line; std::getline(in, line);) err.push_back(line);
+      if (expected == 2) {
+        EXPECT_EQ(err.size(), 1u) << name;
+        if (!err.empty()) {
+          EXPECT_EQ(err[0].rfind("wormsched: ", 0), 0u) << name << ": "
+                                                        << err[0];
+        }
+      }
       std::remove(path.c_str());
+      std::remove(err_path.c_str());
     }
   }
 }

@@ -16,10 +16,10 @@
 #include <cstdlib>
 #include <new>
 
-#include "sim/engine.hpp"
 #include "validate/network_auditor.hpp"
 #include "validate/violation.hpp"
 #include "wormhole/network.hpp"
+#include "../common/tick_loop.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
@@ -77,18 +77,17 @@ TEST(NetworkAuditorAlloc, IncrementalSteadyStateIsAllocationFree) {
                                            .source = NodeId(0),
                                            .dest = NodeId(15),
                                            .length = 50'000});
-  sim::Engine engine;
-  engine.add_component(net);
+  test::TickLoop loop(net);
 
   // Warm-up: buffers, wires, and the delta vectors reach their
   // high-water marks, the ledgers are seeded, and (at 256 checks) the
   // first periodic full-rescan cross-check exercises the scratch arrays.
-  engine.run_until(512);
+  loop.run_until(512);
   ASSERT_GT(net.injected_flits(), 0);
 
   // Measured window: 1024 audited cycles including four full rescans.
   const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
-  engine.run_until(512 + 1024);
+  loop.run_until(512 + 1024);
   const std::uint64_t allocs =
       g_allocations.load(std::memory_order_relaxed) - before;
   EXPECT_EQ(allocs, 0u);

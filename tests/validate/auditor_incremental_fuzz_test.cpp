@@ -17,12 +17,12 @@
 #include <string>
 #include <vector>
 
-#include "sim/engine.hpp"
 #include "validate/faults.hpp"
 #include "validate/network_auditor.hpp"
 #include "validate/violation.hpp"
 #include "wormhole/network.hpp"
 #include "wormhole/patterns.hpp"
+#include "../common/tick_loop.hpp"
 
 namespace wormsched::validate {
 namespace {
@@ -66,12 +66,10 @@ AuditedRun run_audited(AuditMode mode, std::uint64_t seed,
   traffic.faults = config.faults;
   NetworkTrafficSource source(net, traffic);
 
-  sim::Engine engine;
-  engine.add_component(source);
-  engine.add_component(net);
-  engine.run_until(traffic.inject_until);
+  test::TickLoop loop(source, net);
+  loop.run_until(traffic.inject_until);
   AuditedRun run;
-  run.end_cycle = engine.run_until_idle(200'000);
+  run.end_cycle = loop.run_until_idle(200'000);
   auditor.finish(run.end_cycle, net);
   run.delivered = net.delivered();
   run.delivered_flits = net.delivered_flits();
@@ -176,10 +174,8 @@ std::set<std::string> run_with_planted_flit(AuditMode mode) {
   traffic.seed = 11;
   NetworkTrafficSource source(net, traffic);
 
-  sim::Engine engine;
-  engine.add_component(source);
-  engine.add_component(net);
-  engine.run_until(200);
+  test::TickLoop loop(source, net);
+  loop.run_until(200);
   // A flit from nowhere in router 5's local input, destined to router 5
   // itself.  It bypasses inject(), so the fabric holds (and soon has
   // delivered) one more flit than was ever injected — flit conservation
@@ -195,8 +191,8 @@ std::set<std::string> run_with_planted_flit(AuditMode mode) {
   phantom.type = wormhole::FlitType::kHeadTail;
   phantom.index = 0;
   net.router(NodeId(5)).accept_flit(Direction::kLocal, 1, phantom);
-  engine.run_until(traffic.inject_until);
-  const Cycle end = engine.run_until_idle(200'000);
+  loop.run_until(traffic.inject_until);
+  const Cycle end = loop.run_until_idle(200'000);
   auditor.finish(end, net);
   EXPECT_FALSE(log.clean());
   return canonical_ids(log.kept());

@@ -5,11 +5,11 @@
 #include <gtest/gtest.h>
 
 #include "harness/network_sweep.hpp"
-#include "sim/engine.hpp"
 #include "validate/faults.hpp"
 #include "validate/network_auditor.hpp"
 #include "validate/violation.hpp"
 #include "wormhole/network.hpp"
+#include "../common/tick_loop.hpp"
 
 namespace wormsched::validate {
 namespace {
@@ -49,9 +49,8 @@ TEST(NetworkAuditorTest, ChecksEveryCycleByDefault) {
   net.inject(0, wormhole::PacketDescriptor{.id = PacketId(0), .flow = FlowId(0),
                                            .source = NodeId(0),
                                            .dest = NodeId(15), .length = 4});
-  sim::Engine engine;
-  engine.add_component(net);
-  engine.run_until(100);
+  test::TickLoop loop(net);
+  loop.run_until(100);
   EXPECT_EQ(auditor.checks_run(), 100u);
   EXPECT_TRUE(log.clean());
 }
@@ -65,9 +64,8 @@ TEST(NetworkAuditorTest, SamplingCadenceHonorsCheckEvery) {
   net.inject(0, wormhole::PacketDescriptor{.id = PacketId(0), .flow = FlowId(0),
                                            .source = NodeId(0),
                                            .dest = NodeId(15), .length = 4});
-  sim::Engine engine;
-  engine.add_component(net);
-  engine.run_until(200);
+  test::TickLoop loop(net);
+  loop.run_until(200);
   // Cycles 0, 4, ..., 196: the hook fires every cycle, the O(fabric)
   // conservation walk only on the sampled ones.
   EXPECT_EQ(auditor.checks_run(), 50u);
@@ -86,9 +84,8 @@ TEST(NetworkAuditorTest, FinishFlushesTailWindow) {
   net.inject(0, wormhole::PacketDescriptor{.id = PacketId(0), .flow = FlowId(0),
                                            .source = NodeId(0),
                                            .dest = NodeId(15), .length = 4});
-  sim::Engine engine;
-  engine.add_component(net);
-  engine.run_until(97);  // checks at 0, 4, ..., 96
+  test::TickLoop loop(net);
+  loop.run_until(97);  // checks at 0, 4, ..., 96
 
   // Plant a flit that was never injected: flit conservation is broken
   // from here on, but cycles 97-98 fall between samples.
@@ -98,7 +95,7 @@ TEST(NetworkAuditorTest, FinishFlushesTailWindow) {
       .id = PacketId(1'000'000), .flow = FlowId(0), .source = NodeId(3),
       .dest = NodeId(3)});
   net.router(NodeId(3)).accept_flit(wormhole::Direction::kLocal, 0, phantom);
-  engine.run_until(99);
+  loop.run_until(99);
   ASSERT_TRUE(log.clean()) << "tail cycles must not have been sampled yet";
 
   auditor.finish(99, net);
@@ -117,9 +114,8 @@ TEST(NetworkAuditorTest, IncrementalFinishRunsFinalCrosscheck) {
   net.inject(0, wormhole::PacketDescriptor{.id = PacketId(0), .flow = FlowId(0),
                                            .source = NodeId(0),
                                            .dest = NodeId(15), .length = 4});
-  sim::Engine engine;
-  engine.add_component(net);
-  engine.run_until(97);
+  test::TickLoop loop(net);
+  loop.run_until(97);
   const std::uint64_t rescans_before = auditor.full_rescans();
   auditor.finish(97, net);
   EXPECT_GT(auditor.full_rescans(), rescans_before);

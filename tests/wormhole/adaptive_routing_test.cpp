@@ -4,10 +4,10 @@
 
 #include <algorithm>
 
-#include "sim/engine.hpp"
 #include "wormhole/network.hpp"
 #include "wormhole/patterns.hpp"
 #include "wormhole/topology.hpp"
+#include "../common/tick_loop.hpp"
 
 namespace wormsched::wormhole {
 namespace {
@@ -87,11 +87,9 @@ TEST(WestFirstNetwork, DeliversEverythingUnderUniformLoad) {
   traffic_config.inject_until = 3000;
   traffic_config.lengths = traffic::LengthSpec::uniform(1, 10);
   NetworkTrafficSource source(net, traffic_config);
-  sim::Engine engine;
-  engine.add_component(source);
-  engine.add_component(net);
-  engine.run_until(3000);
-  engine.run_until_idle(200000);
+  test::TickLoop loop(source, net);
+  loop.run_until(3000);
+  loop.run_until_idle(200000);
   EXPECT_TRUE(net.idle());
   EXPECT_EQ(net.delivered().size(), source.generated());
   // Every packet actually reached its destination (Network::eject checks
@@ -114,11 +112,9 @@ TEST(WestFirstNetwork, SaturationNoDeadlock) {
   traffic_config.lengths = traffic::LengthSpec::uniform(1, 8);
   traffic_config.seed = 77;
   NetworkTrafficSource source(net, traffic_config);
-  sim::Engine engine;
-  engine.add_component(source);
-  engine.add_component(net);
-  engine.run_until(2000);
-  const Cycle end = engine.run_until_idle(500000);
+  test::TickLoop loop(source, net);
+  loop.run_until(2000);
+  const Cycle end = loop.run_until_idle(500000);
   EXPECT_TRUE(net.idle()) << "possible deadlock at cycle " << end;
   EXPECT_EQ(net.delivered().size(), source.generated());
 }
@@ -136,8 +132,7 @@ TEST(WestFirstNetwork, RoutesAroundCongestion) {
     // squeeze past the jam — the contrast isolates the routing choice.
     config.router.arbiter = "fcfs";
     Network net(config);
-    sim::Engine engine;
-    engine.add_component(net);
+    test::TickLoop loop(net);
     PacketId::rep_type id = 0;
     for (int k = 0; k < 40; ++k) {
       PacketDescriptor jam;
@@ -150,7 +145,7 @@ TEST(WestFirstNetwork, RoutesAroundCongestion) {
       net.inject(0, jam);
     }
     // Let the congestion build up through the credit loop.
-    engine.run_until(100);
+    loop.run_until(100);
     std::vector<PacketId> probe_ids;
     for (int k = 0; k < 10; ++k) {
       PacketDescriptor probe;
@@ -160,10 +155,10 @@ TEST(WestFirstNetwork, RoutesAroundCongestion) {
       probe.source = NodeId(0);
       probe.dest = NodeId(10);
       probe.length = 8;
-      probe.created = engine.now();
-      net.inject(engine.now(), probe);
+      probe.created = loop.now();
+      net.inject(loop.now(), probe);
     }
-    engine.run_until_idle(100000);
+    loop.run_until_idle(100000);
     Cycle last_probe_done = 0;
     for (const auto& p : net.delivered()) {
       for (const PacketId pid : probe_ids) {

@@ -60,14 +60,14 @@ TEST(FcfsArbiter, GrantsInRequestOrder) {
 TEST(ErrArbiter, ContinuesFlowWithinAllowance) {
   // Requester 0 overshoots in round 1; in round 2 requester 1 has a large
   // allowance and keeps the output across consecutive packets.
-  ErrArbiter arb(2, ErrArbiter::Accounting::kCycles);
+  ErrArbiter arb(2, PortArbiter::Charging::kCycles);
   for (int k = 0; k < 6; ++k) arb.request(FlowId(0));
   for (int k = 0; k < 20; ++k) arb.request(FlowId(1));
 
   auto serve = [&arb](std::uint64_t cycles) {
     const auto owner = arb.grant(0);
     EXPECT_TRUE(owner.has_value());
-    for (std::uint64_t c = 0; c < cycles; ++c) arb.charge_cycle();
+    for (std::uint64_t c = 0; c < cycles; ++c) arb.charge_cycles(1);
     const auto flow = *owner;
     arb.release();
     return flow;
@@ -87,20 +87,20 @@ TEST(ErrArbiter, CycleVsFlitAccountingDiverge) {
   // Two packets, equal flit counts, but requester 0's packets stall the
   // output 4x longer.  Cycle accounting charges the stall; flit accounting
   // does not.
-  ErrArbiter cycles(2, ErrArbiter::Accounting::kCycles);
-  ErrArbiter flits(2, ErrArbiter::Accounting::kFlits);
+  ErrArbiter cycles(2, PortArbiter::Charging::kCycles);
+  ErrArbiter flits(2, PortArbiter::Charging::kFlits);
   for (ErrArbiter* arb : {&cycles, &flits}) {
     arb->request(FlowId(0));
     arb->request(FlowId(1));
     // Flow 0: 2 flits over 8 cycles (stalled).  Flow 1: 2 flits, 2 cycles.
     (void)arb->grant(0);
-    for (int c = 0; c < 8; ++c) arb->charge_cycle();
+    for (int c = 0; c < 8; ++c) arb->charge_cycles(1);
     arb->charge_flit();
     arb->charge_flit();
     arb->release();
     (void)arb->grant(0);
-    arb->charge_cycle();
-    arb->charge_cycle();
+    arb->charge_cycles(1);
+    arb->charge_cycles(1);
     arb->charge_flit();
     arb->charge_flit();
     arb->release();
@@ -113,7 +113,7 @@ TEST(ErrArbiter, CycleVsFlitAccountingDiverge) {
 }
 
 TEST(ErrArbiter, IdleSystemGrantsNothing) {
-  ErrArbiter arb(2, ErrArbiter::Accounting::kCycles);
+  ErrArbiter arb(2, PortArbiter::Charging::kCycles);
   EXPECT_FALSE(arb.grant(0).has_value());
 }
 
@@ -130,13 +130,13 @@ TEST(PortArbiter, PendingTotalTracksRequestsAndGrants) {
     EXPECT_EQ(arb->pending_total(), 3u) << kind;
     const auto serve_one = [&arb](Cycle now) {
       (void)arb->grant(now);
-      arb->charge_cycle();  // every owner is charged before release
+      arb->charge_cycles(1);  // every owner is charged before release
       arb->charge_flit();
       arb->release();
     };
     (void)arb->grant(0);
     EXPECT_EQ(arb->pending_total(), 2u) << kind;
-    arb->charge_cycle();
+    arb->charge_cycles(1);
     arb->charge_flit();
     arb->release();
     serve_one(1);
@@ -161,7 +161,7 @@ TEST(PortArbiter, ZeroPendingTotalMeansGrantIsANoOp) {
     for (auto* arb : {probed.get(), control.get()}) {
       arb->request(FlowId(1));
       (void)arb->grant(0);
-      arb->charge_cycle();
+      arb->charge_cycles(1);
       arb->release();
     }
     // Probe only one of the two...
@@ -175,10 +175,10 @@ TEST(PortArbiter, ZeroPendingTotalMeansGrantIsANoOp) {
     std::vector<std::uint32_t> control_order;
     for (int k = 0; k < 2; ++k) {
       probed_order.push_back(probed->grant(2)->value());
-      probed->charge_cycle();
+      probed->charge_cycles(1);
       probed->release();
       control_order.push_back(control->grant(2)->value());
-      control->charge_cycle();
+      control->charge_cycles(1);
       control->release();
     }
     EXPECT_EQ(probed_order, control_order) << kind;
@@ -190,12 +190,12 @@ TEST(ErrArbiter, ContinuationReRequestKeepsPendingTotalPositive) {
   // sees the backlog; across that sequence pending_total must never
   // undercount (the sparse pipeline would otherwise drop the output from
   // its requesting mask while a continuation is still owed).
-  ErrArbiter arb(2, ErrArbiter::Accounting::kCycles);
+  ErrArbiter arb(2, PortArbiter::Charging::kCycles);
   for (int k = 0; k < 3; ++k) arb.request(FlowId(0));
   EXPECT_EQ(arb.pending_total(), 3u);
   (void)arb.grant(0);
   EXPECT_EQ(arb.pending_total(), 2u);
-  arb.charge_cycle();
+  arb.charge_cycles(1);
   arb.request(FlowId(0));  // tail handling re-request, pre-release
   EXPECT_EQ(arb.pending_total(), 3u);
   arb.release();

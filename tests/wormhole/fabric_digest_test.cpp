@@ -23,12 +23,12 @@
 #include <string>
 #include <vector>
 
-#include "sim/engine.hpp"
 #include "validate/faults.hpp"
 #include "validate/network_auditor.hpp"
 #include "validate/violation.hpp"
 #include "wormhole/network.hpp"
 #include "wormhole/patterns.hpp"
+#include "../common/tick_loop.hpp"
 
 namespace wormsched::wormhole {
 namespace {
@@ -124,11 +124,9 @@ DigestRun run_case(const DigestCase& c) {
   traffic.faults = config.faults;
   NetworkTrafficSource source(net, traffic);
 
-  sim::Engine engine;
-  engine.add_component(source);
-  engine.add_component(net);
-  engine.run_until(traffic.inject_until);
-  const Cycle end = engine.run_until_idle(200'000);
+  test::TickLoop loop(source, net);
+  loop.run_until(traffic.inject_until);
+  const Cycle end = loop.run_until_idle(200'000);
   auditor.finish(end, net);
 
   Fnv1a h;

@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/engine.hpp"
 #include "wormhole/patterns.hpp"
+#include "../common/tick_loop.hpp"
 
 namespace wormsched::wormhole {
 namespace {
@@ -26,9 +26,8 @@ PacketDescriptor make_packet(std::uint64_t id, std::uint32_t src,
 }
 
 Cycle run_to_idle(Network& net, Cycle cap = 200000) {
-  sim::Engine engine;
-  engine.add_component(net);
-  return engine.run_until_idle(cap);
+  test::TickLoop loop(net);
+  return loop.run_until_idle(cap);
 }
 
 TEST(Network, PacketTableHoldsOnlyPacketsInTheFabric) {
@@ -38,17 +37,16 @@ TEST(Network, PacketTableHoldsOnlyPacketsInTheFabric) {
   NetworkConfig config;
   config.topo = TopologySpec::mesh(4, 4);
   Network net(config);
-  sim::Engine engine;
-  engine.add_component(net);
+  test::TickLoop loop(net);
   std::uint64_t id = 0;
   for (Cycle t = 0; t < 2'000; t += 20) {
     for (std::uint32_t n = 0; n < 16; ++n)
       net.inject(t, make_packet(id++, n, 15 - n, 4, t));
     EXPECT_EQ(net.packets().size(), net.injected_packets() -
                                         net.delivered_packets());
-    engine.run_until(t + 20);
+    loop.run_until(t + 20);
   }
-  engine.run_until_idle(100'000);
+  loop.run_until_idle(100'000);
   EXPECT_EQ(net.delivered_packets(), id);
   EXPECT_EQ(net.packets().size(), 0u);
   EXPECT_LT(net.packets().capacity(), id / 4);
@@ -90,11 +88,9 @@ TEST(Network, ConservationUnderUniformLoad) {
   traffic_config.inject_until = 3000;
   traffic_config.lengths = traffic::LengthSpec::uniform(1, 12);
   NetworkTrafficSource source(net, traffic_config);
-  sim::Engine engine;
-  engine.add_component(source);
-  engine.add_component(net);
-  engine.run_until(3000);
-  engine.run_until_idle(100000);
+  test::TickLoop loop(source, net);
+  loop.run_until(3000);
+  loop.run_until_idle(100000);
   EXPECT_TRUE(net.idle());
   EXPECT_EQ(net.delivered().size(), source.generated());
   EXPECT_EQ(net.injected_packets(), source.generated());
@@ -133,11 +129,9 @@ TEST(Network, TorusSaturationNoDeadlock) {
   traffic_config.lengths = traffic::LengthSpec::uniform(1, 8);
   traffic_config.seed = 5;
   NetworkTrafficSource source(net, traffic_config);
-  sim::Engine engine;
-  engine.add_component(source);
-  engine.add_component(net);
-  engine.run_until(2000);
-  const Cycle end = engine.run_until_idle(500000);
+  test::TickLoop loop(source, net);
+  loop.run_until(2000);
+  const Cycle end = loop.run_until_idle(500000);
   EXPECT_TRUE(net.idle()) << "possible deadlock: stopped at " << end;
   EXPECT_EQ(net.delivered().size(), source.generated());
 }
@@ -155,11 +149,9 @@ TEST(Network, MeshSaturationNoDeadlockAllArbiters) {
     traffic_config.inject_until = 1500;
     traffic_config.lengths = traffic::LengthSpec::uniform(1, 8);
     NetworkTrafficSource source(net, traffic_config);
-    sim::Engine engine;
-    engine.add_component(source);
-    engine.add_component(net);
-    engine.run_until(1500);
-    engine.run_until_idle(300000);
+    test::TickLoop loop(source, net);
+    loop.run_until(1500);
+    loop.run_until_idle(300000);
     EXPECT_TRUE(net.idle());
     EXPECT_EQ(net.delivered().size(), source.generated());
   }

@@ -8,9 +8,9 @@
 #include <cstdint>
 #include <vector>
 
-#include "sim/engine.hpp"
 #include "wormhole/network.hpp"
 #include "wormhole/observer.hpp"
+#include "../common/tick_loop.hpp"
 
 namespace wormsched::wormhole {
 namespace {
@@ -134,9 +134,8 @@ TEST(ObserverMux, PassiveObserverSeesPopulatedDeltaWhenAnotherWantsIt) {
   net.attach_observer(&wanting);
 
   net.inject(0, packet(0, 0, 15, 4));
-  sim::Engine engine;
-  engine.add_component(net);
-  engine.run_until_idle(10'000);
+  test::TickLoop loop(net);
+  loop.run_until_idle(10'000);
 
   // Both observers were handed the same delta object.
   EXPECT_EQ(passive.injections_, wanting.injections_);
@@ -151,9 +150,8 @@ TEST(ObserverMux, DeltaEventsReconcileWithFabricCounters) {
 
   net.inject(0, packet(0, 0, 15, 4));
   net.inject(0, packet(1, 5, 10, 3));
-  sim::Engine engine;
-  engine.add_component(net);
-  const Cycle end = engine.run_until_idle(10'000);
+  test::TickLoop loop(net);
+  const Cycle end = loop.run_until_idle(10'000);
   EXPECT_GT(end, 0u);
 
   // Event totals over the whole run must equal the fabric's counters:

@@ -28,12 +28,12 @@
 
 #include "harness/checkpoint.hpp"
 #include "harness/network_sweep.hpp"
-#include "sim/engine.hpp"
 #include "validate/faults.hpp"
 #include "validate/network_auditor.hpp"
 #include "validate/violation.hpp"
 #include "wormhole/network.hpp"
 #include "wormhole/patterns.hpp"
+#include "../common/tick_loop.hpp"
 
 namespace wormsched::wormhole {
 namespace {
@@ -88,12 +88,10 @@ SchemeRun run_point(const SchemePoint& point, std::uint64_t seed,
   traffic.faults = config.faults;
   NetworkTrafficSource source(net, traffic);
 
-  sim::Engine engine;
-  engine.add_component(source);
-  engine.add_component(net);
-  engine.run_until(traffic.inject_until);
+  test::TickLoop loop(source, net);
+  loop.run_until(traffic.inject_until);
   SchemeRun run;
-  run.end_cycle = engine.run_until_idle(200'000);
+  run.end_cycle = loop.run_until_idle(200'000);
   run.delivered = net.delivered();
   run.delivered_flits = net.delivered_flits();
   run.generated = source.generated();

@@ -20,12 +20,12 @@
 
 #include "metrics/perf_counters.hpp"
 #include "obs/trace_sink.hpp"
-#include "sim/engine.hpp"
 #include "validate/faults.hpp"
 #include "validate/network_auditor.hpp"
 #include "validate/violation.hpp"
 #include "wormhole/network.hpp"
 #include "wormhole/patterns.hpp"
+#include "../common/tick_loop.hpp"
 
 namespace wormsched::wormhole {
 namespace {
@@ -86,12 +86,10 @@ FabricRun run_fabric(TopologySpec topo, ShardedMode mode, std::uint64_t seed,
   traffic.faults = config.faults;
   NetworkTrafficSource source(net, traffic);
 
-  sim::Engine engine;
-  engine.add_component(source);
-  engine.add_component(net);
-  engine.run_until(traffic.inject_until);
+  test::TickLoop loop(source, net);
+  loop.run_until(traffic.inject_until);
   FabricRun run;
-  run.end_cycle = engine.run_until_idle(200'000);
+  run.end_cycle = loop.run_until_idle(200'000);
   run.delivered = net.delivered();
   run.delivered_flits = net.delivered_flits();
   run.generated = source.generated();
@@ -194,9 +192,8 @@ TEST(ShardedTick, OneByOneMeshDeliversLocally) {
     pkt.length = 5;
     pkt.created = 0;
     net.inject(0, pkt);
-    sim::Engine engine;
-    engine.add_component(net);
-    engine.run_until_idle(1'000);
+    test::TickLoop loop(net);
+    loop.run_until_idle(1'000);
     ASSERT_EQ(net.delivered().size(), 1u) << "shards=" << shards;
     EXPECT_EQ(net.delivered()[0].length, 5u);
     EXPECT_EQ(net.delivered_flits(), 5u);

@@ -13,10 +13,10 @@
 
 #include "common/archive.hpp"
 #include "common/snapshot.hpp"
-#include "sim/engine.hpp"
 #include "traffic/trace_synth.hpp"
 #include "wormhole/network.hpp"
 #include "wormhole/patterns.hpp"
+#include "../common/tick_loop.hpp"
 
 namespace wormsched::wormhole {
 namespace {
@@ -48,11 +48,9 @@ struct ReplayResult {
 };
 
 ReplayResult replay(Network& net, TraceTrafficSource& source) {
-  sim::Engine engine;
-  engine.add_component(source);
-  engine.add_component(net);
+  test::TickLoop loop(source, net);
   ReplayResult r;
-  r.end = engine.run_until_idle(200'000);
+  r.end = loop.run_until_idle(200'000);
   r.generated = source.generated();
   r.delivered_packets = net.delivered_packets();
   r.delivered_flits = net.delivered_flits();
@@ -116,11 +114,9 @@ TEST(TraceTrafficSource, MidRunRestoreFinishesIdentically) {
   // Interrupted run: stop mid-injection, snapshot source + fabric.
   Network net_a(mesh4x4());
   TraceTrafficSource source_a(net_a, config);
-  sim::Engine engine_a;
-  engine_a.add_component(source_a);
-  engine_a.add_component(net_a);
+  test::TickLoop loop_a(source_a, net_a);
   const Cycle mid = trace.entries[trace.entries.size() / 2].cycle + 1;
-  engine_a.run_until(mid);
+  loop_a.run_until(mid);
   ASSERT_FALSE(source_a.idle()) << "cut point must leave entries pending";
   SnapshotWriter w;
   save_fields(w, source_a);
@@ -132,11 +128,9 @@ TEST(TraceTrafficSource, MidRunRestoreFinishesIdentically) {
   SnapshotReader r(w.bytes().data(), w.bytes().size());
   restore_fields(r, source_b);
   restore_fields(r, net_b);
-  sim::Engine engine_b;
-  engine_b.add_component(source_b);
-  engine_b.add_component(net_b);
-  engine_b.run_until(mid);  // advances the clock without ticking work
-  const Cycle end = engine_b.run_until_idle(200'000);
+  test::TickLoop loop_b(source_b, net_b);
+  loop_b.run_until(mid);  // advances the clock without ticking work
+  const Cycle end = loop_b.run_until_idle(200'000);
 
   EXPECT_EQ(end, expected.end);
   EXPECT_EQ(source_b.generated(), expected.generated);
@@ -160,10 +154,8 @@ TEST(TraceTrafficSource, RestoreRejectsCursorPastTheTrace) {
   traffic::Trace shorter = trace;
   shorter.entries.resize(1);
   // Advance the original source past entry 1 first.
-  sim::Engine engine;
-  engine.add_component(source);
-  engine.add_component(net);
-  engine.run_until_idle(200'000);
+  test::TickLoop loop(source, net);
+  loop.run_until_idle(200'000);
   SnapshotWriter done;
   save_fields(done, source);
 

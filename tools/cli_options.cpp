@@ -158,6 +158,13 @@ std::string scheduler(const CliParser& cli) {
   return name;
 }
 
+void check_weights(const harness::WorkloadParse& workload,
+                   const std::vector<std::string>& schedulers) {
+  for (const auto& name : schedulers)
+    if (const auto error = core::weight_error(name, workload.weights))
+      CliParser::option_error("workload", *error);
+}
+
 validate::FaultSpec fault_spec(const CliParser& cli) {
   validate::FaultSpec spec;
   spec.enabled = cli.get_flag("faults");

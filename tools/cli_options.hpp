@@ -239,6 +239,10 @@ inline constexpr Option kOptions[] = {
 /// --schedulers: "all" or a non-empty comma list of registry names.
 [[nodiscard]] std::vector<std::string> scheduler_list(const CliParser& cli);
 [[nodiscard]] std::string scheduler(const CliParser& cli);
+/// Exits 2 naming --workload when one of `schedulers` cannot take the
+/// workload's weights (core::weight_error).
+void check_weights(const harness::WorkloadParse& workload,
+                   const std::vector<std::string>& schedulers);
 [[nodiscard]] validate::FaultSpec fault_spec(const CliParser& cli);
 [[nodiscard]] obs::TraceRequest trace_request(const CliParser& cli);
 /// Tool, seed, and every option's raw effective value (name order).

@@ -89,6 +89,7 @@ int cmd_compare(const CliParser& cli) {
   const Cycle cycles = cli.get_uint("cycles");
   const std::size_t seeds = cli.get_uint("seeds");
   const std::vector<std::string> names = cli::scheduler_list(cli);
+  cli::check_weights(workload, names);
 
   harness::ScenarioConfig config;
   config.horizon = cycles;
@@ -152,6 +153,7 @@ int cmd_compare(const CliParser& cli) {
 int cmd_run(const CliParser& cli) {
   const auto workload = cli::workload(cli);
   const std::string scheduler = cli::scheduler(cli);
+  cli::check_weights(workload, {scheduler});
   harness::ScenarioConfig config;
   config.horizon = cli.get_uint("cycles");
   config.seed = cli.get_uint("seed");
